@@ -19,6 +19,7 @@
 #include "nn/layers.h"
 #include "obs/obs.h"
 #include "util/atomic_file.h"
+#include "util/json.h"
 #include "runtime/thread_pool.h"
 #include "tensor/conv.h"
 #include "tensor/ops.h"
@@ -257,20 +258,18 @@ class JsonCollector : public benchmark::BenchmarkReporter {
     for (std::size_t i = 0; i < rows_.size(); ++i) {
       const Row& r = rows_[i];
       const std::size_t slash = r.name.find('/');
-      const std::string op = r.name.substr(0, slash);
-      const std::string shape =
-          slash == std::string::npos ? "" : r.name.substr(slash + 1);
-      char num[64];
-      std::snprintf(num, sizeof(num), "%.3f", r.ns_per_op);
-      os << (i ? ",\n" : "\n") << "{\"name\":\"" << r.name << "\",\"op\":\""
-         << op << "\",\"shape\":\"" << shape
-         << "\",\"threads\":" << bd::runtime::thread_count()
-         << ",\"iterations\":" << r.iterations << ",\"ns_per_op\":" << num;
+      bd::JsonObject row;
+      row.set("name", r.name)
+          .set("op", r.name.substr(0, slash))
+          .set("shape",
+               slash == std::string::npos ? "" : r.name.substr(slash + 1))
+          .set_int("threads", bd::runtime::thread_count())
+          .set_int("iterations", r.iterations)
+          .set_double("ns_per_op", r.ns_per_op);
       for (const auto& [cname, value] : r.counters) {
-        std::snprintf(num, sizeof(num), "%.3f", value);
-        os << ",\"" << cname << "\":" << num;
+        row.set_double(cname, value);
       }
-      os << '}';
+      os << (i ? ",\n" : "\n") << row.str();
     }
     os << "\n]}\n";
     return bd::write_file_atomic(path, os.str());

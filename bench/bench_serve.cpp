@@ -214,25 +214,25 @@ bool write_json(const std::string& path, const std::vector<RunResult>& results,
      << ",\"tenants\":" << kTenants << ",\"results\":[";
   for (std::size_t i = 0; i < results.size(); ++i) {
     const RunResult& r = results[i];
-    char line[256];
-    std::snprintf(line, sizeof(line),
-                  "%s\n{\"workers\":%zu,\"seconds\":%.3f,"
-                  "\"jobs_per_min\":%.2f,\"done\":%lld,\"failed\":%lld}",
-                  i ? "," : "", r.workers, r.seconds, r.jobs_per_min,
-                  static_cast<long long>(r.done),
-                  static_cast<long long>(r.failed));
-    os << line;
+    os << (i ? ",\n" : "\n")
+       << bd::JsonObject()
+              .set_int("workers", static_cast<std::int64_t>(r.workers))
+              .set_double("seconds", r.seconds)
+              .set_double("jobs_per_min", r.jobs_per_min)
+              .set_int("done", r.done)
+              .set_int("failed", r.failed)
+              .str();
   }
   os << "\n],\"transports\":[";
   for (std::size_t i = 0; i < transports.size(); ++i) {
     const TransportResult& t = transports[i];
-    char line[256];
-    std::snprintf(line, sizeof(line),
-                  "%s\n{\"transport\":\"%s\",\"seconds\":%.3f,"
-                  "\"jobs_per_min\":%.2f,\"done\":%lld}",
-                  i ? "," : "", t.transport.c_str(), t.seconds,
-                  t.jobs_per_min, static_cast<long long>(t.done));
-    os << line;
+    os << (i ? ",\n" : "\n")
+       << bd::JsonObject()
+              .set("transport", t.transport)
+              .set_double("seconds", t.seconds)
+              .set_double("jobs_per_min", t.jobs_per_min)
+              .set_int("done", t.done)
+              .str();
   }
   os << "\n]}\n";
   return bd::write_file_atomic(path, os.str());

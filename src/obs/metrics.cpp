@@ -1,9 +1,9 @@
 #include "obs/metrics.h"
 
 #include "util/atomic_file.h"
+#include "util/json.h"
 
 #include <algorithm>
-#include <cmath>
 #include <cstdio>
 #include <ostream>
 #include <sstream>
@@ -12,35 +12,6 @@
 namespace bd::obs {
 
 namespace {
-
-/// Round-trippable JSON number, or null for non-finite values (JSON has no
-/// NaN/Inf literals; a diverged loss gauge must not corrupt the export).
-std::string json_double(double v) {
-  if (!std::isfinite(v)) return "null";
-  char buf[40];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  return buf;
-}
-
-/// Span names and metric names are code-controlled identifiers, but escape
-/// defensively so the export is valid JSON no matter what.
-std::string json_string(const std::string& s) {
-  std::string out = "\"";
-  for (const char c : s) {
-    if (c == '"' || c == '\\') {
-      out += '\\';
-      out += c;
-    } else if (static_cast<unsigned char>(c) < 0x20) {
-      char buf[8];
-      std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-      out += buf;
-    } else {
-      out += c;
-    }
-  }
-  out += '"';
-  return out;
-}
 
 void atomic_add_double(std::atomic<double>& a, double v) {
   double cur = a.load(std::memory_order_relaxed);
@@ -129,30 +100,42 @@ Histogram& Registry::histogram(const std::string& name,
 
 void Registry::write_jsonl(std::ostream& os) const {
   std::lock_guard lk(mutex_);
+  // JSON numbers via the codec: a non-finite gauge (a diverged loss)
+  // exports as null instead of corrupting the file.
+  const auto entry = [](const char* type, const std::string& name) {
+    JsonObject o;
+    o.set("type", type).set("name", name);
+    return o;
+  };
+  const auto count = [](std::uint64_t v) {
+    return static_cast<std::int64_t>(v);
+  };
   for (const auto& [name, c] : counters_) {
-    os << "{\"type\":\"counter\",\"name\":" << json_string(name)
-       << ",\"value\":" << c->value() << "}\n";
+    os << entry("counter", name).set_int("value", count(c->value())).str()
+       << '\n';
   }
   for (const auto& [name, g] : gauges_) {
-    os << "{\"type\":\"gauge\",\"name\":" << json_string(name)
-       << ",\"value\":" << json_double(g->value()) << "}\n";
+    os << entry("gauge", name).set_double("value", g->value()).str() << '\n';
   }
   for (const auto& [name, h] : histograms_) {
-    os << "{\"type\":\"histogram\",\"name\":" << json_string(name)
-       << ",\"count\":" << h->count()
-       << ",\"sum\":" << json_double(h->sum()) << ",\"buckets\":[";
     const auto& bounds = h->bounds();
+    std::string buckets = "[";
     for (std::size_t i = 0; i <= bounds.size(); ++i) {
-      if (i) os << ',';
-      os << "{\"le\":";
+      if (i) buckets += ',';
+      JsonObject bucket;
       if (i < bounds.size()) {
-        os << json_double(bounds[i]);
+        bucket.set_double("le", bounds[i]);
       } else {
-        os << "\"+Inf\"";
+        bucket.set("le", "+Inf");
       }
-      os << ",\"count\":" << h->bucket_count(i) << '}';
+      buckets += bucket.set_int("count", count(h->bucket_count(i))).str();
     }
-    os << "]}\n";
+    os << entry("histogram", name)
+              .set_int("count", count(h->count()))
+              .set_double("sum", h->sum())
+              .set_raw("buckets", buckets + ']')
+              .str()
+       << '\n';
   }
 }
 

@@ -1,6 +1,7 @@
 #include "obs/trace.h"
 
 #include "util/atomic_file.h"
+#include "util/json.h"
 
 #include <algorithm>
 #include <atomic>
@@ -62,15 +63,6 @@ ThreadBuffer& buffer_for_this_thread() {
     t_buffer = std::move(buf);
   }
   return *t_buffer;
-}
-
-std::string escape_name(const char* name) {
-  std::string out;
-  for (const char* p = name; *p != '\0'; ++p) {
-    if (*p == '"' || *p == '\\') out += '\\';
-    out += *p;
-  }
-  return out;
 }
 
 }  // namespace
@@ -157,19 +149,19 @@ void write_chrome_trace(std::ostream& os) {
   const std::vector<TraceEvent> events = snapshot_trace();
   os << "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[";
   bool first = true;
-  char buf[64];
   for (const auto& e : events) {
-    if (!first) os << ',';
-    first = false;
-    os << "\n{\"name\":\"" << escape_name(e.name)
-       << "\",\"cat\":\"bd\",\"ph\":\"" << e.phase << "\",\"ts\":";
-    std::snprintf(buf, sizeof(buf), "%.3f",
-                  static_cast<double>(e.ts_ns) / 1e3);
-    os << buf << ",\"pid\":1,\"tid\":" << e.tid;
+    JsonObject event;
+    event.set("name", e.name)
+        .set("cat", "bd")
+        .set("ph", std::string(1, e.phase))
+        .set_double("ts", static_cast<double>(e.ts_ns) / 1e3)
+        .set_int("pid", 1)
+        .set_int("tid", e.tid);
     if (e.arg != kNoArg) {
-      os << ",\"args\":{\"v\":" << e.arg << '}';
+      event.set_raw("args", JsonObject().set_int("v", e.arg).str());
     }
-    os << '}';
+    os << (first ? "\n" : ",\n") << event.str();
+    first = false;
   }
   os << "\n]}\n";
 }

@@ -8,6 +8,7 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <stdexcept>
 
 #include "robust/fault_injector.h"
@@ -16,119 +17,47 @@
 
 namespace bd::robust {
 
-namespace {
-
-void append_escaped(std::string& out, const std::string& s) {
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default: out += c; break;
-    }
-  }
-}
-
-/// Minimal parser for the journal's own subset of JSON. Returns false on
-/// any deviation (including a torn line) instead of throwing, so the
-/// caller decides whether the damage is tolerable.
-class LineParser {
- public:
-  explicit LineParser(const std::string& line) : s_(line) {}
-
-  bool parse(std::string& key, JournalFields& fields) {
-    return expect('{') && parse_member_name("key") && parse_string(key) &&
-           expect(',') && parse_member_name("fields") && expect('{') &&
-           parse_fields(fields) && expect('}') && expect('}') &&
-           pos_ == s_.size();
-  }
-
- private:
-  bool expect(char c) {
-    if (pos_ >= s_.size() || s_[pos_] != c) return false;
-    ++pos_;
-    return true;
-  }
-
-  bool parse_member_name(const std::string& name) {
-    std::string got;
-    return parse_string(got) && got == name && expect(':');
-  }
-
-  bool parse_string(std::string& out) {
-    out.clear();
-    if (!expect('"')) return false;
-    while (pos_ < s_.size()) {
-      const char c = s_[pos_++];
-      if (c == '"') return true;
-      if (c != '\\') {
-        out += c;
-        continue;
-      }
-      if (pos_ >= s_.size()) return false;
-      const char esc = s_[pos_++];
-      switch (esc) {
-        case '"': out += '"'; break;
-        case '\\': out += '\\'; break;
-        case 'n': out += '\n'; break;
-        case 'r': out += '\r'; break;
-        case 't': out += '\t'; break;
-        default: return false;
-      }
-    }
-    return false;  // unterminated string (torn line)
-  }
-
-  bool parse_fields(JournalFields& fields) {
-    if (pos_ < s_.size() && s_[pos_] == '}') return true;  // empty object
-    while (true) {
-      std::string name, value;
-      if (!parse_string(name) || !expect(':') || !parse_string(value)) {
-        return false;
-      }
-      fields[name] = value;
-      if (pos_ < s_.size() && s_[pos_] == ',') {
-        ++pos_;
-        continue;
-      }
-      return true;
-    }
-  }
-
-  const std::string& s_;
-  std::size_t pos_ = 0;
-};
-
-}  // namespace
-
 std::string encode_journal_line(const std::string& key,
                                 const JournalFields& fields) {
-  std::string line = "{\"key\":\"";
-  append_escaped(line, key);
-  line += "\",\"fields\":{";
-  bool first = true;
-  for (const auto& [name, value] : fields) {
-    if (!first) line += ',';
-    first = false;
-    line += '"';
-    append_escaped(line, name);
-    line += "\":\"";
-    append_escaped(line, value);
-    line += '"';
-  }
-  line += "}}\n";
-  return line;
+  JsonObject body;
+  for (const auto& [name, value] : fields) body.set(name, value);
+  return JsonObject().set("key", key).set_raw("fields", body.str()).str() +
+         '\n';
 }
 
-bool parse_journal_line(const std::string& line, std::string& key,
+bool parse_journal_line(std::string_view line, std::string& key,
                         JournalFields& fields) {
-  return LineParser(line).parse(key, fields);
+  Json value;
+  std::string error;
+  if (!Json::parse(line, value, error) || value.members().size() != 2) {
+    return false;
+  }
+  const Json* key_value = value.find("key");
+  const Json* field_values = value.find("fields");
+  if (key_value == nullptr || !key_value->is_string() ||
+      field_values == nullptr || !field_values->is_object()) {
+    return false;
+  }
+  JournalFields decoded;
+  for (const auto& [name, field] : field_values->members()) {
+    if (!field.is_string()) return false;
+    decoded[name] = field.as_string();
+  }
+  key = key_value->as_string();
+  fields = std::move(decoded);
+  return true;
 }
 
-bool journal_fsync_enabled() {
-  return env_int("BDPROTO_JOURNAL_FSYNC").value_or(0) != 0;
+void append_to_fd(int fd, std::string_view bytes, const std::string& path) {
+  ssize_t n;
+  do {
+    n = ::write(fd, bytes.data(), bytes.size());
+  } while (n < 0 && errno == EINTR);
+  if (n != static_cast<ssize_t>(bytes.size())) {
+    const std::string reason = n < 0 ? std::strerror(errno) : "short write";
+    throw std::runtime_error("write failure on '" + path + "': " + reason);
+  }
+  if (env_int("BDPROTO_JOURNAL_FSYNC").value_or(0) != 0) ::fsync(fd);
 }
 
 void append_line_atomic(const std::string& path, const std::string& line) {
@@ -138,61 +67,46 @@ void append_line_atomic(const std::string& path, const std::string& line) {
     throw std::runtime_error("journal: cannot open '" + path +
                              "' for append: " + std::strerror(errno));
   }
-  ssize_t n;
-  do {
-    n = ::write(fd, line.data(), line.size());
-  } while (n < 0 && errno == EINTR);
-  // A short write on a regular file is an ENOSPC-class failure. The torn
-  // tail (if any bytes landed) is exactly the shape every reader already
-  // tolerates and drops.
-  if (n != static_cast<ssize_t>(line.size())) {
-    const std::string reason =
-        n < 0 ? std::strerror(errno) : "short write";
-    ::close(fd);
-    throw std::runtime_error("journal: write failure on '" + path +
-                             "': " + reason);
-  }
-  if (journal_fsync_enabled()) ::fsync(fd);
-  ::close(fd);
+  struct Closer {
+    int fd;
+    ~Closer() { ::close(fd); }
+  } closer{fd};
+  append_to_fd(fd, line, path);
 }
 
 RunJournal::RunJournal(std::string path) : path_(std::move(path)) {
   std::ifstream in(path_, std::ios::binary);
   if (!in) return;  // journal does not exist yet: start empty
+  const std::string data((std::istreambuf_iterator<char>(in)),
+                         std::istreambuf_iterator<char>());
+  in.close();
 
+  // Loads one line. A damaged FINAL line is the expected shape after a
+  // kill mid-append: drop it by truncating the file back to the last
+  // intact entry. Damage anywhere else is corruption worth failing loudly.
   std::size_t line_no = 0;
-  bool reterminate = false;  // final line is intact but lost its newline
-  std::string line;
-  while (true) {
-    const std::streamoff start = in.tellg();
-    if (!std::getline(in, line)) break;
+  const auto load = [&](std::string_view line, std::size_t offset) {
     ++line_no;
-    const bool has_newline = !in.eof();
-    if (line.empty()) continue;
-
+    if (line.empty()) return true;
     std::string key;
     JournalFields fields;
     if (parse_journal_line(line, key, fields)) {
       entries_[key] = std::move(fields);
-      reterminate = !has_newline;
-      continue;
+      return true;
     }
-    // Damaged line. A torn FINAL line is the expected shape after a kill
-    // mid-append: drop it by truncating the file back to the last intact
-    // entry. Damage anywhere else is corruption worth failing loudly.
-    if (in.peek() == std::ifstream::traits_type::eof()) {
-      BD_LOG(Warn) << "journal '" << path_ << "': dropping torn final line "
-                   << line_no << " (" << line.size() << " bytes)";
-      in.close();
-      std::filesystem::resize_file(path_, static_cast<std::uintmax_t>(start));
-      return;
+    if (offset + line.size() + 1 < data.size()) {
+      throw std::runtime_error("journal '" + path_ + "': malformed line " +
+                               std::to_string(line_no));
     }
-    throw std::runtime_error("journal '" + path_ + "': malformed line " +
-                             std::to_string(line_no));
-  }
-
-  if (reterminate) {
-    in.close();
+    BD_LOG(Warn) << "journal '" << path_ << "': dropping torn final line "
+                 << line_no << " (" << line.size() << " bytes)";
+    std::filesystem::resize_file(path_, static_cast<std::uintmax_t>(offset));
+    return false;
+  };
+  const std::size_t tail = scan_lines(data, load);
+  // An intact final entry that only lost its newline is re-terminated so
+  // the next append starts on a fresh line.
+  if (tail < data.size() && load(std::string_view(data).substr(tail), tail)) {
     append_line_atomic(path_, "\n");
   }
 }
@@ -224,12 +138,6 @@ std::string stable_hash_hex(const std::string& s) {
   char buf[17];
   std::snprintf(buf, sizeof(buf), "%016llx",
                 static_cast<unsigned long long>(h));
-  return buf;
-}
-
-std::string exact_double(double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
   return buf;
 }
 

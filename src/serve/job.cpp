@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <optional>
 
 #include "core/registry.h"
 
@@ -16,7 +17,8 @@ bool one_of(const std::string& value,
 }
 
 /// Reads an optional integer member, enforcing [lo, hi]; `fallback` when
-/// absent. A non-number member is a BadRequest, not a silent default.
+/// absent. A non-number, a fraction or an out-of-range number is a
+/// BadRequest, not a silent default or truncation.
 std::int64_t bounded_int(const Json& job, const char* name,
                          std::int64_t fallback, std::int64_t lo,
                          std::int64_t hi) {
@@ -25,12 +27,13 @@ std::int64_t bounded_int(const Json& job, const char* name,
   if (!v->is_number()) {
     throw BadRequest(std::string("job.") + name + " must be a number");
   }
-  const auto value = static_cast<std::int64_t>(v->as_number());
-  if (value < lo || value > hi) {
-    throw BadRequest(std::string("job.") + name + " must be in [" +
-                     std::to_string(lo) + ", " + std::to_string(hi) + "]");
+  const std::optional<std::int64_t> value = v->as_int();
+  if (!value || *value < lo || *value > hi) {
+    throw BadRequest(std::string("job.") + name +
+                     " must be an integer in [" + std::to_string(lo) + ", " +
+                     std::to_string(hi) + "]");
   }
-  return value;
+  return *value;
 }
 
 std::string optional_string(const Json& job, const char* name) {

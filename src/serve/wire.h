@@ -1,93 +1,14 @@
-// Wire format for the serve protocol: a minimal JSON value plus an object
-// writer, sized for newline-delimited request/response lines.
-//
-// The parser is strict (complete values only, no trailing bytes, bounded
-// nesting depth) and never throws on malformed input — Json::parse()
-// returns false with a byte-offset error message, which the protocol layer
-// turns into a structured `bad_json` response instead of a dead daemon.
-// The run journal keeps its own specialized one-line parser; this one
-// exists for untrusted client input, where arbitrary nesting, numbers and
-// booleans must be rejected gracefully rather than assumed away.
+// Wire format for the serve protocol: newline-delimited JSON, one request
+// or response object per line, read and written with the library codec
+// (util/json.h). Its strict reader turns malformed client input into a
+// structured `bad_json` response instead of a dead daemon.
 #pragma once
 
-#include <cstdint>
-#include <map>
-#include <string>
-#include <vector>
+#include "util/json.h"
 
 namespace bd::serve {
 
-class Json {
- public:
-  enum class Type { kNull, kBool, kNumber, kString, kObject, kArray };
-
-  Json() = default;
-
-  Type type() const { return type_; }
-  bool is_null() const { return type_ == Type::kNull; }
-  bool is_bool() const { return type_ == Type::kBool; }
-  bool is_number() const { return type_ == Type::kNumber; }
-  bool is_string() const { return type_ == Type::kString; }
-  bool is_object() const { return type_ == Type::kObject; }
-  bool is_array() const { return type_ == Type::kArray; }
-
-  bool as_bool(bool fallback = false) const {
-    return is_bool() ? bool_ : fallback;
-  }
-  double as_number(double fallback = 0.0) const {
-    return is_number() ? number_ : fallback;
-  }
-  /// Empty for non-strings.
-  const std::string& as_string() const { return string_; }
-  const std::map<std::string, Json>& members() const { return object_; }
-  const std::vector<Json>& items() const { return array_; }
-
-  /// Object member lookup; nullptr when absent or not an object.
-  const Json* find(const std::string& name) const;
-
-  /// Convenience accessors over object members, with fallbacks for absent
-  /// members. A present member of the wrong type is NOT silently coerced:
-  /// callers that must distinguish use find() and check the type.
-  std::string get_string(const std::string& name,
-                         const std::string& fallback = "") const;
-  std::int64_t get_int(const std::string& name, std::int64_t fallback) const;
-  double get_double(const std::string& name, double fallback) const;
-  bool get_bool(const std::string& name, bool fallback) const;
-
-  /// Parses exactly one JSON value spanning all of `text` (surrounding
-  /// whitespace allowed). On failure returns false and sets `error` to a
-  /// reason with the byte offset. Nesting is limited to depth 16.
-  static bool parse(const std::string& text, Json& out, std::string& error);
-
- private:
-  friend class Parser;
-  Type type_ = Type::kNull;
-  bool bool_ = false;
-  double number_ = 0.0;
-  std::string string_;
-  std::map<std::string, Json> object_;
-  std::vector<Json> array_;
-};
-
-/// `s` escaped for embedding inside a JSON string literal (no quotes).
-std::string json_escape(const std::string& s);
-
-/// Builds one JSON object string field by field, in insertion order.
-class JsonObject {
- public:
-  JsonObject& set(const std::string& key, const std::string& value);
-  JsonObject& set(const std::string& key, const char* value);
-  JsonObject& set_int(const std::string& key, std::int64_t value);
-  JsonObject& set_double(const std::string& key, double value);
-  JsonObject& set_bool(const std::string& key, bool value);
-  /// Inserts `json` verbatim (a pre-serialized object/array/value).
-  JsonObject& set_raw(const std::string& key, const std::string& json);
-
-  std::string str() const { return "{" + body_ + "}"; }
-
- private:
-  JsonObject& raw_value(const std::string& key, const std::string& value);
-  std::string body_;
-};
+using bd::Json;
+using bd::JsonObject;
 
 }  // namespace bd::serve

@@ -7,7 +7,9 @@
 #include <chrono>
 #include <cstring>
 #include <fstream>
+#include <iterator>
 #include <mutex>
+#include <string_view>
 #include <stdexcept>
 
 #include "obs/obs.h"
@@ -23,6 +25,14 @@ std::int64_t now_ms() {
 }
 
 namespace {
+
+/// One ledger line: the journal grammar carrying a lease record.
+bool decode_record(std::string_view line, LedgerRecord& record) {
+  std::string key;
+  robust::JournalFields fields;
+  return robust::parse_journal_line(line, key, fields) &&
+         record_from_fields(key, fields, record);
+}
 
 /// RAII exclusive fcntl lock over the whole ledger file. Advisory and
 /// per-process: it serializes claim races *between* worker processes;
@@ -91,31 +101,24 @@ void LeaseLedger::poll_locked() {
   // Consume complete lines; an unterminated tail (a writer killed
   // mid-append, or a reader racing a write on a filesystem without
   // atomic appends) stays pending until its newline lands.
-  std::size_t start = 0;
-  for (;;) {
-    const std::size_t nl = pending_.find('\n', start);
-    if (nl == std::string::npos) break;
-    const std::string line = pending_.substr(start, nl - start);
-    start = nl + 1;
-    ++pending_line_;
-    if (line.empty()) continue;
-    std::string key;
-    robust::JournalFields fields;
-    LedgerRecord record;
-    if (!robust::parse_journal_line(line, key, fields) ||
-        !record_from_fields(key, fields, record)) {
-      // A dead writer's torn tail concatenated with the next worker's
-      // append. Dropping a record is always safe here: a lost claim or
-      // heartbeat at worst causes a duplicate execution of a
-      // deterministic cell, a lost done record causes a re-execution —
-      // both journal identical results.
-      BD_LOG(Warn) << "ledger '" << path_ << "': skipping malformed line "
-                   << pending_line_ << " (" << line.size() << " bytes)";
-      continue;
-    }
-    table_.apply(record);
-  }
-  pending_.erase(0, start);
+  const std::size_t tail =
+      robust::scan_lines(pending_, [this](std::string_view line, std::size_t) {
+        ++pending_line_;
+        if (line.empty()) return;
+        LedgerRecord record;
+        if (decode_record(line, record)) {
+          table_.apply(record);
+          return;
+        }
+        // A dead writer's torn tail concatenated with the next worker's
+        // append. Dropping a record is always safe here: a lost claim or
+        // heartbeat at worst causes a duplicate execution of a
+        // deterministic cell, a lost done record causes a re-execution —
+        // both journal identical results.
+        BD_LOG(Warn) << "ledger '" << path_ << "': skipping malformed line "
+                     << pending_line_ << " (" << line.size() << " bytes)";
+      });
+  pending_.erase(0, tail);
 }
 
 void LeaseLedger::append_locked(const LedgerRecord& r) {
@@ -128,16 +131,7 @@ void LeaseLedger::append_locked(const LedgerRecord& r) {
   // an empty line, which every reader skips.
   poll_locked();
   if (!pending_.empty()) line.insert(line.begin(), '\n');
-  ssize_t n;
-  do {
-    n = ::write(fd_, line.data(), line.size());
-  } while (n < 0 && errno == EINTR);
-  if (n != static_cast<ssize_t>(line.size())) {
-    const std::string reason = n < 0 ? std::strerror(errno) : "short write";
-    throw std::runtime_error("ledger '" + path_ +
-                             "': write failure: " + reason);
-  }
-  if (robust::journal_fsync_enabled()) ::fsync(fd_);
+  robust::append_to_fd(fd_, line, path_);
   // Fold the new record in by reading it back: O_APPEND writes are
   // totally ordered, so polling from the old offset replays any records
   // concurrent processes slipped in before ours, then ours, in file
@@ -223,33 +217,32 @@ LedgerInspection inspect_ledger(const std::string& path) {
   if (!in) {
     throw std::runtime_error("ledger: cannot open '" + path + "'");
   }
+  const std::string data((std::istreambuf_iterator<char>(in)),
+                         std::istreambuf_iterator<char>());
   LedgerInspection out;
   std::size_t line_no = 0;
-  std::string line;
-  while (std::getline(in, line)) {
+  const auto replay = [&](std::string_view line) {
     ++line_no;
-    const bool has_newline = !in.eof();
-    if (line.empty()) continue;
-    std::string key;
-    robust::JournalFields fields;
     LedgerRecord record;
-    if (robust::parse_journal_line(line, key, fields) &&
-        record_from_fields(key, fields, record)) {
-      out.table.apply(record);
-      ++out.records;
-      continue;
-    }
-    if (!has_newline && in.peek() == std::ifstream::traits_type::eof()) {
-      out.torn_tail = true;  // a killed writer's partial append: tolerated
-      BD_LOG(Warn) << "ledger '" << path << "': torn final line " << line_no
-                   << " (" << line.size() << " bytes) ignored";
-      break;
-    }
-    // Same warn-and-count policy as LeaseLedger::poll_locked: dropped
-    // records are self-healing, but the inspection surfaces the damage.
-    ++out.malformed;
-    BD_LOG(Warn) << "ledger '" << path << "': malformed line " << line_no
-                 << " (" << line.size() << " bytes) skipped";
+    if (line.empty() || !decode_record(line, record)) return false;
+    out.table.apply(record);
+    ++out.records;
+    return true;
+  };
+  const std::size_t tail = robust::scan_lines(
+      data, [&](std::string_view line, std::size_t) {
+        if (replay(line) || line.empty()) return;
+        // Same warn-and-count policy as LeaseLedger::poll_locked: dropped
+        // records are self-healing, but the inspection surfaces the damage.
+        ++out.malformed;
+        BD_LOG(Warn) << "ledger '" << path << "': malformed line " << line_no
+                     << " (" << line.size() << " bytes) skipped";
+      });
+  const std::string_view final_line = std::string_view(data).substr(tail);
+  if (!final_line.empty() && !replay(final_line)) {
+    out.torn_tail = true;  // a killed writer's partial append: tolerated
+    BD_LOG(Warn) << "ledger '" << path << "': torn final line " << line_no
+                 << " (" << final_line.size() << " bytes) ignored";
   }
   return out;
 }

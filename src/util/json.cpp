@@ -1,16 +1,26 @@
-#include "serve/wire.h"
+#include "util/json.h"
 
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
 
-namespace bd::serve {
+namespace bd {
 
 namespace {
 
 constexpr int kMaxDepth = 16;
 
 }  // namespace
+
+std::optional<std::int64_t> Json::as_int() const {
+  // 2^63 is exact as a double; every double in [-2^63, 2^63) converts.
+  constexpr double kLimit = 9223372036854775808.0;
+  if (!is_number() || number_ != std::trunc(number_) || number_ < -kLimit ||
+      number_ >= kLimit) {
+    return std::nullopt;
+  }
+  return static_cast<std::int64_t>(number_);
+}
 
 const Json* Json::find(const std::string& name) const {
   if (type_ != Type::kObject) return nullptr;
@@ -27,8 +37,7 @@ std::string Json::get_string(const std::string& name,
 std::int64_t Json::get_int(const std::string& name,
                            std::int64_t fallback) const {
   const Json* v = find(name);
-  if (v == nullptr || !v->is_number()) return fallback;
-  return static_cast<std::int64_t>(v->as_number());
+  return v == nullptr ? fallback : v->as_int().value_or(fallback);
 }
 
 double Json::get_double(const std::string& name, double fallback) const {
@@ -41,11 +50,11 @@ bool Json::get_bool(const std::string& name, bool fallback) const {
   return v != nullptr && v->is_bool() ? v->as_bool() : fallback;
 }
 
-/// Recursive-descent parser over the full input string. All failure paths
-/// record the byte offset where parsing stopped.
-class Parser {
+/// Recursive-descent parser over the full input. All failure paths record
+/// the byte offset where parsing stopped.
+class JsonParser {
  public:
-  Parser(const std::string& text, std::string& error)
+  JsonParser(std::string_view text, std::string& error)
       : s_(text), error_(error) {}
 
   bool parse(Json& out) {
@@ -111,11 +120,22 @@ class Parser {
         s_[p + 1] <= '9') {
       return fail("number has a leading zero");
     }
-    const char* start = s_.c_str() + pos_;
-    char* end = nullptr;
-    const double v = std::strtod(start, &end);
-    if (end == start || !std::isfinite(v)) return fail("expected a value");
-    pos_ += static_cast<std::size_t>(end - start);
+    // The input is a view, not NUL-terminated: strtod reads a copy of the
+    // run of number characters.
+    std::size_t end = p;
+    while (end < s_.size() &&
+           ((s_[end] >= '0' && s_[end] <= '9') || s_[end] == '.' ||
+            s_[end] == 'e' || s_[end] == 'E' || s_[end] == '+' ||
+            s_[end] == '-')) {
+      ++end;
+    }
+    const std::string token(s_.substr(pos_, end - pos_));
+    char* stop = nullptr;
+    const double v = std::strtod(token.c_str(), &stop);
+    if (stop == token.c_str() || !std::isfinite(v)) {
+      return fail("expected a value");
+    }
+    pos_ += static_cast<std::size_t>(stop - token.c_str());
     out.type_ = Json::Type::kNumber;
     out.number_ = v;
     return true;
@@ -256,17 +276,17 @@ class Parser {
     }
   }
 
-  const std::string& s_;
+  std::string_view s_;
   std::string& error_;
   std::size_t pos_ = 0;
 };
 
-bool Json::parse(const std::string& text, Json& out, std::string& error) {
+bool Json::parse(std::string_view text, Json& out, std::string& error) {
   out = Json();
-  return Parser(text, error).parse(out);
+  return JsonParser(text, error).parse(out);
 }
 
-std::string json_escape(const std::string& s) {
+std::string json_escape(std::string_view s) {
   std::string out;
   out.reserve(s.size());
   for (const char c : s) {
@@ -289,6 +309,16 @@ std::string json_escape(const std::string& s) {
     }
   }
   return out;
+}
+
+std::string exact_double(double v) {
+  char buf[64];
+  std::snprintf(buf, sizeof(buf), "%.17g", v);
+  return buf;
+}
+
+std::string json_number(double v) {
+  return std::isfinite(v) ? exact_double(v) : "null";
 }
 
 JsonObject& JsonObject::raw_value(const std::string& key,
@@ -321,9 +351,7 @@ JsonObject& JsonObject::set_int(const std::string& key, std::int64_t value) {
 }
 
 JsonObject& JsonObject::set_double(const std::string& key, double value) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.17g", value);
-  return raw_value(key, buf);
+  return raw_value(key, json_number(value));
 }
 
 JsonObject& JsonObject::set_bool(const std::string& key, bool value) {
@@ -335,4 +363,4 @@ JsonObject& JsonObject::set_raw(const std::string& key,
   return raw_value(key, json);
 }
 
-}  // namespace bd::serve
+}  // namespace bd

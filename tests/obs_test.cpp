@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <cmath>
 #include <cstdint>
 #include <cstdlib>
 #include <map>
@@ -19,6 +20,7 @@
 #include "obs/obs.h"
 #include "runtime/thread_pool.h"
 #include "tensor/ops.h"
+#include "util/json.h"
 
 namespace bd::obs {
 namespace {
@@ -252,6 +254,34 @@ TEST_F(ObsTest, SpanNestingAcrossParallelWorkers) {
   EXPECT_EQ(chunk_begins, kChunks);
 }
 
+/// The whole Chrome trace export, parsed with the library codec.
+Json parse_trace() {
+  std::ostringstream os;
+  write_chrome_trace(os);
+  Json trace;
+  std::string error;
+  EXPECT_TRUE(Json::parse(os.str(), trace, error)) << error << "\n"
+                                                   << os.str();
+  return trace;
+}
+
+/// Every metrics JSONL line, each parsed with the library codec, by name.
+std::map<std::string, Json> parse_metrics_jsonl() {
+  std::ostringstream os;
+  registry().write_jsonl(os);
+  std::istringstream is(os.str());
+  std::map<std::string, Json> by_name;
+  std::string line;
+  while (std::getline(is, line)) {
+    Json value;
+    std::string error;
+    EXPECT_TRUE(Json::parse(line, value, error)) << error << "\n" << line;
+    EXPECT_TRUE(value.is_object()) << line;
+    by_name[value.get_string("name")] = value;
+  }
+  return by_name;
+}
+
 TEST_F(ObsTest, ChromeTraceExportParsesBack) {
   set_trace_enabled(true);
   clear_trace();
@@ -259,28 +289,49 @@ TEST_F(ObsTest, ChromeTraceExportParsesBack) {
     Span outer("obs_test.export", 5);
     Span inner("obs_test.export_inner");
   }
-  std::ostringstream os;
-  write_chrome_trace(os);
-  const std::string json = os.str();
+  const Json trace = parse_trace();
+  EXPECT_EQ(trace.get_string("displayTimeUnit"), "ms");
+  const Json* events = trace.find("traceEvents");
+  ASSERT_NE(events, nullptr);
+  ASSERT_TRUE(events->is_array());
+  ASSERT_EQ(events->items().size(), 4u);
 
-  EXPECT_NE(json.find("\"traceEvents\":["), std::string::npos);
-  EXPECT_NE(json.find("\"displayTimeUnit\":\"ms\""), std::string::npos);
-  EXPECT_NE(json.find("\"name\":\"obs_test.export\""), std::string::npos);
-  EXPECT_NE(json.find("\"args\":{\"v\":5}"), std::string::npos);
-
-  // Hand-rolled pairing check: equal numbers of begin and end events.
-  auto count = [&json](const char* needle) {
-    std::size_t n = 0, pos = 0;
-    const std::string s(needle);
-    while ((pos = json.find(s, pos)) != std::string::npos) {
-      ++n;
-      pos += s.size();
+  // Begin/end events pair up per thread, in nesting order.
+  std::map<std::int64_t, std::vector<std::string>> open;
+  std::size_t begins = 0;
+  for (const Json& e : events->items()) {
+    EXPECT_EQ(e.get_string("cat"), "bd");
+    EXPECT_EQ(e.get_int("pid", 0), 1);
+    EXPECT_GE(e.get_double("ts", -1.0), 0.0);
+    auto& stack = open[e.get_int("tid", -1)];
+    if (e.get_string("ph") == "B") {
+      ++begins;
+      stack.push_back(e.get_string("name"));
+      if (e.get_string("name") == "obs_test.export") {
+        ASSERT_NE(e.find("args"), nullptr);
+        EXPECT_EQ(e.find("args")->get_int("v", 0), 5);
+      } else {
+        EXPECT_EQ(e.find("args"), nullptr);
+      }
+    } else {
+      ASSERT_EQ(e.get_string("ph"), "E");
+      ASSERT_FALSE(stack.empty());
+      stack.pop_back();
     }
-    return n;
-  };
-  EXPECT_EQ(count("\"ph\":\"B\""), 2u);
-  EXPECT_EQ(count("\"ph\":\"E\""), 2u);
-  EXPECT_EQ(count("\"cat\":\"bd\""), 4u);
+  }
+  EXPECT_EQ(begins, 2u);
+  for (const auto& [tid, stack] : open) EXPECT_TRUE(stack.empty()) << tid;
+}
+
+TEST_F(ObsTest, ChromeTraceEscapesHostileSpanNames) {
+  set_trace_enabled(true);
+  clear_trace();
+  { Span hostile("q\"\x01"); }
+  const Json trace = parse_trace();
+  const Json* events = trace.find("traceEvents");
+  ASSERT_NE(events, nullptr);
+  ASSERT_EQ(events->items().size(), 2u);
+  EXPECT_EQ(events->items()[0].get_string("name"), "q\"\x01");
 }
 
 TEST_F(ObsTest, JsonlExportIsValid) {
@@ -299,20 +350,38 @@ TEST_F(ObsTest, JsonlExportIsValid) {
             std::string::npos);
   EXPECT_NE(jsonl.find("\"obs_test.export_gauge\",\"value\":1.5}"),
             std::string::npos);
-  EXPECT_NE(jsonl.find("\"obs_test.export_hist\""), std::string::npos);
-  EXPECT_NE(jsonl.find("{\"le\":\"+Inf\","), std::string::npos);
 
-  // Every line is one object: starts with '{', ends with '}'.
-  std::istringstream is(jsonl);
-  std::string line;
-  std::size_t lines = 0;
-  while (std::getline(is, line)) {
-    ASSERT_FALSE(line.empty());
-    EXPECT_EQ(line.front(), '{');
-    EXPECT_EQ(line.back(), '}');
-    ++lines;
-  }
-  EXPECT_GE(lines, 3u);
+  const std::map<std::string, Json> metrics = parse_metrics_jsonl();
+  EXPECT_GE(metrics.size(), 3u);
+  const Json& counter = metrics.at("obs_test.export_counter");
+  EXPECT_EQ(counter.get_string("type"), "counter");
+  EXPECT_EQ(counter.get_int("value", -1), 3);
+  const Json& gauge = metrics.at("obs_test.export_gauge");
+  EXPECT_EQ(gauge.get_string("type"), "gauge");
+  EXPECT_EQ(gauge.get_double("value", 0.0), 1.5);
+
+  const Json& hist = metrics.at("obs_test.export_hist");
+  EXPECT_EQ(hist.get_string("type"), "histogram");
+  EXPECT_EQ(hist.get_int("count", -1), 1);
+  EXPECT_EQ(hist.get_double("sum", 0.0), 15.0);
+  const Json* buckets = hist.find("buckets");
+  ASSERT_NE(buckets, nullptr);
+  ASSERT_EQ(buckets->items().size(), 3u);
+  EXPECT_EQ(buckets->items()[0].get_double("le", 0.0), 10.0);
+  EXPECT_EQ(buckets->items()[0].get_int("count", -1), 0);
+  EXPECT_EQ(buckets->items()[1].get_double("le", 0.0), 20.0);
+  EXPECT_EQ(buckets->items()[1].get_int("count", -1), 1);
+  EXPECT_EQ(buckets->items()[2].get_string("le"), "+Inf");
+  EXPECT_EQ(buckets->items()[2].get_int("count", -1), 0);
+}
+
+TEST_F(ObsTest, NonFiniteGaugeExportsNull) {
+  registry().gauge("obs_test.nan_gauge").set(std::nan(""));
+  const std::map<std::string, Json> metrics = parse_metrics_jsonl();
+  const Json* value = metrics.at("obs_test.nan_gauge").find("value");
+  ASSERT_NE(value, nullptr);
+  EXPECT_TRUE(value->is_null());
+  registry().gauge("obs_test.nan_gauge").set(0.0);
 }
 
 TEST_F(ObsTest, CapacityDropKeepsPairsBalanced) {

@@ -12,6 +12,7 @@
 #include <fstream>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include "attack/trigger.h"
 #include "core/grad_prune.h"
@@ -423,6 +424,129 @@ TEST(Journal, ExactDoubleRoundTripsBitwise) {
   for (const double v : {97.123456789012345, 1.0 / 3.0, 2.5e-17, 0.0}) {
     const std::string s = robust::exact_double(v);
     EXPECT_EQ(std::strtod(s.c_str(), nullptr), v) << s;
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Journal line codec compatibility
+// ---------------------------------------------------------------------------
+
+struct PinnedLine {
+  std::string line;  // exactly as earlier releases wrote it, newline included
+  std::string key;
+  robust::JournalFields fields;
+};
+
+/// A table cell, a serve job record, a lease-ledger record, an empty
+/// entry and raw UTF-8 bytes, as the journal has always written them.
+std::vector<PinnedLine> pinned_lines() {
+  return {
+      {R"({"key":"9f86d081884c7d65","fields":{"acc":"97.123456789012351",)"
+       R"("asr":"1.25","attempts":"2","failure":"deadline: \"x\"\\p\n\tq\r",)"
+       R"("ra":"0.5"}})"
+       "\n",
+       "9f86d081884c7d65",
+       {{"acc", "97.123456789012351"},
+        {"asr", "1.25"},
+        {"attempts", "2"},
+        {"failure", "deadline: \"x\"\\p\n\tq\r"},
+        {"ra", "0.5"}}},
+      {R"({"key":"job|j000001","fields":{"acc":"91.5","arch":"vgg",)"
+       R"("attack":"badnet","attempts":"1","cache":"hit",)"
+       R"("cache_key":"0011223344556677","dataset":"cifar",)"
+       R"("defense":"gradprune","id":"j000001","out":"/data/out dir/m.bin",)"
+       R"("pruned":"3","seed":"1234","spc":"10","state":"done",)"
+       R"("tenant":"team-1"}})"
+       "\n",
+       "job|j000001",
+       {{"acc", "91.5"},
+        {"arch", "vgg"},
+        {"attack", "badnet"},
+        {"attempts", "1"},
+        {"cache", "hit"},
+        {"cache_key", "0011223344556677"},
+        {"dataset", "cifar"},
+        {"defense", "gradprune"},
+        {"id", "j000001"},
+        {"out", "/data/out dir/m.bin"},
+        {"pruned", "3"},
+        {"seed", "1234"},
+        {"spc", "10"},
+        {"state", "done"},
+        {"tenant", "team-1"}}},
+      {R"({"key":"c1","fields":{"note":"oom: \"bad_alloc\"\n","op":"abandon",)"
+       R"("ts":"9","worker":"w0"}})"
+       "\n",
+       "c1",
+       {{"note", "oom: \"bad_alloc\"\n"},
+        {"op", "abandon"},
+        {"ts", "9"},
+        {"worker", "w0"}}},
+      {"{\"key\":\"k\",\"fields\":{}}\n", "k", {}},
+      {"{\"key\":\"caf\xc3\xa9\",\"fields\":{\"\xe2\x82\xac\":\"\x7f\xff\"}}\n",
+       "caf\xc3\xa9",
+       {{"\xe2\x82\xac", "\x7f\xff"}}},
+  };
+}
+
+std::string without_newline(const std::string& line) {
+  return line.substr(0, line.size() - 1);
+}
+
+TEST(JournalCodec, PinnedLinesDecodeAndReencodeByteForByte) {
+  for (const PinnedLine& p : pinned_lines()) {
+    std::string key;
+    robust::JournalFields fields;
+    ASSERT_TRUE(robust::parse_journal_line(without_newline(p.line), key,
+                                           fields))
+        << p.line;
+    EXPECT_EQ(key, p.key);
+    EXPECT_EQ(fields, p.fields);
+    EXPECT_EQ(robust::encode_journal_line(p.key, p.fields), p.line);
+  }
+  // Earlier releases copied control bytes other than \n, \r and \t raw;
+  // such a line is not JSON and is rejected like any other damage. The
+  // writer now escapes them as \u00XX.
+  std::string key;
+  robust::JournalFields fields;
+  EXPECT_FALSE(robust::parse_journal_line(
+      "{\"key\":\"k\",\"fields\":{\"error\":\"a\x01z\"}}", key, fields));
+  EXPECT_EQ(robust::encode_journal_line("k", {{"error", "a\x01z"}}),
+            "{\"key\":\"k\",\"fields\":{\"error\":\"a\\u0001z\"}}\n");
+}
+
+TEST(JournalCodec, EveryByteRoundTrips) {
+  std::string all_bytes;
+  for (int b = 0; b < 256; ++b) {
+    const std::string s = std::string("<") + static_cast<char>(b) + ">";
+    all_bytes += static_cast<char>(b);
+    for (const std::string& text : {s, all_bytes}) {
+      const robust::JournalFields in{{text, text}, {"v", text}};
+      const std::string line = robust::encode_journal_line(text, in);
+      // Still one line: the only raw control byte is the final newline.
+      ASSERT_EQ(line.back(), '\n');
+      for (std::size_t i = 0; i + 1 < line.size(); ++i) {
+        ASSERT_GE(static_cast<unsigned char>(line[i]), 0x20) << b;
+      }
+      std::string key;
+      robust::JournalFields out;
+      ASSERT_TRUE(robust::parse_journal_line(without_newline(line), key, out))
+          << b;
+      EXPECT_EQ(key, text) << b;
+      EXPECT_EQ(out, in) << b;
+    }
+  }
+}
+
+TEST(JournalCodec, EveryTruncationIsRejected) {
+  for (const PinnedLine& p : pinned_lines()) {
+    const std::string line = without_newline(p.line);
+    for (std::size_t n = 0; n < line.size(); ++n) {
+      std::string key;
+      robust::JournalFields fields;
+      EXPECT_FALSE(robust::parse_journal_line(line.substr(0, n), key, fields))
+          << line.substr(0, n);
+    }
   }
 }
 

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
@@ -21,6 +22,7 @@
 #include "serve/queue.h"
 #include "serve/service.h"
 #include "serve/wire.h"
+#include "util/json.h"
 
 namespace bd {
 namespace {
@@ -92,9 +94,36 @@ TEST(WireTest, EscapeRoundTrip) {
   const std::string hostile = "a\"b\\c\nd\te\x01f";
   Json v;
   std::string error;
-  ASSERT_TRUE(Json::parse("\"" + serve::json_escape(hostile) + "\"", v, error))
+  ASSERT_TRUE(Json::parse("\"" + json_escape(hostile) + "\"", v, error))
       << error;
   EXPECT_EQ(v.as_string(), hostile);
+}
+
+TEST(WireTest, NonFiniteNumbersWriteNull) {
+  const std::string text = serve::JsonObject()
+                               .set_double("nan", std::nan(""))
+                               .set_double("inf", -HUGE_VAL)
+                               .set_double("x", 0.1)
+                               .str();
+  EXPECT_EQ(text, R"({"nan":null,"inf":null,"x":0.10000000000000001})");
+  Json v;
+  std::string error;
+  ASSERT_TRUE(Json::parse(text, v, error)) << error;
+  EXPECT_TRUE(v.find("nan")->is_null());
+  EXPECT_EQ(v.get_double("x", 0.0), 0.1);
+}
+
+TEST(WireTest, GetIntRejectsFractionsAndOutOfRange) {
+  Json v;
+  std::string error;
+  ASSERT_TRUE(Json::parse(
+      R"({"a":2.9,"b":1e300,"c":-9.3e18,"d":-42,"e":9007199254740992})", v,
+      error));
+  EXPECT_EQ(v.get_int("a", 7), 7);
+  EXPECT_EQ(v.get_int("b", 7), 7);
+  EXPECT_EQ(v.get_int("c", 7), 7);
+  EXPECT_EQ(v.get_int("d", 7), -42);
+  EXPECT_EQ(v.get_int("e", 7), std::int64_t{9007199254740992});
 }
 
 // ---------------------------------------------------------------------------
@@ -277,6 +306,19 @@ TEST(JobTest, ParseValidatesEveryField) {
   bad(R"({"spc":"ten"})");
   bad(R"({"width":100000})");
   bad(R"({"spc":10,"train_per_class":5})");
+  // Fractions and numbers beyond int64_t are rejected before any cast,
+  // with an error naming the field.
+  for (const char* body :
+       {R"({"spc":2.9})", R"({"spc":1e300})", R"({"spc":-1e300})",
+        R"({"seed":9.3e18})", R"({"width":0.5})"}) {
+    bad(body);
+    try {
+      serve::parse_job_spec(parse_ok(body), "t");
+    } catch (const serve::BadRequest& e) {
+      EXPECT_NE(std::string(e.what()).find("job."), std::string::npos)
+          << e.what();
+    }
+  }
 
   const JobSpec spec = serve::parse_job_spec(
       parse_ok(R"({"dataset":"gtsrb","defense":"gradprune","spc":4,)"

@@ -172,6 +172,41 @@ TEST(LeaseLedger, PersistsAndReplays) {
   EXPECT_EQ(s.claims_by_worker.at("w1"), 2);
 }
 
+TEST(LeaseLedger, PinnedRecordLinesRoundTripByteForByte) {
+  // Ledger lines exactly as earlier releases wrote them.
+  const std::string claim =
+      R"({"key":"c1","fields":{"op":"claim","steal":"1","ts":"12345",)"
+      R"("worker":"w2"}})"
+      "\n";
+  const std::string done =
+      R"({"key":"c2","fields":{"note":"ok \"1\"","op":"done","ts":"7",)"
+      R"("worker":"w0"}})"
+      "\n";
+  for (const std::string& line : {claim, done}) {
+    std::string key;
+    robust::JournalFields fields;
+    ASSERT_TRUE(robust::parse_journal_line(line.substr(0, line.size() - 1),
+                                           key, fields))
+        << line;
+    shard::LedgerRecord record;
+    ASSERT_TRUE(shard::record_from_fields(key, fields, record)) << line;
+    EXPECT_EQ(robust::encode_journal_line(record.key,
+                                          shard::record_to_fields(record)),
+              line);
+  }
+  std::string key;
+  robust::JournalFields fields;
+  ASSERT_TRUE(robust::parse_journal_line(claim.substr(0, claim.size() - 1),
+                                         key, fields));
+  shard::LedgerRecord record;
+  ASSERT_TRUE(shard::record_from_fields(key, fields, record));
+  EXPECT_EQ(record.op, shard::LedgerOp::kClaim);
+  EXPECT_EQ(record.key, "c1");
+  EXPECT_EQ(record.worker, "w2");
+  EXPECT_EQ(record.ts_ms, 12345);
+  EXPECT_TRUE(record.steal);
+}
+
 TEST(LeaseLedger, TornFinalLineStaysPendingUntilTerminated) {
   TempFile file("torn");
   {
