@@ -202,14 +202,17 @@ void BM_SpanOverhead(benchmark::State& state) {
 }
 BENCHMARK(BM_SpanOverhead);
 
-// Same guarantee for the combined kernel probe (span + counters + duration
-// histogram): disabled, it is one atomic load after the first call.
+// Same guarantee for the kernel probe the graph scheduler wraps around
+// every op (span + counters + duration histogram): disabled, it is one
+// atomic load.
 void BM_KernelProbeOverhead(benchmark::State& state) {
   bd::obs::set_metrics_enabled(false);
   bd::obs::set_trace_enabled(false);
+  static bd::obs::KernelStats& stats =
+      bd::obs::kernel_stats("bench.kernel_probe_overhead");
   for (auto _ : state) {
-    BD_OBS_KERNEL("bench.kernel_probe_overhead", 1);
-    benchmark::DoNotOptimize(&state);
+    bd::obs::KernelScope probe(stats, 1);
+    benchmark::DoNotOptimize(&probe);
   }
   state.SetItemsProcessed(state.iterations());
 }

@@ -2,12 +2,12 @@
 // each stage can run in a separate process (the way a downstream user
 // would actually operate: train once, audit and repair later).
 //
-//   bdctl train-backdoor --attack badnet --arch preactresnet \
+//   bdctl train-backdoor --attack badnet --arch preactresnet
 //          --dataset cifar --out model.ckpt
-//   bdctl evaluate       --attack badnet --arch preactresnet \
+//   bdctl evaluate       --attack badnet --arch preactresnet
 //          --dataset cifar --model model.ckpt
-//   bdctl defend         --attack badnet --arch preactresnet \
-//          --dataset cifar --model model.ckpt --defense gradprune \
+//   bdctl defend         --attack badnet --arch preactresnet
+//          --dataset cifar --model model.ckpt --defense gradprune
 //          --spc 10 --out repaired.ckpt
 //
 // Common flags: --seed N, --width N. The synthetic dataset is regenerated
@@ -299,7 +299,7 @@ int cmd_verify(const std::string& path) {
 }
 
 /// Rebuilds the deterministic experiment context for the given flags.
-eval::BackdooredModel build_context(const Args& args, bool train) {
+eval::BackdooredModel build_context(const Args& args) {
   const std::string dataset = args.get("dataset", "cifar");
   const std::string arch = args.get("arch", "preactresnet");
   const std::string attack = args.get("attack", "badnet");
@@ -309,18 +309,12 @@ eval::BackdooredModel build_context(const Args& args, bool train) {
   if (args.flags.count("width")) {
     scale.base_width = args.get_int("width", scale.base_width);
   }
-  if (!train) {
-    // Only the datasets/test sets are needed; skip the training epochs by
-    // training 1 epoch on a throwaway model is wasteful - but
-    // prepare_backdoored_model is the single source of truth for the data
-    // pipeline, so reuse it with the training budget the caller asked for.
-  }
   return eval::prepare_backdoored_model(dataset, arch, attack, scale, seed);
 }
 
 int cmd_train(const Args& args) {
   const std::string out = args.get("out", "model.ckpt");
-  const auto bd_model = build_context(args, /*train=*/true);
+  const auto bd_model = build_context(args);
   Rng rng(1);
   auto model = bd_model.instantiate(rng);
   nn::save_checkpoint(*model, out);
@@ -332,7 +326,7 @@ int cmd_train(const Args& args) {
 
 int cmd_evaluate(const Args& args) {
   const std::string path = args.get("model", "model.ckpt");
-  auto bd_model = build_context(args, /*train=*/false);
+  auto bd_model = build_context(args);
   Rng rng(1);
   auto model = bd_model.instantiate(rng);
   nn::load_checkpoint(*model, path);
@@ -349,7 +343,7 @@ int cmd_defend(const Args& args) {
   const std::string defense_name = args.get("defense", "gradprune");
   const std::int64_t spc = args.get_int("spc", 10);
 
-  auto bd_model = build_context(args, /*train=*/false);
+  auto bd_model = build_context(args);
   Rng rng(static_cast<std::uint64_t>(args.get_int("seed", 1234)) ^
           0xDEFE45EULL);
   auto model = bd_model.instantiate(rng);

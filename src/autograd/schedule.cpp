@@ -1,8 +1,11 @@
 #include "autograd/schedule.h"
 
 #include <algorithm>
+#include <array>
 #include <cassert>
+#include <mutex>
 #include <stdexcept>
+#include <string>
 #include <unordered_map>
 #include <unordered_set>
 #include <utility>
@@ -13,6 +16,25 @@
 #include "tensor/ops.h"
 
 namespace bd::ag {
+namespace {
+
+/// The one kernel probe site, `kernel.<op_kind_name>_fwd|_bwd`; items are
+/// the node's output elements. Instruments register on a probe's first
+/// use, so metrics list only kinds that ran. kNllLoss is the last OpKind.
+obs::KernelScope kernel_scope(const Node& n, bool backward) {
+  constexpr auto kKinds = static_cast<std::size_t>(OpKind::kNllLoss) + 1;
+  static std::array<std::once_flag, 2 * kKinds> registered;
+  static std::array<obs::KernelStats*, 2 * kKinds> stats;
+  const std::size_t i = 2 * static_cast<std::size_t>(n.kind) + backward;
+  std::call_once(registered[i], [&] {
+    stats[i] = &obs::kernel_stats(std::string("kernel.") +
+                                  op_kind_name(n.kind) +
+                                  (backward ? "_bwd" : "_fwd"));
+  });
+  return {*stats[i], shape_numel(n.shape)};
+}
+
+}  // namespace
 
 void materialize(const NodePtr& root) {
   if (!root || root->value.defined()) return;
@@ -70,7 +92,10 @@ void materialize(const NodePtr& root) {
 
   std::uint64_t recycled = 0;
   for (const auto& n : order) {
-    execute_forward(*n);
+    {
+      const obs::KernelScope probe = kernel_scope(*n, /*backward=*/false);
+      execute_forward(*n);
+    }
     assert(n->value.shape() == n->shape &&
            "shape inference disagrees with the kernel");
     if (!recycle) continue;
@@ -211,6 +236,7 @@ void run_backward(const NodePtr& root) {
   for (auto it = order.rbegin(); it != order.rend(); ++it) {
     Node* node = *it;
     if (!node->is_leaf && node->grad.defined()) {
+      const obs::KernelScope probe = kernel_scope(*node, /*backward=*/true);
       execute_backward(*node, sink);
     }
     if (!node->is_leaf && node != root_raw) {

@@ -121,15 +121,13 @@ void flush_env_exports() {
   }
 }
 
-KernelStats& kernel_stats(const char* name) {
-  // Leaked on purpose: references handed to function-local statics must
-  // outlive every kernel call, including ones during static destruction.
-  const std::string base(name);
-  auto* stats = new KernelStats{
-      registry().counter(base + ".calls"),
-      registry().counter(base + ".items"),
-      registry().histogram(base + ".ns", duration_ns_buckets())};
-  return *stats;
+KernelStats& kernel_stats(const std::string& name) {
+  // Leaked on purpose: probes keep the reference, and trace events keep
+  // name.c_str() until the atexit exporter has run.
+  return *new KernelStats{
+      name, registry().counter(name + ".calls"),
+      registry().counter(name + ".items"),
+      registry().histogram(name + ".ns", duration_ns_buckets())};
 }
 
 }  // namespace bd::obs

@@ -6,6 +6,7 @@
 #pragma once
 
 #include <cstdint>
+#include <string>
 
 #include "obs/gate.h"
 #include "obs/metrics.h"
@@ -14,30 +15,30 @@
 namespace bd::obs {
 
 /// Pre-registered instruments for one kernel call site: `<name>.calls`,
-/// `<name>.items` (work units, e.g. MACs) and `<name>.ns` (duration
-/// histogram on the fixed duration layout).
+/// `<name>.items` (work units) and `<name>.ns` (duration histogram on the
+/// fixed duration layout). Also owns the span name.
 struct KernelStats {
+  std::string name;
   Counter& calls;
   Counter& items;
   Histogram& duration_ns;
 };
 
-/// Registers (once) and returns the instruments for `name`. The reference
-/// is cached in a function-local static by BD_OBS_KERNEL.
-KernelStats& kernel_stats(const char* name);
+/// Registers and returns the instruments for `name`. Call once per name
+/// and keep the reference; it is leaked, so the name outlives every span.
+KernelStats& kernel_stats(const std::string& name);
 
 /// RAII kernel probe: trace span (when tracing) plus calls/items counters
 /// and a duration-histogram sample (when metrics are on). Off cost: one
 /// relaxed atomic load.
 class KernelScope {
  public:
-  KernelScope(const char* name, KernelStats& stats, std::int64_t items)
-      : stats_(stats) {
+  KernelScope(KernelStats& stats, std::int64_t items) : stats_(stats) {
     const std::uint32_t f = detail::flags();
     if (f == 0) return;
     if ((f & kTraceBit) != 0) {
-      span_name_ = name;
-      record_span_event(name, 'B', items);
+      tracing_ = true;
+      record_span_event(stats.name.c_str(), 'B', items);
     }
     if ((f & kMetricsBit) != 0) {
       items_ = items;
@@ -46,7 +47,7 @@ class KernelScope {
     }
   }
   ~KernelScope() {
-    if (span_name_ != nullptr) record_span_event(span_name_, 'E', kNoArg);
+    if (tracing_) record_span_event(stats_.name.c_str(), 'E', kNoArg);
     if (timing_) {
       stats_.calls.add(1);
       if (items_ > 0) stats_.items.add(static_cast<std::uint64_t>(items_));
@@ -59,9 +60,9 @@ class KernelScope {
 
  private:
   KernelStats& stats_;
-  const char* span_name_ = nullptr;
   std::int64_t items_ = 0;
   std::uint64_t start_ns_ = 0;
+  bool tracing_ = false;
   bool timing_ = false;
 };
 
@@ -75,13 +76,6 @@ class KernelScope {
   ::bd::obs::Span BD_OBS_CONCAT(bd_obs_span_, __LINE__)(name)
 #define BD_OBS_SPAN_ARG(name, arg) \
   ::bd::obs::Span BD_OBS_CONCAT(bd_obs_span_, __LINE__)(name, (arg))
-
-/// Scoped kernel probe (span + counters + duration histogram).
-#define BD_OBS_KERNEL(name, items)                                     \
-  static ::bd::obs::KernelStats& BD_OBS_CONCAT(bd_obs_ks_, __LINE__) = \
-      ::bd::obs::kernel_stats(name);                                   \
-  ::bd::obs::KernelScope BD_OBS_CONCAT(bd_obs_kscope_, __LINE__)(      \
-      name, BD_OBS_CONCAT(bd_obs_ks_, __LINE__), (items))
 
 /// Counter increment / gauge sample, active only when metrics are on.
 #define BD_OBS_COUNT(name, n)                                        \

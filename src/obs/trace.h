@@ -14,7 +14,7 @@
 // traces always have balanced begin/end pairs per thread.
 //
 // Naming convention (documented in DESIGN.md): dot-separated
-// `<layer>.<what>` — `kernel.*` tensor kernels, `train.*` / `finetune.*`
+// `<layer>.<what>` — `kernel.*` graph-op kernels, `train.*` / `finetune.*`
 // training loops, `gradprune.*` the paper's defense, `defense.<name>` other
 // defense phases, `eval.*` metric passes, `runner.*` / `bench.*` the
 // experiment harness.

@@ -7,6 +7,7 @@
 #include <cmath>
 #include <cstdint>
 #include <cstdlib>
+#include <initializer_list>
 #include <map>
 #include <sstream>
 #include <string>
@@ -17,10 +18,12 @@
 #include "autograd/arena.h"
 #include "autograd/ops.h"
 #include "autograd/variable.h"
+#include "nn/layers.h"
 #include "obs/obs.h"
+#include "optim/optim.h"
 #include "runtime/thread_pool.h"
-#include "tensor/ops.h"
 #include "util/json.h"
+#include "util/rng.h"
 
 namespace bd::obs {
 namespace {
@@ -436,23 +439,83 @@ TEST_F(ObsTest, RenderSpanTreeAggregates) {
   EXPECT_EQ(render_span_tree(), "(no spans recorded)\n");
 }
 
+// Kernels are probed where the graph scheduler runs them: one matmul node
+// costs one kernel.matmul_fwd and one kernel.matmul_bwd call, each counting
+// the node's m x n output elements.
 TEST_F(ObsTest, KernelProbeRecordsWhenMetricsOn) {
   set_metrics_enabled(true);
-  const std::uint64_t calls_before =
-      registry().counter("kernel.matmul.calls").value();
-  const std::uint64_t items_before =
-      registry().counter("kernel.matmul.items").value();
+  const auto counter = [](const char* name) {
+    return registry().counter(name).value();
+  };
+  const std::uint64_t fwd_calls = counter("kernel.matmul_fwd.calls");
+  const std::uint64_t fwd_items = counter("kernel.matmul_fwd.items");
+  const std::uint64_t bwd_calls = counter("kernel.matmul_bwd.calls");
+  const std::uint64_t bwd_items = counter("kernel.matmul_bwd.items");
 
-  Tensor a({4, 8});
-  Tensor b({8, 2});
-  for (std::int64_t i = 0; i < a.numel(); ++i) a[i] = 1.0f;
-  for (std::int64_t i = 0; i < b.numel(); ++i) b[i] = 2.0f;
-  (void)matmul(a, b);
+  ag::Var a(Tensor({4, 8}), /*requires_grad=*/true);
+  ag::Var b(Tensor({8, 2}), /*requires_grad=*/true);
+  for (std::int64_t i = 0; i < 32; ++i) a.mutable_value()[i] = 1.0f;
+  for (std::int64_t i = 0; i < 16; ++i) b.mutable_value()[i] = 2.0f;
+  const ag::Var c = ag::matmul(a, b);
+  (void)c.value();
+  ag::sum_all(c).backward();
 
-  EXPECT_EQ(registry().counter("kernel.matmul.calls").value(),
-            calls_before + 1);
-  EXPECT_EQ(registry().counter("kernel.matmul.items").value(),
-            items_before + 4u * 8u * 2u);
+  EXPECT_EQ(counter("kernel.matmul_fwd.calls"), fwd_calls + 1);
+  EXPECT_EQ(counter("kernel.matmul_fwd.items"), fwd_items + 4u * 2u);
+  EXPECT_EQ(counter("kernel.matmul_bwd.calls"), bwd_calls + 1);
+  EXPECT_EQ(counter("kernel.matmul_bwd.items"), bwd_items + 4u * 2u);
+}
+
+// Kernel spans are leaves of the span tree: one traced training step of a
+// conv + BatchNorm2d + Linear model opens no kernel.* span inside another on
+// the same thread, and every materialized node gets exactly one forward
+// probe — no op builder times graph construction or forced upstream work.
+TEST_F(ObsTest, KernelSpansAttributeOneNodeEach) {
+  Rng rng(7);
+  nn::Conv2d conv(3, 4, 3, 1, 1, /*bias=*/false, rng);
+  nn::BatchNorm2d bn(4);
+  nn::Linear fc(4, 2, rng);
+  std::vector<ag::Var*> params;
+  for (nn::Module* m : std::initializer_list<nn::Module*>{&conv, &bn, &fc}) {
+    for (ag::Var* v : m->parameters()) params.push_back(v);
+  }
+  optim::Sgd sgd(params, optim::SgdOptions{});
+  Tensor images({2, 3, 6, 6});
+  for (std::int64_t i = 0; i < images.numel(); ++i) {
+    images[i] = 0.01f * static_cast<float>(i % 17);
+  }
+
+  set_metrics_enabled(true);
+  set_trace_enabled(true);
+  clear_trace();
+  const std::uint64_t nodes_before =
+      registry().counter("autograd.nodes_materialized").value();
+  sgd.zero_grad();
+  const ag::Var features = ag::flatten2d(ag::global_avgpool(
+      ag::relu(bn.forward(conv.forward(ag::Var(images))))));
+  ag::cross_entropy(fc.forward(features), {0, 1}).backward();
+  sgd.step();
+  const std::uint64_t nodes =
+      registry().counter("autograd.nodes_materialized").value() -
+      nodes_before;
+
+  std::map<std::uint32_t, int> open_kernels;  // per tid
+  std::uint64_t nested = 0;
+  std::uint64_t fwd_begins = 0;
+  for (const TraceEvent& e : snapshot_trace()) {
+    const std::string_view name(e.name);
+    if (!name.starts_with("kernel.")) continue;
+    if (e.phase == 'B') {
+      if (open_kernels[e.tid] > 0) ++nested;
+      ++open_kernels[e.tid];
+      if (name.ends_with("_fwd")) ++fwd_begins;
+    } else {
+      --open_kernels[e.tid];
+    }
+  }
+  EXPECT_EQ(nested, 0u);
+  EXPECT_GT(nodes, 0u);
+  EXPECT_EQ(fwd_begins, nodes);
 }
 
 // The graph-IR scheduler reports its arena footprint: after a backward pass
