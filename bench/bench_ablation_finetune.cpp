@@ -16,7 +16,6 @@
 #include "eval/runner.h"
 #include "eval/trainer.h"
 #include "util/env.h"
-#include "util/stats.h"
 #include "util/table.h"
 
 namespace {
@@ -95,22 +94,18 @@ int main() {
 
     for (const auto spc : scale.spc_settings) {
       for (const auto& variant : variants) {
-        std::vector<double> acc, asr, ra;
-        Rng trial_seeder(seeder.next_u64());
-        for (int t = 0; t < scale.trials; ++t) {
-          core::GradPruneConfig cfg;
-          cfg.max_prune_rounds = scale.prune_max_rounds;
-          cfg.finetune_max_epochs = scale.defense_max_epochs;
-          FinetuneVariantDefense defense(cfg, variant.mode);
-          const auto trial = eval::run_custom_defense_trial(
-              bd_model, defense, spc, trial_seeder.next_u64());
-          acc.push_back(trial.metrics.acc);
-          asr.push_back(trial.metrics.asr);
-          ra.push_back(trial.metrics.ra);
-        }
-        table.add_row({attack, std::to_string(spc), variant.label,
-                       mean_std_string(acc), mean_std_string(asr),
-                       mean_std_string(ra)});
+        const eval::SettingResult s = eval::run_setting(
+            bd_model, variant.label,
+            [&] {
+              core::GradPruneConfig cfg;
+              cfg.max_prune_rounds = scale.prune_max_rounds;
+              cfg.finetune_max_epochs = scale.defense_max_epochs;
+              return std::make_unique<FinetuneVariantDefense>(cfg,
+                                                              variant.mode);
+            },
+            spc, scale.trials, seeder.next_u64());
+        table.add_row(eval::metric_row(
+            {attack, std::to_string(spc), variant.label}, s));
       }
     }
   }

@@ -30,27 +30,24 @@ int main() {
 
   for (const double alpha : {0.05, 0.10, 0.20}) {
     for (const std::int64_t pp : {5LL, 10LL, 20LL}) {
-      std::vector<double> acc, asr, ra, pruned;
-      Rng trial_seeder(seeder.next_u64());
-      for (int t = 0; t < scale.trials; ++t) {
-        core::GradPruneConfig cfg;
-        cfg.alpha = alpha;
-        cfg.prune_patience = pp;
-        cfg.max_prune_rounds = scale.prune_max_rounds;
-        cfg.finetune_max_epochs = scale.defense_max_epochs;
-        core::GradPruneDefense defense(cfg);
-        const auto trial = eval::run_custom_defense_trial(
-            bd_model, defense, spc, trial_seeder.next_u64());
-        acc.push_back(trial.metrics.acc);
-        asr.push_back(trial.metrics.asr);
-        ra.push_back(trial.metrics.ra);
-        pruned.push_back(static_cast<double>(trial.info.pruned_units));
-      }
       char alpha_buf[16];
       std::snprintf(alpha_buf, sizeof(alpha_buf), "%.2f", alpha);
-      table.add_row({alpha_buf, std::to_string(pp), mean_std_string(acc),
-                     mean_std_string(asr), mean_std_string(ra),
-                     mean_std_string(pruned, 1)});
+      const eval::SettingResult s = eval::run_setting(
+          bd_model,
+          std::string("alpha=") + alpha_buf + " P_p=" + std::to_string(pp),
+          [&] {
+            core::GradPruneConfig cfg;
+            cfg.alpha = alpha;
+            cfg.prune_patience = pp;
+            cfg.max_prune_rounds = scale.prune_max_rounds;
+            cfg.finetune_max_epochs = scale.defense_max_epochs;
+            return std::make_unique<core::GradPruneDefense>(cfg);
+          },
+          spc, scale.trials, seeder.next_u64());
+      auto row = eval::metric_row({alpha_buf, std::to_string(pp)}, s);
+      row.push_back(mean_std_string(
+          std::vector<double>(s.pruned.begin(), s.pruned.end()), 1));
+      table.add_row(std::move(row));
     }
   }
   std::printf("%s\n", table.to_string().c_str());

@@ -15,6 +15,7 @@
 // across invocations.
 #include <algorithm>
 #include <atomic>
+#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -28,6 +29,7 @@
 
 #include "core/registry.h"
 #include "eval/runner.h"
+#include "eval/table_bench.h"
 #include "nn/checkpoint.h"
 #include "obs/obs.h"
 #include "robust/journal.h"
@@ -44,6 +46,32 @@ namespace {
 
 using namespace bd;
 
+/// A malformed command line: main prints it with the usage and exits 2.
+class UsageError : public std::invalid_argument {
+ public:
+  using std::invalid_argument::invalid_argument;
+};
+
+std::int64_t parse_int(const std::string& flag, const std::string& text) {
+  char* end = nullptr;
+  errno = 0;
+  const std::int64_t v = std::strtoll(text.c_str(), &end, 10);
+  if (text.empty() || *end != '\0' || errno == ERANGE) {
+    throw UsageError(flag + " wants an integer, got '" + text + "'");
+  }
+  return v;
+}
+
+double parse_double(const std::string& flag, const std::string& text) {
+  char* end = nullptr;
+  errno = 0;
+  const double v = std::strtod(text.c_str(), &end);
+  if (text.empty() || *end != '\0' || errno == ERANGE) {
+    throw UsageError(flag + " wants a number, got '" + text + "'");
+  }
+  return v;
+}
+
 struct Args {
   std::string command;
   std::map<std::string, std::string> flags;
@@ -54,17 +82,23 @@ struct Args {
   }
   std::int64_t get_int(const std::string& key, std::int64_t fallback) const {
     const auto it = flags.find(key);
-    return it == flags.end() ? fallback : std::stoll(it->second);
+    return it == flags.end() ? fallback : parse_int("--" + key, it->second);
+  }
+  double get_double(const std::string& key, double fallback) const {
+    const auto it = flags.find(key);
+    return it == flags.end() ? fallback : parse_double("--" + key, it->second);
   }
 };
 
 Args parse_args(int argc, char** argv) {
   Args args;
   if (argc >= 2) args.command = argv[1];
-  for (int i = 2; i + 1 < argc; i += 2) {
+  for (int i = 2; i < argc; i += 2) {
     if (std::strncmp(argv[i], "--", 2) != 0) {
-      throw std::invalid_argument(std::string("expected flag, got ") +
-                                  argv[i]);
+      throw UsageError(std::string("expected flag, got ") + argv[i]);
+    }
+    if (i + 1 == argc) {
+      throw UsageError(std::string("flag ") + argv[i] + " needs a value");
     }
     args.flags[argv[i] + 2] = argv[i + 1];
   }
@@ -148,37 +182,16 @@ int cmd_verify_journal(const std::string& path) {
   try {
     const robust::RunJournal journal(path);
     std::int64_t retries = 0;
-    std::size_t degraded = 0;
     std::vector<std::string> degraded_lines;
     for (const auto& [key, fields] : journal.entries()) {
-      const auto get = [&fields](const char* name) {
-        const auto it = fields.find(name);
-        return it == fields.end() ? std::string() : it->second;
-      };
-      const std::int64_t attempts =
-          std::strtoll(get("attempts").c_str(), nullptr, 10);
-      const std::string acc = get("acc");
-      const std::int64_t cell_trials =
-          get("cell") == "baseline"
-              ? 1
-              : static_cast<std::int64_t>(
-                    std::count(acc.begin(), acc.end(), ',') +
-                    (acc.empty() ? 0 : 1));
-      if (attempts > cell_trials) retries += attempts - cell_trials;
-      if (get("degraded") == "1") {
-        ++degraded;
-        const std::string label =
-            get("cell") == "baseline"
-                ? get("attack") + "/baseline"
-                : get("attack") + "/" + get("defense") + "/spc=" + get("spc");
-        degraded_lines.push_back(label + ": " + get("error") +
-                                 " (attempts=" + std::to_string(attempts) +
-                                 ")");
-      }
+      const eval::SettingResult entry = eval::decode_table_entry(fields);
+      const auto trials = static_cast<std::int64_t>(entry.acc.size());
+      if (entry.attempts > trials) retries += entry.attempts - trials;
+      if (entry.degraded) degraded_lines.push_back(eval::degraded_line(entry));
     }
     std::printf("%s: run journal, %zu entries, %lld retries, %zu degraded\n",
                 path.c_str(), journal.size(),
-                static_cast<long long>(retries), degraded);
+                static_cast<long long>(retries), degraded_lines.size());
     for (const auto& line : degraded_lines) {
       std::printf("  degraded %s\n", line.c_str());
     }
@@ -381,6 +394,7 @@ int cmd_profile(const Args& args) {
   const std::string attack = args.get("attack", "badnet");
   const std::string defense_name = args.get("defense", "gradprune");
   const auto seed = static_cast<std::uint64_t>(args.get_int("seed", 1234));
+  const std::int64_t spc = args.get_int("spc", 10);
   const auto topk = static_cast<std::size_t>(args.get_int("topk", 10));
 
   eval::ExperimentScale scale = eval::default_scale(dataset);
@@ -392,30 +406,23 @@ int cmd_profile(const Args& args) {
   const auto bd_model =
       eval::prepare_backdoored_model(dataset, arch, attack, scale, seed);
 
-  // Profile the trial the way the bench harness runs it: supervised, so
+  // Profile one trial the way the bench harness runs it: supervised, so
   // the watchdog/retry machinery shows up in the stats section below.
-  auto& supervisor = robust::Supervisor::instance();
-  eval::TrialResult trial;
-  const robust::RunReport report = supervisor.run(
-      "profile|" + attack + "|" + defense_name, [&] {
-        trial = eval::run_defense_trial(bd_model, defense_name,
-                                        args.get_int("spc", 10), scale,
-                                        seed ^ 0xBDC71EULL);
-      });
-  if (!report.ok()) {
+  scale.trials = 1;
+  const eval::SettingResult trial =
+      eval::run_setting(bd_model, defense_name, spc, scale, seed ^ 0xBDC71EULL);
+  if (trial.degraded) {
     std::fprintf(stderr, "bdctl profile: trial failed: %s\n",
-                 report.failure.c_str());
+                 trial.failure.c_str());
     return 1;
   }
 
   std::printf("profiled %s + %s on %s/%s: ACC=%.2f ASR=%.2f RA=%.2f "
               "pruned=%lld (%.1fs)\n",
               attack.c_str(), defense_name.c_str(), dataset.c_str(),
-              arch.c_str(), trial.metrics.acc, trial.metrics.asr,
-              trial.metrics.ra,
-              static_cast<long long>(trial.info.pruned_units),
-              trial.info.seconds);
-  const robust::SupervisorStats stats = supervisor.stats();
+              arch.c_str(), trial.acc[0], trial.asr[0], trial.ra[0],
+              static_cast<long long>(trial.pruned[0]), trial.seconds[0]);
+  const robust::SupervisorStats stats = robust::Supervisor::instance().stats();
   std::printf("\n-- supervisor --\n"
               "runs=%lld retries=%lld timeouts=%lld quarantines=%lld "
               "degraded_attempts=%lld\n",
@@ -560,16 +567,11 @@ int wait_for_job(const serve::Client& client, const std::string& id,
 int cmd_serve(const Args& args) {
   serve::ServerConfig config;
   config.socket_path = serve_socket(args);
-  config.listen_address =
-      args.get("listen", env_string("BDPROTO_LISTEN").value_or(""));
-  config.max_connections = static_cast<std::size_t>(args.get_int(
-      "conn-cap", env_int("BDPROTO_CONN_CAP").value_or(64)));
-  config.read_deadline_seconds = std::stod(args.get(
-      "read-deadline",
-      std::to_string(env_double("BDPROTO_READ_DEADLINE").value_or(30.0))));
-  config.write_deadline_seconds = std::stod(args.get(
-      "write-deadline",
-      std::to_string(env_double("BDPROTO_WRITE_DEADLINE").value_or(30.0))));
+  config.listen_address = args.get("listen", "");
+  config.max_connections =
+      static_cast<std::size_t>(args.get_int("conn-cap", 64));
+  config.read_deadline_seconds = args.get_double("read-deadline", 30.0);
+  config.write_deadline_seconds = args.get_double("write-deadline", 30.0);
   config.install_signal_handlers = true;  // SIGTERM/SIGINT = graceful drain
   config.service.workers =
       static_cast<std::size_t>(args.get_int("workers", 2));
@@ -838,17 +840,17 @@ int cmd_shard(int argc, char** argv) {
     }
     const std::string value = argv[++i];
     if (flag == "--workers") {
-      options.workers = static_cast<int>(std::stoll(value));
+      options.workers = static_cast<int>(parse_int(flag, value));
     } else if (flag == "--journal") {
       options.journal_path = value;
     } else if (flag == "--ledger") {
       options.ledger_path = value;
     } else if (flag == "--ttl") {
-      options.lease_ttl_seconds = std::stod(value);
+      options.lease_ttl_seconds = parse_double(flag, value);
     } else if (flag == "--out") {
       options.merged_out = value;
     } else if (flag == "--resume") {
-      options.resume = std::stoll(value) != 0;
+      options.resume = parse_int(flag, value) != 0;
     } else if (flag == "--worker-faults") {
       const std::size_t colon = value.find(':');
       if (colon == std::string::npos) {
@@ -858,8 +860,8 @@ int cmd_shard(int argc, char** argv) {
                      value.c_str());
         return 2;
       }
-      options.worker_faults[static_cast<int>(
-          std::stoll(value.substr(0, colon)))] = value.substr(colon + 1);
+      options.worker_faults[static_cast<int>(parse_int(
+          flag, value.substr(0, colon)))] = value.substr(colon + 1);
     } else {
       std::fprintf(stderr, "bdctl shard run: unknown flag %s\n",
                    flag.c_str());
@@ -898,6 +900,9 @@ int main(int argc, char** argv) {
     if (args.command == "cancel") return cmd_cancel(args);
     if (args.command == "shutdown") return cmd_shutdown(args);
     if (args.command == "loadgen") return cmd_loadgen(args);
+    return usage();
+  } catch (const UsageError& e) {
+    std::fprintf(stderr, "bdctl: %s\n", e.what());
     return usage();
   } catch (const std::exception& e) {
     std::fprintf(stderr, "bdctl: %s\n", e.what());

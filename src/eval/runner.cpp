@@ -14,7 +14,9 @@
 #include "robust/fault_injector.h"
 #include "robust/supervisor.h"
 #include "util/env.h"
+#include "util/json.h"
 #include "util/logging.h"
+#include "util/stats.h"
 #include "util/stopwatch.h"
 
 namespace bd::eval {
@@ -50,6 +52,30 @@ ExperimentScale default_scale(const std::string& dataset) {
   s.nad_teacher_epochs = full ? 10 : 4;
   s.nad_distill_epochs = full ? 20 : 8;
   return s;
+}
+
+std::string backbone_scale_signature(const ExperimentScale& s) {
+  std::string sig;
+  const auto add_i = [&sig](std::int64_t v) {
+    sig += '|';
+    sig += std::to_string(v);
+  };
+  const auto add_d = [&sig](double v) {
+    sig += '|';
+    sig += exact_double(v);
+  };
+  add_i(s.data.height);
+  add_i(s.data.width);
+  add_i(s.data.train_per_class);
+  add_i(s.data.test_per_class);
+  add_i(s.attack_train.epochs);
+  add_i(s.attack_train.batch_size);
+  add_d(s.attack_train.lr);
+  add_d(s.attack_train.momentum);
+  add_d(s.attack_train.weight_decay);
+  add_d(s.attack_train.lr_decay);
+  add_i(s.base_width);
+  return sig;
 }
 
 std::unique_ptr<models::Classifier> BackdooredModel::instantiate(
@@ -161,23 +187,13 @@ std::unique_ptr<defense::Defense> make_scaled_defense(
   return core::make_defense(name);
 }
 
-}  // namespace
-
-TrialResult run_defense_trial(const BackdooredModel& bd,
-                              const std::string& defense_name,
-                              std::int64_t spc, const ExperimentScale& scale,
-                              std::uint64_t trial_seed) {
-  SanitizeRequest req;
-  req.defense = defense_name;
-  req.spc = spc;
-  req.seed = trial_seed;
-  SanitizeOutcome out = run_sanitization(bd, req, scale);
-  return TrialResult{out.metrics, std::move(out.info)};
-}
-
-SanitizeOutcome run_sanitization(const BackdooredModel& bd,
-                                 const SanitizeRequest& req,
-                                 const ExperimentScale& scale) {
+/// The one trial: instantiate the backdoored model (optionally with
+/// replaced weights), sample the defender's SPC set, build its context,
+/// apply `defense` (req.defense is not consulted) and evaluate. All
+/// randomness derives from `req.seed`.
+SanitizeOutcome run_trial(const BackdooredModel& bd,
+                          const SanitizeRequest& req,
+                          defense::Defense& defense) {
   BD_OBS_SPAN_ARG("runner.trial", req.spc);
   BD_OBS_COUNT("runner.trials", 1);
   robust::FaultInjector::instance().fire_oom("runner.trial");
@@ -192,42 +208,29 @@ SanitizeOutcome run_sanitization(const BackdooredModel& bd,
   const defense::DefenseContext ctx =
       defense::make_defense_context(spc_set, *bd.trigger, bd.spec, rng);
 
-  auto defense = make_scaled_defense(req.defense, scale);
   SanitizeOutcome result;
-  result.info = defense->apply(*model, ctx);
+  result.info = defense.apply(*model, ctx);
   result.metrics =
       evaluate_backdoor(*model, bd.clean_test, bd.asr_test, bd.ra_test);
   if (req.keep_model) result.model = std::move(model);
   return result;
 }
 
-TrialResult run_custom_defense_trial(const BackdooredModel& bd,
-                                     defense::Defense& defense,
-                                     std::int64_t spc,
-                                     std::uint64_t trial_seed) {
-  BD_OBS_SPAN_ARG("runner.trial", spc);
-  BD_OBS_COUNT("runner.trials", 1);
-  Rng rng(trial_seed);
-  auto model = bd.instantiate(rng);
+}  // namespace
 
-  const data::ImageDataset spc_set =
-      bd.clean_train_pool.sample_per_class(spc, rng);
-  const defense::DefenseContext ctx =
-      defense::make_defense_context(spc_set, *bd.trigger, bd.spec, rng);
-
-  TrialResult result;
-  result.info = defense.apply(*model, ctx);
-  result.metrics =
-      evaluate_backdoor(*model, bd.clean_test, bd.asr_test, bd.ra_test);
-  return result;
+SanitizeOutcome run_sanitization(const BackdooredModel& bd,
+                                 const SanitizeRequest& req,
+                                 const ExperimentScale& scale) {
+  const auto defense = make_scaled_defense(req.defense, scale);
+  return run_trial(bd, req, *defense);
 }
 
-SettingResult run_setting(const BackdooredModel& bd,
-                          const std::string& defense_name, std::int64_t spc,
-                          const ExperimentScale& scale, std::uint64_t seed) {
+SettingResult run_setting(const BackdooredModel& bd, const std::string& label,
+                          const DefenseFactory& make_defense, std::int64_t spc,
+                          int trials, std::uint64_t seed) {
   SettingResult out;
   out.attack = bd.attack;
-  out.defense = defense_name;
+  out.defense = label;
   out.spc = spc;
 
   // Pre-draw every trial seed before any work runs: a supervised retry of
@@ -235,26 +238,29 @@ SettingResult run_setting(const BackdooredModel& bd,
   // seeder nor shift the seeds of later trials.
   Rng seeder(seed);
   std::vector<std::uint64_t> trial_seeds;
-  trial_seeds.reserve(static_cast<std::size_t>(scale.trials));
-  for (int t = 0; t < scale.trials; ++t) {
+  trial_seeds.reserve(static_cast<std::size_t>(trials));
+  for (int t = 0; t < trials; ++t) {
     trial_seeds.push_back(seeder.next_u64());
   }
 
   const std::string supervise_key =
-      bd.attack + "|" + defense_name + "|" + std::to_string(spc);
+      bd.attack + "|" + label + "|" + std::to_string(spc);
   auto& supervisor = robust::Supervisor::instance();
-  for (int t = 0; t < scale.trials; ++t) {
-    TrialResult trial;
+  for (int t = 0; t < trials; ++t) {
+    SanitizeRequest req;
+    req.spc = spc;
+    req.seed = trial_seeds[static_cast<std::size_t>(t)];
+    SanitizeOutcome trial;
     const robust::RunReport report = supervisor.run(supervise_key, [&] {
-      trial = run_defense_trial(bd, defense_name, spc, scale,
-                                trial_seeds[static_cast<std::size_t>(t)]);
+      const auto defense = make_defense();
+      trial = run_trial(bd, req, *defense);
     });
     out.attempts += report.attempts;
     if (!report.ok()) {
       out.degraded = true;
       out.failure = report.failure;
-      BD_LOG(Warn) << bd.attack << " spc=" << spc << " " << defense_name
-                   << " trial " << (t + 1) << "/" << scale.trials
+      BD_LOG(Warn) << bd.attack << " spc=" << spc << " " << label
+                   << " trial " << (t + 1) << "/" << trials
                    << " degraded: " << report.failure;
       break;
     }
@@ -264,8 +270,8 @@ SettingResult run_setting(const BackdooredModel& bd,
     out.seconds.push_back(trial.info.seconds);
     out.pruned.push_back(trial.info.pruned_units);
     out.recoveries.push_back(trial.info.recoveries);
-    BD_LOG(Info) << bd.attack << " spc=" << spc << " " << defense_name
-                 << " trial " << (t + 1) << "/" << scale.trials
+    BD_LOG(Info) << bd.attack << " spc=" << spc << " " << label
+                 << " trial " << (t + 1) << "/" << trials
                  << ": ACC=" << trial.metrics.acc
                  << " ASR=" << trial.metrics.asr
                  << " RA=" << trial.metrics.ra
@@ -275,6 +281,23 @@ SettingResult run_setting(const BackdooredModel& bd,
                          : "");
   }
   return out;
+}
+
+SettingResult run_setting(const BackdooredModel& bd,
+                          const std::string& defense_name, std::int64_t spc,
+                          const ExperimentScale& scale, std::uint64_t seed) {
+  return run_setting(
+      bd, defense_name,
+      [&] { return make_scaled_defense(defense_name, scale); }, spc,
+      scale.trials, seed);
+}
+
+std::vector<std::string> metric_row(std::vector<std::string> head,
+                                    const SettingResult& s) {
+  for (const auto* metric : {&s.acc, &s.asr, &s.ra}) {
+    head.push_back(s.degraded ? "degraded" : mean_std_string(*metric));
+  }
+  return head;
 }
 
 }  // namespace bd::eval

@@ -9,6 +9,7 @@
 // synthetic substrate. BDPROTO_TRIALS overrides trials per setting.
 #pragma once
 
+#include <functional>
 #include <map>
 #include <memory>
 #include <string>
@@ -39,6 +40,12 @@ struct ExperimentScale {
 /// Scale for "cifar" or "gtsrb", honouring BDPROTO_MODE / BDPROTO_TRIALS.
 ExperimentScale default_scale(const std::string& dataset);
 
+/// The scale fields that shape a trained backbone — synthetic data size,
+/// attack-training budget and model width — each as '|' + value (doubles
+/// bit-exact). Table cell keys and serve backbone cache keys embed it, so
+/// both change whenever a backbone would.
+std::string backbone_scale_signature(const ExperimentScale& s);
+
 /// A trained backdoored model plus everything needed to evaluate defenses
 /// against it. Reused across defenses / SPC settings / trials, mirroring
 /// the paper (one attack run, many defense evaluations).
@@ -67,27 +74,10 @@ BackdooredModel prepare_backdoored_model(const std::string& dataset,
                                          const ExperimentScale& scale,
                                          std::uint64_t seed);
 
-struct TrialResult {
-  BackdoorMetrics metrics;
-  defense::DefenseResult info;
-};
-
-/// Runs one defense trial: sample SPC, build context, defend, evaluate.
-TrialResult run_defense_trial(const BackdooredModel& bd,
-                              const std::string& defense_name,
-                              std::int64_t spc, const ExperimentScale& scale,
-                              std::uint64_t trial_seed);
-
-/// Same, with a caller-supplied defense instance (ablation studies that
-/// need non-default configurations). The defense is applied once.
-TrialResult run_custom_defense_trial(const BackdooredModel& bd,
-                                     defense::Defense& defense,
-                                     std::int64_t spc,
-                                     std::uint64_t trial_seed);
-
-/// One serve-style sanitization request against a prepared backbone: like
-/// run_defense_trial, but the poisoned weights can come from a client
-/// checkpoint and the repaired model can be kept for checkpointing.
+/// One defense trial against a prepared backbone, as the serve daemon
+/// runs it: sample SPC, build the defender's context, defend, evaluate.
+/// The poisoned weights can come from a client checkpoint and the
+/// repaired model can be kept for checkpointing.
 struct SanitizeRequest {
   std::string defense = "gradprune";
   std::int64_t spc = 10;
@@ -128,12 +118,27 @@ struct SettingResult {
   std::int64_t attempts = 0;
 };
 
-/// Runs `scale.trials` trials of one defense at one SPC setting. Every
-/// trial runs under Supervisor::instance() with a seed pre-drawn from
-/// `seed`, so a retried trial re-derives identical randomness and never
-/// shifts the seeds of later trials.
+/// Builds the defense one trial applies (a fresh instance per attempt).
+using DefenseFactory = std::function<std::unique_ptr<defense::Defense>()>;
+
+/// Runs `trials` trials at one SPC setting of the defense `make_defense`
+/// builds, reported under `label` (ablation variants use non-default
+/// configurations). Every trial runs under Supervisor::instance() with a
+/// seed pre-drawn from `seed`, so a retried trial re-derives identical
+/// randomness and never shifts the seeds of later trials.
+SettingResult run_setting(const BackdooredModel& bd, const std::string& label,
+                          const DefenseFactory& make_defense, std::int64_t spc,
+                          int trials, std::uint64_t seed);
+
+/// `scale.trials` trials of the registered defense `defense_name` at
+/// `scale`'s defense budgets.
 SettingResult run_setting(const BackdooredModel& bd,
                           const std::string& defense_name, std::int64_t spc,
                           const ExperimentScale& scale, std::uint64_t seed);
+
+/// `head` followed by the setting's ACC, ASR and RA columns: mean ± std
+/// over its trials, or "degraded" when it could not complete.
+std::vector<std::string> metric_row(std::vector<std::string> head,
+                                    const SettingResult& s);
 
 }  // namespace bd::eval

@@ -74,26 +74,12 @@ std::string field(const robust::JournalFields& fields, const char* name) {
 std::string scale_signature(const TableSpec& spec,
                             const ExperimentScale& s) {
   std::string sig = spec.dataset + '|' + spec.arch + '|' +
-                    std::to_string(base_seed());
+                    std::to_string(base_seed()) +
+                    backbone_scale_signature(s);
   const auto add_i = [&sig](std::int64_t v) {
     sig += '|';
     sig += std::to_string(v);
   };
-  const auto add_d = [&sig](double v) {
-    sig += '|';
-    sig += robust::exact_double(v);
-  };
-  add_i(s.data.height);
-  add_i(s.data.width);
-  add_i(s.data.train_per_class);
-  add_i(s.data.test_per_class);
-  add_i(s.attack_train.epochs);
-  add_i(s.attack_train.batch_size);
-  add_d(s.attack_train.lr);
-  add_d(s.attack_train.momentum);
-  add_d(s.attack_train.weight_decay);
-  add_d(s.attack_train.lr_decay);
-  add_i(s.base_width);
   add_i(s.trials);
   add_i(s.defense_max_epochs);
   add_i(s.prune_max_rounds);
@@ -104,75 +90,27 @@ std::string scale_signature(const TableSpec& spec,
   return sig;
 }
 
-/// Baseline cell as journaled: metrics plus the supervisor's verdict on
-/// the attack preparation that produced them.
-struct BaselineRecord {
-  BackdoorMetrics metrics;
-  bool degraded = false;
-  std::string error;
-  std::int64_t attempts = 0;
-};
+bool is_baseline(const SettingResult& s) { return s.defense.empty(); }
 
-robust::JournalFields encode_baseline(const std::string& attack,
-                                      const BaselineRecord& r) {
-  robust::JournalFields f{{"cell", "baseline"},
-                          {"attack", attack},
-                          {"acc", robust::exact_double(r.metrics.acc)},
-                          {"asr", robust::exact_double(r.metrics.asr)},
-                          {"ra", robust::exact_double(r.metrics.ra)},
-                          {"attempts", std::to_string(r.attempts)}};
-  if (r.degraded) {
-    f["degraded"] = "1";
-    f["error"] = r.error;
-  }
-  return f;
-}
-
-BaselineRecord decode_baseline(const robust::JournalFields& f) {
-  BaselineRecord r;
-  r.metrics.acc = std::strtod(field(f, "acc").c_str(), nullptr);
-  r.metrics.asr = std::strtod(field(f, "asr").c_str(), nullptr);
-  r.metrics.ra = std::strtod(field(f, "ra").c_str(), nullptr);
-  r.attempts = std::strtoll(field(f, "attempts").c_str(), nullptr, 10);
-  r.degraded = field(f, "degraded") == "1";
-  r.error = field(f, "error");
-  return r;
-}
-
-robust::JournalFields encode_setting(const SettingResult& s) {
-  robust::JournalFields f{{"cell", "setting"},
+robust::JournalFields encode_entry(const SettingResult& s) {
+  robust::JournalFields f{{"cell", is_baseline(s) ? "baseline" : "setting"},
                           {"attack", s.attack},
-                          {"defense", s.defense},
-                          {"spc", std::to_string(s.spc)},
                           {"acc", join_doubles(s.acc)},
                           {"asr", join_doubles(s.asr)},
                           {"ra", join_doubles(s.ra)},
-                          {"seconds", join_doubles(s.seconds)},
-                          {"pruned", join_ints(s.pruned)},
-                          {"recoveries", join_ints(s.recoveries)},
                           {"attempts", std::to_string(s.attempts)}};
+  if (!is_baseline(s)) {
+    f["defense"] = s.defense;
+    f["spc"] = std::to_string(s.spc);
+    f["seconds"] = join_doubles(s.seconds);
+    f["pruned"] = join_ints(s.pruned);
+    f["recoveries"] = join_ints(s.recoveries);
+  }
   if (s.degraded) {
     f["degraded"] = "1";
     f["error"] = s.failure;
   }
   return f;
-}
-
-SettingResult decode_setting(const robust::JournalFields& f) {
-  SettingResult s;
-  s.attack = field(f, "attack");
-  s.defense = field(f, "defense");
-  s.spc = std::strtoll(field(f, "spc").c_str(), nullptr, 10);
-  s.acc = split_doubles(field(f, "acc"));
-  s.asr = split_doubles(field(f, "asr"));
-  s.ra = split_doubles(field(f, "ra"));
-  s.seconds = split_doubles(field(f, "seconds"));
-  s.pruned = split_ints(field(f, "pruned"));
-  s.recoveries = split_ints(field(f, "recoveries"));
-  s.attempts = std::strtoll(field(f, "attempts").c_str(), nullptr, 10);
-  s.degraded = field(f, "degraded") == "1";
-  s.failure = field(f, "error");
-  return s;
 }
 
 /// One (SPC, defense) cell with its pre-drawn seed and journal key.
@@ -221,134 +159,164 @@ std::vector<AttackPlan> build_plan(const TableSpec& spec,
   return plan;
 }
 
-/// Shard-worker mode: claim plan items through the lease ledger, journal
-/// each result, print worker stats. No table — the coordinator's merge
-/// pass (resume run, sharding off) renders it from the journal.
-TableRun run_table_worker(const TableSpec& spec, const ExperimentScale& scale,
-                          const std::vector<AttackPlan>& plan,
-                          robust::RunJournal& journal,
-                          const shard::ShardConfig& config) {
+/// One work item: an attack's baseline (`cell` null) or one of its cells.
+struct Item {
+  const AttackPlan* plan;
+  const Cell* cell;
+
+  const std::string& key() const {
+    return cell != nullptr ? cell->key : plan->base_key;
+  }
+};
+
+/// The canonical work list: each baseline leads its attack's cells, so the
+/// expensive preparation tends to be claimed (and cached) first.
+std::vector<Item> plan_items(const std::vector<AttackPlan>& plan) {
+  std::vector<Item> items;
+  for (const AttackPlan& ap : plan) {
+    items.push_back({&ap, nullptr});
+    for (const Cell& cell : ap.cells) items.push_back({&ap, &cell});
+  }
+  return items;
+}
+
+/// The item's result when it cannot run: `reason` as its failure.
+SettingResult degraded_result(const Item& item, const std::string& reason) {
+  SettingResult s;
+  s.attack = item.plan->attack;
+  if (item.cell != nullptr) {
+    s.defense = item.cell->defense;
+    s.spc = item.cell->spc;
+  } else {
+    s.acc = s.asr = s.ra = {0.0};
+  }
+  s.degraded = true;
+  s.failure = reason;
+  return s;
+}
+
+/// Runs plan items for both execution modes: prepares each item's attack
+/// lazily (under the supervisor, cached for the most recent attack only:
+/// backdoored models are big and canonical order keeps switches rare),
+/// produces the baseline or the cell's SettingResult, and journals it.
+class ItemRunner {
+ public:
+  ItemRunner(const TableSpec& spec, const ExperimentScale& scale,
+             robust::RunJournal& journal)
+      : spec_(spec), scale_(scale), journal_(journal) {}
+
+  SettingResult run(const Item& item) {
+    prepare(*item.plan);
+    if (item.cell == nullptr) return record(item, baseline_);
+    if (!bd_.has_value()) {
+      // The attack preparation degraded permanently: every cell that
+      // depends on it inherits the failure instead of running.
+      return record(item, degraded_result(item, baseline_.failure));
+    }
+    const Cell& cell = *item.cell;
+    BD_OBS_SPAN_ARG("bench.cell", cell.spc);
+    BD_OBS_COUNT("bench.cells_run", 1);
+    Stopwatch cell_watch;
+    const SettingResult setting =
+        run_setting(*bd_, cell.defense, cell.spc, scale_, cell.seed);
+    BD_OBS_OBSERVE("bench.cell_seconds", cell_watch.seconds(),
+                   ::bd::obs::seconds_buckets());
+    record(item, setting);
+    // The journal entry above is flushed; a kill here loses nothing.
+    robust::FaultInjector::instance().fire_crash(
+        "bench cell " + setting.attack + "/" + setting.defense +
+        "/spc=" + std::to_string(setting.spc));
+    return setting;
+  }
+
+  /// Journals `reason` as the item's result without running it.
+  SettingResult degrade(const Item& item, const std::string& reason) {
+    return record(item, degraded_result(item, reason));
+  }
+
+ private:
+  void prepare(const AttackPlan& ap) {
+    if (prepared_ == &ap) return;
+    BD_OBS_SPAN("bench.attack_prepare");
+    const robust::RunReport prep = robust::Supervisor::instance().run(
+        "prepare|" + ap.attack + "|" + spec_.arch, [&] {
+          bd_.reset();
+          bd_.emplace(prepare_backdoored_model(spec_.dataset, spec_.arch,
+                                               ap.attack, scale_,
+                                               ap.model_seed));
+        });
+    if (prep.ok()) {
+      baseline_ = SettingResult{};
+      baseline_.attack = ap.attack;
+      baseline_.acc = {bd_->baseline.acc};
+      baseline_.asr = {bd_->baseline.asr};
+      baseline_.ra = {bd_->baseline.ra};
+    } else {
+      bd_.reset();
+      baseline_ = degraded_result({&ap, nullptr},
+                                  "attack preparation failed: " + prep.failure);
+      BD_LOG(Warn) << ap.attack << ": " << baseline_.failure
+                   << "; every cell of this attack degrades";
+    }
+    baseline_.attempts = prep.attempts;
+    prepared_ = &ap;
+  }
+
+  /// Journal appends are supervised too (retries ride out transient I/O
+  /// failures), but a permanently unwritable journal is fatal: continuing
+  /// would silently break the resume contract.
+  const SettingResult& record(const Item& item, const SettingResult& result) {
+    if (!journal_.enabled()) return result;
+    const robust::RunReport report = robust::Supervisor::instance().run(
+        "journal|" + journal_.path(),
+        [&] { journal_.record(item.key(), encode_entry(result)); });
+    if (!report.ok()) {
+      throw std::runtime_error("journal '" + journal_.path() +
+                               "': append failed permanently: " +
+                               report.failure);
+    }
+    return result;
+  }
+
+  const TableSpec& spec_;
+  const ExperimentScale& scale_;
+  robust::RunJournal& journal_;
+  const AttackPlan* prepared_ = nullptr;
+  std::optional<BackdooredModel> bd_;
+  SettingResult baseline_;
+};
+
+/// Shard-worker mode: claim items through the lease ledger, run and journal
+/// each, print worker stats. No table — the coordinator's merge pass
+/// (resume run, sharding off) renders it from the journal.
+TableRun run_worker(const std::vector<Item>& items, ItemRunner& runner,
+                    const robust::RunJournal& journal,
+                    const shard::ShardConfig& config) {
   BD_OBS_SPAN("bench.shard_worker");
   if (!journal.enabled()) {
     throw std::runtime_error(
         "shard worker needs a journal (BDPROTO_JOURNAL): cell results must "
         "be durable for the coordinator's merge pass");
   }
-  auto& supervisor = robust::Supervisor::instance();
-  const auto record_with_retry = [&](const std::string& key,
-                                     const robust::JournalFields& fields) {
-    const robust::RunReport report = supervisor.run(
-        "journal|" + journal.path(), [&] { journal.record(key, fields); });
-    if (!report.ok()) {
-      throw std::runtime_error("journal '" + journal.path() +
-                               "': append failed permanently: " +
-                               report.failure);
-    }
-  };
-
-  // Canonical work list: the baseline item leads its attack's cells so the
-  // expensive preparation tends to be claimed (and cached) first.
-  struct WorkItem {
-    std::size_t attack;
-    std::size_t cell = 0;
-    bool baseline = false;
-  };
-  std::vector<WorkItem> items;
   std::vector<std::string> keys;
-  for (std::size_t a = 0; a < plan.size(); ++a) {
-    items.push_back({a, 0, true});
-    keys.push_back(plan[a].base_key);
-    for (std::size_t c = 0; c < plan[a].cells.size(); ++c) {
-      items.push_back({a, c, false});
-      keys.push_back(plan[a].cells[c].key);
-    }
-  }
-
-  // Lazy per-attack preparation, cached for the most recent attack only
-  // (backdoored models are big; canonical claim order keeps switches rare).
-  constexpr std::size_t kNone = static_cast<std::size_t>(-1);
-  std::size_t prepared = kNone;
-  std::optional<BackdooredModel> bd;
-  BaselineRecord baseline;
-  const auto prepare = [&](std::size_t a) {
-    if (prepared == a) return;
-    const AttackPlan& ap = plan[a];
-    BD_OBS_SPAN("bench.attack_prepare");
-    const robust::RunReport prep =
-        supervisor.run("prepare|" + ap.attack + "|" + spec.arch, [&] {
-          bd.reset();
-          bd.emplace(prepare_backdoored_model(spec.dataset, spec.arch,
-                                              ap.attack, scale,
-                                              ap.model_seed));
-        });
-    baseline = BaselineRecord{};
-    baseline.attempts = prep.attempts;
-    if (prep.ok()) {
-      baseline.metrics = bd->baseline;
-    } else {
-      bd.reset();
-      baseline.degraded = true;
-      baseline.error = "attack preparation failed: " + prep.failure;
-      BD_LOG(Warn) << ap.attack << ": " << baseline.error;
-    }
-    prepared = a;
-  };
+  for (const Item& item : items) keys.push_back(item.key());
 
   TableRun run;
   shard::WorkerSession session(config);
-  const auto run_cell = [&](std::size_t index) {
-    const WorkItem& item = items[index];
-    const AttackPlan& ap = plan[item.attack];
-    if (journal.has(keys[index])) {
-      // Already durable: a resumed run, or a steal from a worker that died
-      // after journaling but before its done record landed.
-      ++run.resumed_cells;
-      return;
-    }
-    prepare(item.attack);
-    if (item.baseline) {
-      record_with_retry(ap.base_key, encode_baseline(ap.attack, baseline));
-      return;
-    }
-    const Cell& cell = ap.cells[item.cell];
-    SettingResult setting;
-    if (!bd.has_value()) {
-      setting.attack = ap.attack;
-      setting.defense = cell.defense;
-      setting.spc = cell.spc;
-      setting.degraded = true;
-      setting.failure = baseline.error;
-    } else {
-      BD_OBS_SPAN_ARG("bench.cell", cell.spc);
-      BD_OBS_COUNT("bench.cells_run", 1);
-      setting = run_setting(*bd, cell.defense, cell.spc, scale, cell.seed);
-    }
-    record_with_retry(cell.key, encode_setting(setting));
-  };
-  const auto quarantine_cell = [&](std::size_t index,
-                                   const std::string& reason) {
-    const WorkItem& item = items[index];
-    const AttackPlan& ap = plan[item.attack];
-    if (journal.has(keys[index])) return;
-    if (item.baseline) {
-      BaselineRecord rec;
-      rec.degraded = true;
-      rec.error = reason;
-      record_with_retry(ap.base_key, encode_baseline(ap.attack, rec));
-      return;
-    }
-    const Cell& cell = ap.cells[item.cell];
-    SettingResult s;
-    s.attack = ap.attack;
-    s.defense = cell.defense;
-    s.spc = cell.spc;
-    s.degraded = true;
-    s.failure = reason;
-    record_with_retry(cell.key, encode_setting(s));
-  };
-
-  const shard::WorkerStats stats =
-      session.run_all(keys, run_cell, quarantine_cell);
+  const shard::WorkerStats stats = session.run_all(
+      keys,
+      [&](std::size_t index) {
+        if (journal.has(keys[index])) {
+          // Already durable: a resumed run, or a steal from a worker that
+          // died after journaling but before its done record landed.
+          ++run.resumed_cells;
+          return;
+        }
+        runner.run(items[index]);
+      },
+      [&](std::size_t index, const std::string& reason) {
+        if (!journal.has(keys[index])) runner.degrade(items[index], reason);
+      });
   std::printf("shard worker %s: claimed=%lld stolen=%lld completed=%lld "
               "quarantined=%lld resumed=%zu\n",
               config.worker_id.c_str(),
@@ -360,58 +328,10 @@ TableRun run_table_worker(const TableSpec& spec, const ExperimentScale& scale,
   return run;
 }
 
-}  // namespace
-
-TableRun run_table(const TableSpec& spec) {
-  BD_OBS_SPAN("bench.table");
-  Stopwatch watch;
-  const ExperimentScale scale =
-      spec.scale ? *spec.scale : default_scale(spec.dataset);
-  const std::uint64_t seed = base_seed();
-
-  std::string journal_path = spec.journal_path;
-  if (journal_path.empty()) {
-    journal_path = env_string("BDPROTO_JOURNAL").value_or("");
-  }
-  const bool resume =
-      spec.resume.value_or(env_int("BDPROTO_RESUME").value_or(0) != 0);
-  robust::RunJournal journal = journal_path.empty()
-                                   ? robust::RunJournal()
-                                   : robust::RunJournal(journal_path);
-  if (resume && !journal.enabled()) {
-    BD_LOG(Warn) << "BDPROTO_RESUME is set but no journal is configured "
-                    "(set BDPROTO_JOURNAL); running from scratch";
-  }
-  if (resume && journal.size() > 0) {
-    BD_LOG(Info) << "resuming from journal '" << journal.path() << "' ("
-                 << journal.size() << " completed cells)";
-  }
-  const std::string sig = scale_signature(spec, scale);
-  const std::vector<AttackPlan> plan = build_plan(spec, scale, sig, seed);
-
-  const std::optional<shard::ShardConfig> shard_config =
-      spec.shard.has_value() ? spec.shard : shard::shard_config_from_env();
-  if (shard_config.has_value()) {
-    return run_table_worker(spec, scale, plan, journal, *shard_config);
-  }
-
-  auto& faults = robust::FaultInjector::instance();
-  auto& supervisor = robust::Supervisor::instance();
-
-  // Journal appends are supervised too (retries ride out transient I/O
-  // failures), but a permanently unwritable journal is fatal: continuing
-  // would silently break the resume contract.
-  const auto record_with_retry = [&](const std::string& key,
-                                     const robust::JournalFields& fields) {
-    const robust::RunReport report = supervisor.run(
-        "journal|" + journal.path(), [&] { journal.record(key, fields); });
-    if (!report.ok()) {
-      throw std::runtime_error("journal '" + journal.path() +
-                               "': append failed permanently: " +
-                               report.failure);
-    }
-  };
-
+/// Prints the table (and scatter series) from the items' results, given
+/// in canonical item order.
+void render_table(const TableSpec& spec, const ExperimentScale& scale,
+                  const std::vector<SettingResult>& results, TableRun& run) {
   std::printf("== %s ==\n", spec.title.c_str());
   std::printf("dataset=%s arch=%s mode=%s trials=%d spc={", spec.dataset.c_str(),
               spec.arch.c_str(), full_mode() ? "full" : "quick", scale.trials);
@@ -421,115 +341,20 @@ TableRun run_table(const TableSpec& spec) {
   }
   std::printf("}\n\n");
 
-  TableRun run;
   TextTable table({"Attack", "SPC", "Defense", "ACC", "ASR", "RA"});
   std::vector<std::string> degraded_lines;  // summary printed after the table
-
-  for (const AttackPlan& ap : plan) {
-    const std::string& attack = ap.attack;
-    const std::uint64_t model_seed = ap.model_seed;
-    const std::vector<Cell>& cells = ap.cells;
-    const std::string& base_key = ap.base_key;
-
-    bool all_cached = resume && journal.has(base_key);
-    for (const auto& cell : cells) {
-      all_cached = all_cached && journal.has(cell.key);
-    }
-
-    // The expensive attack run is needed only when some cell still has to
-    // execute; a fully journaled attack resumes without retraining.
-    std::optional<BackdooredModel> bd;
-    BaselineRecord baseline;
-    if (all_cached) {
-      baseline = decode_baseline(*journal.find(base_key));
-      BD_LOG(Info) << attack << ": all cells journaled, skipping attack "
-                      "training";
+  for (const SettingResult& r : results) {
+    if (r.degraded) degraded_lines.push_back(degraded_line(r));
+    if (is_baseline(r)) {
+      run.baselines.emplace_back(
+          r.attack,
+          BackdoorMetrics{mean_of(r.acc), mean_of(r.asr), mean_of(r.ra)});
+      table.add_row(metric_row({r.attack, "-", "Baseline"}, r));
     } else {
-      BD_OBS_SPAN("bench.attack_prepare");
-      const robust::RunReport prep =
-          supervisor.run("prepare|" + attack + "|" + spec.arch, [&] {
-            bd.reset();
-            bd.emplace(prepare_backdoored_model(spec.dataset, spec.arch,
-                                                attack, scale, model_seed));
-          });
-      baseline.attempts = prep.attempts;
-      if (prep.ok()) {
-        baseline.metrics = bd->baseline;
-      } else {
-        bd.reset();
-        baseline.degraded = true;
-        baseline.error = "attack preparation failed: " + prep.failure;
-        BD_LOG(Warn) << attack << ": " << baseline.error
-                     << "; every cell of this attack degrades";
-      }
-      if (journal.enabled() && !(resume && journal.has(base_key))) {
-        record_with_retry(base_key, encode_baseline(attack, baseline));
-      }
-    }
-    run.baselines.emplace_back(attack, baseline.metrics);
-    if (baseline.degraded) {
-      degraded_lines.push_back(attack + "/baseline: " + baseline.error +
-                               " (attempts=" +
-                               std::to_string(baseline.attempts) + ")");
-      table.add_row(
-          {attack, "-", "Baseline", "degraded", "degraded", "degraded"});
-    } else {
-      char acc_buf[32], asr_buf[32], ra_buf[32];
-      std::snprintf(acc_buf, sizeof(acc_buf), "%.2f", baseline.metrics.acc);
-      std::snprintf(asr_buf, sizeof(asr_buf), "%.2f", baseline.metrics.asr);
-      std::snprintf(ra_buf, sizeof(ra_buf), "%.2f", baseline.metrics.ra);
-      table.add_row({attack, "-", "Baseline", acc_buf, asr_buf, ra_buf});
-    }
-
-    for (const auto& cell : cells) {
-      SettingResult setting;
-      const robust::JournalFields* cached =
-          resume ? journal.find(cell.key) : nullptr;
-      if (cached != nullptr) {
-        setting = decode_setting(*cached);
-        ++run.resumed_cells;
-        BD_OBS_COUNT("bench.cells_resumed", 1);
-      } else if (!bd.has_value()) {
-        // The attack preparation degraded permanently: every cell that
-        // depends on it inherits the failure instead of running.
-        setting.attack = attack;
-        setting.defense = cell.defense;
-        setting.spc = cell.spc;
-        setting.degraded = true;
-        setting.failure = baseline.error;
-        if (journal.enabled()) {
-          record_with_retry(cell.key, encode_setting(setting));
-        }
-      } else {
-        BD_OBS_SPAN_ARG("bench.cell", cell.spc);
-        BD_OBS_COUNT("bench.cells_run", 1);
-        Stopwatch cell_watch;
-        setting = run_setting(*bd, cell.defense, cell.spc, scale, cell.seed);
-        BD_OBS_OBSERVE("bench.cell_seconds", cell_watch.seconds(),
-                       ::bd::obs::seconds_buckets());
-        if (journal.enabled()) {
-          record_with_retry(cell.key, encode_setting(setting));
-        }
-        // The journal entry above is flushed; a kill here loses nothing.
-        faults.fire_crash("bench cell " + setting.attack + "/" +
-                          setting.defense + "/spc=" +
-                          std::to_string(setting.spc));
-      }
-      if (setting.degraded) {
-        degraded_lines.push_back(
-            attack + "/" + cell.defense + "/spc=" +
-            std::to_string(cell.spc) + ": " + setting.failure +
-            " (attempts=" + std::to_string(setting.attempts) + ")");
-      }
-      table.add_row({attack, std::to_string(cell.spc),
-                     core::defense_display_name(cell.defense),
-                     setting.degraded ? "degraded"
-                                      : mean_std_string(setting.acc),
-                     setting.degraded ? "degraded"
-                                      : mean_std_string(setting.asr),
-                     setting.degraded ? "degraded"
-                                      : mean_std_string(setting.ra)});
-      run.settings.push_back(std::move(setting));
+      table.add_row(metric_row({r.attack, std::to_string(r.spc),
+                                core::defense_display_name(r.defense)},
+                               r));
+      run.settings.push_back(r);
     }
   }
 
@@ -556,7 +381,89 @@ TableRun run_table(const TableSpec& spec) {
     }
     std::printf("\n");
   }
+}
 
+}  // namespace
+
+SettingResult decode_table_entry(const robust::JournalFields& f) {
+  SettingResult s;
+  s.attack = field(f, "attack");
+  s.defense = field(f, "defense");
+  s.spc = std::strtoll(field(f, "spc").c_str(), nullptr, 10);
+  s.acc = split_doubles(field(f, "acc"));
+  s.asr = split_doubles(field(f, "asr"));
+  s.ra = split_doubles(field(f, "ra"));
+  s.seconds = split_doubles(field(f, "seconds"));
+  s.pruned = split_ints(field(f, "pruned"));
+  s.recoveries = split_ints(field(f, "recoveries"));
+  s.attempts = std::strtoll(field(f, "attempts").c_str(), nullptr, 10);
+  s.degraded = field(f, "degraded") == "1";
+  s.failure = field(f, "error");
+  return s;
+}
+
+std::string degraded_line(const SettingResult& s) {
+  const std::string label =
+      is_baseline(s) ? s.attack + "/baseline"
+                     : s.attack + "/" + s.defense +
+                           "/spc=" + std::to_string(s.spc);
+  return label + ": " + s.failure + " (attempts=" +
+         std::to_string(s.attempts) + ")";
+}
+
+TableRun run_table(const TableSpec& spec) {
+  BD_OBS_SPAN("bench.table");
+  Stopwatch watch;
+  const ExperimentScale scale =
+      spec.scale ? *spec.scale : default_scale(spec.dataset);
+
+  std::string journal_path = spec.journal_path;
+  if (journal_path.empty()) {
+    journal_path = env_string("BDPROTO_JOURNAL").value_or("");
+  }
+  const bool resume =
+      spec.resume.value_or(env_int("BDPROTO_RESUME").value_or(0) != 0);
+  robust::RunJournal journal = journal_path.empty()
+                                   ? robust::RunJournal()
+                                   : robust::RunJournal(journal_path);
+  if (resume && !journal.enabled()) {
+    BD_LOG(Warn) << "BDPROTO_RESUME is set but no journal is configured "
+                    "(set BDPROTO_JOURNAL); running from scratch";
+  }
+  if (resume && journal.size() > 0) {
+    BD_LOG(Info) << "resuming from journal '" << journal.path() << "' ("
+                 << journal.size() << " completed cells)";
+  }
+  const std::vector<AttackPlan> plan =
+      build_plan(spec, scale, scale_signature(spec, scale), base_seed());
+  const std::vector<Item> items = plan_items(plan);
+  ItemRunner runner(spec, scale, journal);
+
+  const std::optional<shard::ShardConfig> shard_config =
+      spec.shard.has_value() ? spec.shard : shard::shard_config_from_env();
+  if (shard_config.has_value()) {
+    return run_worker(items, runner, journal, *shard_config);
+  }
+
+  // In-process: walk the items in canonical order. Journaled items decode
+  // instead of running, so a fully journaled attack never trains.
+  TableRun run;
+  std::vector<SettingResult> results;
+  results.reserve(items.size());
+  for (const Item& item : items) {
+    const robust::JournalFields* cached =
+        resume ? journal.find(item.key()) : nullptr;
+    if (cached == nullptr) {
+      results.push_back(runner.run(item));
+    } else {
+      results.push_back(decode_table_entry(*cached));
+      if (item.cell != nullptr) {
+        ++run.resumed_cells;
+        BD_OBS_COUNT("bench.cells_resumed", 1);
+      }
+    }
+  }
+  render_table(spec, scale, results, run);
   std::printf("total: %.1fs\n\n", watch.seconds());
   return run;
 }

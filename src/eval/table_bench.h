@@ -5,30 +5,31 @@
 // runs. run_table() executes the sweep and prints rows in the paper's
 // format (mean ± std over trials) plus optional scatter series.
 //
-// Crash resumability: with BDPROTO_JOURNAL=<path> every completed cell
-// (baseline or attack x SPC x defense setting) is appended to a JSONL
-// journal keyed by a stable config hash, flushed before the next cell
-// starts. With BDPROTO_RESUME=1 a restarted run loads the journal, skips
-// every completed cell (re-deriving its table rows from the journaled
-// full-precision metrics), and produces tables byte-identical to an
-// uninterrupted run. A backdoored model is only retrained when at least
-// one of its cells is missing.
-//
-// Supervised execution: attack preparations, defense trials and journal
-// appends run under robust::Supervisor (BDPROTO_DEADLINE / BDPROTO_STALL /
-// BDPROTO_RETRIES). A cell whose retry budget is exhausted — or whose
+// One item runner executes the sweep in both modes. The canonical work
+// list is every attack's baseline followed by its (SPC, defense) cells,
+// with every seed pre-drawn; the runner prepares an item's attack lazily
+// under robust::Supervisor, produces the baseline or the cell's
+// SettingResult (defense trials run supervised inside run_setting) and
+// journals it. A failed preparation degrades the attack's baseline and
+// every cell of it; a cell whose retry budget is exhausted — or whose
 // config is quarantined — is printed as `degraded` in its metric columns
 // with the failure reason summarized after the table, while every other
-// cell completes; degraded cells journal and resume like healthy ones.
+// cell completes; degraded items journal and resume like healthy ones.
 //
-// Sharded execution: when BDPROTO_SHARD_LEDGER is set (or spec.shard is
-// filled in), this process runs as one worker of a multi-process fleet
-// instead of executing the whole sweep. Every worker derives the identical
-// canonical work list (baseline + cells, pre-drawn seeds), claims items
-// through the crash-resilient lease ledger (shard/ledger.h), journals each
-// result, and prints worker stats instead of the table — the coordinator's
-// merge pass (a plain resume run with sharding off) renders the table,
-// byte-identically to a single-process run.
+// In-process mode walks the work list in order and renders the table
+// from the collected results. With BDPROTO_JOURNAL=<path> every item is
+// appended to a JSONL journal keyed by a stable config hash, flushed
+// before the next item starts; with BDPROTO_RESUME=1 journaled items are
+// decoded instead of run, so a restarted run prints tables
+// byte-identical to an uninterrupted one, and an attack whose items are
+// all journaled is never retrained.
+//
+// Shard-worker mode (BDPROTO_SHARD_LEDGER set, or spec.shard filled in)
+// hands the same runner to shard::WorkerSession, which claims items
+// through the crash-resilient lease ledger (shard/ledger.h); the worker
+// prints its stats instead of the table. The coordinator's merge pass — a
+// plain resume run with sharding off — renders the table from the
+// journal, byte-identically to a single-process run.
 #pragma once
 
 #include <optional>
@@ -36,6 +37,7 @@
 #include <vector>
 
 #include "eval/runner.h"
+#include "robust/journal.h"
 #include "shard/worker.h"
 
 namespace bd::eval {
@@ -72,5 +74,14 @@ struct TableRun {
 
 /// Runs the sweep and prints the table (and scatter series) to stdout.
 TableRun run_table(const TableSpec& spec);
+
+/// Decodes one table-journal entry. A baseline comes back with an empty
+/// `defense` and its undefended evaluation as the one trial in acc/asr/ra.
+/// This and run_table's encoder are the only code that knows the schema.
+SettingResult decode_table_entry(const robust::JournalFields& fields);
+
+/// "<attack>/baseline" or "<attack>/<defense>/spc=<n>", then the failure
+/// and the attempt count: one line of the degraded-cells summary.
+std::string degraded_line(const SettingResult& s);
 
 }  // namespace bd::eval

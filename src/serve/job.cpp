@@ -138,29 +138,9 @@ eval::ExperimentScale job_scale(const JobSpec& spec) {
 }
 
 std::string backbone_signature(const JobSpec& spec) {
-  const eval::ExperimentScale s = job_scale(spec);
-  std::string sig = "backbone|" + spec.dataset + '|' + spec.arch + '|' +
-                    spec.attack + '|' + std::to_string(spec.seed);
-  const auto add_i = [&sig](std::int64_t v) {
-    sig += '|';
-    sig += std::to_string(v);
-  };
-  const auto add_d = [&sig](double v) {
-    sig += '|';
-    sig += robust::exact_double(v);
-  };
-  add_i(s.data.height);
-  add_i(s.data.width);
-  add_i(s.data.train_per_class);
-  add_i(s.data.test_per_class);
-  add_i(s.attack_train.epochs);
-  add_i(s.attack_train.batch_size);
-  add_d(s.attack_train.lr);
-  add_d(s.attack_train.momentum);
-  add_d(s.attack_train.weight_decay);
-  add_d(s.attack_train.lr_decay);
-  add_i(s.base_width);
-  return sig;
+  return "backbone|" + spec.dataset + '|' + spec.arch + '|' + spec.attack +
+         '|' + std::to_string(spec.seed) +
+         eval::backbone_scale_signature(job_scale(spec));
 }
 
 std::string checkpoint_cache_key(const nn::CheckpointInfo& info) {

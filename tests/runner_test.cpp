@@ -93,7 +93,11 @@ TEST(Runner, EveryRegisteredDefenseRunsAtMicroScale) {
       prepare_backdoored_model("cifar", "vgg", "blended", scale, 43);
   for (const char* defense :
        {"ft", "fp", "nad", "clp", "ftsam", "anp", "gradprune"}) {
-    const TrialResult trial = run_defense_trial(bd, defense, 2, scale, 11);
+    SanitizeRequest req;
+    req.defense = defense;
+    req.spc = 2;
+    req.seed = 11;
+    const SanitizeOutcome trial = run_sanitization(bd, req, scale);
     EXPECT_GE(trial.metrics.acc, 0.0) << defense;
     EXPECT_LE(trial.metrics.asr + trial.metrics.ra, 100.0 + 1e-9) << defense;
     EXPECT_GE(trial.info.seconds, 0.0) << defense;

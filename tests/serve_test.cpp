@@ -13,8 +13,10 @@
 #include <thread>
 #include <vector>
 
+#include "eval/table_bench.h"
 #include "nn/checkpoint.h"
 #include "models/factory.h"
+#include "robust/journal.h"
 #include "robust/supervisor.h"
 #include "serve/backbone_cache.h"
 #include "serve/job.h"
@@ -343,6 +345,77 @@ TEST(JobTest, CacheKeyReflectsBackboneShapingFieldsOnly) {
   JobSpec c = a;
   c.width = 6;
   EXPECT_NE(serve::backbone_cache_key(a), serve::backbone_cache_key(c));
+}
+
+// Table cell keys and serve backbone cache keys embed one backbone-scale
+// signature (eval::backbone_scale_signature). These literals were
+// computed by the code that spelled the signature out twice, at the
+// default seed and quick mode: any drift would orphan every existing run
+// journal entry and cached backbone.
+TEST(JobTest, BackboneCacheAndTableCellKeysArePinned) {
+  JobSpec job;
+  job.seed = 7;
+  job.width = 6;
+  EXPECT_EQ(serve::backbone_cache_key(job), "7c5ae0f5ccbdc81e");
+
+  eval::ExperimentScale scale;
+  scale.data.height = scale.data.width = 8;
+  scale.data.train_per_class = 8;
+  scale.data.test_per_class = 2;
+  scale.attack_train.epochs = 1;
+  scale.base_width = 4;
+  scale.spc_settings = {2};
+  scale.trials = 1;
+  scale.defense_max_epochs = 1;
+  scale.prune_max_rounds = 2;
+  scale.anp_iterations = 2;
+  scale.nad_teacher_epochs = 1;
+  scale.nad_distill_epochs = 1;
+
+  // A journal holding both items under the pinned keys: a resumed table
+  // must decode them instead of running anything.
+  const std::string path = "/tmp/serve_test_pinned_keys.journal";
+  std::remove(path.c_str());
+  {
+    robust::RunJournal journal(path);
+    journal.record("099bca2d07eeafef", {{"cell", "baseline"},
+                                        {"attack", "badnet"},
+                                        {"acc", "50"},
+                                        {"asr", "90"},
+                                        {"ra", "5"},
+                                        {"attempts", "1"}});
+    journal.record("1751fe1a3e1a31cb", {{"cell", "setting"},
+                                        {"attack", "badnet"},
+                                        {"defense", "clp"},
+                                        {"spc", "2"},
+                                        {"acc", "61.5"},
+                                        {"asr", "3"},
+                                        {"ra", "40"},
+                                        {"seconds", "0.5"},
+                                        {"pruned", "7"},
+                                        {"recoveries", "0"},
+                                        {"attempts", "1"}});
+  }
+  eval::TableSpec spec;
+  spec.title = "pinned keys";
+  spec.dataset = "cifar";
+  spec.arch = "vgg";
+  spec.attacks = {"badnet"};
+  spec.defenses = {"clp"};
+  spec.scale = scale;
+  spec.journal_path = path;
+  spec.resume = true;
+  ::testing::internal::CaptureStdout();
+  const eval::TableRun run = eval::run_table(spec);
+  ::testing::internal::GetCapturedStdout();
+  std::remove(path.c_str());
+
+  EXPECT_EQ(run.resumed_cells, 1u);
+  ASSERT_EQ(run.baselines.size(), 1u);
+  EXPECT_EQ(run.baselines[0].second.asr, 90.0);
+  ASSERT_EQ(run.settings.size(), 1u);
+  EXPECT_EQ(run.settings[0].acc, std::vector<double>{61.5});
+  EXPECT_EQ(run.settings[0].pruned, std::vector<std::int64_t>{7});
 }
 
 TEST(JobTest, CheckpointCacheKeyTracksContent) {
