@@ -49,6 +49,9 @@ bool parse_journal_line(std::string_view line, std::string& key,
 }
 
 void append_to_fd(int fd, std::string_view bytes, const std::string& path) {
+  // Read (and validate) the knob first: a bad value must fail the append
+  // before any byte lands, never after.
+  const bool sync = env_int("BDPROTO_JOURNAL_FSYNC").value_or(0) != 0;
   ssize_t n;
   do {
     n = ::write(fd, bytes.data(), bytes.size());
@@ -57,7 +60,7 @@ void append_to_fd(int fd, std::string_view bytes, const std::string& path) {
     const std::string reason = n < 0 ? std::strerror(errno) : "short write";
     throw std::runtime_error("write failure on '" + path + "': " + reason);
   }
-  if (env_int("BDPROTO_JOURNAL_FSYNC").value_or(0) != 0) ::fsync(fd);
+  if (sync) ::fsync(fd);
 }
 
 void append_line_atomic(const std::string& path, const std::string& line) {

@@ -1,7 +1,10 @@
 #include "util/env.h"
 
 #include <algorithm>
+#include <charconv>
 #include <cstdlib>
+#include <limits>
+#include <stdexcept>
 #include <thread>
 
 namespace bd {
@@ -12,30 +15,44 @@ std::optional<std::string> env_string(const std::string& name) {
   return std::string(v);
 }
 
-std::optional<std::int64_t> env_int(const std::string& name) {
-  const auto s = env_string(name);
-  if (!s) return std::nullopt;
-  char* end = nullptr;
-  const long long v = std::strtoll(s->c_str(), &end, 10);
-  if (end == s->c_str()) return std::nullopt;
-  return static_cast<std::int64_t>(v);
-}
+namespace {
 
-std::optional<double> env_double(const std::string& name) {
-  const auto s = env_string(name);
-  if (!s) return std::nullopt;
-  char* end = nullptr;
-  const double v = std::strtod(s->c_str(), &end);
-  if (end == s->c_str()) return std::nullopt;
+/// Parses the whole of `value` as a T; an empty value means unset.
+template <typename T>
+std::optional<T> parse_whole(const std::string& name,
+                             const std::optional<std::string>& value,
+                             const char* expected) {
+  if (!value || value->empty()) return std::nullopt;
+  T v{};
+  const char* end = value->data() + value->size();
+  const auto [stop, ec] = std::from_chars(value->data(), end, v);
+  if (ec != std::errc() || stop != end) {
+    throw std::invalid_argument(name + "='" + *value + "' is not " +
+                                expected);
+  }
   return v;
 }
 
+}  // namespace
+
+std::optional<std::int64_t> env_int(const std::string& name) {
+  return parse_whole<std::int64_t>(name, env_string(name), "an integer");
+}
+
+std::optional<double> env_double(const std::string& name) {
+  return parse_whole<double>(name, env_string(name), "a number");
+}
+
+RunMode env_run_mode() {
+  const auto s = env_string("BDPROTO_MODE");
+  if (!s || s->empty() || *s == "quick") return RunMode::kQuick;
+  if (*s == "full") return RunMode::kFull;
+  throw std::invalid_argument("BDPROTO_MODE='" + *s +
+                              "' is not quick or full");
+}
+
 RunMode run_mode() {
-  static const RunMode mode = [] {
-    const auto s = env_string("BDPROTO_MODE");
-    if (s && *s == "full") return RunMode::kFull;
-    return RunMode::kQuick;
-  }();
+  static const RunMode mode = env_run_mode();
   return mode;
 }
 
@@ -43,6 +60,10 @@ bool full_mode() { return run_mode() == RunMode::kFull; }
 
 int trial_count(int quick_default, int full_default) {
   if (const auto n = env_int("BDPROTO_TRIALS")) {
+    if (*n < 1 || *n > std::numeric_limits<int>::max()) {
+      throw std::invalid_argument("BDPROTO_TRIALS='" + std::to_string(*n) +
+                                  "' is not a count >= 1");
+    }
     return static_cast<int>(*n);
   }
   return full_mode() ? full_default : quick_default;

@@ -44,6 +44,11 @@
 //   BDPROTO_SHARD_TTL=<secs>    - lease expiry; a dead worker's cell is
 //                                 stealable this long after its last
 //                                 heartbeat (default 5)
+//
+// Parse rule: a numeric knob must parse as a whole and BDPROTO_MODE must be
+// exactly quick or full; an empty value means unset. Any other value (e.g.
+// BDPROTO_TRIALS=1e3, BDPROTO_RESUME=yes) throws std::invalid_argument
+// naming the variable and value instead of silently meaning a default.
 #pragma once
 
 #include <cstdint>
@@ -54,19 +59,28 @@ namespace bd {
 
 enum class RunMode { kQuick, kFull };
 
-/// Current run mode (reads BDPROTO_MODE once; defaults to quick).
+/// Run mode named by BDPROTO_MODE, read now: quick when unset or empty,
+/// std::invalid_argument for anything but "quick" or "full".
+RunMode env_run_mode();
+
+/// Current run mode: env_run_mode(), read once and cached.
 RunMode run_mode();
 
 /// True when run_mode() == kFull.
 bool full_mode();
 
-/// Environment override helpers.
+/// Environment override helpers. env_string returns the raw value. env_int
+/// and env_double treat an empty value as unset and otherwise require the
+/// whole value to parse ("2x", "1e3" as an integer, "true" and " 5" are all
+/// rejected): anything else throws std::invalid_argument naming the
+/// variable and its value, so a typo never silently selects a default.
 std::optional<std::string> env_string(const std::string& name);
 std::optional<std::int64_t> env_int(const std::string& name);
 std::optional<double> env_double(const std::string& name);
 
-/// Trials per experiment setting: BDPROTO_TRIALS if set, otherwise
-/// `full_default` in full mode and `quick_default` in quick mode.
+/// Trials per experiment setting: BDPROTO_TRIALS if set (std::invalid_argument
+/// unless it is a whole integer >= 1), otherwise `full_default` in full mode
+/// and `quick_default` in quick mode.
 int trial_count(int quick_default, int full_default);
 
 /// Base seed for experiments: BDPROTO_SEED if set, otherwise 1234.

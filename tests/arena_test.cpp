@@ -2,15 +2,18 @@
 // plan_buffers interval assignment (no aliasing of overlapping lifetimes,
 // exact peak bytes on known graphs, determinism, validation) and the
 // thread-local GradArena (slot reuse across passes, fallback when a slot is
-// still referenced).
+// still referenced, steady state over real PreActResNet train steps).
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <vector>
 
 #include "autograd/arena.h"
 #include "autograd/ops.h"
 #include "autograd/variable.h"
+#include "models/factory.h"
 #include "tensor/tensor.h"
+#include "util/rng.h"
 
 namespace bd::ag {
 namespace {
@@ -195,6 +198,42 @@ TEST(GradArena, BackwardPassesPopulateStats) {
   EXPECT_GT(s.last_peak_bytes, 0);
   EXPECT_GE(s.max_peak_bytes, s.last_peak_bytes);
   EXPECT_EQ(s.fallback_allocs, 0u);
+}
+
+TEST(GradArena, TrainStepSteadyState) {
+  // Real training steps: after the first pass has sized the slots, later
+  // passes of the same graph allocate nothing, never fall back, and keep
+  // the arena footprint below what a malloc-per-gradient backward touches.
+  Rng rng(6);
+  models::ModelSpec spec;
+  spec.arch = "preactresnet";
+  spec.base_width = 8;
+  auto model = models::make_model(spec, rng);
+  model->set_training(true);
+  Tensor x({16, 3, 16, 16});
+  for (std::int64_t i = 0; i < x.numel(); ++i) {
+    x[i] = static_cast<float>(rng.normal());
+  }
+  const std::vector<std::int64_t> labels(16, 1);
+
+  GradArena& arena = GradArena::local();
+  arena.release_storage();
+  arena.reset_stats();
+  std::uint64_t allocs_after_first = 0;
+  for (int pass = 0; pass < 3; ++pass) {
+    model->zero_grad();
+    Var loss = cross_entropy(model->forward(Var(x)), labels);
+    loss.backward();
+    if (pass == 0) allocs_after_first = arena.stats().slot_allocs;
+  }
+  const ArenaStats& s = arena.stats();
+  EXPECT_EQ(s.passes, 3u);
+  EXPECT_GT(allocs_after_first, 0u);
+  EXPECT_EQ(s.slot_allocs, allocs_after_first)
+      << "steady-state passes allocated slot storage";
+  EXPECT_EQ(s.fallback_allocs, 0u);
+  EXPECT_GT(s.last_peak_bytes, 0);
+  EXPECT_LT(s.last_peak_bytes, s.last_naive_bytes);
 }
 
 }  // namespace

@@ -551,24 +551,31 @@ TEST_F(ObsTest, ResetValuesZeroesInPlace) {
 }
 
 // The "costs nothing when off" guarantee, as a wall-clock bound: one
-// million span enter/exit pairs with both pillars disabled. The disabled
+// million span enter/exit pairs, each wrapping the kernel probe the graph
+// scheduler puts around every op, with both pillars disabled. Each disabled
 // path is one relaxed atomic load, so even under ASan + Debug this runs in
 // a few milliseconds; the bound is deliberately generous (2s) to stay
 // robust on loaded CI machines while still catching a regression that
-// takes a lock or allocates per span (which would be >100x slower).
+// takes a lock or allocates per span or probe (which would be >100x slower).
 TEST_F(ObsTest, DisabledSpanOverheadGuard) {
   ASSERT_FALSE(enabled());
+  static KernelStats& stats = kernel_stats("obs_test.overhead_probe");
   const auto start = std::chrono::steady_clock::now();
   for (int i = 0; i < 1000000; ++i) {
     Span span("obs_test.overhead");
+    KernelScope probe(stats, 1);
     (void)span;
+    (void)probe;
   }
   const auto elapsed = std::chrono::steady_clock::now() - start;
   const auto ms =
       std::chrono::duration_cast<std::chrono::milliseconds>(elapsed).count();
-  EXPECT_LT(ms, 2000) << "disabled spans cost " << ms << "ms per 1e6 pairs";
+  EXPECT_LT(ms, 2000) << "disabled span + probe pairs cost " << ms
+                      << "ms per 1e6";
   // And they really recorded nothing.
   EXPECT_EQ(snapshot_trace().size(), 0u);
+  EXPECT_EQ(stats.calls.value(), 0u);
+  EXPECT_EQ(stats.items.value(), 0u);
 }
 
 }  // namespace

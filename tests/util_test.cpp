@@ -4,6 +4,7 @@
 
 #include <cstdlib>
 #include <set>
+#include <stdexcept>
 
 #include "util/env.h"
 #include "util/logging.h"
@@ -138,13 +139,55 @@ TEST(Table, CsvEscapesCommas) {
   EXPECT_NE(t.to_csv().find("1;2"), std::string::npos);
 }
 
+// A knob either parses as a whole or throws, naming the variable and its
+// value; only an empty value means unset. A numeric prefix ("2x", "1e3")
+// or a word ("true") must never silently become some number or a default.
 TEST(Env, IntParsing) {
   setenv("BD_TEST_INT", "42", 1);
   EXPECT_EQ(env_int("BD_TEST_INT").value(), 42);
-  setenv("BD_TEST_INT", "nonsense", 1);
+  for (const char* bad : {"nonsense", "2x", "1e3", "true", " 5"}) {
+    setenv("BD_TEST_INT", bad, 1);
+    EXPECT_THROW(env_int("BD_TEST_INT"), std::invalid_argument) << bad;
+  }
+  try {
+    env_int("BD_TEST_INT");
+  } catch (const std::invalid_argument& e) {
+    EXPECT_STREQ(e.what(), "BD_TEST_INT=' 5' is not an integer");
+  }
+  setenv("BD_TEST_INT", "", 1);
   EXPECT_FALSE(env_int("BD_TEST_INT").has_value());
   unsetenv("BD_TEST_INT");
   EXPECT_FALSE(env_int("BD_TEST_INT").has_value());
+}
+
+TEST(Env, DoubleParsing) {
+  setenv("BD_TEST_DOUBLE", "1e3", 1);
+  EXPECT_EQ(env_double("BD_TEST_DOUBLE").value(), 1000.0);
+  for (const char* bad : {"nonsense", "2x", "true", "1.5s"}) {
+    setenv("BD_TEST_DOUBLE", bad, 1);
+    EXPECT_THROW(env_double("BD_TEST_DOUBLE"), std::invalid_argument) << bad;
+  }
+  setenv("BD_TEST_DOUBLE", "", 1);
+  EXPECT_FALSE(env_double("BD_TEST_DOUBLE").has_value());
+  unsetenv("BD_TEST_DOUBLE");
+}
+
+TEST(Env, ModeAndTrialParsing) {
+  setenv("BDPROTO_MODE", "full", 1);
+  EXPECT_EQ(env_run_mode(), RunMode::kFull);
+  setenv("BDPROTO_MODE", "", 1);
+  EXPECT_EQ(env_run_mode(), RunMode::kQuick);
+  for (const char* bad : {"fulll", "2x", "1e3", "true"}) {
+    setenv("BDPROTO_MODE", bad, 1);
+    EXPECT_THROW(env_run_mode(), std::invalid_argument) << bad;
+  }
+  unsetenv("BDPROTO_MODE");
+  EXPECT_EQ(env_run_mode(), RunMode::kQuick);
+  for (const char* bad : {"0", "-1", "1e3"}) {
+    setenv("BDPROTO_TRIALS", bad, 1);
+    EXPECT_THROW(trial_count(1, 5), std::invalid_argument) << bad;
+  }
+  unsetenv("BDPROTO_TRIALS");
 }
 
 TEST(Stopwatch, MonotoneAndResettable) {
