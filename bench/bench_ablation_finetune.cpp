@@ -37,9 +37,11 @@ class FinetuneVariantDefense : public bd::defense::Defense {
 
     if (mode_ != Mode::kNone) {
       auto convs = model.modules_of_type<bd::nn::Conv2d>();
-      bd::eval::EarlyStopConfig ft;
-      ft.max_epochs = config_.finetune_max_epochs;
+      bd::eval::TrainConfig ft;
+      ft.epochs = config_.finetune_max_epochs;
       ft.patience = config_.finetune_patience;
+      ft.lr = config_.finetune_lr;
+      ft.weight_decay = 0.0f;
       ft.post_step = [&convs] {
         for (auto* conv : convs) conv->enforce_filter_masks();
       };
@@ -50,8 +52,8 @@ class FinetuneVariantDefense : public bd::defense::Defense {
       const auto val = mode_ == Mode::kCleanOnly
                            ? ctx.clean_val
                            : bd::eval::concat(ctx.clean_val, ctx.backdoor_val);
-      const auto ft_result = bd::eval::finetune_early_stopping(
-          model, train, val, ft, ctx.rng_ref());
+      const auto ft_result =
+          bd::eval::train_classifier(model, train, ft, ctx.rng_ref(), &val);
       result.finetune_epochs = ft_result.epochs_run;
       for (auto* conv : convs) conv->enforce_filter_masks();
     }

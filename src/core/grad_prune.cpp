@@ -198,16 +198,17 @@ defense::DefenseResult GradPruneDefense::apply(
         eval::concat(context.clean_train, context.backdoor_train);
     const auto ft_val = eval::concat(context.clean_val, context.backdoor_val);
 
-    eval::EarlyStopConfig ft;
-    ft.max_epochs = config_.finetune_max_epochs;
+    eval::TrainConfig ft;
+    ft.epochs = config_.finetune_max_epochs;
     ft.patience = config_.finetune_patience;
     ft.batch_size = config_.batch_size;
     ft.lr = config_.finetune_lr;
+    ft.weight_decay = 0.0f;
     ft.post_step = [&convs] {
       for (auto* conv : convs) conv->enforce_filter_masks();
     };
-    const auto result = eval::finetune_early_stopping(
-        model, ft_train, ft_val, ft, context.rng_ref());
+    const auto result = eval::train_classifier(model, ft_train, ft,
+                                               context.rng_ref(), &ft_val);
     out.finetune_epochs = result.epochs_run;
     out.recoveries += result.guard.recoveries;
     // The restored best-val state predates some post_step applications;

@@ -124,10 +124,9 @@ DefenseResult FinePruningDefense::apply(models::Classifier& model,
   ft.weight_decay = 0.0f;
   const eval::TrainResult train =
       eval::train_classifier(model, context.clean_train, ft, context.rng_ref());
-  model.set_training(false);
   if (conv != nullptr) conv->enforce_filter_masks();
 
-  out.finetune_epochs = config_.finetune_max_epochs;
+  out.finetune_epochs = train.epochs_run;
   out.recoveries = train.guard.recoveries;
   out.seconds = watch.seconds();
   return out;

@@ -19,11 +19,10 @@ DefenseResult FinetuneDefense::apply(models::Classifier& model,
   cfg.momentum = config_.momentum;
   const eval::TrainResult train = eval::train_classifier(
       model, context.clean_train, cfg, context.rng_ref());
-  model.set_training(false);
 
   DefenseResult out;
   out.defense_name = name();
-  out.finetune_epochs = config_.max_epochs;
+  out.finetune_epochs = train.epochs_run;
   out.recoveries = train.guard.recoveries;
   out.seconds = watch.seconds();
   return out;

@@ -1,12 +1,7 @@
 #include "defense/ftsam.h"
 
-#include <memory>
-
-#include "autograd/ops.h"
-#include "eval/metrics.h"
+#include "eval/trainer.h"
 #include "obs/obs.h"
-#include "optim/optim.h"
-#include "robust/cancel.h"
 #include "util/stopwatch.h"
 
 namespace bd::defense {
@@ -15,41 +10,20 @@ DefenseResult FtSamDefense::apply(models::Classifier& model,
                                   const DefenseContext& context) {
   BD_OBS_SPAN("defense.ftsam");
   Stopwatch watch;
-  Rng& rng = context.rng_ref();
-
-  optim::SgdOptions sgd_opts;
-  sgd_opts.lr = config_.lr;
-  sgd_opts.momentum = config_.momentum;
-  optim::Sam sam(std::make_unique<optim::Sgd>(model.parameters(), sgd_opts),
-                 config_.rho);
+  eval::TrainConfig cfg;
+  cfg.epochs = config_.max_epochs;
+  cfg.batch_size = config_.batch_size;
+  cfg.lr = config_.lr;
+  cfg.momentum = config_.momentum;
+  cfg.weight_decay = 0.0f;
+  cfg.sam_rho = config_.rho;
+  const eval::TrainResult train = eval::train_classifier(
+      model, context.clean_train, cfg, context.rng_ref());
 
   DefenseResult out;
   out.defense_name = name();
-
-  for (std::int64_t epoch = 0; epoch < config_.max_epochs; ++epoch) {
-    BD_OBS_SPAN_ARG("ftsam.epoch", epoch);
-    model.set_training(true);
-    data::DataLoader loader(context.clean_train, config_.batch_size, rng);
-    data::Batch batch;
-    while (loader.next(batch)) {
-      robust::poll_cancellation("ftsam.batch");
-      // First SAM step: gradient at w, ascend to w + e(w).
-      sam.zero_grad();
-      ag::Var loss1 = ag::cross_entropy(
-          model.forward(ag::Var(batch.images)), batch.labels);
-      loss1.backward();
-      sam.first_step();
-      // Second step: gradient at the perturbed point, descend from w.
-      sam.zero_grad();
-      ag::Var loss2 = ag::cross_entropy(
-          model.forward(ag::Var(batch.images)), batch.labels);
-      loss2.backward();
-      sam.second_step();
-    }
-    ++out.finetune_epochs;
-  }
-
-  model.set_training(false);
+  out.finetune_epochs = train.epochs_run;
+  out.recoveries = train.guard.recoveries;
   out.seconds = watch.seconds();
   return out;
 }

@@ -3,8 +3,6 @@
 #include "autograd/ops.h"
 #include "eval/trainer.h"
 #include "obs/obs.h"
-#include "optim/optim.h"
-#include "robust/cancel.h"
 #include "util/stopwatch.h"
 
 namespace bd::defense {
@@ -39,48 +37,42 @@ DefenseResult NadDefense::apply(models::Classifier& model,
                                rng);
     out.recoveries = teacher_train.guard.recoveries;
   }
-  teacher->set_training(false);
 
   // 2. Distillation: CE + beta * sum_l ||A_l(S) - A_l(T)||^2.
-  optim::SgdOptions opts;
-  opts.lr = config_.lr;
-  opts.momentum = 0.9f;
-  optim::Sgd sgd(model.parameters(), opts);
-
-  for (std::int64_t epoch = 0; epoch < config_.distill_epochs; ++epoch) {
-    BD_OBS_SPAN_ARG("nad.distill_epoch", epoch);
-    model.set_training(true);
-    data::DataLoader loader(context.clean_train, config_.batch_size, rng);
-    data::Batch batch;
-    while (loader.next(batch)) {
-      robust::poll_cancellation("nad.distill_batch");
-      // Teacher attention, computed without building a graph.
-      std::vector<Tensor> teacher_attn;
-      {
-        ag::NoGradGuard no_grad;
-        const auto t = teacher->forward_with_features(ag::Var(batch.images));
-        teacher_attn.reserve(t.stage_features.size());
-        for (const auto& f : t.stage_features) {
-          teacher_attn.push_back(attention_map(f).value());
-        }
+  eval::TrainConfig distill_cfg;
+  distill_cfg.epochs = config_.distill_epochs;
+  distill_cfg.batch_size = config_.batch_size;
+  distill_cfg.lr = config_.lr;
+  distill_cfg.weight_decay = 0.0f;
+  distill_cfg.batch_loss = [this, &teacher](models::Classifier& student,
+                                            const data::Batch& batch) {
+    // Teacher attention, computed without building a graph.
+    std::vector<Tensor> teacher_attn;
+    {
+      ag::NoGradGuard no_grad;
+      const auto t = teacher->forward_with_features(ag::Var(batch.images));
+      teacher_attn.reserve(t.stage_features.size());
+      for (const auto& f : t.stage_features) {
+        teacher_attn.push_back(attention_map(f).value());
       }
-
-      sgd.zero_grad();
-      const auto s = model.forward_with_features(ag::Var(batch.images));
-      ag::Var loss = ag::cross_entropy(s.logits, batch.labels);
-      for (std::size_t l = 0; l < s.stage_features.size(); ++l) {
-        const ag::Var sa = attention_map(s.stage_features[l]);
-        const ag::Var ta(teacher_attn[l]);  // constant
-        loss = ag::add(loss,
-                       ag::mul_scalar(ag::mse_loss(sa, ta), config_.beta));
-      }
-      loss.backward();
-      sgd.step();
     }
-    ++out.finetune_epochs;
+    const auto s = student.forward_with_features(ag::Var(batch.images));
+    ag::Var loss = ag::cross_entropy(s.logits, batch.labels);
+    for (std::size_t l = 0; l < s.stage_features.size(); ++l) {
+      const ag::Var sa = attention_map(s.stage_features[l]);
+      const ag::Var ta(teacher_attn[l]);  // constant
+      loss = ag::add(loss, ag::mul_scalar(ag::mse_loss(sa, ta), config_.beta));
+    }
+    return loss;
+  };
+  {
+    BD_OBS_SPAN("nad.distill");
+    const eval::TrainResult distill =
+        eval::train_classifier(model, context.clean_train, distill_cfg, rng);
+    out.finetune_epochs = distill.epochs_run;
+    out.recoveries += distill.guard.recoveries;
   }
 
-  model.set_training(false);
   out.seconds = watch.seconds();
   return out;
 }

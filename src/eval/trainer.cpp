@@ -1,6 +1,8 @@
 #include "eval/trainer.h"
 
 #include <limits>
+#include <memory>
+#include <optional>
 #include <stdexcept>
 
 #include "autograd/ops.h"
@@ -13,7 +15,7 @@
 #include "util/logging.h"
 
 // Batch work (forward/backward kernels, metric evaluation) executes on the
-// bd::runtime parallel engine; the loops below stay sequential because SGD
+// bd::runtime parallel engine; the loop below stays sequential because SGD
 // steps and RNG draws are order-dependent. Results are bitwise identical
 // for every BDPROTO_THREADS setting (see runtime/thread_pool.h) — the
 // TrainGuard decisions depend only on those thread-invariant loss values,
@@ -23,10 +25,17 @@ namespace bd::eval {
 
 namespace {
 
-/// Per-batch divergence check shared by both loops. Computes the batch
-/// loss (applying any armed `nan@n` fault), and either runs backward and
-/// returns nullptr (healthy) or returns the reason the step must not be
-/// applied. `batch_loss` always receives the observed loss.
+/// Non-finite gradient check (skipped, with the norm, when the guard is
+/// off).
+const char* guarded_grad(const robust::TrainGuard& guard,
+                         const optim::Optimizer& opt) {
+  return guard.enabled() ? guard.check_grad_norm(opt.grad_norm()) : nullptr;
+}
+
+/// Per-batch divergence check. Computes the batch loss (applying any armed
+/// `nan@n` fault), and either runs backward and returns nullptr (healthy)
+/// or returns the reason the step must not be applied. `batch_loss` always
+/// receives the observed loss.
 const char* guarded_backward(robust::TrainGuard& guard, ag::Var& loss,
                              optim::Optimizer& opt, double& batch_loss) {
   batch_loss = static_cast<double>(loss.value()[0]);
@@ -35,24 +44,19 @@ const char* guarded_backward(robust::TrainGuard& guard, ag::Var& loss,
   }
   if (const char* reason = guard.check_loss(batch_loss)) return reason;
   loss.backward();
-  if (guard.enabled()) {
-    if (const char* reason = guard.check_grad_norm(opt.grad_norm())) {
-      return reason;
-    }
-  }
-  return nullptr;
+  return guarded_grad(guard, opt);
 }
 
 }  // namespace
 
 TrainResult train_classifier(models::Classifier& model,
                              const data::ImageDataset& train,
-                             const TrainConfig& config, Rng& rng) {
-  if (train.empty()) {
-    throw std::invalid_argument("train_classifier: empty training set");
+                             const TrainConfig& config, Rng& rng,
+                             const data::ImageDataset* val) {
+  if (train.empty() || (val != nullptr && val->empty())) {
+    throw std::invalid_argument("train_classifier: empty train or val set");
   }
   BD_OBS_SPAN_ARG("train.run", config.epochs);
-  model.set_training(true);
   if (config.verbose) {
     BD_LOG(Info) << "training on " << runtime::thread_count()
                  << " runtime thread(s)";
@@ -61,13 +65,52 @@ TrainResult train_classifier(models::Classifier& model,
   opts.lr = config.lr;
   opts.momentum = config.momentum;
   opts.weight_decay = config.weight_decay;
-  optim::Sgd sgd(model.parameters(), opts);
-
+  auto owned_sgd = std::make_unique<optim::Sgd>(model.parameters(), opts);
+  optim::Sgd& sgd = *owned_sgd;  // SAM's base when sam_rho > 0
+  std::optional<optim::Sam> sam;
+  if (config.sam_rho > 0.0f) sam.emplace(std::move(owned_sgd), config.sam_rho);
   robust::TrainGuard guard(config.guard);
-  std::map<std::string, Tensor> snapshot;
-  if (guard.enabled()) snapshot = model.state_dict();
+
+  const auto loss_of = [&](const data::Batch& batch) {
+    if (config.batch_loss) return config.batch_loss(model, batch);
+    return ag::cross_entropy(model.forward(ag::Var(batch.images)),
+                             batch.labels);
+  };
+  // One optimizer update; returns why it was rejected, or nullptr.
+  const auto update = [&](const data::Batch& batch,
+                          double& batch_loss) -> const char* {
+    sgd.zero_grad();
+    ag::Var loss = loss_of(batch);
+    if (const char* reason = guarded_backward(guard, loss, sgd, batch_loss)) {
+      return reason;
+    }
+    if (!sam) {
+      sgd.step();
+      return nullptr;
+    }
+    // SAM: ascend to w + e(w), take the gradient there, descend from w.
+    sam->first_step();
+    sgd.zero_grad();
+    loss_of(batch).backward();
+    if (const char* reason = guarded_grad(guard, sgd)) {
+      sam->restore();
+      return reason;
+    }
+    sam->second_step();
+    return nullptr;
+  };
 
   TrainResult result;
+  std::map<std::string, Tensor> best_state;
+  if (val != nullptr) {
+    result.best_val_loss = dataset_loss(model, *val);
+    best_state = model.state_dict();
+  }
+  std::map<std::string, Tensor> snapshot;
+  if (guard.enabled()) snapshot = model.state_dict();
+  std::int64_t epochs_without_improvement = 0;
+
+  model.set_training(true);
   std::int64_t epoch = 0;
   bool stop = false;
   while (epoch < config.epochs && !stop) {
@@ -84,11 +127,8 @@ TrainResult train_classifier(models::Classifier& model,
       BD_OBS_COUNT("train.batches", 1);
       BD_OBS_COUNT("train.samples", batch.size());
       data::augment_batch_inplace(batch, config.augment, rng);
-      sgd.zero_grad();
-      const ag::Var logits = model.forward(ag::Var(batch.images));
-      ag::Var loss = ag::cross_entropy(logits, batch.labels);
       double batch_loss = 0.0;
-      if (const char* reason = guarded_backward(guard, loss, sgd, batch_loss)) {
+      if (const char* reason = update(batch, batch_loss)) {
         model.load_state_dict(snapshot);
         if (!guard.can_recover()) {
           guard.record_exhausted();
@@ -108,13 +148,14 @@ TrainResult train_classifier(models::Classifier& model,
         }
         break;
       }
-      sgd.step();
+      if (config.post_step) config.post_step();
       total += batch_loss * static_cast<double>(batch.size());
       seen += batch.size();
       ++step;
     }
     if (stop) break;
     if (rolled_back) continue;  // retry this epoch from the snapshot
+    ++result.epochs_run;
     result.final_loss = total / static_cast<double>(seen);
     BD_OBS_GAUGE("train.epoch_loss", result.final_loss);
     if (config.verbose) {
@@ -123,99 +164,21 @@ TrainResult train_classifier(models::Classifier& model,
                    << " lr=" << sgd.options().lr;
     }
     sgd.options().lr *= config.lr_decay;
-    if (guard.enabled()) snapshot = model.state_dict();
-    ++epoch;
-  }
-  result.guard = guard.report();
-  return result;
-}
-
-EarlyStopResult finetune_early_stopping(models::Classifier& model,
-                                        const data::ImageDataset& train,
-                                        const data::ImageDataset& val,
-                                        const EarlyStopConfig& config,
-                                        Rng& rng) {
-  if (train.empty() || val.empty()) {
-    throw std::invalid_argument("finetune_early_stopping: empty train or val");
-  }
-  BD_OBS_SPAN_ARG("finetune.run", config.max_epochs);
-  optim::SgdOptions opts;
-  opts.lr = config.lr;
-  opts.momentum = config.momentum;
-  opts.weight_decay = config.weight_decay;
-  optim::Sgd sgd(model.parameters(), opts);
-
-  robust::TrainGuard guard(config.guard);
-  EarlyStopResult result;
-  result.best_val_loss = dataset_loss(model, val);
-  auto best_state = model.state_dict();
-  std::map<std::string, Tensor> snapshot;
-  if (guard.enabled()) snapshot = model.state_dict();
-  std::int64_t epochs_without_improvement = 0;
-
-  std::int64_t epoch = 0;
-  bool stop = false;
-  while (epoch < config.max_epochs && !stop) {
-    BD_OBS_SPAN_ARG("finetune.epoch", epoch);
-    model.set_training(true);
-    data::DataLoader loader(train, config.batch_size, rng);
-    data::Batch batch;
-    std::int64_t step = 0;
-    bool rolled_back = false;
-    while (loader.next(batch)) {
-      robust::poll_cancellation("finetune.batch");
-      BD_OBS_SPAN_ARG("finetune.batch", step);
-      BD_OBS_COUNT("finetune.batches", 1);
-      sgd.zero_grad();
-      const ag::Var logits = model.forward(ag::Var(batch.images));
-      ag::Var loss = ag::cross_entropy(logits, batch.labels);
-      double batch_loss = 0.0;
-      if (const char* reason = guarded_backward(guard, loss, sgd, batch_loss)) {
-        model.load_state_dict(snapshot);
-        if (!guard.can_recover()) {
-          guard.record_exhausted();
-          BD_LOG(Warn) << "finetune guard: " << reason << " at epoch " << epoch
-                       << " step " << step
-                       << "; retry budget exhausted, stopping at last good "
-                          "snapshot";
-          stop = true;
-        } else {
-          sgd.options().lr *= static_cast<float>(guard.config().lr_backoff);
-          guard.record_recovery(epoch, step, batch_loss, sgd.options().lr,
-                                reason);
-          BD_LOG(Warn) << "finetune guard: " << reason << " at epoch " << epoch
-                       << " step " << step << "; rolled back, retrying with lr="
-                       << sgd.options().lr;
-          rolled_back = true;
-        }
+    if (val != nullptr) {
+      const double val_loss = dataset_loss(model, *val);
+      BD_OBS_GAUGE("train.val_loss", val_loss);
+      if (val_loss < result.best_val_loss - 1e-6) {
+        result.best_val_loss = val_loss;
+        best_state = model.state_dict();
+        epochs_without_improvement = 0;
+      } else if (++epochs_without_improvement >= config.patience) {
         break;
       }
-      sgd.step();
-      if (config.post_step) config.post_step();
-      ++step;
-    }
-    if (stop) break;
-    if (rolled_back) continue;  // retry this epoch from the snapshot
-    ++result.epochs_run;
-
-    const double val_loss = dataset_loss(model, val);
-    BD_OBS_GAUGE("finetune.val_loss", val_loss);
-    if (config.verbose) {
-      BD_LOG(Info) << "finetune epoch " << (epoch + 1)
-                   << " val_loss=" << val_loss
-                   << " best=" << result.best_val_loss;
-    }
-    if (val_loss < result.best_val_loss - 1e-6) {
-      result.best_val_loss = val_loss;
-      best_state = model.state_dict();
-      epochs_without_improvement = 0;
-    } else if (++epochs_without_improvement >= config.patience) {
-      break;
     }
     if (guard.enabled()) snapshot = model.state_dict();
     ++epoch;
   }
-  model.load_state_dict(best_state);
+  if (val != nullptr) model.load_state_dict(best_state);
   model.set_training(false);
   result.guard = guard.report();
   return result;

@@ -14,8 +14,8 @@
 // traces always have balanced begin/end pairs per thread.
 //
 // Naming convention (documented in DESIGN.md): dot-separated
-// `<layer>.<what>` — `kernel.*` graph-op kernels, `train.*` / `finetune.*`
-// training loops, `gradprune.*` the paper's defense, `defense.<name>` other
+// `<layer>.<what>` — `kernel.*` graph-op kernels, `train.*` the training
+// loop, `gradprune.*` the paper's defense, `defense.<name>` other
 // defense phases, `eval.*` metric passes, `runner.*` / `bench.*` the
 // experiment harness.
 #pragma once

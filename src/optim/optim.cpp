@@ -150,7 +150,12 @@ void Sam::first_step() {
 }
 
 void Sam::second_step() {
-  if (!perturbed_) throw std::logic_error("Sam::second_step before first_step");
+  restore();
+  base_->step();
+}
+
+void Sam::restore() {
+  if (!perturbed_) throw std::logic_error("Sam: second_step or restore before first_step");
   const auto& params = base_->params();
   for (std::size_t i = 0; i < params.size(); ++i) {
     if (perturbation_[i].defined()) {
@@ -159,7 +164,6 @@ void Sam::second_step() {
   }
   perturbation_.clear();
   perturbed_ = false;
-  base_->step();
 }
 
 }  // namespace bd::optim

@@ -89,6 +89,10 @@ class Sam {
   /// with the gradients computed at the perturbed point.
   void second_step();
 
+  /// Restores the original parameters without an update (for a rejected
+  /// perturbed-point gradient).
+  void restore();
+
   Optimizer& base() { return *base_; }
   void zero_grad() { base_->zero_grad(); }
 

@@ -101,7 +101,7 @@ CoordinatorReport run_sharded(const CoordinatorOptions& options) {
   CoordinatorReport report;
   for (int i = 1; i <= options.workers; ++i) {
     WorkerExit we;
-    we.worker_id = "w" + std::to_string(i);
+    we.worker_id = std::to_string(i).insert(0, 1, 'w');
     we.log_path = ledger_path + "." + we.worker_id + ".log";
     std::vector<EnvPair> env = {
         {"BDPROTO_SHARD_LEDGER", ledger_path},

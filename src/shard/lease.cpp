@@ -127,7 +127,7 @@ std::map<std::string, std::string> record_to_fields(const LedgerRecord& r) {
       {"op", op_name(r.op)},
       {"worker", r.worker},
       {"ts", std::to_string(r.ts_ms)}};
-  if (r.steal) fields["steal"] = "1";
+  if (r.steal) fields.emplace("steal", "1");
   if (!r.note.empty()) fields["note"] = r.note;
   return fields;
 }

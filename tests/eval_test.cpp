@@ -101,10 +101,13 @@ TEST(Trainer, LearnsTinyTask) {
 
 TEST(Trainer, RejectsEmptyTrainingSet) {
   Rng rng(7);
+  const auto data = tiny_task(rng, 2);
   auto model = tiny_model(rng);
   const data::ImageDataset empty({3, 10, 10}, 10);
   TrainConfig cfg;
   EXPECT_THROW(train_classifier(*model, empty, cfg, rng),
+               std::invalid_argument);
+  EXPECT_THROW(train_classifier(*model, data.train, cfg, rng, &empty),
                std::invalid_argument);
 }
 
@@ -114,30 +117,42 @@ TEST(Trainer, EarlyStoppingRestoresBestState) {
   auto [train, val] = data.train.split_per_class(0.8, rng);
   auto model = tiny_model(rng);
 
-  EarlyStopConfig cfg;
-  cfg.max_epochs = 6;
+  TrainConfig cfg;
+  cfg.epochs = 6;
   cfg.patience = 2;
   cfg.lr = 0.05f;
-  const auto result = finetune_early_stopping(*model, train, val, cfg, rng);
+  cfg.weight_decay = 0.0f;
+  const auto result = train_classifier(*model, train, cfg, rng, &val);
   EXPECT_GT(result.epochs_run, 0);
   EXPECT_LE(result.epochs_run, 6);
   // The restored model's val loss equals the reported best.
   EXPECT_NEAR(dataset_loss(*model, val), result.best_val_loss, 1e-3);
 }
 
+// The hook runs after every step, with and without a validation set.
 TEST(Trainer, PostStepHookRuns) {
-  Rng rng(9);
-  const auto data = tiny_task(rng, 4);
-  auto [train, val] = data.train.split_per_class(0.75, rng);
-  auto model = tiny_model(rng);
+  for (const bool with_val : {true, false}) {
+    Rng rng(9);
+    const auto data = tiny_task(rng, 4);
+    auto [train, val] = data.train.split_per_class(0.75, rng);
+    auto model = tiny_model(rng);
 
-  int hook_calls = 0;
-  EarlyStopConfig cfg;
-  cfg.max_epochs = 2;
-  cfg.patience = 10;
-  cfg.post_step = [&hook_calls] { ++hook_calls; };
-  finetune_early_stopping(*model, train, val, cfg, rng);
-  EXPECT_GT(hook_calls, 0);
+    int hook_calls = 0;
+    TrainConfig cfg;
+    cfg.epochs = 2;
+    cfg.patience = 10;
+    cfg.lr = 0.01f;
+    cfg.weight_decay = 0.0f;
+    cfg.post_step = [&hook_calls] { ++hook_calls; };
+    const auto result =
+        train_classifier(*model, train, cfg, rng, with_val ? &val : nullptr);
+    EXPECT_EQ(result.epochs_run, 2) << with_val;
+    // One call per batch: ceil(train / batch_size) batches per epoch.
+    const auto batches =
+        (static_cast<std::int64_t>(train.size()) + cfg.batch_size - 1) /
+        cfg.batch_size;
+    EXPECT_EQ(hook_calls, 2 * batches) << with_val;
+  }
 }
 
 TEST(Trainer, ConcatDatasets) {

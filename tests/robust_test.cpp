@@ -15,9 +15,12 @@
 #include <vector>
 
 #include "attack/trigger.h"
+#include "autograd/ops.h"
 #include "core/grad_prune.h"
 #include "data/synth.h"
 #include "defense/defense.h"
+#include "defense/ftsam.h"
+#include "defense/nad.h"
 #include "eval/table_bench.h"
 #include "eval/trainer.h"
 #include "models/factory.h"
@@ -570,6 +573,37 @@ std::unique_ptr<models::Classifier> tiny_model(Rng& rng) {
   return models::make_model(spec, rng);
 }
 
+void expect_finite_weights(models::Classifier& model) {
+  for (const auto& [name, tensor] : model.state_dict()) {
+    for (std::int64_t i = 0; i < tensor.numel(); ++i) {
+      ASSERT_TRUE(std::isfinite(tensor[i])) << name;
+    }
+  }
+}
+
+/// A micro backdoored-model setting for the defense-level guard tests.
+struct DefenseSetting {
+  Rng rng{13};
+  models::ModelSpec spec{"vgg", 10, 3, 8};
+  std::unique_ptr<models::Classifier> model;
+  defense::DefenseContext ctx;
+
+  DefenseSetting()
+      : model(models::make_model(spec, rng)),
+        ctx(make_context(spec, rng)) {}
+
+  static defense::DefenseContext make_context(const models::ModelSpec& spec,
+                                              Rng& rng) {
+    data::SynthConfig dcfg;
+    dcfg.height = dcfg.width = 10;
+    dcfg.train_per_class = 6;
+    dcfg.test_per_class = 2;
+    const auto data = data::make_synth_cifar(dcfg, rng);
+    attack::BadNetsTrigger trigger;
+    return defense::make_defense_context(data.train, trigger, spec, rng);
+  }
+};
+
 using TrainRecovery = FaultFixture;
 
 TEST_F(TrainRecovery, InjectedNanRollsBackAndStillConverges) {
@@ -611,28 +645,105 @@ TEST_F(TrainRecovery, ExhaustedBudgetStopsAtLastGoodSnapshot) {
   EXPECT_EQ(result.guard.recoveries, 3);
   EXPECT_TRUE(result.guard.gave_up);
   // The model was restored to its last good snapshot: all weights finite.
-  for (const auto& [name, tensor] : model->state_dict()) {
-    for (std::int64_t i = 0; i < tensor.numel(); ++i) {
-      ASSERT_TRUE(std::isfinite(tensor[i])) << name;
-    }
-  }
+  expect_finite_weights(*model);
 }
 
-TEST_F(TrainRecovery, FinetuneEarlyStoppingRecovers) {
+TEST_F(TrainRecovery, EarlyStoppingRecovers) {
   Rng rng(8);
   const auto data = tiny_task(rng, 12);
   auto model = tiny_model(rng);
   robust::FaultInjector::instance().configure("nan@3");
 
-  eval::EarlyStopConfig cfg;
-  cfg.max_epochs = 3;
+  eval::TrainConfig cfg;
+  cfg.epochs = 3;
   cfg.patience = 2;
-  const eval::EarlyStopResult result = eval::finetune_early_stopping(
-      *model, data.train, data.test, cfg, rng);
+  cfg.lr = 0.01f;
+  cfg.weight_decay = 0.0f;
+  const eval::TrainResult result =
+      eval::train_classifier(*model, data.train, cfg, rng, &data.test);
 
   EXPECT_EQ(result.guard.recoveries, 1);
   EXPECT_GT(result.epochs_run, 0);
   EXPECT_TRUE(std::isfinite(result.best_val_loss));
+}
+
+// The backoff reaches SAM's base SGD: the event reports half the rate.
+TEST_F(TrainRecovery, SamStepRollsBackAndBacksOff) {
+  Rng rng(12);
+  const auto data = tiny_task(rng);
+  auto model = tiny_model(rng);
+  robust::FaultInjector::instance().configure("nan@4");
+
+  eval::TrainConfig cfg;
+  cfg.epochs = 2;
+  cfg.lr = 0.02f;
+  cfg.sam_rho = 1.0f;
+  const eval::TrainResult result =
+      eval::train_classifier(*model, data.train, cfg, rng);
+
+  EXPECT_EQ(result.guard.recoveries, 1);
+  ASSERT_EQ(result.guard.events.size(), 1u);
+  EXPECT_EQ(result.guard.events[0].reason, "non-finite loss");
+  EXPECT_NEAR(result.guard.events[0].lr_after, 0.01, 1e-6);
+  EXPECT_EQ(result.epochs_run, 2);
+  expect_finite_weights(*model);
+}
+
+// A non-finite gradient at SAM's perturbed point undoes the perturbation
+// and rolls back like any other bad step.
+TEST_F(TrainRecovery, SamPerturbedPointGradientRollsBack) {
+  Rng rng(12);
+  const auto data = tiny_task(rng, 8);
+  auto model = tiny_model(rng);
+
+  int calls = 0;
+  eval::TrainConfig cfg;
+  cfg.epochs = 2;
+  cfg.sam_rho = 1.0f;
+  cfg.batch_loss = [&calls](models::Classifier& m, const data::Batch& batch) {
+    const ag::Var loss =
+        ag::cross_entropy(m.forward(ag::Var(batch.images)), batch.labels);
+    // Call 2 is the first batch's second, perturbed-point pass.
+    return ++calls == 2 ? ag::mul_scalar(loss, std::nanf("")) : loss;
+  };
+  const eval::TrainResult result =
+      eval::train_classifier(*model, data.train, cfg, rng);
+
+  EXPECT_EQ(result.guard.recoveries, 1);
+  ASSERT_EQ(result.guard.events.size(), 1u);
+  EXPECT_EQ(result.guard.events[0].reason, "non-finite gradient");
+  EXPECT_EQ(result.epochs_run, 2);
+  expect_finite_weights(*model);
+}
+
+TEST_F(TrainRecovery, FtSamFinetuneRollsBack) {
+  DefenseSetting setting;
+  robust::FaultInjector::instance().configure("nan@2");
+  defense::FtSamConfig cfg;
+  cfg.max_epochs = 2;
+  const auto result = defense::FtSamDefense(cfg).apply(*setting.model,
+                                                       setting.ctx);
+  EXPECT_EQ(result.recoveries, 1);
+  expect_finite_weights(*setting.model);
+}
+
+TEST_F(TrainRecovery, NadDistillationRollsBack) {
+  DefenseSetting setting;
+  defense::NadConfig cfg;
+  cfg.teacher_epochs = 1;
+  cfg.distill_epochs = 2;
+  // Arm the fault one batch into distillation, past the teacher's batches.
+  const auto teacher_batches =
+      (static_cast<std::int64_t>(setting.ctx.clean_train.size()) +
+       cfg.batch_size - 1) /
+      cfg.batch_size * cfg.teacher_epochs;
+  robust::FaultInjector::instance().configure(
+      "nan@" + std::to_string(teacher_batches + 2));
+  const auto result = defense::NadDefense(cfg).apply(*setting.model,
+                                                     setting.ctx);
+  EXPECT_EQ(result.recoveries, 1);
+  EXPECT_EQ(result.finetune_epochs, 2);
+  expect_finite_weights(*setting.model);
 }
 
 TEST_F(TrainRecovery, GradPruneSkipsNonFiniteRound) {
@@ -657,11 +768,7 @@ TEST_F(TrainRecovery, GradPruneSkipsNonFiniteRound) {
   // Round 1 was skipped on non-finite scores and counted as a recovery;
   // later rounds proceeded on real gradients.
   EXPECT_GE(result.recoveries, 1);
-  for (const auto& [name, tensor] : model->state_dict()) {
-    for (std::int64_t i = 0; i < tensor.numel(); ++i) {
-      ASSERT_TRUE(std::isfinite(tensor[i])) << name;
-    }
-  }
+  expect_finite_weights(*model);
 }
 
 // ---------------------------------------------------------------------------

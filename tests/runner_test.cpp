@@ -3,11 +3,13 @@
 // deliberately tiny custom scale.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdlib>
 
 #include "eval/runner.h"
 #include "robust/fault_injector.h"
 #include "robust/supervisor.h"
+#include "runtime/thread_pool.h"
 #include "util/env.h"
 
 namespace bd::eval {
@@ -87,21 +89,65 @@ TEST(Runner, MicroExperimentEndToEnd) {
   EXPECT_LE(setting.asr[0] + setting.ra[0], 100.0 + 1e-9);
 }
 
+/// FNV-1a over one trial's repaired state_dict, the bit patterns of its
+/// ACC/ASR/RA, and its pruned_units and finetune_epochs.
+std::uint64_t outcome_hash(const SanitizeOutcome& trial) {
+  std::uint64_t h = 1469598103934665603ull;
+  const auto mix = [&h](const void* p, std::size_t n) {
+    const unsigned char* b = static_cast<const unsigned char*>(p);
+    for (std::size_t i = 0; i < n; ++i) {
+      h ^= b[i];
+      h *= 1099511628211ull;
+    }
+  };
+  for (const auto& [name, tensor] : trial.model->state_dict()) {
+    mix(name.data(), name.size());
+    mix(tensor.data(), static_cast<std::size_t>(tensor.numel()) * sizeof(float));
+  }
+  for (const double m :
+       {trial.metrics.acc, trial.metrics.asr, trial.metrics.ra}) {
+    mix(&m, sizeof(m));
+  }
+  mix(&trial.info.pruned_units, sizeof(trial.info.pruned_units));
+  mix(&trial.info.finetune_epochs, sizeof(trial.info.finetune_epochs));
+  return h;
+}
+
+// Pins every defense's repaired model and metrics bit for bit, at 1 and 3
+// engine threads. CLP and ANP leave this micro model unchanged, so their
+// two pins are equal.
 TEST(Runner, EveryRegisteredDefenseRunsAtMicroScale) {
+  const std::pair<const char*, std::uint64_t> pins[] = {
+      {"ft", 0x2ad1f089ef602f9eull},
+      {"fp", 0xa2905df60758cf53ull},
+      {"nad", 0xc54fd9d20aed94aeull},
+      {"clp", 0x594343972ad1ea4cull},
+      {"ftsam", 0x5393cb572a4c0032ull},
+      {"anp", 0x594343972ad1ea4cull},
+      {"gradprune", 0xe0efa68b20587dcdull},
+  };
   const ExperimentScale scale = micro_scale();
   const BackdooredModel bd =
       prepare_backdoored_model("cifar", "vgg", "blended", scale, 43);
-  for (const char* defense :
-       {"ft", "fp", "nad", "clp", "ftsam", "anp", "gradprune"}) {
-    SanitizeRequest req;
-    req.defense = defense;
-    req.spc = 2;
-    req.seed = 11;
-    const SanitizeOutcome trial = run_sanitization(bd, req, scale);
-    EXPECT_GE(trial.metrics.acc, 0.0) << defense;
-    EXPECT_LE(trial.metrics.asr + trial.metrics.ra, 100.0 + 1e-9) << defense;
-    EXPECT_GE(trial.info.seconds, 0.0) << defense;
+  for (const int threads : {1, 3}) {
+    runtime::set_thread_count(threads);
+    for (const auto& [defense, pin] : pins) {
+      SanitizeRequest req;
+      req.defense = defense;
+      req.spc = 2;
+      req.seed = 11;
+      req.keep_model = true;
+      const SanitizeOutcome trial = run_sanitization(bd, req, scale);
+      EXPECT_GE(trial.metrics.acc, 0.0) << defense;
+      EXPECT_LE(trial.metrics.asr + trial.metrics.ra, 100.0 + 1e-9) << defense;
+      EXPECT_GE(trial.info.seconds, 0.0) << defense;
+      ASSERT_NE(trial.model, nullptr) << defense;
+      EXPECT_EQ(outcome_hash(trial), pin)
+          << defense << " at " << threads << " threads: 0x" << std::hex
+          << outcome_hash(trial);
+    }
   }
+  runtime::set_thread_count(0);
 }
 
 // ---------------------------------------------------------------------------
