@@ -9,10 +9,10 @@
 // recovers ACC lost to pruning and removes backdoor remnants in unpruned
 // (dense) layers, lifting RA.
 #include <cstdio>
+#include <utility>
 
 #include "core/grad_prune.h"
 #include "defense/defense.h"
-#include "eval/metrics.h"
 #include "eval/runner.h"
 #include "eval/trainer.h"
 #include "util/env.h"
@@ -20,51 +20,41 @@
 
 namespace {
 
-/// GradPrune with the fine-tune stage replaced by a configurable variant.
-class FinetuneVariantDefense : public bd::defense::Defense {
+/// Grad-Prune with its fine-tune stage trained on the clean samples only
+/// (classic recovery, no relabelled backdoor data).
+class CleanFinetuneDefense : public bd::defense::Defense {
  public:
-  enum class Mode { kNone, kCleanOnly, kCleanPlusBackdoor };
-
-  FinetuneVariantDefense(bd::core::GradPruneConfig config, Mode mode)
-      : config_(config), mode_(mode) {}
+  explicit CleanFinetuneDefense(bd::core::GradPruneConfig config)
+      : config_(config) {}
 
   bd::defense::DefenseResult apply(
       bd::models::Classifier& model,
       const bd::defense::DefenseContext& ctx) override {
-    config_.finetune = false;  // prune stage only
-    bd::core::GradPruneDefense pruner(config_);
-    auto result = pruner.apply(model, ctx);
+    bd::core::GradPruneConfig prune_only = config_;
+    prune_only.finetune = false;
+    auto result = bd::core::GradPruneDefense(prune_only).apply(model, ctx);
 
-    if (mode_ != Mode::kNone) {
-      auto convs = model.modules_of_type<bd::nn::Conv2d>();
-      bd::eval::TrainConfig ft;
-      ft.epochs = config_.finetune_max_epochs;
-      ft.patience = config_.finetune_patience;
-      ft.lr = config_.finetune_lr;
-      ft.weight_decay = 0.0f;
-      ft.post_step = [&convs] {
-        for (auto* conv : convs) conv->enforce_filter_masks();
-      };
-      const auto train =
-          mode_ == Mode::kCleanOnly
-              ? ctx.clean_train
-              : bd::eval::concat(ctx.clean_train, ctx.backdoor_train);
-      const auto val = mode_ == Mode::kCleanOnly
-                           ? ctx.clean_val
-                           : bd::eval::concat(ctx.clean_val, ctx.backdoor_val);
-      const auto ft_result =
-          bd::eval::train_classifier(model, train, ft, ctx.rng_ref(), &val);
-      result.finetune_epochs = ft_result.epochs_run;
+    auto convs = model.modules_of_type<bd::nn::Conv2d>();
+    bd::eval::TrainConfig ft;
+    ft.epochs = config_.finetune_max_epochs;
+    ft.patience = config_.finetune_patience;
+    ft.lr = config_.finetune_lr;
+    ft.weight_decay = 0.0f;
+    ft.post_step = [&convs] {
       for (auto* conv : convs) conv->enforce_filter_masks();
-    }
+    };
+    result.finetune_epochs =
+        bd::eval::train_classifier(model, ctx.clean_train, ft, ctx.rng_ref(),
+                                   &ctx.clean_val)
+            .epochs_run;
+    for (auto* conv : convs) conv->enforce_filter_masks();
     return result;
   }
 
-  std::string name() const override { return "gradprune-ft-ablation"; }
+  std::string name() const override { return "gradprune-ft-clean"; }
 
  private:
   bd::core::GradPruneConfig config_;
-  Mode mode_;
 };
 
 }  // namespace
@@ -78,14 +68,19 @@ int main() {
   std::printf("mode=%s trials=%d\n\n", full_mode() ? "full" : "quick",
               scale.trials);
 
-  struct Variant {
-    const char* label;
-    FinetuneVariantDefense::Mode mode;
-  };
-  const Variant variants[] = {
-      {"no-ft", FinetuneVariantDefense::Mode::kNone},
-      {"ft-clean", FinetuneVariantDefense::Mode::kCleanOnly},
-      {"ft-clean+bd (ours)", FinetuneVariantDefense::Mode::kCleanPlusBackdoor},
+  // "ours" is the registered defense; the other two vary its stage 2.
+  core::GradPruneConfig config;
+  config.max_prune_rounds = scale.prune_max_rounds;
+  config.finetune_max_epochs = scale.defense_max_epochs;
+  core::GradPruneConfig prune_only = config;
+  prune_only.finetune = false;
+  const std::pair<const char*, eval::DefenseFactory> variants[] = {
+      {"no-ft",
+       [&] { return std::make_unique<core::GradPruneDefense>(prune_only); }},
+      {"ft-clean",
+       [&] { return std::make_unique<CleanFinetuneDefense>(config); }},
+      {"ft-clean+bd (ours)",
+       [&] { return eval::make_defense("gradprune", scale); }},
   };
 
   TextTable table({"Attack", "SPC", "Variant", "ACC", "ASR", "RA"});
@@ -95,19 +90,11 @@ int main() {
         "cifar", "preactresnet", attack, scale, seeder.next_u64());
 
     for (const auto spc : scale.spc_settings) {
-      for (const auto& variant : variants) {
+      for (const auto& [label, factory] : variants) {
         const eval::SettingResult s = eval::run_setting(
-            bd_model, variant.label,
-            [&] {
-              core::GradPruneConfig cfg;
-              cfg.max_prune_rounds = scale.prune_max_rounds;
-              cfg.finetune_max_epochs = scale.defense_max_epochs;
-              return std::make_unique<FinetuneVariantDefense>(cfg,
-                                                              variant.mode);
-            },
-            spc, scale.trials, seeder.next_u64());
-        table.add_row(eval::metric_row(
-            {attack, std::to_string(spc), variant.label}, s));
+            bd_model, label, factory, spc, scale.trials, seeder.next_u64());
+        table.add_row(
+            eval::metric_row({attack, std::to_string(spc), label}, s));
       }
     }
   }

@@ -10,13 +10,49 @@
 // power depends on trigger fidelity.
 #include <cstdio>
 
-#include "core/grad_prune.h"
+#include "attack/poison.h"
 #include "defense/inversion.h"
-#include "eval/metrics.h"
 #include "eval/runner.h"
+#include "eval/trainer.h"
 #include "util/env.h"
-#include "util/stats.h"
 #include "util/table.h"
+
+namespace {
+
+/// Grad-Prune on triggers the defender inverted instead of the oracle's:
+/// inverts a trigger toward the (known) target class from the defender's
+/// clean samples, re-synthesizes the backdoor sets with it, then defends.
+class InvertedSynthesisDefense : public bd::defense::Defense {
+ public:
+  explicit InvertedSynthesisDefense(const bd::eval::ExperimentScale& scale)
+      : gradprune_(bd::eval::make_defense("gradprune", scale)) {}
+
+  bd::defense::DefenseResult apply(
+      bd::models::Classifier& model,
+      const bd::defense::DefenseContext& ctx) override {
+    bd::defense::InversionConfig config;
+    config.iterations = bd::full_mode() ? 200 : 80;
+    const bd::defense::InvertedTriggerApplier trigger(
+        bd::defense::invert_trigger(
+            model, bd::eval::concat(ctx.clean_train, ctx.clean_val),
+            /*target_class=*/0, config, ctx.rng_ref()));
+    const bd::defense::DefenseContext inverted{
+        ctx.clean_train,
+        ctx.clean_val,
+        bd::attack::synthesize_backdoor_set(ctx.clean_train, trigger),
+        bd::attack::synthesize_backdoor_set(ctx.clean_val, trigger),
+        ctx.model_spec,
+        ctx.rng};
+    return gradprune_->apply(model, inverted);
+  }
+
+  std::string name() const override { return "gradprune-inverted"; }
+
+ private:
+  std::unique_ptr<bd::defense::Defense> gradprune_;
+};
+
+}  // namespace
 
 int main() {
   using namespace bd;
@@ -43,41 +79,15 @@ int main() {
     // Oracle synthesis: the standard pipeline.
     const auto oracle =
         eval::run_setting(bd_model, "gradprune", spc, scale, seeder.next_u64());
-    table.add_row({attack, "oracle", mean_std_string(oracle.acc),
-                   mean_std_string(oracle.asr), mean_std_string(oracle.ra)});
+    table.add_row(eval::metric_row({attack, "oracle"}, oracle));
 
-    // Inverted synthesis: invert a trigger toward the (known) target class
-    // per trial, then run the same defense with it.
-    std::vector<double> acc, asr, ra;
-    Rng trial_seeder(seeder.next_u64());
-    for (int t = 0; t < scale.trials; ++t) {
-      Rng rng(trial_seeder.next_u64());
-      auto model = bd_model.instantiate(rng);
-      const auto spc_set = bd_model.clean_train_pool.sample_per_class(spc, rng);
-
-      defense::InversionConfig inv_cfg;
-      inv_cfg.iterations = full_mode() ? 200 : 80;
-      const auto trig =
-          defense::invert_trigger(*model, spc_set, /*target_class=*/0,
-                                  inv_cfg, rng);
-      const defense::InvertedTriggerApplier applier(trig);
-      const auto ctx =
-          defense::make_defense_context(spc_set, applier, bd_model.spec, rng);
-
-      core::GradPruneConfig cfg;
-      cfg.max_prune_rounds = scale.prune_max_rounds;
-      cfg.finetune_max_epochs = scale.defense_max_epochs;
-      core::GradPruneDefense defense(cfg);
-      defense.apply(*model, ctx);
-      const auto m = eval::evaluate_backdoor(*model, bd_model.clean_test,
-                                             bd_model.asr_test,
-                                             bd_model.ra_test);
-      acc.push_back(m.acc);
-      asr.push_back(m.asr);
-      ra.push_back(m.ra);
-    }
-    table.add_row({attack, "inverted", mean_std_string(acc),
-                   mean_std_string(asr), mean_std_string(ra)});
+    // Inverted synthesis: the same defense and trial protocol, with the
+    // trigger inverted per trial.
+    const auto inverted = eval::run_setting(
+        bd_model, "inverted",
+        [&] { return std::make_unique<InvertedSynthesisDefense>(scale); }, spc,
+        scale.trials, seeder.next_u64());
+    table.add_row(eval::metric_row({attack, "inverted"}, inverted));
   }
   std::printf("%s\n", table.to_string().c_str());
   return 0;

@@ -12,7 +12,8 @@
 //
 // Common flags: --seed N, --width N. The synthetic dataset is regenerated
 // deterministically from the seed, so triggered test sets are identical
-// across invocations.
+// across invocations. `defend` runs exactly the trial a served job with
+// the same flags runs, so both write the same repaired checkpoint.
 #include <algorithm>
 #include <atomic>
 #include <cerrno>
@@ -27,7 +28,6 @@
 #include <chrono>
 #include <thread>
 
-#include "core/registry.h"
 #include "eval/runner.h"
 #include "eval/table_bench.h"
 #include "nn/checkpoint.h"
@@ -116,6 +116,10 @@ int usage() {
                "  evaluate : --model model.ckpt\n"
                "  defend   : --model model.ckpt --defense ft|fp|nad|clp|"
                "ftsam|anp|gradprune --spc N --out repaired.ckpt\n"
+               "             (runs the served job's trial: the scale's "
+               "defense budgets and\n"
+               "             trial seed, so the output equals `submit "
+               "--model --out`)\n"
                "  verify   : bdctl verify <checkpoint>  (checks magic/"
                "version/CRC, prints the state dict,\n"
                "             exits non-zero on corruption)\n"
@@ -311,18 +315,25 @@ int cmd_verify(const std::string& path) {
   }
 }
 
+/// The scale the flags select: default_scale(--dataset) with --width.
+eval::ExperimentScale scale_from_flags(const Args& args) {
+  eval::ExperimentScale scale =
+      eval::default_scale(args.get("dataset", "cifar"));
+  scale.base_width = args.get_int("width", scale.base_width);
+  return scale;
+}
+
+/// --seed: the backbone's seed, from which trial seeds are salted.
+std::uint64_t seed_from_flags(const Args& args) {
+  return static_cast<std::uint64_t>(args.get_int("seed", 1234));
+}
+
 /// Rebuilds the deterministic experiment context for the given flags.
 eval::BackdooredModel build_context(const Args& args) {
-  const std::string dataset = args.get("dataset", "cifar");
-  const std::string arch = args.get("arch", "preactresnet");
-  const std::string attack = args.get("attack", "badnet");
-  const auto seed = static_cast<std::uint64_t>(args.get_int("seed", 1234));
-
-  eval::ExperimentScale scale = eval::default_scale(dataset);
-  if (args.flags.count("width")) {
-    scale.base_width = args.get_int("width", scale.base_width);
-  }
-  return eval::prepare_backdoored_model(dataset, arch, attack, scale, seed);
+  return eval::prepare_backdoored_model(
+      args.get("dataset", "cifar"), args.get("arch", "preactresnet"),
+      args.get("attack", "badnet"), scale_from_flags(args),
+      seed_from_flags(args));
 }
 
 int cmd_train(const Args& args) {
@@ -350,30 +361,27 @@ int cmd_evaluate(const Args& args) {
   return 0;
 }
 
+/// `bdctl defend`: the trial a served job with the same flags runs — the
+/// scale's defense budgets and the shared trial seed — so the repaired
+/// checkpoint equals the one `bdctl submit --model ... --out ...` writes.
 int cmd_defend(const Args& args) {
-  const std::string path = args.get("model", "model.ckpt");
   const std::string out = args.get("out", "repaired.ckpt");
-  const std::string defense_name = args.get("defense", "gradprune");
-  const std::int64_t spc = args.get_int("spc", 10);
+  const auto state = nn::load_state(args.get("model", "model.ckpt"));
+  eval::SanitizeRequest req;
+  req.defense = args.get("defense", "gradprune");
+  req.spc = args.get_int("spc", 10);
+  req.seed = seed_from_flags(args) ^ eval::kTrialSeedSalt;
+  req.state_override = &state;
+  req.keep_model = true;
 
-  auto bd_model = build_context(args);
-  Rng rng(static_cast<std::uint64_t>(args.get_int("seed", 1234)) ^
-          0xDEFE45EULL);
-  auto model = bd_model.instantiate(rng);
-  nn::load_checkpoint(*model, path);
-
-  const auto spc_set = bd_model.clean_train_pool.sample_per_class(spc, rng);
-  const auto ctx = defense::make_defense_context(spc_set, *bd_model.trigger,
-                                                 bd_model.spec, rng);
-  auto defense = core::make_defense(defense_name);
-  const auto info = defense->apply(*model, ctx);
-
-  const auto m = eval::evaluate_backdoor(*model, bd_model.clean_test,
-                                         bd_model.asr_test, bd_model.ra_test);
-  nn::save_checkpoint(*model, out);
+  const eval::SanitizeOutcome outcome = eval::run_sanitization(
+      build_context(args), req, scale_from_flags(args));
+  nn::save_checkpoint(*outcome.model, out);
+  const auto& info = outcome.info;
+  const auto& m = outcome.metrics;
   std::printf("%s (spc=%lld): pruned=%lld ft_epochs=%lld %.1fs\n",
-              core::defense_display_name(defense_name).c_str(),
-              static_cast<long long>(spc),
+              eval::defense_display_name(req.defense).c_str(),
+              static_cast<long long>(req.spc),
               static_cast<long long>(info.pruned_units),
               static_cast<long long>(info.finetune_epochs), info.seconds);
   std::printf("wrote %s  (ACC=%.2f ASR=%.2f RA=%.2f)\n", out.c_str(), m.acc,
@@ -393,12 +401,11 @@ int cmd_profile(const Args& args) {
   const std::string arch = args.get("arch", "preactresnet");
   const std::string attack = args.get("attack", "badnet");
   const std::string defense_name = args.get("defense", "gradprune");
-  const auto seed = static_cast<std::uint64_t>(args.get_int("seed", 1234));
+  const auto seed = seed_from_flags(args);
   const std::int64_t spc = args.get_int("spc", 10);
   const auto topk = static_cast<std::size_t>(args.get_int("topk", 10));
 
-  eval::ExperimentScale scale = eval::default_scale(dataset);
-  scale.base_width = args.get_int("width", scale.base_width);
+  eval::ExperimentScale scale = scale_from_flags(args);
   scale.attack_train.epochs = args.get_int("epochs", 2);
   scale.prune_max_rounds = args.get_int("rounds", 6);
   scale.defense_max_epochs = args.get_int("ft-epochs", 3);
@@ -410,7 +417,8 @@ int cmd_profile(const Args& args) {
   // the watchdog/retry machinery shows up in the stats section below.
   scale.trials = 1;
   const eval::SettingResult trial =
-      eval::run_setting(bd_model, defense_name, spc, scale, seed ^ 0xBDC71EULL);
+      eval::run_setting(bd_model, defense_name, spc, scale,
+                        seed ^ eval::kTrialSeedSalt);
   if (trial.degraded) {
     std::fprintf(stderr, "bdctl profile: trial failed: %s\n",
                  trial.failure.c_str());

@@ -11,7 +11,6 @@
 #include <cstdio>
 #include <string>
 
-#include "core/registry.h"
 #include "eval/runner.h"
 #include "util/env.h"
 #include "util/stats.h"
@@ -40,12 +39,12 @@ int main(int argc, char** argv) {
   std::snprintf(buf[2], 32, "%.2f", bd_model.baseline.ra);
   table.add_row({"Baseline", buf[0], buf[1], buf[2], "-"});
 
-  for (const auto& name : core::known_defenses()) {
+  for (const auto& name : eval::known_defenses()) {
     if (!only.empty() && name != only) continue;
     const auto setting =
         eval::run_setting(bd_model, name, spc, scale, seeder.next_u64());
     std::snprintf(buf[3], 32, "%.1f", mean_of(setting.seconds));
-    table.add_row({core::defense_display_name(name),
+    table.add_row({eval::defense_display_name(name),
                    mean_std_string(setting.acc), mean_std_string(setting.asr),
                    mean_std_string(setting.ra), "-"});
   }

@@ -3,9 +3,9 @@
 #include <stdexcept>
 
 #include "core/grad_prune.h"
-#include "core/registry.h"
 #include "data/synth.h"
 #include "defense/anp.h"
+#include "defense/clp.h"
 #include "defense/fine_pruning.h"
 #include "defense/finetune.h"
 #include "defense/ftsam.h"
@@ -149,8 +149,25 @@ BackdooredModel prepare_backdoored_model(const std::string& dataset,
 
 namespace {
 
-std::unique_ptr<defense::Defense> make_scaled_defense(
-    const std::string& name, const ExperimentScale& scale) {
+struct DefenseLabel {
+  const char* name;
+  const char* label;
+};
+
+/// The defenses make_defense builds and their table labels, in the
+/// paper's table order.
+constexpr DefenseLabel kDefenses[] = {{"ft", "FT"},
+                                      {"fp", "FP"},
+                                      {"nad", "NAD"},
+                                      {"clp", "CLP"},
+                                      {"ftsam", "FT-SAM"},
+                                      {"anp", "ANP"},
+                                      {"gradprune", "Ours"}};
+
+}  // namespace
+
+std::unique_ptr<defense::Defense> make_defense(const std::string& name,
+                                               const ExperimentScale& scale) {
   if (name == "ft") {
     defense::FinetuneConfig c;
     c.max_epochs = scale.defense_max_epochs;
@@ -167,6 +184,7 @@ std::unique_ptr<defense::Defense> make_scaled_defense(
     c.distill_epochs = scale.nad_distill_epochs;
     return std::make_unique<defense::NadDefense>(c);
   }
+  if (name == "clp") return std::make_unique<defense::ClpDefense>();
   if (name == "ftsam") {
     defense::FtSamConfig c;
     c.max_epochs = scale.defense_max_epochs;
@@ -183,9 +201,23 @@ std::unique_ptr<defense::Defense> make_scaled_defense(
     c.finetune_max_epochs = scale.defense_max_epochs;
     return std::make_unique<core::GradPruneDefense>(c);
   }
-  // clp and anything else: library defaults.
-  return core::make_defense(name);
+  throw std::invalid_argument("make_defense: unknown defense '" + name + "'");
 }
+
+std::vector<std::string> known_defenses() {
+  std::vector<std::string> names;
+  for (const DefenseLabel& d : kDefenses) names.emplace_back(d.name);
+  return names;
+}
+
+std::string defense_display_name(const std::string& name) {
+  for (const DefenseLabel& d : kDefenses) {
+    if (name == d.name) return d.label;
+  }
+  return name;
+}
+
+namespace {
 
 /// The one trial: instantiate the backdoored model (optionally with
 /// replaced weights), sample the defender's SPC set, build its context,
@@ -221,12 +253,12 @@ SanitizeOutcome run_trial(const BackdooredModel& bd,
 SanitizeOutcome run_sanitization(const BackdooredModel& bd,
                                  const SanitizeRequest& req,
                                  const ExperimentScale& scale) {
-  const auto defense = make_scaled_defense(req.defense, scale);
+  const auto defense = make_defense(req.defense, scale);
   return run_trial(bd, req, *defense);
 }
 
 SettingResult run_setting(const BackdooredModel& bd, const std::string& label,
-                          const DefenseFactory& make_defense, std::int64_t spc,
+                          const DefenseFactory& factory, std::int64_t spc,
                           int trials, std::uint64_t seed) {
   SettingResult out;
   out.attack = bd.attack;
@@ -252,7 +284,7 @@ SettingResult run_setting(const BackdooredModel& bd, const std::string& label,
     req.seed = trial_seeds[static_cast<std::size_t>(t)];
     SanitizeOutcome trial;
     const robust::RunReport report = supervisor.run(supervise_key, [&] {
-      const auto defense = make_defense();
+      const auto defense = factory();
       trial = run_trial(bd, req, *defense);
     });
     out.attempts += report.attempts;
@@ -288,7 +320,7 @@ SettingResult run_setting(const BackdooredModel& bd,
                           const ExperimentScale& scale, std::uint64_t seed) {
   return run_setting(
       bd, defense_name,
-      [&] { return make_scaled_defense(defense_name, scale); }, spc,
+      [&] { return make_defense(defense_name, scale); }, spc,
       scale.trials, seed);
 }
 

@@ -100,6 +100,24 @@ SanitizeOutcome run_sanitization(const BackdooredModel& bd,
                                  const SanitizeRequest& req,
                                  const ExperimentScale& scale);
 
+/// XORed into a job's seed to give its trial seed. The serve daemon and
+/// `bdctl defend` share it, so one job runs the same trial in both;
+/// `bdctl profile` salts its setting seed with it too.
+inline constexpr std::uint64_t kTrialSeedSalt = 0xBDC71E;
+
+/// The defense `name` at `scale`'s defense budgets (CLP keeps its library
+/// defaults). Throws std::invalid_argument for a name known_defenses()
+/// does not list.
+std::unique_ptr<defense::Defense> make_defense(const std::string& name,
+                                               const ExperimentScale& scale);
+
+/// Every name make_defense accepts, in the paper's table order.
+std::vector<std::string> known_defenses();
+
+/// Table label of a defense ("FT", "FP", ..., "Ours"); an unknown name is
+/// its own label.
+std::string defense_display_name(const std::string& name);
+
 /// Per-setting aggregate over trials.
 struct SettingResult {
   std::string attack;
@@ -121,17 +139,16 @@ struct SettingResult {
 /// Builds the defense one trial applies (a fresh instance per attempt).
 using DefenseFactory = std::function<std::unique_ptr<defense::Defense>()>;
 
-/// Runs `trials` trials at one SPC setting of the defense `make_defense`
+/// Runs `trials` trials at one SPC setting of the defense `factory`
 /// builds, reported under `label` (ablation variants use non-default
 /// configurations). Every trial runs under Supervisor::instance() with a
 /// seed pre-drawn from `seed`, so a retried trial re-derives identical
 /// randomness and never shifts the seeds of later trials.
 SettingResult run_setting(const BackdooredModel& bd, const std::string& label,
-                          const DefenseFactory& make_defense, std::int64_t spc,
+                          const DefenseFactory& factory, std::int64_t spc,
                           int trials, std::uint64_t seed);
 
-/// `scale.trials` trials of the registered defense `defense_name` at
-/// `scale`'s defense budgets.
+/// `scale.trials` trials of make_defense(defense_name, scale).
 SettingResult run_setting(const BackdooredModel& bd,
                           const std::string& defense_name, std::int64_t spc,
                           const ExperimentScale& scale, std::uint64_t seed);

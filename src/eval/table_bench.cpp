@@ -4,7 +4,6 @@
 #include <cstdlib>
 #include <stdexcept>
 
-#include "core/registry.h"
 #include "obs/obs.h"
 #include "robust/fault_injector.h"
 #include "robust/journal.h"
@@ -351,9 +350,9 @@ void render_table(const TableSpec& spec, const ExperimentScale& scale,
           BackdoorMetrics{mean_of(r.acc), mean_of(r.asr), mean_of(r.ra)});
       table.add_row(metric_row({r.attack, "-", "Baseline"}, r));
     } else {
-      table.add_row(metric_row({r.attack, std::to_string(r.spc),
-                                core::defense_display_name(r.defense)},
-                               r));
+      table.add_row(metric_row(
+          {r.attack, std::to_string(r.spc), defense_display_name(r.defense)},
+          r));
       run.settings.push_back(r);
     }
   }

@@ -2,16 +2,15 @@
 
 namespace bd::models {
 
-EfficientNetLite::EfficientNetLite(const EfficientNetConfig& config, Rng& rng)
-    : config_(config),
-      stem_(config.in_channels, config.base_width, 3, 1, 1, /*bias=*/false,
-            rng),
-      stem_bn_(config.base_width),
-      head_conv_(config.base_width * 4, config.base_width * 4, 1, 1, 0,
+EfficientNetLite::EfficientNetLite(const ModelSpec& spec, Rng& rng)
+    : num_classes_(spec.num_classes),
+      stem_(spec.in_channels, spec.base_width, 3, 1, 1, /*bias=*/false, rng),
+      stem_bn_(spec.base_width),
+      head_conv_(spec.base_width * 4, spec.base_width * 4, 1, 1, 0,
                  /*bias=*/false, rng),
-      head_bn_(config.base_width * 4),
-      head_(config.base_width * 4, config.num_classes, rng) {
-  const std::int64_t w = config.base_width;
+      head_bn_(spec.base_width * 4),
+      head_(spec.base_width * 4, spec.num_classes, rng) {
+  const std::int64_t w = spec.base_width;
   register_module("stem", stem_);
   register_module("stem_bn", stem_bn_);
 

@@ -5,26 +5,21 @@
 #pragma once
 
 #include "models/classifier.h"
+#include "models/factory.h"
 #include "models/mbconv.h"
 
 namespace bd::models {
 
-struct EfficientNetConfig {
-  std::int64_t num_classes = 43;
-  std::int64_t in_channels = 3;
-  std::int64_t base_width = 16;
-};
-
 class EfficientNetLite : public Classifier {
  public:
-  EfficientNetLite(const EfficientNetConfig& config, Rng& rng);
+  EfficientNetLite(const ModelSpec& spec, Rng& rng);
 
   StagedOutput forward_with_features(const ag::Var& x) override;
   const char* type_name() const override { return "EfficientNetLite"; }
-  std::int64_t num_classes() const override { return config_.num_classes; }
+  std::int64_t num_classes() const override { return num_classes_; }
 
  private:
-  EfficientNetConfig config_;
+  std::int64_t num_classes_;
   nn::Conv2d stem_;
   nn::BatchNorm2d stem_bn_;
   nn::Sequential stage1_, stage2_, stage3_;

@@ -11,32 +11,14 @@ namespace bd::models {
 
 std::unique_ptr<Classifier> make_model(const ModelSpec& spec, Rng& rng) {
   if (spec.arch == "preactresnet") {
-    PreActResNetConfig c;
-    c.num_classes = spec.num_classes;
-    c.in_channels = spec.in_channels;
-    c.base_width = spec.base_width;
-    return std::make_unique<PreActResNet>(c, rng);
+    return std::make_unique<PreActResNet>(spec, rng);
   }
-  if (spec.arch == "vgg") {
-    VggBnConfig c;
-    c.num_classes = spec.num_classes;
-    c.in_channels = spec.in_channels;
-    c.base_width = spec.base_width;
-    return std::make_unique<VggBn>(c, rng);
-  }
+  if (spec.arch == "vgg") return std::make_unique<VggBn>(spec, rng);
   if (spec.arch == "efficientnet") {
-    EfficientNetConfig c;
-    c.num_classes = spec.num_classes;
-    c.in_channels = spec.in_channels;
-    c.base_width = spec.base_width;
-    return std::make_unique<EfficientNetLite>(c, rng);
+    return std::make_unique<EfficientNetLite>(spec, rng);
   }
   if (spec.arch == "mobilenet") {
-    MobileNetV3Config c;
-    c.num_classes = spec.num_classes;
-    c.in_channels = spec.in_channels;
-    c.base_width = spec.base_width;
-    return std::make_unique<MobileNetV3Small>(c, rng);
+    return std::make_unique<MobileNetV3Small>(spec, rng);
   }
   throw std::invalid_argument("make_model: unknown architecture '" +
                               spec.arch + "'");

@@ -2,13 +2,12 @@
 
 namespace bd::models {
 
-MobileNetV3Small::MobileNetV3Small(const MobileNetV3Config& config, Rng& rng)
-    : config_(config),
-      stem_(config.in_channels, config.base_width, 3, 1, 1, /*bias=*/false,
-            rng),
-      stem_bn_(config.base_width),
-      head_(config.base_width * 3, config.num_classes, rng) {
-  const std::int64_t w = config.base_width;
+MobileNetV3Small::MobileNetV3Small(const ModelSpec& spec, Rng& rng)
+    : num_classes_(spec.num_classes),
+      stem_(spec.in_channels, spec.base_width, 3, 1, 1, /*bias=*/false, rng),
+      stem_bn_(spec.base_width),
+      head_(spec.base_width * 3, spec.num_classes, rng) {
+  const std::int64_t w = spec.base_width;
   register_module("stem", stem_);
   register_module("stem_bn", stem_bn_);
 

@@ -5,26 +5,21 @@
 #pragma once
 
 #include "models/classifier.h"
+#include "models/factory.h"
 #include "models/mbconv.h"
 
 namespace bd::models {
 
-struct MobileNetV3Config {
-  std::int64_t num_classes = 43;
-  std::int64_t in_channels = 3;
-  std::int64_t base_width = 16;
-};
-
 class MobileNetV3Small : public Classifier {
  public:
-  MobileNetV3Small(const MobileNetV3Config& config, Rng& rng);
+  MobileNetV3Small(const ModelSpec& spec, Rng& rng);
 
   StagedOutput forward_with_features(const ag::Var& x) override;
   const char* type_name() const override { return "MobileNetV3Small"; }
-  std::int64_t num_classes() const override { return config_.num_classes; }
+  std::int64_t num_classes() const override { return num_classes_; }
 
  private:
-  MobileNetV3Config config_;
+  std::int64_t num_classes_;
   nn::Conv2d stem_;
   nn::BatchNorm2d stem_bn_;
   nn::Sequential stage1_, stage2_, stage3_;

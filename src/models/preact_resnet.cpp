@@ -30,21 +30,18 @@ ag::Var PreActBlock::forward(const ag::Var& x) {
   return ag::add(out, identity);
 }
 
-PreActResNet::PreActResNet(const PreActResNetConfig& config, Rng& rng)
-    : config_(config),
-      stem_(config.in_channels, config.base_width, 3, 1, 1, /*bias=*/false,
-            rng),
-      head_bn_(config.base_width * 4),
-      head_(config.base_width * 4, config.num_classes, rng) {
+PreActResNet::PreActResNet(const ModelSpec& spec, Rng& rng)
+    : num_classes_(spec.num_classes),
+      stem_(spec.in_channels, spec.base_width, 3, 1, 1, /*bias=*/false, rng),
+      head_bn_(spec.base_width * 4),
+      head_(spec.base_width * 4, spec.num_classes, rng) {
   register_module("stem", stem_);
 
-  const std::int64_t w = config.base_width;
+  const std::int64_t w = spec.base_width;
   auto build_stage = [&](nn::Sequential& stage, std::int64_t in_ch,
                          std::int64_t out_ch, std::int64_t first_stride) {
     stage.emplace<PreActBlock>(in_ch, out_ch, first_stride, rng);
-    for (std::int64_t b = 1; b < config.blocks_per_stage; ++b) {
-      stage.emplace<PreActBlock>(out_ch, out_ch, 1, rng);
-    }
+    stage.emplace<PreActBlock>(out_ch, out_ch, 1, rng);
   };
   build_stage(stage1_, w, w, 1);
   build_stage(stage2_, w, 2 * w, 2);

@@ -1,24 +1,18 @@
 // Pre-activation ResNet (He et al. 2016 style), the CIFAR-scale stand-in
 // for the paper's PreactResNet-18 (see DESIGN.md substitutions).
 //
-// Topology: stem conv -> 3 stages of pre-activation residual blocks with
-// widths {w, 2w, 4w} (stride 2 entering stages 2 and 3) -> BN -> ReLU ->
-// global average pool -> linear head.
+// Topology: stem conv -> 3 stages of two pre-activation residual blocks
+// with widths {w, 2w, 4w} (stride 2 entering stages 2 and 3) -> BN ->
+// ReLU -> global average pool -> linear head.
 #pragma once
 
 #include <memory>
 
 #include "models/classifier.h"
+#include "models/factory.h"
 #include "nn/layers.h"
 
 namespace bd::models {
-
-struct PreActResNetConfig {
-  std::int64_t num_classes = 10;
-  std::int64_t in_channels = 3;
-  std::int64_t base_width = 16;
-  std::int64_t blocks_per_stage = 2;
-};
 
 class PreActBlock : public nn::Module {
  public:
@@ -38,14 +32,14 @@ class PreActBlock : public nn::Module {
 
 class PreActResNet : public Classifier {
  public:
-  PreActResNet(const PreActResNetConfig& config, Rng& rng);
+  PreActResNet(const ModelSpec& spec, Rng& rng);
 
   StagedOutput forward_with_features(const ag::Var& x) override;
   const char* type_name() const override { return "PreActResNet"; }
-  std::int64_t num_classes() const override { return config_.num_classes; }
+  std::int64_t num_classes() const override { return num_classes_; }
 
  private:
-  PreActResNetConfig config_;
+  std::int64_t num_classes_;
   nn::Conv2d stem_;
   nn::Sequential stage1_, stage2_, stage3_;
   nn::BatchNorm2d head_bn_;

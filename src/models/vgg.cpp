@@ -3,10 +3,12 @@
 namespace bd::models {
 
 namespace {
+constexpr std::int64_t kConvsPerStage = 2;
+
 void add_stage(nn::Sequential& stage, std::int64_t in_ch, std::int64_t out_ch,
-               std::int64_t convs, Rng& rng) {
+               Rng& rng) {
   std::int64_t ch = in_ch;
-  for (std::int64_t i = 0; i < convs; ++i) {
+  for (std::int64_t i = 0; i < kConvsPerStage; ++i) {
     stage.emplace<nn::Conv2d>(ch, out_ch, 3, 1, 1, /*bias=*/false, rng);
     stage.emplace<nn::BatchNorm2d>(out_ch);
     stage.emplace<nn::ReLU>();
@@ -16,13 +18,13 @@ void add_stage(nn::Sequential& stage, std::int64_t in_ch, std::int64_t out_ch,
 }
 }  // namespace
 
-VggBn::VggBn(const VggBnConfig& config, Rng& rng)
-    : config_(config),
-      head_(config.base_width * 4, config.num_classes, rng) {
-  const std::int64_t w = config.base_width;
-  add_stage(stage1_, config.in_channels, w, config.convs_per_stage, rng);
-  add_stage(stage2_, w, 2 * w, config.convs_per_stage, rng);
-  add_stage(stage3_, 2 * w, 4 * w, config.convs_per_stage, rng);
+VggBn::VggBn(const ModelSpec& spec, Rng& rng)
+    : num_classes_(spec.num_classes),
+      head_(spec.base_width * 4, spec.num_classes, rng) {
+  const std::int64_t w = spec.base_width;
+  add_stage(stage1_, spec.in_channels, w, rng);
+  add_stage(stage2_, w, 2 * w, rng);
+  add_stage(stage3_, 2 * w, 4 * w, rng);
   register_module("stage1", stage1_);
   register_module("stage2", stage2_);
   register_module("stage3", stage3_);

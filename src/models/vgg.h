@@ -1,32 +1,26 @@
 // VGG-style plain convolutional network with batch normalization, the
 // stand-in for the paper's VGG-19+BN (see DESIGN.md substitutions).
 //
-// Conv(3x3)+BN+ReLU stacks separated by max-pooling; widths {w, 2w, 4w}.
+// Two Conv(3x3)+BN+ReLU per stage (6 conv layers), stages separated by
+// max-pooling; widths {w, 2w, 4w}.
 #pragma once
 
 #include "models/classifier.h"
+#include "models/factory.h"
 #include "nn/layers.h"
 
 namespace bd::models {
 
-struct VggBnConfig {
-  std::int64_t num_classes = 10;
-  std::int64_t in_channels = 3;
-  std::int64_t base_width = 16;
-  /// Convs per stage (2 -> 6 conv layers over 3 stages).
-  std::int64_t convs_per_stage = 2;
-};
-
 class VggBn : public Classifier {
  public:
-  VggBn(const VggBnConfig& config, Rng& rng);
+  VggBn(const ModelSpec& spec, Rng& rng);
 
   StagedOutput forward_with_features(const ag::Var& x) override;
   const char* type_name() const override { return "VggBn"; }
-  std::int64_t num_classes() const override { return config_.num_classes; }
+  std::int64_t num_classes() const override { return num_classes_; }
 
  private:
-  VggBnConfig config_;
+  std::int64_t num_classes_;
   nn::Sequential stage1_, stage2_, stage3_;
   nn::Linear head_;
 };

@@ -4,7 +4,7 @@
 #include <cstdio>
 #include <optional>
 
-#include "core/registry.h"
+#include "models/factory.h"
 
 namespace bd::serve {
 
@@ -34,6 +34,22 @@ std::int64_t bounded_int(const Json& job, const char* name,
                      std::to_string(hi) + "]");
   }
   return *value;
+}
+
+/// Throws BadRequest("job.<member> must be a|b|...") unless `value` is one
+/// of `allowed`.
+void require_known(const std::string& value,
+                   const std::vector<std::string>& allowed,
+                   const char* member) {
+  if (std::find(allowed.begin(), allowed.end(), value) != allowed.end()) {
+    return;
+  }
+  std::string message = std::string("job.") + member + " must be ";
+  for (std::size_t i = 0; i < allowed.size(); ++i) {
+    if (i > 0) message += '|';
+    message += allowed[i];
+  }
+  throw BadRequest(message);
 }
 
 std::string optional_string(const Json& job, const char* name) {
@@ -71,25 +87,13 @@ JobSpec parse_job_spec(const Json& job, const std::string& tenant) {
     throw BadRequest("job.dataset must be cifar|gtsrb");
   }
   spec.arch = job.get_string("arch", spec.arch);
-  if (!one_of(spec.arch,
-              {"preactresnet", "vgg", "efficientnet", "mobilenet"})) {
-    throw BadRequest(
-        "job.arch must be preactresnet|vgg|efficientnet|mobilenet");
-  }
+  require_known(spec.arch, models::known_architectures(), "arch");
   spec.attack = job.get_string("attack", spec.attack);
   if (!one_of(spec.attack, {"badnet", "blended", "lf", "bpp", "dynamic"})) {
     throw BadRequest("job.attack must be badnet|blended|lf|bpp|dynamic");
   }
   spec.defense = job.get_string("defense", spec.defense);
-  const auto known = core::known_defenses();
-  if (std::find(known.begin(), known.end(), spec.defense) == known.end()) {
-    std::string allowed;
-    for (const auto& name : known) {
-      if (!allowed.empty()) allowed += '|';
-      allowed += name;
-    }
-    throw BadRequest("job.defense must be " + allowed);
-  }
+  require_known(spec.defense, eval::known_defenses(), "defense");
 
   spec.spc = bounded_int(job, "spc", spec.spc, 1, 1000);
   spec.seed = static_cast<std::uint64_t>(

@@ -324,9 +324,9 @@ void SanitizeService::process_job(const std::string& id) {
     eval::SanitizeRequest req;
     req.defense = spec.defense;
     req.spc = spec.spc;
-    // Trial-seed convention shared with the bdctl profile path: jobs with
-    // identical specs produce bit-identical reports.
-    req.seed = spec.seed ^ 0xBDC71EULL;
+    // The trial seed `bdctl defend` derives too: jobs with identical specs
+    // produce bit-identical reports and checkpoints, served or not.
+    req.seed = spec.seed ^ eval::kTrialSeedSalt;
     req.keep_model = !spec.out_path.empty();
     if (!spec.model_path.empty()) {
       override_state = nn::load_state(spec.model_path);

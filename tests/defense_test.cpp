@@ -1,10 +1,10 @@
 // Baseline-defense tests: context construction, each defense's mechanics
 // (pruning bookkeeping, mask lifecycle, data-free behaviour), and the
-// defense registry.
+// name -> defense factory.
 #include <gtest/gtest.h>
 
 #include "attack/trigger.h"
-#include "core/registry.h"
+#include "core/grad_prune.h"
 #include "data/synth.h"
 #include "defense/anp.h"
 #include "defense/clp.h"
@@ -13,6 +13,7 @@
 #include "defense/ftsam.h"
 #include "defense/nad.h"
 #include "eval/metrics.h"
+#include "eval/runner.h"
 #include "models/factory.h"
 #include "tensor/ops.h"
 
@@ -197,16 +198,26 @@ TEST(FtSam, RunsFixedBudget) {
 }
 
 TEST(Registry, CoversAllDefensesWithDisplayNames) {
-  const auto names = core::known_defenses();
+  eval::ExperimentScale scale;
+  scale.prune_max_rounds = 7;
+  scale.defense_max_epochs = 3;
+  const auto names = eval::known_defenses();
   EXPECT_EQ(names.size(), 7u);
   for (const auto& name : names) {
-    auto defense = core::make_defense(name);
+    auto defense = eval::make_defense(name, scale);
     ASSERT_NE(defense, nullptr);
     EXPECT_EQ(defense->name(), name);
-    EXPECT_FALSE(core::defense_display_name(name).empty());
+    EXPECT_FALSE(eval::defense_display_name(name).empty());
   }
-  EXPECT_EQ(core::defense_display_name("gradprune"), "Ours");
-  EXPECT_THROW(core::make_defense("nope"), std::invalid_argument);
+  EXPECT_EQ(eval::defense_display_name("gradprune"), "Ours");
+  EXPECT_THROW(eval::make_defense("nope", scale), std::invalid_argument);
+
+  // The factory builds at the run's budgets, not the library defaults.
+  const auto ours = eval::make_defense("gradprune", scale);
+  const auto& config =
+      dynamic_cast<const core::GradPruneDefense&>(*ours).config();
+  EXPECT_EQ(config.max_prune_rounds, scale.prune_max_rounds);
+  EXPECT_EQ(config.finetune_max_epochs, scale.defense_max_epochs);
 }
 
 }  // namespace

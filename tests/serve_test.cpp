@@ -9,10 +9,12 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "eval/runner.h"
 #include "eval/table_bench.h"
 #include "nn/checkpoint.h"
 #include "models/factory.h"
@@ -729,6 +731,68 @@ TEST_F(ServiceTest, ShapeMismatchedCheckpointFailsJobWithRetries) {
   EXPECT_EQ(record.state, JobState::kDone);
   service.stop();
   std::remove(path.c_str());
+}
+
+TEST_F(ServiceTest, CheckpointJobWritesTheSharedTrialsModel) {
+  // Checkpoint in, checkpoint out: the served job writes exactly the model
+  // run_sanitization repairs from that checkpoint with the shared trial
+  // seed — the trial `bdctl defend` runs for the same flags.
+  const std::string in_path = "/tmp/serve_test_ckpt_in.ckpt";
+  const std::string out_path = "/tmp/serve_test_ckpt_out.ckpt";
+  std::remove(out_path.c_str());
+  JobSpec spec = micro_spec(11);
+  const eval::ExperimentScale scale = serve::job_scale(spec);
+  const eval::BackdooredModel bd = eval::prepare_backdoored_model(
+      spec.dataset, spec.arch, spec.attack, scale, spec.seed);
+  {
+    // Weights other than the backbone's own, so the override shows.
+    Rng rng(3);
+    nn::save_checkpoint(*models::make_model(bd.spec, rng), in_path);
+  }
+  spec.model_path = in_path;
+  spec.out_path = out_path;
+
+  robust::Supervisor supervisor;
+  ServiceConfig config;
+  config.workers = 1;
+  config.supervisor = &supervisor;
+  SanitizeService service(config);
+  service.start();
+  const serve::SubmitResult submitted = service.submit(spec);
+  ASSERT_EQ(submitted.admission, Admission::kAdmitted);
+  service.drain();
+  JobRecord record;
+  ASSERT_TRUE(service.status(submitted.id, record));
+  service.stop();
+  ASSERT_EQ(record.state, JobState::kDone) << record.error;
+
+  const auto override_state = nn::load_state(in_path);
+  eval::SanitizeRequest req;
+  req.defense = spec.defense;
+  req.spc = spec.spc;
+  req.seed = spec.seed ^ eval::kTrialSeedSalt;
+  req.state_override = &override_state;
+  req.keep_model = true;
+  const eval::SanitizeOutcome expected = eval::run_sanitization(bd, req, scale);
+  EXPECT_EQ(record.metrics.acc, expected.metrics.acc);
+  EXPECT_EQ(record.metrics.asr, expected.metrics.asr);
+  EXPECT_EQ(record.metrics.ra, expected.metrics.ra);
+
+  const auto want = expected.model->state_dict();
+  const auto got = nn::load_state(out_path);
+  ASSERT_EQ(got.size(), want.size());
+  for (const auto& [name, tensor] : want) {
+    const auto it = got.find(name);
+    ASSERT_NE(it, got.end()) << name;
+    ASSERT_EQ(it->second.shape(), tensor.shape()) << name;
+    EXPECT_EQ(std::memcmp(it->second.data(), tensor.data(),
+                          static_cast<std::size_t>(tensor.numel()) *
+                              sizeof(float)),
+              0)
+        << name;
+  }
+  std::remove(in_path.c_str());
+  std::remove(out_path.c_str());
 }
 
 TEST_F(ServiceTest, CancelRunningJobViaExternalToken) {
