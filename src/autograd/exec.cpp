@@ -16,6 +16,17 @@ const Tensor& in_value(const Node& n, std::size_t i) {
   return n.inputs[i]->value;
 }
 
+// Backward of a unary op in one pass: grad * d(t) elementwise, where `t` is
+// the op's input or output value. Each element computes exactly
+// `g * d(t)`, the product the separate derivative tensor and `mul` gave.
+// Masks convert a bool rather than use `?:`, which keeps GCC from folding
+// `g * 1` into `g` behind a branch, so most of these loops vectorize.
+template <typename D>
+Tensor fused_grad(const Node& n, const Tensor& t, D d) {
+  return bd::zip(n.grad, t, [d](float g, float x) { return g * d(x); },
+                 op_kind_name(n.kind));
+}
+
 }  // namespace
 
 void execute_forward(Node& n) {
@@ -171,60 +182,57 @@ void execute_backward(const Node& n, const GradSink& sink) {
       sink(n.inputs[0], bd::div(n.grad, in_value(n, 0)));
       return;
     case OpKind::kSqrt:
-      sink(n.inputs[0], bd::div(n.grad, bd::mul_scalar(n.value, 2.0f)));
+      sink(n.inputs[0],
+           bd::zip(n.grad, n.value,
+                   [](float g, float v) { return g / (v * 2.0f); },
+                   op_kind_name(n.kind)));
       return;
     case OpKind::kAbs:
-      sink(n.inputs[0], bd::mul(n.grad, bd::sign(in_value(n, 0))));
+      sink(n.inputs[0], fused_grad(n, in_value(n, 0), [](float x) {
+             return static_cast<float>(x > 0) - static_cast<float>(x < 0);
+           }));
       return;
-    case OpKind::kPowScalar:
-      sink(n.inputs[0],
-           bd::mul(n.grad,
-                   bd::mul_scalar(bd::pow_scalar(in_value(n, 0),
-                                                 n.scalar - 1.0f),
-                                  n.scalar)));
+    case OpKind::kPowScalar: {
+      const float p = n.scalar, pm1 = n.scalar - 1.0f;
+      sink(n.inputs[0], fused_grad(n, in_value(n, 0), [p, pm1](float x) {
+             return std::pow(x, pm1) * p;
+           }));
       return;
+    }
     case OpKind::kClamp: {
       const float lo = n.lo, hi = n.hi;
-      const Tensor mask = bd::unary(in_value(n, 0), [lo, hi](float x) {
-        return (x > lo && x < hi) ? 1.0f : 0.0f;
-      });
-      sink(n.inputs[0], bd::mul(n.grad, mask));
+      sink(n.inputs[0], fused_grad(n, in_value(n, 0), [lo, hi](float x) {
+             return static_cast<float>((x > lo) & (x < hi));
+           }));
       return;
     }
-    case OpKind::kRelu: {
-      const Tensor mask = bd::unary(
-          in_value(n, 0), [](float x) { return x > 0 ? 1.0f : 0.0f; });
-      sink(n.inputs[0], bd::mul(n.grad, mask));
+    case OpKind::kRelu:
+      sink(n.inputs[0], fused_grad(n, in_value(n, 0), [](float x) {
+             return static_cast<float>(x > 0);
+           }));
       return;
-    }
-    case OpKind::kSigmoid: {
-      const Tensor d =
-          bd::unary(n.value, [](float s) { return s * (1.0f - s); });
-      sink(n.inputs[0], bd::mul(n.grad, d));
+    case OpKind::kSigmoid:
+      sink(n.inputs[0], fused_grad(n, n.value, [](float s) {
+             return s * (1.0f - s);
+           }));
       return;
-    }
-    case OpKind::kTanh: {
-      const Tensor d =
-          bd::unary(n.value, [](float t) { return 1.0f - t * t; });
-      sink(n.inputs[0], bd::mul(n.grad, d));
+    case OpKind::kTanh:
+      sink(n.inputs[0], fused_grad(n, n.value, [](float t) {
+             return 1.0f - t * t;
+           }));
       return;
-    }
-    case OpKind::kHardsigmoid: {
-      const Tensor d = bd::unary(in_value(n, 0), [](float x) {
-        return (x > -3.0f && x < 3.0f) ? (1.0f / 6.0f) : 0.0f;
-      });
-      sink(n.inputs[0], bd::mul(n.grad, d));
+    case OpKind::kHardsigmoid:
+      sink(n.inputs[0], fused_grad(n, in_value(n, 0), [](float x) {
+             return ((x > -3.0f) & (x < 3.0f)) ? (1.0f / 6.0f) : 0.0f;
+           }));
       return;
-    }
-    case OpKind::kHardswish: {
-      const Tensor d = bd::unary(in_value(n, 0), [](float x) {
-        if (x <= -3.0f) return 0.0f;
-        if (x >= 3.0f) return 1.0f;
-        return (2.0f * x + 3.0f) / 6.0f;
-      });
-      sink(n.inputs[0], bd::mul(n.grad, d));
+    case OpKind::kHardswish:
+      sink(n.inputs[0], fused_grad(n, in_value(n, 0), [](float x) {
+             if (x <= -3.0f) return 0.0f;
+             if (x >= 3.0f) return 1.0f;
+             return (2.0f * x + 3.0f) / 6.0f;
+           }));
       return;
-    }
     case OpKind::kReshape:
       sink(n.inputs[0], n.grad.reshape(n.inputs[0]->shape));
       return;

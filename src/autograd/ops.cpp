@@ -4,6 +4,7 @@
 #include <string>
 
 #include "autograd/shape_infer.h"
+#include "tensor/ops.h"
 
 namespace bd::ag {
 
@@ -35,22 +36,22 @@ Var make_op(OpKind kind, Shape shape, std::initializer_list<const Var*> ins) {
 }  // namespace
 
 Var add(const Var& a, const Var& b) {
-  return make_op(OpKind::kAdd, broadcast_result(a.shape(), b.shape(), "add"),
+  return make_op(OpKind::kAdd, broadcast_shape(a.shape(), b.shape(), "add"),
                  {&a, &b});
 }
 
 Var sub(const Var& a, const Var& b) {
-  return make_op(OpKind::kSub, broadcast_result(a.shape(), b.shape(), "sub"),
+  return make_op(OpKind::kSub, broadcast_shape(a.shape(), b.shape(), "sub"),
                  {&a, &b});
 }
 
 Var mul(const Var& a, const Var& b) {
-  return make_op(OpKind::kMul, broadcast_result(a.shape(), b.shape(), "mul"),
+  return make_op(OpKind::kMul, broadcast_shape(a.shape(), b.shape(), "mul"),
                  {&a, &b});
 }
 
 Var div(const Var& a, const Var& b) {
-  return make_op(OpKind::kDiv, broadcast_result(a.shape(), b.shape(), "div"),
+  return make_op(OpKind::kDiv, broadcast_shape(a.shape(), b.shape(), "div"),
                  {&a, &b});
 }
 

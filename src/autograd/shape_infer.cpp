@@ -5,61 +5,6 @@
 
 namespace bd::ag {
 
-std::vector<std::int64_t> contiguous_strides(const Shape& shape) {
-  std::vector<std::int64_t> strides(shape.size(), 1);
-  for (std::size_t d = shape.size(); d-- > 1;) {
-    strides[d - 1] = strides[d] * shape[d];
-  }
-  return strides;
-}
-
-Shape broadcast_result(const Shape& a, const Shape& b, const char* op) {
-  const std::size_t rank = std::max(a.size(), b.size());
-  Shape out(rank, 1);
-  for (std::size_t d = 0; d < rank; ++d) {
-    // Right-aligned: dimension d of the result pairs the trailing dims.
-    const std::int64_t da =
-        d < a.size() ? a[a.size() - 1 - d] : 1;
-    const std::int64_t db =
-        d < b.size() ? b[b.size() - 1 - d] : 1;
-    if (da != db && da != 1 && db != 1) {
-      throw std::invalid_argument(std::string(op) +
-                                  ": incompatible shapes for broadcasting " +
-                                  shape_string(a) + " and " +
-                                  shape_string(b));
-    }
-    out[rank - 1 - d] = std::max(da, db);
-  }
-  return out;
-}
-
-std::vector<std::int64_t> broadcast_strides(const Shape& from,
-                                            const Shape& to) {
-  if (from.size() > to.size()) {
-    throw std::invalid_argument("broadcast_strides: rank " +
-                                std::to_string(from.size()) +
-                                " does not broadcast to rank " +
-                                std::to_string(to.size()));
-  }
-  const std::vector<std::int64_t> from_strides = contiguous_strides(from);
-  std::vector<std::int64_t> out(to.size(), 0);
-  for (std::size_t d = 0; d < to.size(); ++d) {
-    const std::size_t rd = to.size() - 1 - d;  // aligned from the right
-    if (d >= from.size()) continue;            // missing dim: stride 0
-    const std::size_t fd = from.size() - 1 - d;
-    if (from[fd] == to[rd]) {
-      out[rd] = from_strides[fd];
-    } else if (from[fd] == 1) {
-      out[rd] = 0;  // stretched dim: every index reads the same element
-    } else {
-      throw std::invalid_argument("broadcast_strides: " + shape_string(from) +
-                                  " does not broadcast to " +
-                                  shape_string(to));
-    }
-  }
-  return out;
-}
-
 std::vector<std::int64_t> normalize_axes(
     const std::vector<std::int64_t>& axes, std::size_t rank) {
   std::vector<std::int64_t> out;

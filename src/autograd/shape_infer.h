@@ -2,13 +2,11 @@
 //
 // Every ops.h builder infers its output shape from its input shapes alone,
 // so graphs can be constructed, validated and memory-planned without
-// running a single kernel. Broadcast normalization follows NumPy rules:
-// shapes are right-aligned, size-1 (or missing) dimensions stretch, and the
-// stretched dimensions of an operand get stride 0 — `broadcast_strides`
-// returns exactly that stride vector, the representation a fused
-// elementwise kernel (or a reference oracle, see tests/gradcheck_test.cpp)
-// iterates with. Reduction inference mirrors reduce_sum's axis handling:
-// negative axes wrap, reduced axes drop (or become 1 with keepdim).
+// running a single kernel. Broadcasting has one rule, bd::broadcast_shape in
+// tensor/ops.h, which the elementwise kernels call too, so an inferred
+// shape is the shape the kernel returns. Reduction inference mirrors
+// reduce_sum's axis handling: negative axes wrap, reduced axes drop (or
+// become 1 with keepdim).
 //
 // All functions throw std::invalid_argument on malformed inputs — the same
 // type the eager kernels threw, so op-call-site error behaviour is
@@ -23,20 +21,6 @@
 #include "tensor/tensor.h"
 
 namespace bd::ag {
-
-/// Row-major strides (in elements) of a contiguous tensor of `shape`.
-std::vector<std::int64_t> contiguous_strides(const Shape& shape);
-
-/// NumPy-rule broadcast result of `a` and `b`; throws std::invalid_argument
-/// (with `op` in the message) when the shapes are incompatible.
-Shape broadcast_result(const Shape& a, const Shape& b, const char* op);
-
-/// Strides for reading a contiguous tensor of shape `from` as if it had
-/// shape `to`: `from` is right-aligned against `to` and every stretched
-/// (size-1 or missing) dimension gets stride 0. Throws when `from` does not
-/// broadcast to `to`.
-std::vector<std::int64_t> broadcast_strides(const Shape& from,
-                                            const Shape& to);
 
 /// Axes normalized to [0, rank): negative axes wrap, out-of-range axes
 /// throw; duplicates pass through (the reduce kernel collapses them).

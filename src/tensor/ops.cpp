@@ -1,8 +1,10 @@
 #include "tensor/ops.h"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <stdexcept>
+#include <string>
 
 #include "runtime/thread_pool.h"
 
@@ -10,58 +12,175 @@ namespace bd {
 
 namespace {
 
-// Minimum per-chunk element count for parallel elementwise/broadcast loops.
-// Chunks below this run serially inside parallel_for, so small tensors pay
-// (almost) nothing. Depends only on this constant, never on thread count,
-// keeping chunk boundaries — and therefore results — thread-count-invariant.
-constexpr std::int64_t kElemwiseGrain = std::int64_t{1} << 15;
+// Size of dim `d` of a rank-`rank` shape as seen by `s` right-aligned
+// against it: 1 where `s` is shorter.
+std::int64_t aligned_dim(const Shape& s, std::size_t rank, std::size_t d) {
+  const std::size_t lead = rank - s.size();
+  return d < lead ? 1 : s[d - lead];
+}
 
-// Right-aligned shape padded to `rank` with leading 1s.
-Shape pad_shape(const Shape& s, std::size_t rank) {
-  Shape out(rank, 1);
-  std::copy(s.begin(), s.end(), out.begin() + (rank - s.size()));
+// The loop nest one elementwise or reduction kernel walks: an iteration
+// shape read through two operands that each broadcast to it. Size-1 dims
+// are dropped, and every run of adjacent dims that both operands walk alike
+// (both contiguously, or both not at all) is merged into one, so
+// (N,C,H,W) against (1,C,1,1) becomes N*C rows of H*W with a scalar second
+// operand. Dims are stored innermost first: dim 0 is the inner loop, which
+// an operand reads with stride 1 or not at all (stride 0).
+struct LoopNest {
+  static constexpr std::size_t kMaxDims = 16;
+  std::size_t ndims = 0;
+  std::array<std::int64_t, kMaxDims> size{};
+  std::array<std::int64_t, kMaxDims> stride_a{};
+  std::array<std::int64_t, kMaxDims> stride_b{};
+
+  LoopNest(const Shape& iter, const Shape& a, const Shape& b, const char* op) {
+    const std::size_t rank = iter.size();
+    std::int64_t run_a = 1, run_b = 1;  // each operand's stride at dim d
+    for (std::size_t d = rank; d-- > 0;) {
+      const std::int64_t n = iter[d];
+      if (n == 1) continue;
+      const bool walk_a = aligned_dim(a, rank, d) == n;
+      const bool walk_b = aligned_dim(b, rank, d) == n;
+      const std::size_t k = ndims;
+      if (k > 0 && (stride_a[k - 1] != 0) == walk_a &&
+          (stride_b[k - 1] != 0) == walk_b) {
+        size[k - 1] *= n;
+      } else {
+        if (k == kMaxDims) {
+          throw std::invalid_argument(std::string(op) + ": shapes " +
+                                      shape_string(a) + " and " +
+                                      shape_string(b) +
+                                      " need more than 16 loops");
+        }
+        size[k] = n;
+        stride_a[k] = walk_a ? run_a : 0;
+        stride_b[k] = walk_b ? run_b : 0;
+        ++ndims;
+      }
+      if (walk_a) run_a *= n;
+      if (walk_b) run_b *= n;
+    }
+    if (ndims == 0) {  // one element: both operands read index 0
+      size[0] = stride_a[0] = stride_b[0] = 1;
+      ndims = 1;
+    }
+  }
+};
+
+// One row of a LoopNest: its coordinates over the outer dims (1..ndims-1)
+// and the offset of its first element in each operand. Moving to the next
+// row is one carry chain per row, never a per-element coordinate walk.
+struct RowCursor {
+  std::array<std::int64_t, LoopNest::kMaxDims> coord{};
+  std::int64_t off_a = 0, off_b = 0;
+
+  RowCursor(const LoopNest& nest, std::int64_t row) {
+    for (std::size_t k = 1; k < nest.ndims; ++k) {
+      coord[k] = row % nest.size[k];
+      row /= nest.size[k];
+      off_a += coord[k] * nest.stride_a[k];
+      off_b += coord[k] * nest.stride_b[k];
+    }
+  }
+
+  void next(const LoopNest& nest) {
+    for (std::size_t k = 1; k < nest.ndims; ++k) {
+      off_a += nest.stride_a[k];
+      off_b += nest.stride_b[k];
+      if (++coord[k] < nest.size[k]) return;
+      off_a -= nest.size[k] * nest.stride_a[k];
+      off_b -= nest.size[k] * nest.stride_b[k];
+      coord[k] = 0;
+    }
+  }
+};
+
+// out = f(a, b) broadcast. Each output element is f of the two operands
+// broadcasting pairs with it; the nest only orders the loops, so no bit
+// depends on it. Outputs are disjoint, so chunks may split rows anywhere.
+template <typename F>
+Tensor broadcast(const Tensor& a, const Tensor& b, F f, const char* op) {
+  Tensor out(broadcast_shape(a.shape(), b.shape(), op));
+  const std::int64_t total = out.numel();
+  if (total == 0) return out;
+  const LoopNest nest(out.shape(), a.shape(), b.shape(), op);
+  // The inner dim has size > 1 in the output, so at least one operand
+  // walks it (or the nest is a single element that both walk).
+  const std::int64_t inner = nest.size[0];
+  const std::int64_t step_a = nest.stride_a[0], step_b = nest.stride_b[0];
+  const float* pa = a.data();
+  const float* pb = b.data();
+  float* po = out.data();
+  runtime::parallel_for(
+      0, total, kElemwiseGrain, [&](std::int64_t lo, std::int64_t hi) {
+        RowCursor row(nest, lo / inner);
+        std::int64_t j = lo % inner;
+        for (std::int64_t flat = lo; flat < hi; row.next(nest), j = 0) {
+          const std::int64_t len = std::min(inner - j, hi - flat);
+          const float* x = pa + row.off_a + j * step_a;
+          const float* y = pb + row.off_b + j * step_b;
+          float* o = po + flat;
+          if (step_a != 0 && step_b != 0) {
+            for (std::int64_t t = 0; t < len; ++t) o[t] = f(x[t], y[t]);
+          } else if (step_a != 0) {
+            const float s = *y;
+            for (std::int64_t t = 0; t < len; ++t) o[t] = f(x[t], s);
+          } else {
+            const float s = *x;
+            for (std::int64_t t = 0; t < len; ++t) o[t] = f(s, y[t]);
+          }
+          flat += len;
+        }
+      });
   return out;
 }
 
-// Row-major strides; broadcast dims (size 1 where out size > 1) get stride 0.
-std::vector<std::int64_t> broadcast_strides(const Shape& padded,
-                                            const Shape& out) {
-  std::vector<std::int64_t> strides(padded.size(), 0);
-  std::int64_t stride = 1;
-  for (std::size_t i = padded.size(); i-- > 0;) {
-    strides[i] = (padded[i] == 1 && out[i] != 1) ? 0 : stride;
-    stride *= padded[i];
+// Adds every element of `in` into `out`, which has `in`'s rank with each
+// dim equal to `in`'s or 1 and starts zero-filled. Serial, in ascending
+// flat order of `in`: each output receives its addends one float add at a
+// time in that order, whatever the thread count.
+void sum_into(const Tensor& in, Tensor& out, const char* op) {
+  if (in.numel() == 0) return;
+  const LoopNest nest(in.shape(), in.shape(), out.shape(), op);
+  const std::int64_t inner = nest.size[0];
+  const std::int64_t rows = in.numel() / inner;
+  const float* x = in.data();
+  RowCursor row(nest, 0);
+  for (std::int64_t r = 0; r < rows; ++r, row.next(nest), x += inner) {
+    float* y = out.data() + row.off_b;
+    if (nest.stride_b[0] != 0) {
+      for (std::int64_t j = 0; j < inner; ++j) y[j] += x[j];
+    } else {
+      float s = *y;
+      for (std::int64_t j = 0; j < inner; ++j) s += x[j];
+      *y = s;
+    }
   }
-  return strides;
 }
 
 }  // namespace
 
-Shape broadcast_shape(const Shape& a, const Shape& b) {
+Shape broadcast_shape(const Shape& a, const Shape& b, const char* op) {
   const std::size_t rank = std::max(a.size(), b.size());
-  const Shape pa = pad_shape(a, rank);
-  const Shape pb = pad_shape(b, rank);
   Shape out(rank);
-  for (std::size_t i = 0; i < rank; ++i) {
-    if (pa[i] == pb[i]) {
-      out[i] = pa[i];
-    } else if (pa[i] == 1) {
-      out[i] = pb[i];
-    } else if (pb[i] == 1) {
-      out[i] = pa[i];
-    } else {
-      throw std::invalid_argument("broadcast_shape: incompatible shapes " +
-                                  shape_string(a) + " and " + shape_string(b));
+  for (std::size_t d = 0; d < rank; ++d) {
+    const std::int64_t da = aligned_dim(a, rank, d);
+    const std::int64_t db = aligned_dim(b, rank, d);
+    if (da != db && da != 1 && db != 1) {
+      throw std::invalid_argument(std::string(op) + ": incompatible shapes " +
+                                  shape_string(a) + " and " +
+                                  shape_string(b));
     }
+    out[d] = da == 1 ? db : da;
   }
   return out;
 }
 
 bool broadcastable_to(const Shape& from, const Shape& to) {
   if (from.size() > to.size()) return false;
-  const Shape pf = pad_shape(from, to.size());
-  for (std::size_t i = 0; i < to.size(); ++i) {
-    if (pf[i] != to[i] && pf[i] != 1) return false;
+  for (std::size_t d = 0; d < to.size(); ++d) {
+    const std::int64_t f = aligned_dim(from, to.size(), d);
+    if (f != to[d] && f != 1) return false;
   }
   return true;
 }
@@ -74,156 +193,34 @@ Tensor reduce_to_shape(const Tensor& t, const Shape& target) {
                                 shape_string(t.shape()));
   }
   const std::size_t rank = t.shape().size();
-  const Shape pt = pad_shape(target, rank);
-  const Shape& src = t.shape();
-
-  Tensor out(pt);
-  const auto out_strides = broadcast_strides(pt, src);
-  const float* in = t.data();
-  float* o = out.data();
-
-  // Walk every source element and accumulate into the (possibly stride-0)
-  // target position.
-  std::vector<std::int64_t> coord(rank, 0);
-  const std::int64_t n = t.numel();
-  for (std::int64_t flat = 0; flat < n; ++flat) {
-    std::int64_t oi = 0;
-    for (std::size_t d = 0; d < rank; ++d) oi += coord[d] * out_strides[d];
-    o[oi] += in[flat];
-    // increment coord
-    for (std::size_t d = rank; d-- > 0;) {
-      if (++coord[d] < src[d]) break;
-      coord[d] = 0;
-    }
+  Shape padded(rank);
+  for (std::size_t d = 0; d < rank; ++d) {
+    padded[d] = aligned_dim(target, rank, d);
   }
+  Tensor out(std::move(padded));
+  sum_into(t, out, "reduce_to_shape");
   return out.reshape(target);
 }
 
-Tensor broadcast_binary(const Tensor& a, const Tensor& b,
-                        const std::function<float(float, float)>& f,
-                        const char* op_name) {
-  // Fast path: identical shapes.
-  if (a.shape() == b.shape()) {
-    Tensor out(a.shape());
-    const float* pa = a.data();
-    const float* pb = b.data();
-    float* po = out.data();
-    runtime::parallel_for(0, a.numel(), kElemwiseGrain,
-                          [&](std::int64_t lo, std::int64_t hi) {
-                            for (std::int64_t i = lo; i < hi; ++i) {
-                              po[i] = f(pa[i], pb[i]);
-                            }
-                          });
-    return out;
-  }
-  // Fast path: b is a scalar tensor.
-  if (b.numel() == 1) {
-    const float s = b[0];
-    Tensor out(a.shape());
-    const float* pa = a.data();
-    float* po = out.data();
-    runtime::parallel_for(0, a.numel(), kElemwiseGrain,
-                          [&](std::int64_t lo, std::int64_t hi) {
-                            for (std::int64_t i = lo; i < hi; ++i) {
-                              po[i] = f(pa[i], s);
-                            }
-                          });
-    return out;
-  }
-  if (a.numel() == 1) {
-    const float s = a[0];
-    Tensor out(b.shape());
-    const float* pb = b.data();
-    float* po = out.data();
-    runtime::parallel_for(0, b.numel(), kElemwiseGrain,
-                          [&](std::int64_t lo, std::int64_t hi) {
-                            for (std::int64_t i = lo; i < hi; ++i) {
-                              po[i] = f(s, pb[i]);
-                            }
-                          });
-    return out;
-  }
-
-  Shape out_shape;
-  try {
-    out_shape = broadcast_shape(a.shape(), b.shape());
-  } catch (const std::invalid_argument&) {
-    throw std::invalid_argument(std::string(op_name) +
-                                ": incompatible shapes " +
-                                shape_string(a.shape()) + " and " +
-                                shape_string(b.shape()));
-  }
-
-  const std::size_t rank = out_shape.size();
-  const Shape pa_shape = pad_shape(a.shape(), rank);
-  const Shape pb_shape = pad_shape(b.shape(), rank);
-  const auto sa = broadcast_strides(pa_shape, out_shape);
-  const auto sb = broadcast_strides(pb_shape, out_shape);
-
-  Tensor out(out_shape);
-  const float* pa = a.data();
-  const float* pb = b.data();
-  float* po = out.data();
-
-  runtime::parallel_for(
-      0, out.numel(), kElemwiseGrain,
-      [&](std::int64_t lo, std::int64_t hi) {
-        // Derive this chunk's starting coordinate from its flat index, then
-        // walk incrementally exactly like the serial loop did.
-        std::vector<std::int64_t> coord(rank, 0);
-        std::int64_t rem = lo;
-        for (std::size_t d = rank; d-- > 0;) {
-          coord[d] = rem % out_shape[d];
-          rem /= out_shape[d];
-        }
-        for (std::int64_t flat = lo; flat < hi; ++flat) {
-          std::int64_t ia = 0, ib = 0;
-          for (std::size_t d = 0; d < rank; ++d) {
-            ia += coord[d] * sa[d];
-            ib += coord[d] * sb[d];
-          }
-          po[flat] = f(pa[ia], pb[ib]);
-          for (std::size_t d = rank; d-- > 0;) {
-            if (++coord[d] < out_shape[d]) break;
-            coord[d] = 0;
-          }
-        }
-      });
-  return out;
-}
-
 Tensor add(const Tensor& a, const Tensor& b) {
-  return broadcast_binary(a, b, [](float x, float y) { return x + y; }, "add");
+  return broadcast(a, b, [](float x, float y) { return x + y; }, "add");
 }
 Tensor sub(const Tensor& a, const Tensor& b) {
-  return broadcast_binary(a, b, [](float x, float y) { return x - y; }, "sub");
+  return broadcast(a, b, [](float x, float y) { return x - y; }, "sub");
 }
 Tensor mul(const Tensor& a, const Tensor& b) {
-  return broadcast_binary(a, b, [](float x, float y) { return x * y; }, "mul");
+  return broadcast(a, b, [](float x, float y) { return x * y; }, "mul");
 }
 Tensor div(const Tensor& a, const Tensor& b) {
-  return broadcast_binary(a, b, [](float x, float y) { return x / y; }, "div");
+  return broadcast(a, b, [](float x, float y) { return x / y; }, "div");
 }
 Tensor maximum(const Tensor& a, const Tensor& b) {
-  return broadcast_binary(
+  return broadcast(
       a, b, [](float x, float y) { return x > y ? x : y; }, "maximum");
 }
 Tensor minimum(const Tensor& a, const Tensor& b) {
-  return broadcast_binary(
+  return broadcast(
       a, b, [](float x, float y) { return x < y ? x : y; }, "minimum");
-}
-
-Tensor unary(const Tensor& a, const std::function<float(float)>& f) {
-  Tensor out(a.shape());
-  const float* pa = a.data();
-  float* po = out.data();
-  runtime::parallel_for(0, a.numel(), kElemwiseGrain,
-                        [&](std::int64_t lo, std::int64_t hi) {
-                          for (std::int64_t i = lo; i < hi; ++i) {
-                            po[i] = f(pa[i]);
-                          }
-                        });
-  return out;
 }
 
 Tensor add_scalar(const Tensor& a, float s) {
@@ -316,42 +313,26 @@ float l2_norm(const Tensor& a) {
 Tensor reduce_sum(const Tensor& a, const std::vector<std::int64_t>& axes,
                   bool keepdim) {
   const std::size_t rank = a.shape().size();
-  std::vector<bool> reduced(rank, false);
+  Shape kept = a.shape();
   for (auto ax : axes) {
     if (ax < 0) ax += static_cast<std::int64_t>(rank);
     if (ax < 0 || ax >= static_cast<std::int64_t>(rank)) {
       throw std::invalid_argument("reduce_sum: axis out of range");
     }
-    reduced[static_cast<std::size_t>(ax)] = true;
+    kept[static_cast<std::size_t>(ax)] = -1;  // marked; sized below
   }
-
-  Shape kept_shape(rank);
-  for (std::size_t d = 0; d < rank; ++d) {
-    kept_shape[d] = reduced[d] ? 1 : a.shape()[d];
-  }
-
-  Tensor out(kept_shape);
-  const auto out_strides = broadcast_strides(kept_shape, a.shape());
-  const float* in = a.data();
-  float* o = out.data();
-
-  std::vector<std::int64_t> coord(rank, 0);
-  const std::int64_t n = a.numel();
-  for (std::int64_t flat = 0; flat < n; ++flat) {
-    std::int64_t oi = 0;
-    for (std::size_t d = 0; d < rank; ++d) oi += coord[d] * out_strides[d];
-    o[oi] += in[flat];
-    for (std::size_t d = rank; d-- > 0;) {
-      if (++coord[d] < a.shape()[d]) break;
-      coord[d] = 0;
+  Shape squeezed;
+  for (auto& d : kept) {
+    if (d == -1) {
+      d = 1;
+    } else {
+      squeezed.push_back(d);
     }
   }
 
+  Tensor out(std::move(kept));
+  sum_into(a, out, "reduce_sum");
   if (keepdim) return out;
-  Shape squeezed;
-  for (std::size_t d = 0; d < rank; ++d) {
-    if (!reduced[d]) squeezed.push_back(a.shape()[d]);
-  }
   return out.reshape(std::move(squeezed));
 }
 

@@ -3,18 +3,29 @@
 // autograd engine uses to accumulate gradients back to parameter shapes.
 #pragma once
 
-#include <functional>
+#include <cstdint>
 
+#include "runtime/thread_pool.h"
 #include "tensor/tensor.h"
 
 namespace bd {
+
+/// Minimum per-chunk element count for parallel elementwise loops. Chunks
+/// below this run serially inside parallel_for, so small tensors pay
+/// (almost) nothing. Outputs of elementwise loops are disjoint, so results
+/// never depend on where the chunks fall.
+inline constexpr std::int64_t kElemwiseGrain = std::int64_t{1} << 15;
 
 // ---------------------------------------------------------------------------
 // Broadcasting
 // ---------------------------------------------------------------------------
 
-/// Result shape of broadcasting a with b; throws if incompatible.
-Shape broadcast_shape(const Shape& a, const Shape& b);
+/// Result shape of broadcasting a with b under NumPy rules (shapes
+/// right-aligned, size-1 or missing dims stretch). The one broadcast rule:
+/// the kernels and autograd shape inference both call it. Throws
+/// std::invalid_argument naming `op` if the shapes are incompatible.
+Shape broadcast_shape(const Shape& a, const Shape& b,
+                      const char* op = "broadcast_shape");
 
 /// True if `from` broadcasts to `to` under NumPy rules.
 bool broadcastable_to(const Shape& from, const Shape& to);
@@ -34,11 +45,6 @@ Tensor div(const Tensor& a, const Tensor& b);
 Tensor maximum(const Tensor& a, const Tensor& b);
 Tensor minimum(const Tensor& a, const Tensor& b);
 
-/// Generic broadcasted elementwise combine (slow path, used by the above).
-Tensor broadcast_binary(const Tensor& a, const Tensor& b,
-                        const std::function<float(float, float)>& f,
-                        const char* op_name);
-
 // ---------------------------------------------------------------------------
 // Elementwise with scalars / unary
 // ---------------------------------------------------------------------------
@@ -57,8 +63,39 @@ Tensor relu(const Tensor& a);
 Tensor sigmoid(const Tensor& a);
 Tensor tanh(const Tensor& a);
 
-/// Applies f to every element.
-Tensor unary(const Tensor& a, const std::function<float(float)>& f);
+/// out[i] = f(a[i]). A template so `f` inlines into the loop.
+template <typename F>
+Tensor unary(const Tensor& a, F f) {
+  Tensor out(a.shape());
+  const float* pa = a.data();
+  float* po = out.data();
+  runtime::parallel_for(0, a.numel(), kElemwiseGrain,
+                        [&](std::int64_t lo, std::int64_t hi) {
+                          for (std::int64_t i = lo; i < hi; ++i) {
+                            po[i] = f(pa[i]);
+                          }
+                        });
+  return out;
+}
+
+/// out[i] = f(a[i], b[i]) for two tensors of one shape (no broadcasting);
+/// throws std::invalid_argument naming `op` otherwise. Fuses an autograd
+/// backward `grad * d(x)` into one pass.
+template <typename F>
+Tensor zip(const Tensor& a, const Tensor& b, F f, const char* op) {
+  check_same_shape(a, b, op);
+  Tensor out(a.shape());
+  const float* pa = a.data();
+  const float* pb = b.data();
+  float* po = out.data();
+  runtime::parallel_for(0, a.numel(), kElemwiseGrain,
+                        [&](std::int64_t lo, std::int64_t hi) {
+                          for (std::int64_t i = lo; i < hi; ++i) {
+                            po[i] = f(pa[i], pb[i]);
+                          }
+                        });
+  return out;
+}
 
 // In-place axpy: y += alpha * x (same shape).
 void axpy_inplace(Tensor& y, float alpha, const Tensor& x);
@@ -83,7 +120,7 @@ Tensor reduce_mean(const Tensor& a, const std::vector<std::int64_t>& axes,
 // Linear algebra / classification helpers
 // ---------------------------------------------------------------------------
 
-/// (m,k) x (k,n) -> (m,n), blocked for cache friendliness.
+/// (m,k) x (k,n) -> (m,n): a plain i-k-j loop, parallel over output rows.
 Tensor matmul(const Tensor& a, const Tensor& b);
 
 /// 2-D transpose.

@@ -105,6 +105,15 @@ TEST(Broadcast, ReduceToShapeIdentity) {
   EXPECT_EQ(r[3], 4.0f);
 }
 
+TEST(Broadcast, HigherRankScalarTakesBroadcastShape) {
+  // A one-element operand of higher rank still broadcasts: the result has
+  // the shape graph inference gives the node, not the other operand's.
+  EXPECT_EQ(mul(Tensor({3}), Tensor({1, 1})).shape(), (Shape{1, 3}));
+  EXPECT_EQ(add(Tensor({1, 1, 1}), Tensor({2, 2})).shape(),
+            (Shape{1, 2, 2}));
+  EXPECT_EQ(sub(Tensor::scalar(1.0f), Tensor({1})).shape(), (Shape{1}));
+}
+
 TEST(Broadcast, ScalarFastPath) {
   Tensor a({2, 2}, {1, 2, 3, 4});
   Tensor s = Tensor::scalar(2.0f);
