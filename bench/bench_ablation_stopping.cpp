@@ -2,54 +2,35 @@
 //
 // The paper advertises "few intuitive hyperparameters": the accuracy
 // threshold alpha and the pruning patience P_p. This bench sweeps both on
-// a BadNets-backdoored PreActResNet and reports ACC/ASR/RA plus how many
-// filters each setting pruned - demonstrating the claimed insensitivity.
+// Table I's BadNets-backdoored PreActResNet at the largest SPC and reports
+// ACC/ASR/RA plus how many filters each setting pruned - demonstrating the
+// claimed insensitivity.
 #include <cstdio>
 
-#include "core/grad_prune.h"
-#include "eval/runner.h"
-#include "util/env.h"
-#include "util/stats.h"
-#include "util/table.h"
+#include "eval/table_bench.h"
 
 int main() {
-  using namespace bd;
-  const eval::ExperimentScale scale = eval::default_scale("cifar");
-  const std::uint64_t seed = base_seed();
-
-  std::printf("== Ablation B: stopping-rule sensitivity (alpha, P_p) ==\n");
-  std::printf("mode=%s trials=%d\n\n", full_mode() ? "full" : "quick",
-              scale.trials);
-
-  Rng seeder(seed ^ 0xB10C5EEDULL);
-  const auto bd_model = eval::prepare_backdoored_model(
-      "cifar", "preactresnet", "badnet", scale, seeder.next_u64());
-
-  const std::int64_t spc = scale.spc_settings.back();
-  TextTable table({"alpha", "P_p", "ACC", "ASR", "RA", "pruned"});
-
+  bd::eval::TableSpec spec;
+  spec.title = "Ablation B: stopping-rule sensitivity (alpha, P_p)";
+  spec.dataset = "cifar";
+  spec.arch = "preactresnet";
+  spec.attacks = {"badnet"};
   for (const double alpha : {0.05, 0.10, 0.20}) {
-    for (const std::int64_t pp : {5LL, 10LL, 20LL}) {
-      char alpha_buf[16];
-      std::snprintf(alpha_buf, sizeof(alpha_buf), "%.2f", alpha);
-      const eval::SettingResult s = eval::run_setting(
-          bd_model,
-          std::string("alpha=") + alpha_buf + " P_p=" + std::to_string(pp),
-          [&] {
-            core::GradPruneConfig cfg;
-            cfg.alpha = alpha;
-            cfg.prune_patience = pp;
-            cfg.max_prune_rounds = scale.prune_max_rounds;
-            cfg.finetune_max_epochs = scale.defense_max_epochs;
-            return std::make_unique<core::GradPruneDefense>(cfg);
-          },
-          spc, scale.trials, seeder.next_u64());
-      auto row = eval::metric_row({alpha_buf, std::to_string(pp)}, s);
-      row.push_back(mean_std_string(
-          std::vector<double>(s.pruned.begin(), s.pruned.end()), 1));
-      table.add_row(std::move(row));
+    for (const long long pp : {5, 10, 20}) {
+      char label[32];
+      std::snprintf(label, sizeof(label), "alpha=%.2f P_p=%lld", alpha, pp);
+      spec.defenses.emplace_back(
+          label, [=](const bd::eval::ExperimentScale& scale) {
+            auto config = bd::eval::gradprune_config(scale);
+            config.alpha = alpha;
+            config.prune_patience = pp;
+            return std::make_unique<bd::core::GradPruneDefense>(config);
+          });
     }
   }
-  std::printf("%s\n", table.to_string().c_str());
+  bd::eval::ExperimentScale scale = bd::eval::default_scale(spec.dataset);
+  scale.spc_settings = {scale.spc_settings.back()};
+  spec.scale = scale;
+  bd::eval::run_table(spec);
   return 0;
 }

@@ -4,34 +4,21 @@
 // every trigger actually implants under the current scale settings.
 //
 // Usage: attack_gallery [arch] [dataset]
+//
+// A table with no defenses: run_table prints each attack's baseline row,
+// on the same backbones the paper tables train.
 #include <cstdio>
 #include <string>
 
-#include "eval/runner.h"
-#include "util/env.h"
-#include "util/table.h"
+#include "eval/table_bench.h"
 
 int main(int argc, char** argv) {
-  using namespace bd;
-  const std::string arch = argc > 1 ? argv[1] : "preactresnet";
-  const std::string dataset = argc > 2 ? argv[2] : "cifar";
-
-  const eval::ExperimentScale scale = eval::default_scale(dataset);
-  std::printf("Training %s on %s (mode=%s)\n\n", arch.c_str(), dataset.c_str(),
-              full_mode() ? "full" : "quick");
-
-  TextTable table({"Attack", "ACC", "ASR", "RA"});
-  for (const char* attack : {"badnet", "blended", "lf", "bpp"}) {
-    Rng seeder(base_seed() ^ std::hash<std::string>{}(attack));
-    const auto bd_model = eval::prepare_backdoored_model(
-        dataset, arch, attack, scale, seeder.next_u64());
-    char buf[3][32];
-    std::snprintf(buf[0], 32, "%.2f", bd_model.baseline.acc);
-    std::snprintf(buf[1], 32, "%.2f", bd_model.baseline.asr);
-    std::snprintf(buf[2], 32, "%.2f", bd_model.baseline.ra);
-    table.add_row({attack, buf[0], buf[1], buf[2]});
-  }
-  std::printf("%s\n", table.to_string().c_str());
+  bd::eval::TableSpec spec;
+  spec.arch = argc > 1 ? argv[1] : "preactresnet";
+  spec.dataset = argc > 2 ? argv[2] : "cifar";
+  spec.title = "Attack gallery: " + spec.arch + " on " + spec.dataset;
+  spec.attacks = {"badnet", "blended", "lf", "bpp"};
+  bd::eval::run_table(spec);
   std::printf("A successful attack shows high ACC and high ASR.\n");
   return 0;
 }

@@ -7,47 +7,49 @@
 //   arch:    preactresnet | vgg | efficientnet | mobilenet
 //   defense: restrict to one defense (default: all)
 //
-// Honours BDPROTO_MODE / BDPROTO_TRIALS / BDPROTO_SEED like the benches.
+// A table bench of its own: honours BDPROTO_MODE / BDPROTO_TRIALS /
+// BDPROTO_SEED and the BDPROTO_JOURNAL / BDPROTO_RESUME journal, whose
+// entries carry each trial's defense wall-clock in `seconds`.
+#include <cerrno>
 #include <cstdio>
+#include <cstdlib>
 #include <string>
 
-#include "eval/runner.h"
-#include "util/env.h"
-#include "util/stats.h"
-#include "util/table.h"
+#include "eval/table_bench.h"
 
 int main(int argc, char** argv) {
   using namespace bd;
   const std::string attack = argc > 1 ? argv[1] : "badnet";
-  const std::int64_t spc = argc > 2 ? std::stoll(argv[2]) : 10;
+  const std::string spc_text = argc > 2 ? argv[2] : "10";
   const std::string arch = argc > 3 ? argv[3] : "preactresnet";
   const std::string only = argc > 4 ? argv[4] : "";
 
-  const eval::ExperimentScale scale = eval::default_scale("cifar");
-  Rng seeder(base_seed() ^ std::hash<std::string>{}(attack + arch));
-  const auto bd_model = eval::prepare_backdoored_model(
-      "cifar", arch, attack, scale, seeder.next_u64());
-
-  std::printf("Attack: %s | Architecture: %s | SPC: %lld | trials: %d\n\n",
-              attack.c_str(), arch.c_str(), static_cast<long long>(spc),
-              scale.trials);
-
-  TextTable table({"Defense", "ACC", "ASR", "RA", "sec"});
-  char buf[4][32];
-  std::snprintf(buf[0], 32, "%.2f", bd_model.baseline.acc);
-  std::snprintf(buf[1], 32, "%.2f", bd_model.baseline.asr);
-  std::snprintf(buf[2], 32, "%.2f", bd_model.baseline.ra);
-  table.add_row({"Baseline", buf[0], buf[1], buf[2], "-"});
-
+  eval::TableSpec spec;
   for (const auto& name : eval::known_defenses()) {
-    if (!only.empty() && name != only) continue;
-    const auto setting =
-        eval::run_setting(bd_model, name, spc, scale, seeder.next_u64());
-    std::snprintf(buf[3], 32, "%.1f", mean_of(setting.seconds));
-    table.add_row({eval::defense_display_name(name),
-                   mean_std_string(setting.acc), mean_std_string(setting.asr),
-                   mean_std_string(setting.ra), "-"});
+    if (only.empty() || name == only) spec.defenses.emplace_back(name);
   }
-  std::printf("%s\n", table.to_string().c_str());
+  char* end = nullptr;
+  errno = 0;
+  const long long spc = std::strtoll(spc_text.c_str(), &end, 10);
+  if (argc > 5 || spc_text.empty() || *end != '\0' || errno == ERANGE ||
+      spc < 1 || spec.defenses.empty()) {
+    std::fprintf(stderr,
+                 "usage: defense_comparison [attack] [spc] [arch] [defense]\n"
+                 "  spc: a whole number >= 1; defense: one of");
+    for (const auto& name : eval::known_defenses()) {
+      std::fprintf(stderr, " %s", name.c_str());
+    }
+    std::fprintf(stderr, "\n");
+    return 2;
+  }
+
+  spec.title = "Defense comparison: " + attack + " on " + arch;
+  spec.dataset = "cifar";
+  spec.arch = arch;
+  spec.attacks = {attack};
+  eval::ExperimentScale scale = eval::default_scale(spec.dataset);
+  scale.spc_settings = {spc};
+  spec.scale = scale;
+  eval::run_table(spec);
   return 0;
 }

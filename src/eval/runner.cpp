@@ -2,7 +2,6 @@
 
 #include <stdexcept>
 
-#include "core/grad_prune.h"
 #include "data/synth.h"
 #include "defense/anp.h"
 #include "defense/clp.h"
@@ -16,7 +15,6 @@
 #include "util/env.h"
 #include "util/json.h"
 #include "util/logging.h"
-#include "util/stats.h"
 #include "util/stopwatch.h"
 
 namespace bd::eval {
@@ -196,12 +194,16 @@ std::unique_ptr<defense::Defense> make_defense(const std::string& name,
     return std::make_unique<defense::AnpDefense>(c);
   }
   if (name == "gradprune") {
-    core::GradPruneConfig c;
-    c.max_prune_rounds = scale.prune_max_rounds;
-    c.finetune_max_epochs = scale.defense_max_epochs;
-    return std::make_unique<core::GradPruneDefense>(c);
+    return std::make_unique<core::GradPruneDefense>(gradprune_config(scale));
   }
   throw std::invalid_argument("make_defense: unknown defense '" + name + "'");
+}
+
+core::GradPruneConfig gradprune_config(const ExperimentScale& scale) {
+  core::GradPruneConfig c;
+  c.max_prune_rounds = scale.prune_max_rounds;
+  c.finetune_max_epochs = scale.defense_max_epochs;
+  return c;
 }
 
 std::vector<std::string> known_defenses() {
@@ -259,7 +261,8 @@ SanitizeOutcome run_sanitization(const BackdooredModel& bd,
 
 SettingResult run_setting(const BackdooredModel& bd, const std::string& label,
                           const DefenseFactory& factory, std::int64_t spc,
-                          int trials, std::uint64_t seed) {
+                          const ExperimentScale& scale, std::uint64_t seed) {
+  const int trials = scale.trials;
   SettingResult out;
   out.attack = bd.attack;
   out.defense = label;
@@ -284,7 +287,7 @@ SettingResult run_setting(const BackdooredModel& bd, const std::string& label,
     req.seed = trial_seeds[static_cast<std::size_t>(t)];
     SanitizeOutcome trial;
     const robust::RunReport report = supervisor.run(supervise_key, [&] {
-      const auto defense = factory();
+      const auto defense = factory(scale);
       trial = run_trial(bd, req, *defense);
     });
     out.attempts += report.attempts;
@@ -320,16 +323,8 @@ SettingResult run_setting(const BackdooredModel& bd,
                           const ExperimentScale& scale, std::uint64_t seed) {
   return run_setting(
       bd, defense_name,
-      [&] { return make_defense(defense_name, scale); }, spc,
-      scale.trials, seed);
-}
-
-std::vector<std::string> metric_row(std::vector<std::string> head,
-                                    const SettingResult& s) {
-  for (const auto* metric : {&s.acc, &s.asr, &s.ra}) {
-    head.push_back(s.degraded ? "degraded" : mean_std_string(*metric));
-  }
-  return head;
+      [&](const ExperimentScale& s) { return make_defense(defense_name, s); },
+      spc, scale, seed);
 }
 
 }  // namespace bd::eval

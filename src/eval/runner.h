@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "attack/poison.h"
+#include "core/grad_prune.h"
 #include "data/synth.h"
 #include "defense/defense.h"
 #include "eval/metrics.h"
@@ -111,6 +112,10 @@ inline constexpr std::uint64_t kTrialSeedSalt = 0xBDC71E;
 std::unique_ptr<defense::Defense> make_defense(const std::string& name,
                                                const ExperimentScale& scale);
 
+/// Grad-Prune at `scale`'s budgets: the configuration make_defense
+/// ("gradprune", scale) builds, and the one its ablation variants start from.
+core::GradPruneConfig gradprune_config(const ExperimentScale& scale);
+
 /// Every name make_defense accepts, in the paper's table order.
 std::vector<std::string> known_defenses();
 
@@ -136,26 +141,23 @@ struct SettingResult {
   std::int64_t attempts = 0;
 };
 
-/// Builds the defense one trial applies (a fresh instance per attempt).
-using DefenseFactory = std::function<std::unique_ptr<defense::Defense>()>;
+/// Builds the defense one trial applies (a fresh instance per attempt) at
+/// the setting's scale.
+using DefenseFactory =
+    std::function<std::unique_ptr<defense::Defense>(const ExperimentScale&)>;
 
-/// Runs `trials` trials at one SPC setting of the defense `factory`
+/// Runs `scale.trials` trials at one SPC setting of the defense `factory`
 /// builds, reported under `label` (ablation variants use non-default
 /// configurations). Every trial runs under Supervisor::instance() with a
 /// seed pre-drawn from `seed`, so a retried trial re-derives identical
 /// randomness and never shifts the seeds of later trials.
 SettingResult run_setting(const BackdooredModel& bd, const std::string& label,
                           const DefenseFactory& factory, std::int64_t spc,
-                          int trials, std::uint64_t seed);
+                          const ExperimentScale& scale, std::uint64_t seed);
 
 /// `scale.trials` trials of make_defense(defense_name, scale).
 SettingResult run_setting(const BackdooredModel& bd,
                           const std::string& defense_name, std::int64_t spc,
                           const ExperimentScale& scale, std::uint64_t seed);
-
-/// `head` followed by the setting's ACC, ASR and RA columns: mean ± std
-/// over its trials, or "degraded" when it could not complete.
-std::vector<std::string> metric_row(std::vector<std::string> head,
-                                    const SettingResult& s);
 
 }  // namespace bd::eval

@@ -91,6 +91,21 @@ std::string scale_signature(const TableSpec& spec,
 
 bool is_baseline(const SettingResult& s) { return s.defense.empty(); }
 
+/// `head` followed by the result's ACC, ASR, RA and Pruned columns: mean ±
+/// std over its trials, "degraded" when it could not complete, and no
+/// pruned count for a baseline.
+std::vector<std::string> metric_row(std::vector<std::string> head,
+                                    const SettingResult& s) {
+  const std::vector<double> pruned(s.pruned.begin(), s.pruned.end());
+  for (const auto* metric : {&s.acc, &s.asr, &s.ra}) {
+    head.push_back(s.degraded ? "degraded" : mean_std_string(*metric));
+  }
+  head.push_back(s.degraded         ? "degraded"
+                 : is_baseline(s) ? "-"
+                                  : mean_std_string(pruned, 1));
+  return head;
+}
+
 robust::JournalFields encode_entry(const SettingResult& s) {
   robust::JournalFields f{{"cell", is_baseline(s) ? "baseline" : "setting"},
                           {"attack", s.attack},
@@ -115,7 +130,7 @@ robust::JournalFields encode_entry(const SettingResult& s) {
 /// One (SPC, defense) cell with its pre-drawn seed and journal key.
 struct Cell {
   std::int64_t spc;
-  std::string defense;
+  const TableDefense* defense;
   std::uint64_t seed;
   std::string key;
 };
@@ -146,10 +161,10 @@ std::vector<AttackPlan> build_plan(const TableSpec& spec,
     ap.model_seed = seeder.next_u64();
     for (const auto spc : scale.spc_settings) {
       for (const auto& defense : spec.defenses) {
-        ap.cells.push_back({spc, defense, seeder.next_u64(),
+        ap.cells.push_back({spc, &defense, seeder.next_u64(),
                             robust::stable_hash_hex(
-                                "cell|" + sig + '|' + attack + '|' + defense +
-                                '|' + std::to_string(spc))});
+                                "cell|" + sig + '|' + attack + '|' +
+                                defense.label + '|' + std::to_string(spc))});
       }
     }
     ap.base_key = robust::stable_hash_hex("baseline|" + sig + '|' + attack);
@@ -184,7 +199,7 @@ SettingResult degraded_result(const Item& item, const std::string& reason) {
   SettingResult s;
   s.attack = item.plan->attack;
   if (item.cell != nullptr) {
-    s.defense = item.cell->defense;
+    s.defense = item.cell->defense->label;
     s.spc = item.cell->spc;
   } else {
     s.acc = s.asr = s.ra = {0.0};
@@ -217,7 +232,8 @@ class ItemRunner {
     BD_OBS_COUNT("bench.cells_run", 1);
     Stopwatch cell_watch;
     const SettingResult setting =
-        run_setting(*bd_, cell.defense, cell.spc, scale_, cell.seed);
+        run_setting(*bd_, cell.defense->label, cell.defense->factory, cell.spc,
+                    scale_, cell.seed);
     BD_OBS_OBSERVE("bench.cell_seconds", cell_watch.seconds(),
                    ::bd::obs::seconds_buckets());
     record(item, setting);
@@ -340,7 +356,7 @@ void render_table(const TableSpec& spec, const ExperimentScale& scale,
   }
   std::printf("}\n\n");
 
-  TextTable table({"Attack", "SPC", "Defense", "ACC", "ASR", "RA"});
+  TextTable table({"Attack", "SPC", "Defense", "ACC", "ASR", "RA", "Pruned"});
   std::vector<std::string> degraded_lines;  // summary printed after the table
   for (const SettingResult& r : results) {
     if (r.degraded) degraded_lines.push_back(degraded_line(r));
@@ -383,6 +399,18 @@ void render_table(const TableSpec& spec, const ExperimentScale& scale,
 }
 
 }  // namespace
+
+TableDefense::TableDefense(const char* name)
+    : TableDefense(std::string(name)) {}
+
+TableDefense::TableDefense(std::string name)
+    : label(name),
+      factory([name = std::move(name)](const ExperimentScale& scale) {
+        return make_defense(name, scale);
+      }) {}
+
+TableDefense::TableDefense(std::string variant, DefenseFactory build)
+    : label(std::move(variant)), factory(std::move(build)) {}
 
 SettingResult decode_table_entry(const robust::JournalFields& f) {
   SettingResult s;

@@ -1,9 +1,12 @@
-// Table/figure harness shared by the bench binaries.
+// Table/figure harness: the one sweep in the repository. Every bench
+// binary and the sweeping examples are a TableSpec run by run_table().
 //
 // Each paper table is (dataset, architecture) x attacks x SPC x defenses;
 // each figure is the per-trial (ASR, ACC) / (ASR, RA) scatter of the same
-// runs. run_table() executes the sweep and prints rows in the paper's
-// format (mean ± std over trials) plus optional scatter series.
+// runs; each ablation or extension is the same sweep over defense variants
+// (TableDefense factories). run_table() executes the sweep and prints rows
+// in the paper's format (mean ± std over trials of ACC, ASR, RA and pruned
+// units) plus optional scatter series.
 //
 // One item runner executes the sweep in both modes. The canonical work
 // list is every attack's baseline followed by its (SPC, defense) cells,
@@ -42,12 +45,28 @@
 
 namespace bd::eval {
 
+/// One entry of a table's defense axis. A bare make_defense name converts
+/// implicitly and builds that defense at the table's scale; an ablation or
+/// extension variant brings its own factory. The label keys the variant's
+/// journal entries and names its rows, so it must name the variant's
+/// configuration: two entries that build different defenses never share a
+/// label, and a variant never reuses a make_defense name.
+struct TableDefense {
+  TableDefense(const char* name);
+  TableDefense(std::string name);
+  TableDefense(std::string variant, DefenseFactory build);
+
+  std::string label;
+  DefenseFactory factory;
+};
+
 struct TableSpec {
   std::string title;
   std::string dataset;  // cifar | gtsrb
   std::string arch;     // preactresnet | vgg | efficientnet | mobilenet
   std::vector<std::string> attacks;
-  std::vector<std::string> defenses;
+  /// Empty: the table prints each attack's baseline row only.
+  std::vector<TableDefense> defenses;
   /// Also print per-trial scatter points (figure reproduction).
   bool scatter = false;
   /// Journal file for crash resumability; empty defers to BDPROTO_JOURNAL

@@ -18,6 +18,7 @@
 #include "autograd/ops.h"
 #include "core/grad_prune.h"
 #include "data/synth.h"
+#include "defense/clp.h"
 #include "defense/defense.h"
 #include "defense/ftsam.h"
 #include "defense/nad.h"
@@ -812,13 +813,30 @@ std::string strip_timing(const std::string& output) {
 
 using TableResume = FaultFixture;
 
+/// The line of `output` that contains `needle` ("" when none does).
+std::string line_with(const std::string& output, const std::string& needle) {
+  const std::size_t at = output.find(needle);
+  if (at == std::string::npos) return "";
+  const std::size_t begin = output.rfind('\n', at) + 1;  // npos + 1 == 0
+  return output.substr(begin, output.find('\n', at) - begin);
+}
+
 TEST_F(TableResume, CrashThenResumeIsByteIdentical) {
+  // Next to two named defenses, one variant entry brings its own factory:
+  // CLP at a lower outlier threshold than the library default.
+  int variant_builds = 0;
   eval::TableSpec spec;
   spec.title = "resume-test";
   spec.dataset = "cifar";
   spec.arch = "vgg";
   spec.attacks = {"badnet"};
-  spec.defenses = {"ft", "clp"};
+  spec.defenses = {"ft", "clp",
+                   {"clp-u2", [&](const eval::ExperimentScale&) {
+                      ++variant_builds;
+                      defense::ClpConfig config;
+                      config.u = 2.0;
+                      return std::make_unique<defense::ClpDefense>(config);
+                    }}};
   spec.scatter = true;
   spec.scale = micro_scale();
   spec.resume = false;
@@ -831,7 +849,27 @@ TEST_F(TableResume, CrashThenResumeIsByteIdentical) {
   const std::string reference_out = strip_timing(
       ::testing::internal::GetCapturedStdout());
   EXPECT_EQ(reference.resumed_cells, 0u);
-  ASSERT_EQ(reference.settings.size(), 2u);
+  ASSERT_EQ(reference.settings.size(), 3u);
+  EXPECT_NE(reference_out.find("| Pruned"), std::string::npos);
+
+  // The factory is what ran: built once, and CLP is data-free, so on the
+  // same weights a lower threshold prunes a superset of the default's.
+  EXPECT_EQ(variant_builds, 1);
+  EXPECT_EQ(reference.settings[2].defense, "clp-u2");
+  ASSERT_EQ(reference.settings[2].pruned.size(), 1u);
+  EXPECT_GE(reference.settings[2].pruned[0], reference.settings[1].pruned[0]);
+  EXPECT_NE(line_with(reference_out, "| clp-u2"), "");
+
+  // The label keys the variant's journal entry and is its defense field.
+  int variant_entries = 0;
+  const robust::RunJournal written(ref_journal.path());
+  for (const auto& [key, fields] : written.entries()) {
+    if (eval::decode_table_entry(fields).defense == "clp-u2") {
+      ++variant_entries;
+      EXPECT_EQ(fields.at("defense"), "clp-u2");
+    }
+  }
+  EXPECT_EQ(variant_entries, 1);
 
   // Crashed run: killed between cell 1 and cell 2.
   TempFile crash_journal("journal_crash");
@@ -856,15 +894,35 @@ TEST_F(TableResume, CrashThenResumeIsByteIdentical) {
       ::testing::internal::GetCapturedStdout());
 
   EXPECT_EQ(resumed.resumed_cells, 1u);
+  EXPECT_EQ(variant_builds, 2);  // the crash came before the variant's cell
   EXPECT_EQ(resumed_out, reference_out);
   ASSERT_EQ(resumed.settings.size(), reference.settings.size());
   for (std::size_t i = 0; i < reference.settings.size(); ++i) {
     EXPECT_EQ(resumed.settings[i].acc, reference.settings[i].acc) << i;
     EXPECT_EQ(resumed.settings[i].asr, reference.settings[i].asr) << i;
     EXPECT_EQ(resumed.settings[i].ra, reference.settings[i].ra) << i;
+    EXPECT_EQ(resumed.settings[i].pruned, reference.settings[i].pruned) << i;
   }
   ASSERT_EQ(resumed.baselines.size(), 1u);
   EXPECT_EQ(resumed.baselines[0].second.acc, reference.baselines[0].second.acc);
+
+  // No defenses: the journaled baseline row alone, with no pruned count.
+  spec.defenses.clear();
+  spec.journal_path = ref_journal.path();
+  ::testing::internal::CaptureStdout();
+  const eval::TableRun baseline_only = eval::run_table(spec);
+  const std::string baseline_out = strip_timing(
+      ::testing::internal::GetCapturedStdout());
+  EXPECT_TRUE(baseline_only.settings.empty());
+  ASSERT_EQ(baseline_only.baselines.size(), 1u);
+  EXPECT_EQ(baseline_only.baselines[0].second.asr,
+            reference.baselines[0].second.asr);
+  const std::string baseline_row = line_with(reference_out, "| Baseline");
+  ASSERT_NE(baseline_row, "");
+  EXPECT_EQ(line_with(baseline_out, "| Baseline"), baseline_row);
+  EXPECT_EQ(baseline_out.find("CLP"), std::string::npos);
+  EXPECT_EQ(baseline_out.find("clp-u2"), std::string::npos);
+  EXPECT_EQ(variant_builds, 2);
 }
 
 TEST_F(TableResume, FullyJournaledRunSkipsAttackTraining) {

@@ -11,6 +11,10 @@ the metadata the runs share, their seeds, the lowest host.run_share, the unit
 totals and the median of each end-to-end metric in BENCHMARK.json. Refuses
 (exit 1) if a run is not correct or has failed units, or if the runs differ in
 any shared field, such as source_digest.
+
+Of the two source stamps, source_digest names the tree that was measured.
+git_sha is the checkout's HEAD when the runs were taken: for runs of an
+uncommitted change it is that change's parent commit, not the change.
 """
 import argparse
 import json
