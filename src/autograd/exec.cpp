@@ -248,8 +248,9 @@ void execute_backward(const Node& n, const GradSink& sink) {
       sink(n.inputs[0], Tensor::full(n.inputs[0]->shape, n.grad[0]));
       return;
     case OpKind::kMatmul:
-      sink(n.inputs[0], bd::matmul(n.grad, transpose2d(in_value(n, 1))));
-      sink(n.inputs[1], bd::matmul(transpose2d(in_value(n, 0)), n.grad));
+      sink(n.inputs[0], bd::matmul(n.grad, in_value(n, 1), /*trans_a=*/false,
+                                   /*trans_b=*/true));
+      sink(n.inputs[1], bd::matmul(in_value(n, 0), n.grad, /*trans_a=*/true));
       return;
     case OpKind::kConv2d:
     case OpKind::kDepthwiseConv2d: {

@@ -18,14 +18,13 @@ float spectral_norm(const Tensor& matrix, std::int64_t iterations) {
   for (std::int64_t i = 0; i < cols; ++i) {
     v[i] = 1.0f / std::sqrt(static_cast<float>(cols));
   }
-  Tensor mt = transpose2d(matrix);
   float sigma = 0.0f;
   for (std::int64_t it = 0; it < iterations; ++it) {
     Tensor u = matmul(matrix, v);  // (rows,1)
     const float un = l2_norm(u);
     if (un == 0.0f) return 0.0f;
     for (std::int64_t i = 0; i < rows; ++i) u[i] /= un;
-    v = matmul(mt, u);  // (cols,1)
+    v = matmul(matrix, u, /*trans_a=*/true);  // (cols,1)
     sigma = l2_norm(v);
     if (sigma == 0.0f) return 0.0f;
     for (std::int64_t i = 0; i < cols; ++i) v[i] /= sigma;

@@ -1,7 +1,8 @@
 #include "tensor/conv.h"
 
+#include <algorithm>
+#include <memory>
 #include <stdexcept>
-#include <vector>
 
 #include "runtime/thread_pool.h"
 #include "tensor/ops.h"
@@ -17,74 +18,21 @@ std::int64_t conv_out_size(std::int64_t in, std::int64_t kernel,
   return out;
 }
 
-Tensor im2col(const Tensor& input, std::int64_t n, std::int64_t kh,
-              std::int64_t kw, const Conv2dSpec& spec) {
-  const std::int64_t c = input.size(1), h = input.size(2), w = input.size(3);
-  const std::int64_t oh = conv_out_size(h, kh, spec.stride, spec.padding);
-  const std::int64_t ow = conv_out_size(w, kw, spec.stride, spec.padding);
-
-  Tensor cols({c * kh * kw, oh * ow});
-  float* pc = cols.data();
-  const float* pin = input.data() + n * c * h * w;
-
-  std::int64_t row = 0;
-  for (std::int64_t ch = 0; ch < c; ++ch) {
-    const float* chan = pin + ch * h * w;
-    for (std::int64_t ky = 0; ky < kh; ++ky) {
-      for (std::int64_t kx = 0; kx < kw; ++kx, ++row) {
-        float* out_row = pc + row * oh * ow;
-        std::int64_t idx = 0;
-        for (std::int64_t oy = 0; oy < oh; ++oy) {
-          const std::int64_t iy = oy * spec.stride - spec.padding + ky;
-          if (iy < 0 || iy >= h) {
-            for (std::int64_t ox = 0; ox < ow; ++ox) out_row[idx++] = 0.0f;
-            continue;
-          }
-          const float* in_row = chan + iy * w;
-          for (std::int64_t ox = 0; ox < ow; ++ox) {
-            const std::int64_t ix = ox * spec.stride - spec.padding + kx;
-            out_row[idx++] = (ix >= 0 && ix < w) ? in_row[ix] : 0.0f;
-          }
-        }
-      }
-    }
-  }
-  return cols;
+std::int64_t conv_group_size(std::int64_t sample_floats) {
+  // Each group allocates its scratch and frees it when done. A budget below
+  // the allocator's mmap threshold (128 KiB in glibc) keeps the blocks on
+  // the heap, where the next tensors reuse them, so peak RSS does not grow.
+  constexpr std::int64_t kGroupScratchBytes = std::int64_t{1} << 16;
+  const std::int64_t bytes =
+      std::max<std::int64_t>(1, sample_floats) * std::int64_t{sizeof(float)};
+  return std::max<std::int64_t>(1, kGroupScratchBytes / bytes);
 }
 
-void col2im_accumulate(const Tensor& cols, Tensor& grad_input, std::int64_t n,
-                       std::int64_t kh, std::int64_t kw,
-                       const Conv2dSpec& spec) {
-  const std::int64_t c = grad_input.size(1);
-  const std::int64_t h = grad_input.size(2), w = grad_input.size(3);
-  const std::int64_t oh = conv_out_size(h, kh, spec.stride, spec.padding);
-  const std::int64_t ow = conv_out_size(w, kw, spec.stride, spec.padding);
-
-  const float* pc = cols.data();
-  float* pout = grad_input.data() + n * c * h * w;
-
-  std::int64_t row = 0;
-  for (std::int64_t ch = 0; ch < c; ++ch) {
-    float* chan = pout + ch * h * w;
-    for (std::int64_t ky = 0; ky < kh; ++ky) {
-      for (std::int64_t kx = 0; kx < kw; ++kx, ++row) {
-        const float* in_row = pc + row * oh * ow;
-        std::int64_t idx = 0;
-        for (std::int64_t oy = 0; oy < oh; ++oy) {
-          const std::int64_t iy = oy * spec.stride - spec.padding + ky;
-          if (iy < 0 || iy >= h) {
-            idx += ow;
-            continue;
-          }
-          float* out_row = chan + iy * w;
-          for (std::int64_t ox = 0; ox < ow; ++ox, ++idx) {
-            const std::int64_t ix = ox * spec.stride - spec.padding + kx;
-            if (ix >= 0 && ix < w) out_row[ix] += in_row[idx];
-          }
-        }
-      }
-    }
-  }
+std::int64_t conv_weight_chunk(std::int64_t weight_floats) {
+  // A chunk's per-sample products are its only parallel work, so it keeps
+  // this many samples even where they overflow the scratch budget.
+  constexpr std::int64_t kMinChunkSamples = 8;
+  return std::max(kMinChunkSamples, conv_group_size(weight_floats));
 }
 
 namespace {
@@ -111,104 +59,249 @@ void check_conv_args(const Tensor& input, const Tensor& weight,
   }
 }
 
+// Shape of one standard convolution: a (C,H,W) image unfolds into a
+// (C*KH*KW, OH*OW) patch matrix, and the weight is a (Cout, C*KH*KW) matrix.
+struct ConvGeometry {
+  std::int64_t c, h, w, kh, kw, oh, ow, cout;
+  Conv2dSpec spec;
+
+  ConvGeometry(const Tensor& input, const Tensor& weight,
+               const Conv2dSpec& s)
+      : c(input.size(1)),
+        h(input.size(2)),
+        w(input.size(3)),
+        kh(weight.size(2)),
+        kw(weight.size(3)),
+        oh(conv_out_size(h, kh, s.stride, s.padding)),
+        ow(conv_out_size(w, kw, s.stride, s.padding)),
+        cout(weight.size(0)),
+        spec(s) {}
+
+  std::int64_t image() const { return c * h * w; }
+  std::int64_t patch_rows() const { return c * kh * kw; }
+  std::int64_t plane() const { return oh * ow; }
+  // The image with a zero border of `padding` on each side: every kernel
+  // tap of every output reads inside it, with no bounds tests.
+  std::int64_t hp() const { return h + 2 * spec.padding; }
+  std::int64_t wp() const { return w + 2 * spec.padding; }
+  std::int64_t padded() const { return c * hp() * wp(); }
+};
+
+// Uninitialized scratch of `floats` floats, freed when the caller is done.
+std::unique_ptr<float[]> scratch(std::int64_t floats) {
+  return std::make_unique_for_overwrite<float[]>(
+      static_cast<std::size_t>(floats));
+}
+
+// Copies one (C,H,W) image into its zero-bordered padded form.
+void pad_image(const ConvGeometry& g, const float* image, float* padded) {
+  std::fill(padded, padded + g.padded(), 0.0f);
+  for (std::int64_t ch = 0; ch < g.c; ++ch) {
+    for (std::int64_t y = 0; y < g.h; ++y) {
+      const float* src = image + (ch * g.h + y) * g.w;
+      std::copy(src, src + g.w,
+                padded + (ch * g.hp() + y + g.spec.padding) * g.wp() +
+                    g.spec.padding);
+    }
+  }
+}
+
+// Unfolds one padded image into its patch matrix, rows `ld` floats apart.
+void im2col(const ConvGeometry& g, const float* padded, float* cols,
+            std::int64_t ld) {
+  const std::int64_t s = g.spec.stride, wp = g.wp();
+  std::int64_t row = 0;
+  for (std::int64_t ch = 0; ch < g.c; ++ch) {
+    for (std::int64_t ky = 0; ky < g.kh; ++ky) {
+      for (std::int64_t kx = 0; kx < g.kw; ++kx, ++row) {
+        const float* src = padded + (ch * g.hp() + ky) * wp + kx;
+        float* out = cols + row * ld;
+        for (std::int64_t oy = 0; oy < g.oh; ++oy, out += g.ow) {
+          const float* in = src + oy * s * wp;
+          for (std::int64_t ox = 0; ox < g.ow; ++ox) out[ox] = in[ox * s];
+        }
+      }
+    }
+  }
+}
+
+// Folds a patch-gradient matrix (rows `ld` floats apart) into a zeroed
+// padded image gradient, adding in (channel, tap, output) order, and writes
+// its interior to `image`, a zeroed (C,H,W) gradient that only this call
+// touches: every pixel gets the additions an unpadded fold would make.
+void col2im(const ConvGeometry& g, const float* cols, std::int64_t ld,
+            float* padded, float* image) {
+  const std::int64_t s = g.spec.stride, wp = g.wp();
+  std::fill(padded, padded + g.padded(), 0.0f);
+  std::int64_t row = 0;
+  for (std::int64_t ch = 0; ch < g.c; ++ch) {
+    for (std::int64_t ky = 0; ky < g.kh; ++ky) {
+      for (std::int64_t kx = 0; kx < g.kw; ++kx, ++row) {
+        float* dst = padded + (ch * g.hp() + ky) * wp + kx;
+        const float* in = cols + row * ld;
+        for (std::int64_t oy = 0; oy < g.oh; ++oy, in += g.ow) {
+          float* out = dst + oy * s * wp;
+          for (std::int64_t ox = 0; ox < g.ow; ++ox) out[ox * s] += in[ox];
+        }
+      }
+    }
+  }
+  for (std::int64_t ch = 0; ch < g.c; ++ch) {
+    for (std::int64_t y = 0; y < g.h; ++y) {
+      const float* src = padded + (ch * g.hp() + y + g.spec.padding) * wp +
+                         g.spec.padding;
+      std::copy(src, src + g.w, image + (ch * g.h + y) * g.w);
+    }
+  }
+}
+
+// Runs body(first_sample, samples) for consecutive groups of `group`
+// samples out of n, one parallel_for chunk per group. A lone group runs
+// outside parallel_for, so the GEMM inside it can spread its tiles.
+template <typename Body>
+void for_each_group(std::int64_t n, std::int64_t group, Body&& body) {
+  const std::int64_t groups = (n + group - 1) / group;
+  if (groups == 1) {
+    body(0, n);
+    return;
+  }
+  runtime::parallel_for(0, groups, 1,
+                        [&](std::int64_t lo, std::int64_t hi) {
+                          for (std::int64_t gi = lo; gi < hi; ++gi) {
+                            const std::int64_t s0 = gi * group;
+                            body(s0, std::min(group, n - s0));
+                          }
+                        });
+}
+
 }  // namespace
 
 Tensor conv2d_forward(const Tensor& input, const Tensor& weight,
                       const Tensor& bias, const Conv2dSpec& spec) {
   check_conv_args(input, weight, bias, /*depthwise=*/false);
-  const std::int64_t n = input.size(0);
-  const std::int64_t cout = weight.size(0), cin = weight.size(1);
-  const std::int64_t kh = weight.size(2), kw = weight.size(3);
-  const std::int64_t oh =
-      conv_out_size(input.size(2), kh, spec.stride, spec.padding);
-  const std::int64_t ow =
-      conv_out_size(input.size(3), kw, spec.stride, spec.padding);
+  const ConvGeometry g(input, weight, spec);
+  const std::int64_t n = input.size(0), cout = g.cout;
+  const std::int64_t rows = g.patch_rows(), plane = g.plane();
+  Tensor out({n, cout, g.oh, g.ow});
 
-  const Tensor wmat = weight.reshape({cout, cin * kh * kw});
-  Tensor out({n, cout, oh, ow});
-
-  // Samples write disjoint output slices, so the batch dimension
-  // parallelizes directly; the matmul inside runs serially (nested region).
-  runtime::parallel_for(0, n, 1, [&](std::int64_t lo, std::int64_t hi) {
-    for (std::int64_t i = lo; i < hi; ++i) {
-      const Tensor cols = im2col(input, i, kh, kw, spec);
-      const Tensor res = matmul(wmat, cols);  // (cout, oh*ow)
-      float* po = out.data() + i * cout * oh * ow;
-      std::copy(res.data(), res.data() + res.numel(), po);
-      if (bias.defined()) {
-        for (std::int64_t c = 0; c < cout; ++c) {
-          const float b = bias[c];
-          float* plane = po + c * oh * ow;
-          for (std::int64_t j = 0; j < oh * ow; ++j) plane[j] += b;
+  // Each group unfolds its samples side by side into one (rows, group*plane)
+  // patch block, runs one GEMM against the (cout, rows) weight and scatters
+  // the (cout, group*plane) result into NCHW. Groups write disjoint samples.
+  for_each_group(
+      n, conv_group_size((rows + cout) * plane),
+      [&](std::int64_t s0, std::int64_t samples) {
+        const std::int64_t ld = samples * plane;
+        const auto block = scratch((rows + cout) * ld + g.padded());
+        float* cols = block.get();
+        float* res = cols + rows * ld;
+        float* padded = res + cout * ld;
+        for (std::int64_t i = 0; i < samples; ++i) {
+          pad_image(g, input.data() + (s0 + i) * g.image(), padded);
+          im2col(g, padded, cols + i * plane, ld);
         }
-      }
-    }
-  });
+        gemm(false, false, cout, ld, rows, weight.data(), rows, cols, ld, res,
+             ld);
+        for (std::int64_t i = 0; i < samples; ++i) {
+          for (std::int64_t c = 0; c < cout; ++c) {
+            const float* src = res + c * ld + i * plane;
+            float* dst = out.data() + ((s0 + i) * cout + c) * plane;
+            if (!bias.defined()) {
+              std::copy(src, src + plane, dst);
+              continue;
+            }
+            const float b = bias[c];
+            for (std::int64_t j = 0; j < plane; ++j) dst[j] = src[j] + b;
+          }
+        }
+      });
   return out;
 }
 
 Conv2dGrads conv2d_backward(const Tensor& input, const Tensor& weight,
                             bool has_bias, const Tensor& grad_output,
                             const Conv2dSpec& spec) {
-  const std::int64_t n = input.size(0);
-  const std::int64_t cout = weight.size(0), cin = weight.size(1);
-  const std::int64_t kh = weight.size(2), kw = weight.size(3);
-  const std::int64_t oh = grad_output.size(2), ow = grad_output.size(3);
-
-  const Tensor wmat = weight.reshape({cout, cin * kh * kw});
-  const Tensor wmat_t = transpose2d(wmat);
+  const ConvGeometry g(input, weight, spec);
+  const std::int64_t n = input.size(0), cout = g.cout;
+  const std::int64_t rows = g.patch_rows(), plane = g.plane();
 
   Conv2dGrads grads;
   grads.grad_input = Tensor(input.shape());
-  Tensor grad_wmat({cout, cin * kh * kw});
+  grads.grad_weight = Tensor(weight.shape());
   if (has_bias) grads.grad_bias = Tensor({cout});
 
-  // grad_input slices are sample-disjoint, but grad_weight/grad_bias sum
-  // across the batch. Each sample computes its contribution into a private
-  // buffer; the reduction below runs serially in sample order, making the
-  // result bitwise identical to the legacy serial loop for any thread count.
-  std::vector<Tensor> gw_partial(static_cast<std::size_t>(n));
-  std::vector<std::vector<float>> gb_partial(
-      static_cast<std::size_t>(has_bias ? n : 0));
-
-  runtime::parallel_for(0, n, 1, [&](std::int64_t lo, std::int64_t hi) {
-    for (std::int64_t i = lo; i < hi; ++i) {
-      // View of this sample's output gradient as (cout, oh*ow).
-      Tensor go({cout, oh * ow});
-      const float* pg = grad_output.data() + i * cout * oh * ow;
-      std::copy(pg, pg + cout * oh * ow, go.data());
-
-      const Tensor cols = im2col(input, i, kh, kw, spec);
-      // dW_i = dOut * colsT
-      const Tensor cols_t = transpose2d(cols);
-      gw_partial[static_cast<std::size_t>(i)] = matmul(go, cols_t);
-      // dX_cols = W^T * dOut ; fold back
-      const Tensor dcols = matmul(wmat_t, go);
-      col2im_accumulate(dcols, grads.grad_input, i, kh, kw, spec);
-
-      if (has_bias) {
-        std::vector<float> gb(static_cast<std::size_t>(cout));
-        for (std::int64_t c = 0; c < cout; ++c) {
-          const float* row = go.data() + c * oh * ow;
-          double s = 0.0;
-          for (std::int64_t j = 0; j < oh * ow; ++j) s += row[j];
-          gb[static_cast<std::size_t>(c)] = static_cast<float>(s);
+  // grad_input: per group, gather dOut into (cout, group*plane), take
+  // W^T * dOut with one GEMM and fold each sample's columns back onto its
+  // own (disjoint) image gradient.
+  for_each_group(
+      n, conv_group_size((rows + cout) * plane),
+      [&](std::int64_t s0, std::int64_t samples) {
+        const std::int64_t ld = samples * plane;
+        const auto block = scratch((rows + cout) * ld + g.padded());
+        float* dout = block.get();
+        float* dcols = dout + cout * ld;
+        float* padded = dcols + rows * ld;
+        for (std::int64_t i = 0; i < samples; ++i) {
+          for (std::int64_t c = 0; c < cout; ++c) {
+            const float* src =
+                grad_output.data() + ((s0 + i) * cout + c) * plane;
+            std::copy(src, src + plane, dout + c * ld + i * plane);
+          }
         }
-        gb_partial[static_cast<std::size_t>(i)] = std::move(gb);
-      }
-    }
-  });
+        gemm(true, false, rows, ld, cout, weight.data(), rows, dout, ld,
+             dcols, ld);
+        for (std::int64_t i = 0; i < samples; ++i) {
+          col2im(g, dcols + i * plane, ld, padded,
+                 grads.grad_input.data() + (s0 + i) * g.image());
+        }
+      });
 
-  for (std::int64_t i = 0; i < n; ++i) {
-    axpy_inplace(grad_wmat, 1.0f, gw_partial[static_cast<std::size_t>(i)]);
-    if (has_bias) {
-      const auto& gb = gb_partial[static_cast<std::size_t>(i)];
-      for (std::int64_t c = 0; c < cout; ++c) {
-        grads.grad_bias[c] += gb[static_cast<std::size_t>(c)];
-      }
-    }
+  // grad_weight sums the per-sample products dOut_i * cols_i^T over the
+  // batch. Each chunk of samples computes its products in parallel into one
+  // scratch block; they are then added to grad_weight in sample order,
+  // parallel over weight elements. Every element thus sees the same
+  // additions in the same order for any thread count.
+  const std::int64_t wsize = cout * rows;
+  const std::int64_t chunk = conv_weight_chunk(wsize);
+  const auto products = scratch(std::min(chunk, n) * wsize);
+  float* gw = grads.grad_weight.data();
+  for (std::int64_t s0 = 0; s0 < n; s0 += chunk) {
+    const std::int64_t samples = std::min(chunk, n - s0);
+    for_each_group(samples, 1, [&](std::int64_t i, std::int64_t) {
+      const auto block = scratch(rows * plane + g.padded());
+      float* cols = block.get();
+      float* padded = cols + rows * plane;
+      pad_image(g, input.data() + (s0 + i) * g.image(), padded);
+      im2col(g, padded, cols, plane);
+      gemm(false, true, cout, rows, plane,
+           grad_output.data() + (s0 + i) * cout * plane, plane, cols, plane,
+           products.get() + i * wsize, rows);
+    });
+    runtime::parallel_for(0, wsize, kElemwiseGrain,
+                          [&](std::int64_t lo, std::int64_t hi) {
+                            for (std::int64_t i = 0; i < samples; ++i) {
+                              const float* p = products.get() + i * wsize;
+                              for (std::int64_t e = lo; e < hi; ++e) {
+                                gw[e] += p[e];
+                              }
+                            }
+                          });
   }
-  grads.grad_weight = grad_wmat.reshape({cout, cin, kh, kw});
+
+  if (has_bias) {
+    // Per channel: each sample's plane sum (in double), added in order.
+    runtime::parallel_for(
+        0, cout, runtime::grain_for_cost(n * plane),
+        [&](std::int64_t lo, std::int64_t hi) {
+          for (std::int64_t c = lo; c < hi; ++c) {
+            for (std::int64_t i = 0; i < n; ++i) {
+              const float* row = grad_output.data() + (i * cout + c) * plane;
+              double s = 0.0;
+              for (std::int64_t j = 0; j < plane; ++j) s += row[j];
+              grads.grad_bias[c] += static_cast<float>(s);
+            }
+          }
+        });
+  }
   return grads;
 }
 

@@ -1,6 +1,18 @@
 // Convolution kernels (forward and backward) used by the autograd layer.
 //
-// Layout is NCHW. Standard convolutions go through im2col + matmul; the
+// Layout is NCHW. Standard convolutions run on the one GEMM (tensor/ops.h)
+// over groups of samples: a group's images unfold (im2col) side by side into
+// one bounded scratch block, so one GEMM covers group * OH*OW columns, and
+// groups run in parallel. The group size comes from a fixed byte budget and
+// the layer shape (conv_group_size), never from the thread count.
+//   forward      W (Cout, C*KH*KW) * cols, scattered into NCHW plus bias
+//   grad-input   W^T * dOut per group (transpose flag), col2im per sample
+//   grad-weight  dOut_i * cols_i^T per sample (transpose flag), samples in
+//                parallel, into one block per chunk of samples
+//                (conv_weight_chunk), added to the gradient in sample
+//                order, parallel over weight elements
+// Every output element is one GEMM sum in k order or a sample-ordered sum
+// of them, so results are bitwise identical for any thread count. The
 // depthwise variant (MobileNet / EfficientNet blocks) uses direct loops.
 #pragma once
 
@@ -17,16 +29,15 @@ struct Conv2dSpec {
 std::int64_t conv_out_size(std::int64_t in, std::int64_t kernel,
                            std::int64_t stride, std::int64_t padding);
 
-/// Unfolds one image (C,H,W view of `input` at batch index n) into a
-/// (C*KH*KW, OH*OW) patch matrix.
-Tensor im2col(const Tensor& input, std::int64_t n, std::int64_t kh,
-              std::int64_t kw, const Conv2dSpec& spec);
+/// Samples per group when each needs `sample_floats` floats of scratch: as
+/// many as fit a fixed 64 KiB budget, at least one. conv2d_forward and the
+/// grad-input pass use sample_floats = (C*KH*KW + Cout) * OH*OW.
+std::int64_t conv_group_size(std::int64_t sample_floats);
 
-/// Folds a (C*KH*KW, OH*OW) patch-gradient matrix back onto image `n` of
-/// `grad_input` (accumulating).
-void col2im_accumulate(const Tensor& cols, Tensor& grad_input, std::int64_t n,
-                       std::int64_t kh, std::int64_t kw,
-                       const Conv2dSpec& spec);
+/// Samples per grad-weight chunk for a weight of `weight_floats` floats:
+/// conv_group_size(weight_floats), but at least 8, because the chunk's
+/// per-sample products are what runs in parallel.
+std::int64_t conv_weight_chunk(std::int64_t weight_floats);
 
 /// input (N,Cin,H,W) * weight (Cout,Cin,KH,KW) + bias (Cout, optional
 /// undefined) -> (N,Cout,OH,OW).

@@ -1,5 +1,5 @@
 // Tensor arithmetic: elementwise ops with NumPy-style broadcasting,
-// reductions, matrix multiply, and the broadcast-reduction helper the
+// reductions, the one GEMM, and the broadcast-reduction helper the
 // autograd engine uses to accumulate gradients back to parameter shapes.
 #pragma once
 
@@ -120,10 +120,27 @@ Tensor reduce_mean(const Tensor& a, const std::vector<std::int64_t>& axes,
 // Linear algebra / classification helpers
 // ---------------------------------------------------------------------------
 
-/// (m,k) x (k,n) -> (m,n): a plain i-k-j loop, parallel over output rows.
-Tensor matmul(const Tensor& a, const Tensor& b);
+/// The one matrix product: C (m x n) = op(A) (m x k) * op(B) (k x n), where
+/// op(X) is X or, with its flag set, X transposed. Operands are row-major
+/// with rows `ld` floats apart (lda >= k, or >= m when trans_a; ldb >= n, or
+/// >= k when trans_b; ldc >= n). C is overwritten: each element starts at +0
+/// and adds a*b for k ascending, one rounded multiply and one rounded add per
+/// term (the build's -ffp-contract=off keeps them unfused). Output tiles run
+/// in parallel and k is never split, so that order, and every result, is the
+/// same for any tile shape and thread count. Rows of op(A) are packed into
+/// strips and a register tile of C is accumulated against column strips of
+/// op(B). No term is skipped, so 0 * inf gives NaN as IEEE says.
+void gemm(bool trans_a, bool trans_b, std::int64_t m, std::int64_t n,
+          std::int64_t k, const float* a, std::int64_t lda, const float* b,
+          std::int64_t ldb, float* c, std::int64_t ldc);
 
-/// 2-D transpose.
+/// op(a) x op(b) for rank-2 tensors: a thin wrapper over gemm, (m,k) x
+/// (k,n) -> (m,n), reading a (or b) transposed when its flag is set, with
+/// no transposed copy.
+Tensor matmul(const Tensor& a, const Tensor& b, bool trans_a = false,
+              bool trans_b = false);
+
+/// 2-D transpose (a copy). Kernels use gemm's transpose flags instead.
 Tensor transpose2d(const Tensor& a);
 
 /// Row-wise argmax of a (rows, cols) tensor.

@@ -3,8 +3,13 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <limits>
+#include <random>
 #include <sstream>
+#include <vector>
 
+#include "runtime/thread_pool.h"
 #include "tensor/conv.h"
 #include "tensor/ops.h"
 #include "tensor/pool.h"
@@ -201,6 +206,102 @@ TEST(Matmul, Transpose) {
   EXPECT_EQ(t.at2(2, 1), 6.0f);
 }
 
+// The sum every GEMM element must equal bit for bit: start at +0 and add
+// a*b for p = 0..k-1 in order (this target builds with -ffp-contract=off,
+// so each term is one rounded multiply and one rounded add).
+void naive_gemm(bool ta, bool tb, std::int64_t m, std::int64_t n,
+                std::int64_t k, const float* a, std::int64_t lda,
+                const float* b, std::int64_t ldb, float* c, std::int64_t ldc) {
+  for (std::int64_t i = 0; i < m; ++i) {
+    for (std::int64_t j = 0; j < n; ++j) {
+      float acc = 0.0f;
+      for (std::int64_t p = 0; p < k; ++p) {
+        const float av = ta ? a[p * lda + i] : a[i * lda + p];
+        const float bv = tb ? b[j * ldb + p] : b[p * ldb + j];
+        acc += av * bv;
+      }
+      c[i * ldc + j] = acc;
+    }
+  }
+}
+
+std::vector<float> random_floats(std::size_t count, std::mt19937& gen) {
+  std::uniform_real_distribution<float> dist(-2.0f, 2.0f);
+  std::vector<float> v(count);
+  for (float& x : v) x = dist(gen);
+  return v;
+}
+
+// Restores the environment's thread count when a test ends.
+struct ThreadCountGuard {
+  ~ThreadCountGuard() { runtime::set_thread_count(0); }
+};
+
+// Runs gemm on padded operands (every ld is 3 past the row length) and
+// checks C against naive_gemm with memcmp, and its padding untouched.
+void expect_gemm_matches(bool ta, bool tb, std::int64_t m, std::int64_t n,
+                         std::int64_t k, std::mt19937& gen) {
+  const std::int64_t lda = (ta ? m : k) + 3, ldb = (tb ? k : n) + 3;
+  const std::int64_t ldc = n + 3;
+  const std::vector<float> a = random_floats(
+      static_cast<std::size_t>((ta ? k : m) * lda), gen);
+  const std::vector<float> b = random_floats(
+      static_cast<std::size_t>((tb ? n : k) * ldb), gen);
+  std::vector<float> want(static_cast<std::size_t>(m * ldc), -7.0f);
+  std::vector<float> got = want;
+  naive_gemm(ta, tb, m, n, k, a.data(), lda, b.data(), ldb, want.data(), ldc);
+  gemm(ta, tb, m, n, k, a.data(), lda, b.data(), ldb, got.data(), ldc);
+  EXPECT_EQ(std::memcmp(want.data(), got.data(), want.size() * sizeof(float)),
+            0)
+      << "ta=" << ta << " tb=" << tb << " m=" << m << " n=" << n
+      << " k=" << k << " threads=" << runtime::thread_count();
+}
+
+TEST(Gemm, MatchesNaiveLoopBitForBit) {
+  ThreadCountGuard guard;
+  std::mt19937 gen(11);
+  const std::int64_t sizes[] = {1, 3, 5, 17, 33};
+  for (int threads : {1, 2, 3}) {
+    runtime::set_thread_count(threads);
+    for (bool ta : {false, true}) {
+      for (bool tb : {false, true}) {
+        for (std::int64_t m : sizes) {
+          for (std::int64_t n : sizes) {
+            for (std::int64_t k : sizes) {
+              expect_gemm_matches(ta, tb, m, n, k, gen);
+            }
+          }
+        }
+        // Shapes that span several row tiles, column panels and threads.
+        expect_gemm_matches(ta, tb, 70, 300, 40, gen);
+        expect_gemm_matches(ta, tb, 9, 50, 600, gen);
+      }
+    }
+  }
+}
+
+TEST(Gemm, ZeroTimesInfIsNaN) {
+  // No term is skipped: a zero in A meets the inf in B and the sum is NaN.
+  const Tensor a({1, 2}, {0.0f, 1.0f});
+  const Tensor b({2, 1}, {std::numeric_limits<float>::infinity(), 2.0f});
+  EXPECT_TRUE(std::isnan(matmul(a, b)[0]));
+}
+
+TEST(Matmul, TransposeFlagsMatchExplicitTranspose) {
+  std::mt19937 gen(5);
+  const Tensor a({4, 3}, random_floats(12, gen));
+  const Tensor b({5, 3}, random_floats(15, gen));
+  const Tensor want = matmul(a, transpose2d(b));
+  const Tensor got = matmul(a, b, false, true);
+  ASSERT_EQ(got.shape(), (Shape{4, 5}));
+  EXPECT_EQ(std::memcmp(want.data(), got.data(), 20 * sizeof(float)), 0);
+  const Tensor want_t = matmul(transpose2d(a), a);
+  const Tensor got_t = matmul(a, a, true, false);
+  ASSERT_EQ(got_t.shape(), (Shape{3, 3}));
+  EXPECT_EQ(std::memcmp(want_t.data(), got_t.data(), 9 * sizeof(float)), 0);
+  EXPECT_THROW(matmul(a, b, true, true), std::invalid_argument);
+}
+
 TEST(Classify, ArgmaxRows) {
   Tensor a({2, 3}, {0.1f, 0.9f, 0.3f, 2.0f, -1.0f, 0.0f});
   const auto idx = argmax_rows(a);
@@ -279,16 +380,182 @@ TEST(Conv, DepthwiseKnownAnswer) {
 }
 
 TEST(Conv, Im2ColRoundTripGradient) {
-  // col2im(im2col(x)) with an all-ones cols gradient accumulates the patch
-  // multiplicity at each pixel.
+  // col2im of an all-ones patch gradient (an all-ones 2x2 kernel under an
+  // all-ones output gradient) accumulates the patch multiplicity at each
+  // pixel.
   Tensor x = Tensor::ones({1, 1, 3, 3});
-  Conv2dSpec spec{1, 0};
-  Tensor cols = im2col(x, 0, 2, 2, spec);
-  EXPECT_EQ(cols.shape(), (Shape{4, 4}));
-  Tensor grad = Tensor::zeros({1, 1, 3, 3});
-  col2im_accumulate(Tensor::ones({4, 4}), grad, 0, 2, 2, spec);
-  EXPECT_FLOAT_EQ(grad.at4(0, 0, 1, 1), 4.0f);  // centre in 4 patches
-  EXPECT_FLOAT_EQ(grad.at4(0, 0, 0, 0), 1.0f);  // corner in 1 patch
+  const Conv2dGrads g = conv2d_backward(x, Tensor::ones({1, 1, 2, 2}), false,
+                                        Tensor::ones({1, 1, 2, 2}), {1, 0});
+  EXPECT_FLOAT_EQ(g.grad_input.at4(0, 0, 1, 1), 4.0f);  // centre in 4 patches
+  EXPECT_FLOAT_EQ(g.grad_input.at4(0, 0, 0, 0), 1.0f);  // corner in 1 patch
+  EXPECT_FLOAT_EQ(g.grad_weight[0], 4.0f);  // each tap sees 4 ones
+}
+
+// Reference conv kernels: per sample, a (C*KH*KW, OH*OW) patch matrix and
+// naive_gemm, with the weight and bias gradients summed in sample order.
+struct RefConv {
+  std::int64_t n, c, h, w, cout, kh, kw, oh, ow;
+  Conv2dSpec spec;
+
+  RefConv(const Tensor& x, const Tensor& weight, Conv2dSpec s)
+      : n(x.size(0)), c(x.size(1)), h(x.size(2)), w(x.size(3)),
+        cout(weight.size(0)), kh(weight.size(2)), kw(weight.size(3)),
+        oh(conv_out_size(h, kh, s.stride, s.padding)),
+        ow(conv_out_size(w, kw, s.stride, s.padding)), spec(s) {}
+
+  std::int64_t rows() const { return c * kh * kw; }
+  std::int64_t plane() const { return oh * ow; }
+
+  // Calls fn(row, output index, input index) for every in-bounds tap.
+  template <typename Fn>
+  void for_each_tap(Fn fn) const {
+    for (std::int64_t ch = 0; ch < c; ++ch) {
+      for (std::int64_t ky = 0; ky < kh; ++ky) {
+        for (std::int64_t kx = 0; kx < kw; ++kx) {
+          const std::int64_t row = (ch * kh + ky) * kw + kx;
+          for (std::int64_t oy = 0; oy < oh; ++oy) {
+            for (std::int64_t ox = 0; ox < ow; ++ox) {
+              const std::int64_t iy = oy * spec.stride - spec.padding + ky;
+              const std::int64_t ix = ox * spec.stride - spec.padding + kx;
+              if (iy < 0 || iy >= h || ix < 0 || ix >= w) continue;
+              fn(row, oy * ow + ox, (ch * h + iy) * w + ix);
+            }
+          }
+        }
+      }
+    }
+  }
+
+  std::vector<float> im2col(const Tensor& x, std::int64_t i) const {
+    std::vector<float> cols(static_cast<std::size_t>(rows() * plane()), 0.0f);
+    const float* img = x.data() + i * c * h * w;
+    for_each_tap([&](std::int64_t row, std::int64_t o, std::int64_t in) {
+      cols[static_cast<std::size_t>(row * plane() + o)] = img[in];
+    });
+    return cols;
+  }
+
+  Tensor forward(const Tensor& x, const Tensor& weight,
+                 const Tensor& bias) const {
+    Tensor out({n, cout, oh, ow});
+    for (std::int64_t i = 0; i < n; ++i) {
+      const std::vector<float> cols = im2col(x, i);
+      float* o = out.data() + i * cout * plane();
+      naive_gemm(false, false, cout, plane(), rows(), weight.data(), rows(),
+                 cols.data(), plane(), o, plane());
+      if (!bias.defined()) continue;
+      for (std::int64_t co = 0; co < cout; ++co) {
+        float* plane_out = o + co * plane();
+        for (std::int64_t j = 0; j < plane(); ++j) plane_out[j] += bias[co];
+      }
+    }
+    return out;
+  }
+
+  Conv2dGrads backward(const Tensor& x, const Tensor& weight, bool has_bias,
+                       const Tensor& gy) const {
+    Conv2dGrads g;
+    g.grad_input = Tensor(x.shape());
+    g.grad_weight = Tensor(weight.shape());
+    if (has_bias) g.grad_bias = Tensor({cout});
+    std::vector<float> part(static_cast<std::size_t>(cout * rows()));
+    std::vector<float> dcols(static_cast<std::size_t>(rows() * plane()));
+    for (std::int64_t i = 0; i < n; ++i) {
+      const std::vector<float> cols = im2col(x, i);
+      const float* go = gy.data() + i * cout * plane();
+      naive_gemm(false, true, cout, rows(), plane(), go, plane(), cols.data(),
+                 plane(), part.data(), rows());
+      for (std::size_t e = 0; e < part.size(); ++e) g.grad_weight[e] += part[e];
+      naive_gemm(true, false, rows(), plane(), cout, weight.data(), rows(), go,
+                 plane(), dcols.data(), plane());
+      float* gin = g.grad_input.data() + i * c * h * w;
+      for_each_tap([&](std::int64_t row, std::int64_t o, std::int64_t in) {
+        gin[in] += dcols[static_cast<std::size_t>(row * plane() + o)];
+      });
+      if (!has_bias) continue;
+      for (std::int64_t co = 0; co < cout; ++co) {
+        double sum = 0.0;
+        for (std::int64_t j = 0; j < plane(); ++j) sum += go[co * plane() + j];
+        g.grad_bias[co] += static_cast<float>(sum);
+      }
+    }
+    return g;
+  }
+};
+
+Tensor random_tensor(const Shape& shape, std::mt19937& gen) {
+  return Tensor(shape, random_floats(
+                           static_cast<std::size_t>(shape_numel(shape)), gen));
+}
+
+bool same_bits(const Tensor& a, const Tensor& b) {
+  return a.shape() == b.shape() &&
+         std::memcmp(a.data(), b.data(), a.numel() * sizeof(float)) == 0;
+}
+
+struct ConvCase {
+  const char* name;
+  Shape x, w;
+  Conv2dSpec spec;
+  bool bias;
+  std::int64_t pruned_filter;  // filter zeroed out, or -1
+};
+
+void expect_conv_matches(const ConvCase& cc, std::mt19937& gen) {
+  const Tensor x = random_tensor(cc.x, gen);
+  Tensor w = random_tensor(cc.w, gen);
+  if (cc.pruned_filter >= 0) {
+    const std::int64_t per = w.numel() / w.size(0);
+    std::fill(w.data() + cc.pruned_filter * per,
+              w.data() + (cc.pruned_filter + 1) * per, 0.0f);
+  }
+  const Tensor bias = cc.bias ? random_tensor({cc.w[0]}, gen) : Tensor();
+  const RefConv ref(x, w, cc.spec);
+  const Tensor gy = random_tensor({ref.n, ref.cout, ref.oh, ref.ow}, gen);
+  const std::string where = std::string(cc.name) + " threads=" +
+                            std::to_string(runtime::thread_count());
+
+  EXPECT_TRUE(same_bits(conv2d_forward(x, w, bias, cc.spec),
+                        ref.forward(x, w, bias)))
+      << where;
+  const Conv2dGrads got = conv2d_backward(x, w, cc.bias, gy, cc.spec);
+  const Conv2dGrads want = ref.backward(x, w, cc.bias, gy);
+  EXPECT_TRUE(same_bits(got.grad_input, want.grad_input)) << where;
+  EXPECT_TRUE(same_bits(got.grad_weight, want.grad_weight)) << where;
+  EXPECT_EQ(got.grad_bias.defined(), cc.bias) << where;
+  if (cc.bias) EXPECT_TRUE(same_bits(got.grad_bias, want.grad_bias)) << where;
+}
+
+TEST(Conv, MatchesPerSampleReferenceBitForBit) {
+  // 32 -> 32 channels on 3x3 maps: the batch of 19 spans several forward
+  // groups and several grad-weight chunks, each with a remainder.
+  const std::int64_t group = conv_group_size((32 * 9 + 32) * 9);
+  const std::int64_t chunk = conv_weight_chunk(32 * 32 * 9);
+  ASSERT_GT(19, group);
+  ASSERT_NE(19 % group, 0);
+  ASSERT_GT(chunk, 1);
+  ASSERT_GT(19, chunk);
+  ASSERT_NE(19 % chunk, 0);
+  // A small weight whose chunk the scratch budget sets, with a remainder.
+  const std::int64_t budget_chunk = conv_weight_chunk(4 * 16 * 9);
+  ASSERT_GT(budget_chunk, chunk);
+  ASSERT_GT(30, budget_chunk);
+  ASSERT_NE(30 % budget_chunk, 0);
+  const ConvCase cases[] = {
+      {"stride 2, pad 1, bias", {5, 3, 7, 7}, {4, 3, 3, 3}, {2, 1}, true, -1},
+      {"pad 0, n = 1", {1, 4, 6, 5}, {6, 4, 3, 3}, {1, 0}, false, -1},
+      {"1x1 pointwise", {3, 8, 5, 5}, {5, 8, 1, 1}, {1, 0}, true, -1},
+      {"1x1 stride 2", {2, 6, 6, 6}, {4, 6, 1, 1}, {2, 0}, false, -1},
+      {"pruned filters", {4, 5, 6, 6}, {6, 5, 3, 3}, {1, 1}, true, 2},
+      {"group remainder", {19, 32, 3, 3}, {32, 32, 3, 3}, {1, 1}, true, 31},
+      {"budget chunks", {30, 16, 4, 4}, {4, 16, 3, 3}, {1, 1}, false, -1},
+  };
+  ThreadCountGuard guard;
+  std::mt19937 gen(3);
+  for (int threads : {1, 3}) {
+    runtime::set_thread_count(threads);
+    for (const ConvCase& cc : cases) expect_conv_matches(cc, gen);
+  }
 }
 
 // ---------------------------------------------------------------------------
