@@ -74,34 +74,45 @@ double parse_double(const std::string& flag, const std::string& text) {
 
 struct Args {
   std::string command;
-  std::map<std::string, std::string> flags;
+  /// Each flag's values in command-line order; the getters read the last.
+  std::map<std::string, std::vector<std::string>> flags;
+  /// The free-form argv after a `--`, verbatim.
+  std::vector<std::string> rest;
 
-  std::string get(const std::string& key, const std::string& fallback) const {
+  const std::string* last(const std::string& key) const {
     const auto it = flags.find(key);
-    return it == flags.end() ? fallback : it->second;
+    return it == flags.end() ? nullptr : &it->second.back();
+  }
+  std::string get(const std::string& key, const std::string& fallback) const {
+    const std::string* v = last(key);
+    return v == nullptr ? fallback : *v;
   }
   std::int64_t get_int(const std::string& key, std::int64_t fallback) const {
-    const auto it = flags.find(key);
-    return it == flags.end() ? fallback : parse_int("--" + key, it->second);
+    const std::string* v = last(key);
+    return v == nullptr ? fallback : parse_int("--" + key, *v);
   }
   double get_double(const std::string& key, double fallback) const {
-    const auto it = flags.find(key);
-    return it == flags.end() ? fallback : parse_double("--" + key, it->second);
+    const std::string* v = last(key);
+    return v == nullptr ? fallback : parse_double("--" + key, *v);
   }
 };
 
+/// `<command> [--flag value]... [-- <argv...>]`: every flag takes a value,
+/// and a `--` ends the flags, keeping what follows as `rest`.
 Args parse_args(int argc, char** argv) {
   Args args;
   if (argc >= 2) args.command = argv[1];
-  for (int i = 2; i < argc; i += 2) {
+  int i = 2;
+  for (; i < argc && std::strcmp(argv[i], "--") != 0; i += 2) {
     if (std::strncmp(argv[i], "--", 2) != 0) {
       throw UsageError(std::string("expected flag, got ") + argv[i]);
     }
     if (i + 1 == argc) {
       throw UsageError(std::string("flag ") + argv[i] + " needs a value");
     }
-    args.flags[argv[i] + 2] = argv[i + 1];
+    args.flags[argv[i] + 2].push_back(argv[i + 1]);
   }
+  if (i < argc) args.rest.assign(argv + i + 1, argv + argc);
   return args;
 }
 
@@ -828,62 +839,38 @@ int cmd_loadgen(const Args& args) {
   return 0;
 }
 
-/// `bdctl shard run ... -- <bench command>`: parsed by hand because the
-/// trailing `--` introduces a free-form argv the flag grammar must not
-/// swallow.
-int cmd_shard(int argc, char** argv) {
-  if (argc < 3 || std::strcmp(argv[2], "run") != 0) return usage();
+/// `bdctl shard run [flags] -- <bench command...>`; `args.command` is
+/// the `run` word.
+int cmd_shard(const Args& args) {
+  if (args.command != "run") return usage();
   shard::CoordinatorOptions options;
-  int i = 3;
-  for (; i < argc; ++i) {
-    const std::string flag = argv[i];
-    if (flag == "--") {
-      ++i;
-      break;
-    }
-    if (i + 1 >= argc) {
-      std::fprintf(stderr, "bdctl shard run: flag %s needs a value\n",
-                   flag.c_str());
-      return 2;
-    }
-    const std::string value = argv[++i];
-    if (flag == "--workers") {
-      options.workers = static_cast<int>(parse_int(flag, value));
-    } else if (flag == "--journal") {
-      options.journal_path = value;
-    } else if (flag == "--ledger") {
-      options.ledger_path = value;
-    } else if (flag == "--ttl") {
-      options.lease_ttl_seconds = parse_double(flag, value);
-    } else if (flag == "--out") {
-      options.merged_out = value;
-    } else if (flag == "--resume") {
-      options.resume = parse_int(flag, value) != 0;
-    } else if (flag == "--worker-faults") {
-      const std::size_t colon = value.find(':');
-      if (colon == std::string::npos) {
-        std::fprintf(stderr,
-                     "bdctl shard run: --worker-faults wants IDX:SPEC "
-                     "(e.g. 2:crash_worker@1), got %s\n",
-                     value.c_str());
-        return 2;
+  for (const auto& [flag, values] : args.flags) {
+    if (flag == "worker-faults") {
+      for (const std::string& value : values) {
+        const std::size_t colon = value.find(':');
+        if (colon == std::string::npos) {
+          throw UsageError("shard run: --worker-faults wants IDX:SPEC (e.g. "
+                           "2:crash_worker@1), got " + value);
+        }
+        options.worker_faults[static_cast<int>(parse_int(
+            "--" + flag, value.substr(0, colon)))] = value.substr(colon + 1);
       }
-      options.worker_faults[static_cast<int>(parse_int(
-          flag, value.substr(0, colon)))] = value.substr(colon + 1);
-    } else {
-      std::fprintf(stderr, "bdctl shard run: unknown flag %s\n",
-                   flag.c_str());
-      return 2;
+    } else if (flag != "workers" && flag != "journal" && flag != "ledger" &&
+               flag != "ttl" && flag != "out" && flag != "resume") {
+      throw UsageError("shard run: unknown flag --" + flag);
     }
   }
-  for (; i < argc; ++i) options.command.push_back(argv[i]);
+  options.workers = static_cast<int>(args.get_int("workers", options.workers));
+  options.journal_path = args.get("journal", options.journal_path);
+  options.ledger_path = args.get("ledger", options.ledger_path);
+  options.lease_ttl_seconds = args.get_double("ttl", options.lease_ttl_seconds);
+  options.merged_out = args.get("out", options.merged_out);
+  options.resume = args.get_int("resume", 0) != 0;
+  options.command = args.rest;
   if (options.command.empty()) {
-    std::fprintf(stderr,
-                 "bdctl shard run: missing '-- <bench command...>'\n");
-    return 2;
+    throw UsageError("shard run: missing '-- <bench command...>'");
   }
-  const shard::CoordinatorReport report = shard::run_sharded(options);
-  return report.exit_code;
+  return shard::run_sharded(options).exit_code;
 }
 
 }  // namespace
@@ -895,9 +882,12 @@ int main(int argc, char** argv) {
       return cmd_verify(argv[2]);
     }
     if (argc >= 2 && std::strcmp(argv[1], "shard") == 0) {
-      return cmd_shard(argc, argv);
+      return cmd_shard(parse_args(argc - 1, argv + 1));
     }
     const Args args = parse_args(argc, argv);
+    if (!args.rest.empty()) {
+      throw UsageError("only shard run takes '-- <command...>'");
+    }
     if (args.command == "train-backdoor") return cmd_train(args);
     if (args.command == "evaluate") return cmd_evaluate(args);
     if (args.command == "defend") return cmd_defend(args);

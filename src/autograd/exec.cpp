@@ -240,7 +240,8 @@ void execute_backward(const Node& n, const GradSink& sink) {
       // Broadcast the (keepdim-shaped) gradient back over reduced dims.
       // add-with-zeros rather than a broadcast copy: (-0)+(+0) == +0, so a
       // copy would NOT be bitwise-identical to the historical formulation.
-      const Tensor g = n.grad.reshape(n.kept_shape);
+      const Tensor g = n.grad.reshape(
+          bd::reduce_shape(n.inputs[0]->shape, n.axes, /*keepdim=*/true));
       sink(n.inputs[0], bd::add(g, Tensor::zeros(n.inputs[0]->shape)));
       return;
     }

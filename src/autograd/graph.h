@@ -1,7 +1,8 @@
 // The autograd graph IR.
 //
 // ops.h builders create Nodes: an OpKind, the input edges, the op's
-// attributes, and a build-time inferred shape (shape_infer.h). No kernel
+// attributes, and a build-time inferred shape (each op's shape rule in
+// src/tensor, the one its kernel sizes its output with). No kernel
 // runs at build time — execution is deferred to the Var::value() /
 // Var::backward() boundaries, where the deterministic scheduler
 // (schedule.h) materializes values in graph post-order and runs the
@@ -103,9 +104,8 @@ struct Node {
   float hi = 0.0f;      // kClamp
   Conv2dSpec conv;      // kConv2d / kDepthwiseConv2d
   Pool2dSpec pool;      // kMaxPool2d / kAvgPool2d
-  std::vector<std::int64_t> axes;  // kReduceSum (normalized, original order)
+  std::vector<std::int64_t> axes;  // kReduceSum, as the caller gave them
   bool keepdim = false;            // kReduceSum
-  Shape kept_shape;                // kReduceSum: keepdim view of the output
   std::shared_ptr<const std::vector<std::int64_t>> labels;  // kNllLoss
 
   // --- execution state ---

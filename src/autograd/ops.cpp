@@ -1,16 +1,16 @@
 #include "autograd/ops.h"
 
+#include <algorithm>
 #include <stdexcept>
-#include <string>
 
-#include "autograd/shape_infer.h"
 #include "tensor/ops.h"
 
 namespace bd::ag {
 
 namespace {
 
-// Builds an op node: inferred shape, defined inputs, grad flags. No kernel
+// Builds an op node: the shape the op's tensor rule infers (the rule its
+// kernel sizes its output with), defined inputs, grad flags. No kernel
 // runs here — execution is deferred to the value()/backward() boundaries.
 // Mirrors the eager tape's recording rule: the node participates in
 // backward only when recording is on and some input requires grad.
@@ -107,12 +107,7 @@ Var hardswish(const Var& a) {
 }
 
 Var reshape(const Var& a, Shape shape) {
-  if (shape_numel(shape) != shape_numel(a.shape())) {
-    // Same contract (and message) as Tensor::reshape, raised at build time.
-    throw std::invalid_argument("Tensor::reshape: cannot reshape " +
-                                shape_string(a.shape()) + " to " +
-                                shape_string(shape));
-  }
+  check_reshape(a.shape(), shape);
   return make_op(OpKind::kReshape, std::move(shape), {&a});
 }
 
@@ -127,11 +122,10 @@ Var flatten2d(const Var& a) {
 Var reduce_sum(const Var& a, const std::vector<std::int64_t>& axes,
                bool keepdim) {
   Var out = make_op(OpKind::kReduceSum,
-                    reduce_result(a.shape(), axes, keepdim), {&a});
+                    reduce_shape(a.shape(), axes, keepdim), {&a});
   Node& n = *out.node();
   n.axes = axes;
   n.keepdim = keepdim;
-  n.kept_shape = reduce_kept_shape(a.shape(), axes);
   return out;
 }
 
@@ -155,7 +149,7 @@ Var mean_all(const Var& a) {
 }
 
 Var matmul(const Var& a, const Var& b) {
-  return make_op(OpKind::kMatmul, matmul_result(a.shape(), b.shape()),
+  return make_op(OpKind::kMatmul, matmul_shape(a.shape(), b.shape()),
                  {&a, &b});
 }
 
@@ -163,8 +157,8 @@ Var conv2d(const Var& input, const Var& weight, const Var& bias,
            const Conv2dSpec& spec) {
   const Shape* bias_shape = bias.defined() ? &bias.shape() : nullptr;
   Var out = make_op(OpKind::kConv2d,
-                    conv2d_result(input.shape(), weight.shape(), bias_shape,
-                                  spec, /*depthwise=*/false),
+                    conv2d_shape(input.shape(), weight.shape(), bias_shape,
+                                 spec, /*depthwise=*/false),
                     {&input, &weight, &bias});
   out.node()->conv = spec;
   return out;
@@ -174,37 +168,34 @@ Var depthwise_conv2d(const Var& input, const Var& weight, const Var& bias,
                      const Conv2dSpec& spec) {
   const Shape* bias_shape = bias.defined() ? &bias.shape() : nullptr;
   Var out = make_op(OpKind::kDepthwiseConv2d,
-                    conv2d_result(input.shape(), weight.shape(), bias_shape,
-                                  spec, /*depthwise=*/true),
+                    conv2d_shape(input.shape(), weight.shape(), bias_shape,
+                                 spec, /*depthwise=*/true),
                     {&input, &weight, &bias});
   out.node()->conv = spec;
   return out;
 }
 
 Var maxpool2d(const Var& input, const Pool2dSpec& spec) {
-  Var out = make_op(OpKind::kMaxPool2d, pool2d_result(input.shape(), spec),
+  Var out = make_op(OpKind::kMaxPool2d, pool2d_shape(input.shape(), spec),
                     {&input});
   out.node()->pool = spec;
   return out;
 }
 
 Var avgpool2d(const Var& input, const Pool2dSpec& spec) {
-  Var out = make_op(OpKind::kAvgPool2d, pool2d_result(input.shape(), spec),
+  Var out = make_op(OpKind::kAvgPool2d, pool2d_shape(input.shape(), spec),
                     {&input});
   out.node()->pool = spec;
   return out;
 }
 
 Var global_avgpool(const Var& input) {
-  const Shape& s = input.shape();
-  if (s.size() != 4) {
-    throw std::invalid_argument("pool2d: input must be rank 4 (NCHW)");
-  }
-  return make_op(OpKind::kGlobalAvgPool, Shape{s[0], s[1], 1, 1}, {&input});
+  return make_op(OpKind::kGlobalAvgPool, global_avgpool_shape(input.shape()),
+                 {&input});
 }
 
 Var log_softmax(const Var& logits) {
-  require_rank2(logits.shape(), "log_softmax_rows");
+  check_rows(logits.shape(), "log_softmax_rows");
   return make_op(OpKind::kLogSoftmax, logits.shape(), {&logits});
 }
 
@@ -231,12 +222,7 @@ Var cross_entropy(const Var& logits,
 }
 
 Var mse_loss(const Var& a, const Var& b) {
-  if (a.shape() != b.shape()) {
-    // check_same_shape's contract, applied to inferred shapes.
-    throw std::invalid_argument("mse_loss: shape mismatch " +
-                                shape_string(a.shape()) + " vs " +
-                                shape_string(b.shape()));
-  }
+  check_same_shape(a.shape(), b.shape(), "mse_loss");
   Var d = sub(a, b);
   return mean_all(mul(d, d));
 }

@@ -1,11 +1,13 @@
 // Differentiable operations over bd::ag::Var.
 //
 // Each op is a graph builder: it validates operands and infers the output
-// shape at call time (autograd/shape_infer.h) but defers kernel execution
-// to the value()/backward() boundaries (autograd/schedule.h). Elementwise
-// binaries broadcast (NumPy rules); their backward reduces gradients back
-// to the operand shapes, which is what lets BatchNorm and squeeze-excite
-// be expressed compositionally.
+// shape at call time, through the same src/tensor shape rule its kernel
+// calls (conv2d_shape, pool2d_shape, matmul_shape, reduce_shape, ...), so
+// a malformed op throws the kernel's message at build time. Kernel
+// execution is deferred to the value()/backward() boundaries
+// (autograd/schedule.h). Elementwise binaries broadcast (NumPy rules);
+// their backward reduces gradients back to the operand shapes, which is
+// what lets BatchNorm and squeeze-excite be expressed compositionally.
 #pragma once
 
 #include <vector>

@@ -2,9 +2,10 @@
 //
 // A Var is a handle to a graph node (see graph.h). Operations in
 // autograd/ops.h are graph BUILDERS: they validate and infer shapes
-// immediately (shape_infer.h) but run no kernels. Execution happens at the
-// value()/backward() boundaries through the deterministic scheduler in
-// schedule.h, which also plans arena-backed gradient buffers (arena.h).
+// immediately, with the kernels' own shape rules, but run no kernels.
+// Execution happens at the value()/backward() boundaries through the
+// deterministic scheduler in schedule.h, which also plans arena-backed
+// gradient buffers (arena.h).
 // The API is source-compatible with the old eager tape; shape() now
 // reports the build-time inferred shape without forcing execution.
 //

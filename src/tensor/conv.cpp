@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <memory>
 #include <stdexcept>
+#include <string>
 
 #include "runtime/thread_pool.h"
 #include "tensor/ops.h"
@@ -35,29 +36,37 @@ std::int64_t conv_weight_chunk(std::int64_t weight_floats) {
   return std::max(kMinChunkSamples, conv_group_size(weight_floats));
 }
 
-namespace {
-
-void check_conv_args(const Tensor& input, const Tensor& weight,
-                     const Tensor& bias, bool depthwise) {
-  if (input.dim() != 4 || weight.dim() != 4) {
-    throw std::invalid_argument("conv2d: input and weight must be rank 4");
+Shape conv2d_shape(const Shape& input, const Shape& weight, const Shape* bias,
+                   const Conv2dSpec& spec, bool depthwise) {
+  const char* op = depthwise ? "depthwise_conv2d" : "conv2d";
+  if (input.size() != 4 || weight.size() != 4) {
+    throw std::invalid_argument(std::string(op) +
+                                ": input and weight must be rank 4");
   }
   if (depthwise) {
-    if (weight.size(1) != 1 || weight.size(0) != input.size(1)) {
+    if (weight[0] != input[1] || weight[1] != 1) {
       throw std::invalid_argument(
-          "depthwise conv2d: weight must be (C,1,KH,KW) matching input C");
+          "depthwise_conv2d: weight must be (C,1,KH,KW) with C = input "
+          "channels, got " +
+          shape_string(weight) + " for input " + shape_string(input));
     }
-  } else if (input.size(1) != weight.size(1)) {
+  } else if (weight[1] != input[1]) {
     throw std::invalid_argument("conv2d: input channels " +
-                                std::to_string(input.size(1)) +
-                                " != weight in-channels " +
-                                std::to_string(weight.size(1)));
+                                std::to_string(input[1]) +
+                                " != weight channels " +
+                                std::to_string(weight[1]));
   }
-  if (bias.defined() &&
-      (bias.dim() != 1 || bias.size(0) != weight.size(0))) {
-    throw std::invalid_argument("conv2d: bias must be rank 1 of size Cout");
+  const std::int64_t out_channels = weight[0];
+  if (bias != nullptr && (bias->size() != 1 || (*bias)[0] != out_channels)) {
+    throw std::invalid_argument(std::string(op) +
+                                ": bias must be rank 1 of size Cout");
   }
+  return {input[0], out_channels,
+          conv_out_size(input[2], weight[2], spec.stride, spec.padding),
+          conv_out_size(input[3], weight[3], spec.stride, spec.padding)};
 }
+
+namespace {
 
 // Shape of one standard convolution: a (C,H,W) image unfolds into a
 // (C*KH*KW, OH*OW) patch matrix, and the weight is a (Cout, C*KH*KW) matrix.
@@ -178,11 +187,12 @@ void for_each_group(std::int64_t n, std::int64_t group, Body&& body) {
 
 Tensor conv2d_forward(const Tensor& input, const Tensor& weight,
                       const Tensor& bias, const Conv2dSpec& spec) {
-  check_conv_args(input, weight, bias, /*depthwise=*/false);
+  Tensor out(conv2d_shape(input.shape(), weight.shape(),
+                          bias.defined() ? &bias.shape() : nullptr, spec,
+                          /*depthwise=*/false));
   const ConvGeometry g(input, weight, spec);
   const std::int64_t n = input.size(0), cout = g.cout;
   const std::int64_t rows = g.patch_rows(), plane = g.plane();
-  Tensor out({n, cout, g.oh, g.ow});
 
   // Each group unfolds its samples side by side into one (rows, group*plane)
   // patch block, runs one GEMM against the (cout, rows) weight and scatters
@@ -307,14 +317,13 @@ Conv2dGrads conv2d_backward(const Tensor& input, const Tensor& weight,
 
 Tensor depthwise_conv2d_forward(const Tensor& input, const Tensor& weight,
                                 const Tensor& bias, const Conv2dSpec& spec) {
-  check_conv_args(input, weight, bias, /*depthwise=*/true);
+  Tensor out(conv2d_shape(input.shape(), weight.shape(),
+                          bias.defined() ? &bias.shape() : nullptr, spec,
+                          /*depthwise=*/true));
   const std::int64_t n = input.size(0), c = input.size(1);
   const std::int64_t h = input.size(2), w = input.size(3);
   const std::int64_t kh = weight.size(2), kw = weight.size(3);
-  const std::int64_t oh = conv_out_size(h, kh, spec.stride, spec.padding);
-  const std::int64_t ow = conv_out_size(w, kw, spec.stride, spec.padding);
-
-  Tensor out({n, c, oh, ow});
+  const std::int64_t oh = out.size(2), ow = out.size(3);
   // Every (sample, channel) plane is independent; parallelize over the
   // flattened plane index.
   runtime::parallel_for(

@@ -29,6 +29,14 @@ struct Conv2dSpec {
 std::int64_t conv_out_size(std::int64_t in, std::int64_t kernel,
                            std::int64_t stride, std::int64_t padding);
 
+/// The one shape rule of a convolution: (N,Cout,OH,OW) for an input
+/// (N,C,H,W), a weight (Cout,C,KH,KW) — (C,1,KH,KW) when `depthwise` — and
+/// an optional (Cout) bias. The forward kernels size their outputs with it
+/// and the autograd builders infer their node shapes with it, so both throw
+/// the same std::invalid_argument on malformed shapes.
+Shape conv2d_shape(const Shape& input, const Shape& weight, const Shape* bias,
+                   const Conv2dSpec& spec, bool depthwise);
+
 /// Samples per group when each needs `sample_floats` floats of scratch: as
 /// many as fit a fixed 64 KiB budget, at least one. conv2d_forward and the
 /// grad-input pass use sample_floats = (C*KH*KW + Cout) * OH*OW.

@@ -265,7 +265,7 @@ Tensor tanh(const Tensor& a) {
 }
 
 void axpy_inplace(Tensor& y, float alpha, const Tensor& x) {
-  check_same_shape(y, x, "axpy_inplace");
+  check_same_shape(y.shape(), x.shape(), "axpy_inplace");
   float* py = y.data();
   const float* px = x.data();
   runtime::parallel_for(0, y.numel(), kElemwiseGrain,
@@ -311,30 +311,34 @@ float l2_norm(const Tensor& a) {
   return static_cast<float>(std::sqrt(s));
 }
 
-Tensor reduce_sum(const Tensor& a, const std::vector<std::int64_t>& axes,
-                  bool keepdim) {
-  const std::size_t rank = a.shape().size();
-  Shape kept = a.shape();
-  for (auto ax : axes) {
-    if (ax < 0) ax += static_cast<std::int64_t>(rank);
-    if (ax < 0 || ax >= static_cast<std::int64_t>(rank)) {
+Shape reduce_shape(const Shape& in, const std::vector<std::int64_t>& axes,
+                   bool keepdim) {
+  const auto rank = static_cast<std::int64_t>(in.size());
+  std::vector<bool> reduced(in.size(), false);
+  for (std::int64_t ax : axes) {
+    if (ax < 0) ax += rank;
+    if (ax < 0 || ax >= rank) {
       throw std::invalid_argument("reduce_sum: axis out of range");
     }
-    kept[static_cast<std::size_t>(ax)] = -1;  // marked; sized below
+    reduced[static_cast<std::size_t>(ax)] = true;
   }
-  Shape squeezed;
-  for (auto& d : kept) {
-    if (d == -1) {
-      d = 1;
-    } else {
-      squeezed.push_back(d);
+  Shape out;
+  for (std::size_t d = 0; d < in.size(); ++d) {
+    if (!reduced[d]) {
+      out.push_back(in[d]);
+    } else if (keepdim) {
+      out.push_back(1);
     }
   }
+  return out;
+}
 
-  Tensor out(std::move(kept));
+Tensor reduce_sum(const Tensor& a, const std::vector<std::int64_t>& axes,
+                  bool keepdim) {
+  Tensor out(reduce_shape(a.shape(), axes, /*keepdim=*/true));
   sum_into(a, out, "reduce_sum");
   if (keepdim) return out;
-  return out.reshape(std::move(squeezed));
+  return out.reshape(reduce_shape(a.shape(), axes, /*keepdim=*/false));
 }
 
 Tensor reduce_mean(const Tensor& a, const std::vector<std::int64_t>& axes,
@@ -467,18 +471,22 @@ void gemm(bool trans_a, bool trans_b, std::int64_t m, std::int64_t n,
       });
 }
 
-Tensor matmul(const Tensor& a, const Tensor& b, bool trans_a, bool trans_b) {
-  if (a.dim() != 2 || b.dim() != 2 ||
-      a.size(trans_a ? 0 : 1) != b.size(trans_b ? 1 : 0)) {
-    throw std::invalid_argument(
-        "matmul: incompatible shapes " + shape_string(a.shape()) +
-        (trans_a ? "^T" : "") + " x " + shape_string(b.shape()) +
-        (trans_b ? "^T" : ""));
+Shape matmul_shape(const Shape& a, const Shape& b, bool trans_a,
+                   bool trans_b) {
+  if (a.size() != 2 || b.size() != 2 ||
+      a[trans_a ? 0 : 1] != b[trans_b ? 1 : 0]) {
+    throw std::invalid_argument("matmul: incompatible shapes " +
+                                shape_string(a) + (trans_a ? "^T" : "") +
+                                " and " + shape_string(b) +
+                                (trans_b ? "^T" : ""));
   }
-  const std::int64_t m = a.size(trans_a ? 1 : 0);
+  return {a[trans_a ? 1 : 0], b[trans_b ? 0 : 1]};
+}
+
+Tensor matmul(const Tensor& a, const Tensor& b, bool trans_a, bool trans_b) {
+  Tensor out(matmul_shape(a.shape(), b.shape(), trans_a, trans_b));
+  const std::int64_t m = out.size(0), n = out.size(1);
   const std::int64_t k = a.size(trans_a ? 0 : 1);
-  const std::int64_t n = b.size(trans_b ? 0 : 1);
-  Tensor out({m, n});
   gemm(trans_a, trans_b, m, n, k, a.data(), a.size(1), b.data(), b.size(1),
        out.data(), n);
   return out;
@@ -502,10 +510,14 @@ Tensor transpose2d(const Tensor& a) {
   return out;
 }
 
-std::vector<std::int64_t> argmax_rows(const Tensor& a) {
-  if (a.dim() != 2) {
-    throw std::invalid_argument("argmax_rows: expected rank 2");
+void check_rows(const Shape& s, const char* op) {
+  if (s.size() != 2) {
+    throw std::invalid_argument(std::string(op) + ": expected rank 2");
   }
+}
+
+std::vector<std::int64_t> argmax_rows(const Tensor& a) {
+  check_rows(a.shape(), "argmax_rows");
   const std::int64_t rows = a.size(0), cols = a.size(1);
   std::vector<std::int64_t> out(static_cast<std::size_t>(rows));
   runtime::parallel_for(0, rows, runtime::grain_for_cost(cols),
@@ -523,9 +535,7 @@ std::vector<std::int64_t> argmax_rows(const Tensor& a) {
 }
 
 Tensor log_softmax_rows(const Tensor& a) {
-  if (a.dim() != 2) {
-    throw std::invalid_argument("log_softmax_rows: expected rank 2");
-  }
+  check_rows(a.shape(), "log_softmax_rows");
   const std::int64_t rows = a.size(0), cols = a.size(1);
   Tensor out(a.shape());
   // Row-local reductions only; rows are independent, so parallelizing over

@@ -83,7 +83,7 @@ Tensor unary(const Tensor& a, F f) {
 /// backward `grad * d(x)` into one pass.
 template <typename F>
 Tensor zip(const Tensor& a, const Tensor& b, F f, const char* op) {
-  check_same_shape(a, b, op);
+  check_same_shape(a.shape(), b.shape(), op);
   Tensor out(a.shape());
   const float* pa = a.data();
   const float* pb = b.data();
@@ -110,6 +110,12 @@ float max_all(const Tensor& a);
 float l1_norm(const Tensor& a);
 float l2_norm(const Tensor& a);
 
+/// The one shape rule of reduce_sum/reduce_mean over `axes`: negative axes
+/// wrap, duplicates count once, reduced axes drop (or become 1 with
+/// keepdim). Throws std::invalid_argument on an axis out of range.
+Shape reduce_shape(const Shape& in, const std::vector<std::int64_t>& axes,
+                   bool keepdim);
+
 /// Sum over the given axes. With keepdim, reduced axes become size 1.
 Tensor reduce_sum(const Tensor& a, const std::vector<std::int64_t>& axes,
                   bool keepdim);
@@ -134,6 +140,12 @@ void gemm(bool trans_a, bool trans_b, std::int64_t m, std::int64_t n,
           std::int64_t k, const float* a, std::int64_t lda, const float* b,
           std::int64_t ldb, float* c, std::int64_t ldc);
 
+/// The one shape rule of matmul: (m,n) for op(a) (m,k) and op(b) (k,n),
+/// where op transposes when its flag is set. Throws std::invalid_argument
+/// unless both are rank 2 with matching inner dimensions.
+Shape matmul_shape(const Shape& a, const Shape& b, bool trans_a = false,
+                   bool trans_b = false);
+
 /// op(a) x op(b) for rank-2 tensors: a thin wrapper over gemm, (m,k) x
 /// (k,n) -> (m,n), reading a (or b) transposed when its flag is set, with
 /// no transposed copy.
@@ -142,6 +154,10 @@ Tensor matmul(const Tensor& a, const Tensor& b, bool trans_a = false,
 
 /// 2-D transpose (a copy). Kernels use gemm's transpose flags instead.
 Tensor transpose2d(const Tensor& a);
+
+/// The rows rule of the row-wise ops: throws std::invalid_argument naming
+/// `op` unless `s` is rank 2 (rows, cols).
+void check_rows(const Shape& s, const char* op);
 
 /// Row-wise argmax of a (rows, cols) tensor.
 std::vector<std::int64_t> argmax_rows(const Tensor& a);

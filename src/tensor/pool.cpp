@@ -9,22 +9,31 @@
 namespace bd {
 
 namespace {
-void check_pool_input(const Tensor& input) {
-  if (input.dim() != 4) {
+void check_nchw(const Shape& input) {
+  if (input.size() != 4) {
     throw std::invalid_argument("pool2d: input must be rank 4 (NCHW)");
   }
 }
 }  // namespace
 
+Shape pool2d_shape(const Shape& input, const Pool2dSpec& spec) {
+  check_nchw(input);
+  return {input[0], input[1],
+          conv_out_size(input[2], spec.kernel, spec.stride, spec.padding),
+          conv_out_size(input[3], spec.kernel, spec.stride, spec.padding)};
+}
+
+Shape global_avgpool_shape(const Shape& input) {
+  check_nchw(input);
+  return {input[0], input[1], 1, 1};
+}
+
 MaxPoolResult maxpool2d_forward(const Tensor& input, const Pool2dSpec& spec) {
-  check_pool_input(input);
+  MaxPoolResult result;
+  result.output = Tensor(pool2d_shape(input.shape(), spec));
   const std::int64_t n = input.size(0), c = input.size(1);
   const std::int64_t h = input.size(2), w = input.size(3);
-  const std::int64_t oh = conv_out_size(h, spec.kernel, spec.stride, spec.padding);
-  const std::int64_t ow = conv_out_size(w, spec.kernel, spec.stride, spec.padding);
-
-  MaxPoolResult result;
-  result.output = Tensor({n, c, oh, ow});
+  const std::int64_t oh = result.output.size(2), ow = result.output.size(3);
   result.argmax.assign(static_cast<std::size_t>(n * c * oh * ow), -1);
 
   const float* pin = input.data();
@@ -90,15 +99,13 @@ Tensor maxpool2d_backward(const Shape& input_shape,
 }
 
 Tensor avgpool2d_forward(const Tensor& input, const Pool2dSpec& spec) {
-  check_pool_input(input);
+  Tensor out(pool2d_shape(input.shape(), spec));
   const std::int64_t n = input.size(0), c = input.size(1);
   const std::int64_t h = input.size(2), w = input.size(3);
-  const std::int64_t oh = conv_out_size(h, spec.kernel, spec.stride, spec.padding);
-  const std::int64_t ow = conv_out_size(w, spec.kernel, spec.stride, spec.padding);
+  const std::int64_t oh = out.size(2), ow = out.size(3);
   const float inv_area =
       1.0f / static_cast<float>(spec.kernel * spec.kernel);
 
-  Tensor out({n, c, oh, ow});
   const float* pin = input.data();
   float* pout = out.data();
 
@@ -170,10 +177,9 @@ Tensor avgpool2d_backward(const Shape& input_shape, const Tensor& grad_output,
 }
 
 Tensor global_avgpool_forward(const Tensor& input) {
-  check_pool_input(input);
+  Tensor out(global_avgpool_shape(input.shape()));
   const std::int64_t n = input.size(0), c = input.size(1);
   const std::int64_t hw = input.size(2) * input.size(3);
-  Tensor out({n, c, 1, 1});
   const float* pin = input.data();
   float* pout = out.data();
   runtime::parallel_for(0, n * c, runtime::grain_for_cost(hw),

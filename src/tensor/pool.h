@@ -20,6 +20,14 @@ struct MaxPoolResult {
   std::vector<std::int64_t> argmax;
 };
 
+/// The one shape rule of max/avg pooling: (N,C,OH,OW) for an NCHW input.
+/// The kernels and the autograd builders both call it, so both throw the
+/// same std::invalid_argument on a malformed input.
+Shape pool2d_shape(const Shape& input, const Pool2dSpec& spec);
+
+/// (N,C,1,1) for an NCHW input: global_avgpool's shape rule.
+Shape global_avgpool_shape(const Shape& input);
+
 MaxPoolResult maxpool2d_forward(const Tensor& input, const Pool2dSpec& spec);
 
 Tensor maxpool2d_backward(const Shape& input_shape,

@@ -1,5 +1,6 @@
 #include "tensor/tensor.h"
 
+#include <algorithm>
 #include <sstream>
 #include <stdexcept>
 
@@ -127,11 +128,7 @@ float Tensor::at2(std::int64_t r, std::int64_t c) const {
 }
 
 Tensor Tensor::reshape(Shape new_shape) const {
-  if (shape_numel(new_shape) != numel_) {
-    throw std::invalid_argument("Tensor::reshape: cannot reshape " +
-                                shape_string(shape_) + " to " +
-                                shape_string(new_shape));
-  }
+  check_reshape(shape_, new_shape);
   Tensor view;
   view.storage_ = storage_;
   view.shape_ = std::move(new_shape);
@@ -142,7 +139,8 @@ Tensor Tensor::reshape(Shape new_shape) const {
 Tensor Tensor::clone() const {
   if (!storage_) return Tensor();
   Tensor copy;
-  copy.storage_ = std::make_shared<std::vector<float>>(*storage_);
+  copy.storage_ = std::make_shared<std::vector<float>>(
+      storage_->begin(), storage_->begin() + numel_);
   copy.shape_ = shape_;
   copy.numel_ = numel_;
   return copy;
@@ -150,7 +148,7 @@ Tensor Tensor::clone() const {
 
 void Tensor::fill(float value) {
   if (!storage_) throw std::logic_error("Tensor::fill on undefined tensor");
-  std::fill(storage_->begin(), storage_->end(), value);
+  std::fill(storage_->begin(), storage_->begin() + numel_, value);
 }
 
 std::string Tensor::to_string(std::int64_t max_elems) const {
@@ -166,11 +164,18 @@ std::string Tensor::to_string(std::int64_t max_elems) const {
   return out.str();
 }
 
-void check_same_shape(const Tensor& a, const Tensor& b, const char* op) {
-  if (a.shape() != b.shape()) {
+void check_same_shape(const Shape& a, const Shape& b, const char* op) {
+  if (a != b) {
     throw std::invalid_argument(std::string(op) + ": shape mismatch " +
-                                shape_string(a.shape()) + " vs " +
-                                shape_string(b.shape()));
+                                shape_string(a) + " vs " + shape_string(b));
+  }
+}
+
+void check_reshape(const Shape& from, const Shape& to) {
+  if (shape_numel(to) != shape_numel(from)) {
+    throw std::invalid_argument("Tensor::reshape: cannot reshape " +
+                                shape_string(from) + " to " +
+                                shape_string(to));
   }
 }
 

@@ -75,10 +75,11 @@ class Tensor {
   /// View with a new shape over the same storage; numel must match.
   Tensor reshape(Shape new_shape) const;
 
-  /// Deep copy.
+  /// Deep copy of the tensor's numel() elements (not of a larger storage
+  /// it views).
   Tensor clone() const;
 
-  /// Overwrites every element.
+  /// Overwrites the tensor's numel() elements.
   void fill(float value);
 
   /// True if the two tensors share storage.
@@ -95,6 +96,10 @@ class Tensor {
 };
 
 /// Throws std::invalid_argument unless both shapes are identical.
-void check_same_shape(const Tensor& a, const Tensor& b, const char* op);
+void check_same_shape(const Shape& a, const Shape& b, const char* op);
+
+/// Reshape's rule: throws std::invalid_argument unless `to` has as many
+/// elements as `from`.
+void check_reshape(const Shape& from, const Shape& to);
 
 }  // namespace bd

@@ -6,7 +6,7 @@
 // reduction-axis variants, with per-op mixed absolute/relative tolerances
 // in the check_numerical_grads idiom. A coordinate-walk oracle checks the
 // elementwise, broadcast and reduction kernels bit for bit (special values
-// included, at 1 and 3 threads) and their shapes against graph inference,
+// included, at 1 and 3 threads) and their shapes against the shape rules,
 // and the fused unary backwards against grad * d(x); an end-to-end test
 // verifies the Grad-Prune unlearning loss (cross-entropy on trigger-stamped
 // images through a conv/batchnorm net) so the paper's filter scores (Eq. 3)
@@ -26,7 +26,6 @@
 
 #include "attack/trigger.h"
 #include "autograd/ops.h"
-#include "autograd/shape_infer.h"
 #include "autograd/variable.h"
 #include "nn/layers.h"
 #include "runtime/thread_pool.h"
@@ -346,7 +345,7 @@ TEST(BroadcastOracle, ReduceSumMatchesCoordinateWalkBitwise) {
                                    " mask " + std::to_string(mask) +
                                    (keepdim ? " keepdim" : "");
           const Tensor got = bd::reduce_sum(t, axes, keepdim);
-          ASSERT_EQ(got.shape(), reduce_result(s, axes, keepdim)) << what;
+          ASSERT_EQ(got.shape(), reduce_shape(s, axes, keepdim)) << what;
           expect_bitwise(got, want.reshape(got.shape()), what);
         }
       }
@@ -450,14 +449,76 @@ TEST(BroadcastOracle, FusedUnaryBackwardMatchesDerivativeTimesGrad) {
 TEST(ShapeInfer, RejectsIncompatibleAndMalformed) {
   EXPECT_THROW(bd::broadcast_shape({2, 3}, {4, 3, 2}), std::invalid_argument);
   EXPECT_FALSE(bd::broadcastable_to({3, 2}, {3, 4}));
-  EXPECT_THROW(matmul_result({2, 3}, {4, 5}), std::invalid_argument);
-  EXPECT_THROW(reduce_result({2, 3}, {2}, false), std::invalid_argument);
-  EXPECT_EQ(reduce_result({2, 3, 4}, {-1, 0}, false), (Shape{3}));
-  EXPECT_EQ(reduce_result({2, 3, 4}, {1}, true), (Shape{2, 1, 4}));
+  EXPECT_THROW(matmul_shape({2, 3}, {4, 5}), std::invalid_argument);
+  EXPECT_EQ(matmul_shape({3, 2}, {4, 3}, true, true), (Shape{2, 4}));
+  EXPECT_THROW(reduce_shape({2, 3}, {2}, false), std::invalid_argument);
+  EXPECT_EQ(reduce_shape({2, 3, 4}, {-1, 0}, false), (Shape{3}));
+  EXPECT_EQ(reduce_shape({2, 3, 4}, {1}, true), (Shape{2, 1, 4}));
+  EXPECT_EQ(reduce_shape({2, 3, 4}, {1, -2}, false), (Shape{2, 4}));
   const Conv2dSpec spec{1, 1};
-  EXPECT_THROW(conv2d_result({2, 3, 5, 5}, {4, 2, 3, 3}, nullptr, spec,
-                             false),
+  EXPECT_THROW(conv2d_shape({2, 3, 5, 5}, {4, 2, 3, 3}, nullptr, spec, false),
                std::invalid_argument);
+  EXPECT_EQ(conv2d_shape({2, 3, 5, 5}, {3, 1, 3, 3}, nullptr, spec, true),
+            (Shape{2, 3, 5, 5}));
+  EXPECT_EQ(pool2d_shape({2, 3, 5, 5}, Pool2dSpec{}), (Shape{2, 3, 2, 2}));
+  EXPECT_THROW(check_rows({6}, "rows"), std::invalid_argument);
+}
+
+// The message `op` throws as std::invalid_argument; empty if it returns.
+std::string thrown_message(const std::function<void()>& op) {
+  try {
+    op();
+  } catch (const std::invalid_argument& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(ShapeInfer, BuilderAndKernelThrowTheSameMessage) {
+  // Each op has one shape rule in src/tensor; its ag:: builder (at graph
+  // build time) and its kernel (at run time) must reject a malformed call
+  // with the same message.
+  const Conv2dSpec spec{1, 1};
+  const Pool2dSpec pool;
+  const Tensor x({2, 3, 5, 5});
+  const Tensor bad_w({4, 2, 3, 3}), w({4, 3, 3, 3}), bad_dw({4, 1, 3, 3});
+  const Tensor bad_bias({3}), rank3({2, 3, 4}), m({2, 3}), m2({4, 5});
+  const struct {
+    const char* rule;
+    std::function<void()> builder, kernel;
+  } cases[] = {
+      {"conv channels",
+       [&] { conv2d(Var(x), Var(bad_w), Var(), spec); },
+       [&] { conv2d_forward(x, bad_w, Tensor(), spec); }},
+      {"depthwise weight",
+       [&] { depthwise_conv2d(Var(x), Var(bad_dw), Var(), spec); },
+       [&] { depthwise_conv2d_forward(x, bad_dw, Tensor(), spec); }},
+      {"conv bias",
+       [&] { conv2d(Var(x), Var(w), Var(bad_bias), spec); },
+       [&] { conv2d_forward(x, w, bad_bias, spec); }},
+      {"conv rank",
+       [&] { conv2d(Var(rank3), Var(w), Var(), spec); },
+       [&] { conv2d_forward(rank3, w, Tensor(), spec); }},
+      {"matmul", [&] { matmul(Var(m), Var(m2)); },
+       [&] { bd::matmul(m, m2); }},
+      {"maxpool rank", [&] { maxpool2d(Var(rank3), pool); },
+       [&] { maxpool2d_forward(rank3, pool); }},
+      {"avgpool rank", [&] { avgpool2d(Var(rank3), pool); },
+       [&] { avgpool2d_forward(rank3, pool); }},
+      {"global avgpool rank", [&] { global_avgpool(Var(rank3)); },
+       [&] { global_avgpool_forward(rank3); }},
+      {"reduce axis", [&] { reduce_sum(Var(m), {2}, false); },
+       [&] { bd::reduce_sum(m, {2}, false); }},
+      {"rows rank", [&] { log_softmax(Var(rank3)); },
+       [&] { log_softmax_rows(rank3); }},
+      {"reshape numel", [&] { reshape(Var(m), {4, 2}); },
+       [&] { m.reshape({4, 2}); }},
+  };
+  for (const auto& c : cases) {
+    const std::string built = thrown_message(c.builder);
+    EXPECT_FALSE(built.empty()) << c.rule << ": the builder did not throw";
+    EXPECT_EQ(built, thrown_message(c.kernel)) << c.rule;
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -638,7 +699,7 @@ TEST(GradCheckSweep, ReduceSumAxes) {
   };
   for (const auto& c : cases) {
     const Tensor w =
-        random_tensor(reduce_result(s, c.axes, c.keepdim), rng);
+        random_tensor(reduce_shape(s, c.axes, c.keepdim), rng);
     check_numerical_grads(
         [&](const std::vector<Var>& in) {
           return weighted_sum(reduce_sum(in[0], c.axes, c.keepdim), w);
