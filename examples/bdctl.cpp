@@ -16,7 +16,6 @@
 // the same flags runs, so both write the same repaired checkpoint.
 #include <algorithm>
 #include <atomic>
-#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -27,6 +26,7 @@
 
 #include <chrono>
 #include <thread>
+#include <type_traits>
 
 #include "eval/runner.h"
 #include "eval/table_bench.h"
@@ -52,24 +52,15 @@ class UsageError : public std::invalid_argument {
   using std::invalid_argument::invalid_argument;
 };
 
-std::int64_t parse_int(const std::string& flag, const std::string& text) {
-  char* end = nullptr;
-  errno = 0;
-  const std::int64_t v = std::strtoll(text.c_str(), &end, 10);
-  if (text.empty() || *end != '\0' || errno == ERANGE) {
-    throw UsageError(flag + " wants an integer, got '" + text + "'");
-  }
-  return v;
-}
-
-double parse_double(const std::string& flag, const std::string& text) {
-  char* end = nullptr;
-  errno = 0;
-  const double v = std::strtod(text.c_str(), &end);
-  if (text.empty() || *end != '\0' || errno == ERANGE) {
-    throw UsageError(flag + " wants a number, got '" + text + "'");
-  }
-  return v;
+/// `text` as a whole T (util/env.h's parse_whole), or a UsageError naming
+/// `flag`.
+template <typename T>
+T parse_flag(const std::string& flag, const std::string& text) {
+  if (const auto v = parse_whole<T>(text)) return *v;
+  throw UsageError(flag +
+                   (std::is_integral_v<T> ? " wants an integer, got '"
+                                          : " wants a number, got '") +
+                   text + "'");
 }
 
 struct Args {
@@ -89,11 +80,12 @@ struct Args {
   }
   std::int64_t get_int(const std::string& key, std::int64_t fallback) const {
     const std::string* v = last(key);
-    return v == nullptr ? fallback : parse_int("--" + key, *v);
+    return v == nullptr ? fallback
+                        : parse_flag<std::int64_t>("--" + key, *v);
   }
   double get_double(const std::string& key, double fallback) const {
     const std::string* v = last(key);
-    return v == nullptr ? fallback : parse_double("--" + key, *v);
+    return v == nullptr ? fallback : parse_flag<double>("--" + key, *v);
   }
 };
 
@@ -852,7 +844,7 @@ int cmd_shard(const Args& args) {
           throw UsageError("shard run: --worker-faults wants IDX:SPEC (e.g. "
                            "2:crash_worker@1), got " + value);
         }
-        options.worker_faults[static_cast<int>(parse_int(
+        options.worker_faults[static_cast<int>(parse_flag<std::int64_t>(
             "--" + flag, value.substr(0, colon)))] = value.substr(colon + 1);
       }
     } else if (flag != "workers" && flag != "journal" && flag != "ledger" &&

@@ -10,12 +10,11 @@
 // A table bench of its own: honours BDPROTO_MODE / BDPROTO_TRIALS /
 // BDPROTO_SEED and the BDPROTO_JOURNAL / BDPROTO_RESUME journal, whose
 // entries carry each trial's defense wall-clock in `seconds`.
-#include <cerrno>
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 
 #include "eval/table_bench.h"
+#include "util/env.h"
 
 int main(int argc, char** argv) {
   using namespace bd;
@@ -28,11 +27,8 @@ int main(int argc, char** argv) {
   for (const auto& name : eval::known_defenses()) {
     if (only.empty() || name == only) spec.defenses.emplace_back(name);
   }
-  char* end = nullptr;
-  errno = 0;
-  const long long spc = std::strtoll(spc_text.c_str(), &end, 10);
-  if (argc > 5 || spc_text.empty() || *end != '\0' || errno == ERANGE ||
-      spc < 1 || spec.defenses.empty()) {
+  const auto spc = parse_whole<std::int64_t>(spc_text);
+  if (argc > 5 || !spc || *spc < 1 || spec.defenses.empty()) {
     std::fprintf(stderr,
                  "usage: defense_comparison [attack] [spc] [arch] [defense]\n"
                  "  spc: a whole number >= 1; defense: one of");
@@ -48,7 +44,7 @@ int main(int argc, char** argv) {
   spec.arch = arch;
   spec.attacks = {attack};
   eval::ExperimentScale scale = eval::default_scale(spec.dataset);
-  scale.spc_settings = {spc};
+  scale.spc_settings = {*spc};
   spec.scale = scale;
   eval::run_table(spec);
   return 0;

@@ -1,6 +1,5 @@
 #include "attack/poison.h"
 
-#include <numeric>
 #include <stdexcept>
 
 namespace bd::attack {
@@ -74,47 +73,6 @@ data::ImageDataset make_ra_test_set(const data::ImageDataset& clean_test,
                                     std::int64_t target_class) {
   return triggered_test_set(clean_test, trigger, target_class,
                             /*use_target_labels=*/false);
-}
-
-data::ImageDataset poison_training_set_all_to_all(
-    const data::ImageDataset& clean, const TriggerApplier& trigger,
-    double poison_ratio, Rng& rng) {
-  if (poison_ratio < 0.0 || poison_ratio >= 1.0) {
-    throw std::invalid_argument(
-        "poison_training_set_all_to_all: ratio in [0,1)");
-  }
-  std::vector<std::size_t> order(clean.size());
-  std::iota(order.begin(), order.end(), 0);
-  rng.shuffle(order);
-  const auto n_poison = static_cast<std::size_t>(
-      static_cast<double>(clean.size()) * poison_ratio);
-
-  std::vector<bool> poisoned(clean.size(), false);
-  for (std::size_t k = 0; k < n_poison; ++k) poisoned[order[k]] = true;
-
-  const std::int64_t n = clean.num_classes();
-  data::ImageDataset out(clean.image_shape(), n);
-  out.reserve(clean.size());
-  for (std::size_t i = 0; i < clean.size(); ++i) {
-    if (poisoned[i]) {
-      out.add(trigger.apply(clean.image(i)), (clean.label(i) + 1) % n);
-    } else {
-      out.add(clean.image(i), clean.label(i));
-    }
-  }
-  return out;
-}
-
-data::ImageDataset make_all_to_all_asr_test_set(
-    const data::ImageDataset& clean_test, const TriggerApplier& trigger) {
-  const std::int64_t n = clean_test.num_classes();
-  data::ImageDataset out(clean_test.image_shape(), n);
-  out.reserve(clean_test.size());
-  for (std::size_t i = 0; i < clean_test.size(); ++i) {
-    out.add(trigger.apply(clean_test.image(i)),
-            (clean_test.label(i) + 1) % n);
-  }
-  return out;
 }
 
 data::ImageDataset synthesize_backdoor_set(const data::ImageDataset& clean,

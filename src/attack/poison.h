@@ -33,23 +33,6 @@ data::ImageDataset make_ra_test_set(const data::ImageDataset& clean_test,
                                     const TriggerApplier& trigger,
                                     std::int64_t target_class);
 
-// ---------------------------------------------------------------------------
-// All-to-all variant (Zhao et al., discussed in the paper's related work).
-// The paper's evaluation is all-to-one; this extension relabels triggered
-// inputs to (y + 1) mod n instead of a fixed target.
-// ---------------------------------------------------------------------------
-
-/// Training set with `poison_ratio` of examples triggered and relabelled
-/// to (y + 1) mod num_classes.
-data::ImageDataset poison_training_set_all_to_all(
-    const data::ImageDataset& clean, const TriggerApplier& trigger,
-    double poison_ratio, Rng& rng);
-
-/// ASR test set for the all-to-all attack: every test image triggered and
-/// labelled (y + 1) mod n.
-data::ImageDataset make_all_to_all_asr_test_set(
-    const data::ImageDataset& clean_test, const TriggerApplier& trigger);
-
 /// Defender-side synthesis (Sec. III-C assumption): the backdoor variant of
 /// each clean defender image, labelled with its correct (true) label, which
 /// is exactly the labelling the unlearning loss (Eq. 2) requires.

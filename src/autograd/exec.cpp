@@ -51,32 +51,14 @@ void execute_forward(Node& n) {
     case OpKind::kMulScalar:
       n.value = bd::mul_scalar(in_value(n, 0), n.scalar);
       return;
-    case OpKind::kExp:
-      n.value = bd::exp(in_value(n, 0));
-      return;
-    case OpKind::kLog:
-      n.value = bd::log(in_value(n, 0));
-      return;
     case OpKind::kSqrt:
       n.value = bd::sqrt(in_value(n, 0));
-      return;
-    case OpKind::kAbs:
-      n.value = bd::abs(in_value(n, 0));
-      return;
-    case OpKind::kPowScalar:
-      n.value = bd::pow_scalar(in_value(n, 0), n.scalar);
-      return;
-    case OpKind::kClamp:
-      n.value = bd::clamp(in_value(n, 0), n.lo, n.hi);
       return;
     case OpKind::kRelu:
       n.value = bd::relu(in_value(n, 0));
       return;
     case OpKind::kSigmoid:
       n.value = bd::sigmoid(in_value(n, 0));
-      return;
-    case OpKind::kTanh:
-      n.value = bd::tanh(in_value(n, 0));
       return;
     case OpKind::kHardsigmoid:
       n.value = bd::unary(in_value(n, 0), [](float x) {
@@ -120,9 +102,6 @@ void execute_forward(Node& n) {
       n.value = std::move(res.output);
       return;
     }
-    case OpKind::kAvgPool2d:
-      n.value = avgpool2d_forward(in_value(n, 0), n.pool);
-      return;
     case OpKind::kGlobalAvgPool:
       n.value = global_avgpool_forward(in_value(n, 0));
       return;
@@ -175,37 +154,12 @@ void execute_backward(const Node& n, const GradSink& sink) {
     case OpKind::kMulScalar:
       sink(n.inputs[0], bd::mul_scalar(n.grad, n.scalar));
       return;
-    case OpKind::kExp:
-      sink(n.inputs[0], bd::mul(n.grad, n.value));
-      return;
-    case OpKind::kLog:
-      sink(n.inputs[0], bd::div(n.grad, in_value(n, 0)));
-      return;
     case OpKind::kSqrt:
       sink(n.inputs[0],
            bd::zip(n.grad, n.value,
                    [](float g, float v) { return g / (v * 2.0f); },
                    op_kind_name(n.kind)));
       return;
-    case OpKind::kAbs:
-      sink(n.inputs[0], fused_grad(n, in_value(n, 0), [](float x) {
-             return static_cast<float>(x > 0) - static_cast<float>(x < 0);
-           }));
-      return;
-    case OpKind::kPowScalar: {
-      const float p = n.scalar, pm1 = n.scalar - 1.0f;
-      sink(n.inputs[0], fused_grad(n, in_value(n, 0), [p, pm1](float x) {
-             return std::pow(x, pm1) * p;
-           }));
-      return;
-    }
-    case OpKind::kClamp: {
-      const float lo = n.lo, hi = n.hi;
-      sink(n.inputs[0], fused_grad(n, in_value(n, 0), [lo, hi](float x) {
-             return static_cast<float>((x > lo) & (x < hi));
-           }));
-      return;
-    }
     case OpKind::kRelu:
       sink(n.inputs[0], fused_grad(n, in_value(n, 0), [](float x) {
              return static_cast<float>(x > 0);
@@ -214,11 +168,6 @@ void execute_backward(const Node& n, const GradSink& sink) {
     case OpKind::kSigmoid:
       sink(n.inputs[0], fused_grad(n, n.value, [](float s) {
              return s * (1.0f - s);
-           }));
-      return;
-    case OpKind::kTanh:
-      sink(n.inputs[0], fused_grad(n, n.value, [](float t) {
-             return 1.0f - t * t;
            }));
       return;
     case OpKind::kHardsigmoid:
@@ -270,10 +219,6 @@ void execute_backward(const Node& n, const GradSink& sink) {
     case OpKind::kMaxPool2d:
       sink(n.inputs[0],
            maxpool2d_backward(n.inputs[0]->shape, *n.argmax, n.grad));
-      return;
-    case OpKind::kAvgPool2d:
-      sink(n.inputs[0],
-           avgpool2d_backward(n.inputs[0]->shape, n.grad, n.pool));
       return;
     case OpKind::kGlobalAvgPool:
       sink(n.inputs[0], global_avgpool_backward(n.inputs[0]->shape, n.grad));

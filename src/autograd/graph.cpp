@@ -16,15 +16,9 @@ const char* op_kind_name(OpKind kind) {
     case OpKind::kDiv: return "div";
     case OpKind::kAddScalar: return "add_scalar";
     case OpKind::kMulScalar: return "mul_scalar";
-    case OpKind::kExp: return "exp";
-    case OpKind::kLog: return "log";
     case OpKind::kSqrt: return "sqrt";
-    case OpKind::kAbs: return "abs";
-    case OpKind::kPowScalar: return "pow_scalar";
-    case OpKind::kClamp: return "clamp";
     case OpKind::kRelu: return "relu";
     case OpKind::kSigmoid: return "sigmoid";
-    case OpKind::kTanh: return "tanh";
     case OpKind::kHardsigmoid: return "hardsigmoid";
     case OpKind::kHardswish: return "hardswish";
     case OpKind::kReshape: return "reshape";
@@ -34,7 +28,6 @@ const char* op_kind_name(OpKind kind) {
     case OpKind::kConv2d: return "conv2d";
     case OpKind::kDepthwiseConv2d: return "depthwise_conv2d";
     case OpKind::kMaxPool2d: return "maxpool2d";
-    case OpKind::kAvgPool2d: return "avgpool2d";
     case OpKind::kGlobalAvgPool: return "global_avgpool";
     case OpKind::kLogSoftmax: return "log_softmax";
     case OpKind::kNllLoss: return "nll_loss";

@@ -43,15 +43,9 @@ enum class OpKind : std::uint8_t {
   kAddScalar,
   kMulScalar,
   // Elementwise unary.
-  kExp,
-  kLog,
   kSqrt,
-  kAbs,
-  kPowScalar,
-  kClamp,
   kRelu,
   kSigmoid,
-  kTanh,
   kHardsigmoid,
   kHardswish,
   // Shape.
@@ -66,7 +60,6 @@ enum class OpKind : std::uint8_t {
   kDepthwiseConv2d,
   // Pooling.
   kMaxPool2d,
-  kAvgPool2d,
   kGlobalAvgPool,
   // Losses.
   kLogSoftmax,
@@ -99,11 +92,9 @@ struct Node {
   std::vector<NodePtr> inputs;
 
   // --- attributes, interpreted per kind ---
-  float scalar = 0.0f;  // kAddScalar / kMulScalar / kPowScalar
-  float lo = 0.0f;      // kClamp
-  float hi = 0.0f;      // kClamp
+  float scalar = 0.0f;  // kAddScalar / kMulScalar
   Conv2dSpec conv;      // kConv2d / kDepthwiseConv2d
-  Pool2dSpec pool;      // kMaxPool2d / kAvgPool2d
+  Pool2dSpec pool;      // kMaxPool2d
   std::vector<std::int64_t> axes;  // kReduceSum, as the caller gave them
   bool keepdim = false;            // kReduceSum
   std::shared_ptr<const std::vector<std::int64_t>> labels;  // kNllLoss

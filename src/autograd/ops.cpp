@@ -69,34 +69,13 @@ Var mul_scalar(const Var& a, float s) {
 
 Var neg(const Var& a) { return mul_scalar(a, -1.0f); }
 
-Var exp(const Var& a) { return make_op(OpKind::kExp, a.shape(), {&a}); }
-
-Var log(const Var& a) { return make_op(OpKind::kLog, a.shape(), {&a}); }
-
 Var sqrt(const Var& a) { return make_op(OpKind::kSqrt, a.shape(), {&a}); }
-
-Var abs(const Var& a) { return make_op(OpKind::kAbs, a.shape(), {&a}); }
-
-Var pow_scalar(const Var& a, float p) {
-  Var out = make_op(OpKind::kPowScalar, a.shape(), {&a});
-  out.node()->scalar = p;
-  return out;
-}
-
-Var clamp(const Var& a, float lo, float hi) {
-  Var out = make_op(OpKind::kClamp, a.shape(), {&a});
-  out.node()->lo = lo;
-  out.node()->hi = hi;
-  return out;
-}
 
 Var relu(const Var& a) { return make_op(OpKind::kRelu, a.shape(), {&a}); }
 
 Var sigmoid(const Var& a) {
   return make_op(OpKind::kSigmoid, a.shape(), {&a});
 }
-
-Var tanh(const Var& a) { return make_op(OpKind::kTanh, a.shape(), {&a}); }
 
 Var hardsigmoid(const Var& a) {
   return make_op(OpKind::kHardsigmoid, a.shape(), {&a});
@@ -177,13 +156,6 @@ Var depthwise_conv2d(const Var& input, const Var& weight, const Var& bias,
 
 Var maxpool2d(const Var& input, const Pool2dSpec& spec) {
   Var out = make_op(OpKind::kMaxPool2d, pool2d_shape(input.shape(), spec),
-                    {&input});
-  out.node()->pool = spec;
-  return out;
-}
-
-Var avgpool2d(const Var& input, const Pool2dSpec& spec) {
-  Var out = make_op(OpKind::kAvgPool2d, pool2d_shape(input.shape(), spec),
                     {&input});
   out.node()->pool = spec;
   return out;

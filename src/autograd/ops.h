@@ -30,18 +30,11 @@ Var mul_scalar(const Var& a, float s);
 
 // Elementwise unary.
 Var neg(const Var& a);
-Var exp(const Var& a);
-Var log(const Var& a);
 Var sqrt(const Var& a);
-Var abs(const Var& a);
-Var pow_scalar(const Var& a, float p);
-/// Clamp with pass-through gradient strictly inside [lo, hi].
-Var clamp(const Var& a, float lo, float hi);
 
 // Activations.
 Var relu(const Var& a);
 Var sigmoid(const Var& a);
-Var tanh(const Var& a);
 Var hardsigmoid(const Var& a);  // clamp(x+3, 0, 6) / 6
 Var hardswish(const Var& a);    // x * hardsigmoid(x)
 
@@ -69,7 +62,6 @@ Var depthwise_conv2d(const Var& input, const Var& weight, const Var& bias,
 
 // Pooling.
 Var maxpool2d(const Var& input, const Pool2dSpec& spec);
-Var avgpool2d(const Var& input, const Pool2dSpec& spec);
 Var global_avgpool(const Var& input);
 
 // Classification losses. `logits` is (N, classes).

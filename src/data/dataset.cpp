@@ -131,12 +131,6 @@ Batch stack(const ImageDataset& data,
   return batch;
 }
 
-Batch stack_all(const ImageDataset& data) {
-  std::vector<std::size_t> idx(data.size());
-  std::iota(idx.begin(), idx.end(), 0);
-  return stack(data, idx);
-}
-
 DataLoader::DataLoader(const ImageDataset& data, std::int64_t batch_size,
                        Rng& rng, bool shuffle)
     : data_(data), batch_size_(batch_size), rng_(rng), shuffle_(shuffle) {

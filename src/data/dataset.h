@@ -69,9 +69,6 @@ struct Batch {
 /// Stacks the given examples into one batch.
 Batch stack(const ImageDataset& data, const std::vector<std::size_t>& indices);
 
-/// Stacks the whole dataset (careful with large sets).
-Batch stack_all(const ImageDataset& data);
-
 /// Iterates a dataset in shuffled mini-batches.
 class DataLoader {
  public:

@@ -126,7 +126,6 @@ TrainResult train_classifier(models::Classifier& model,
       BD_OBS_SPAN_ARG("train.batch", step);
       BD_OBS_COUNT("train.batches", 1);
       BD_OBS_COUNT("train.samples", batch.size());
-      data::augment_batch_inplace(batch, config.augment, rng);
       double batch_loss = 0.0;
       if (const char* reason = update(batch, batch_loss)) {
         model.load_state_dict(snapshot);

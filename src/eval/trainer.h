@@ -12,7 +12,6 @@
 #include <functional>
 
 #include "autograd/variable.h"
-#include "data/augment.h"
 #include "data/dataset.h"
 #include "models/classifier.h"
 #include "robust/train_guard.h"
@@ -38,9 +37,6 @@ struct TrainConfig {
   float sam_rho = 0.0f;
   /// Per-batch training loss; unset = cross-entropy of the logits.
   std::function<ag::Var(models::Classifier&, const data::Batch&)> batch_loss;
-  /// Optional train-time augmentation (disabled by default; the paper
-  /// benches train without it).
-  data::AugmentConfig augment;
   /// Divergence detection / rollback policy (enabled by default).
   robust::TrainGuardConfig guard;
   bool verbose = false;

@@ -123,12 +123,6 @@ class ReLU : public Module {
   const char* type_name() const override { return "ReLU"; }
 };
 
-class HardSwish : public Module {
- public:
-  ag::Var forward(const ag::Var& x) override { return ag::hardswish(x); }
-  const char* type_name() const override { return "HardSwish"; }
-};
-
 class MaxPool2d : public Module {
  public:
   explicit MaxPool2d(Pool2dSpec spec) : spec_(spec) {}
@@ -137,28 +131,6 @@ class MaxPool2d : public Module {
 
  private:
   Pool2dSpec spec_;
-};
-
-class AvgPool2d : public Module {
- public:
-  explicit AvgPool2d(Pool2dSpec spec) : spec_(spec) {}
-  ag::Var forward(const ag::Var& x) override { return ag::avgpool2d(x, spec_); }
-  const char* type_name() const override { return "AvgPool2d"; }
-
- private:
-  Pool2dSpec spec_;
-};
-
-class GlobalAvgPool : public Module {
- public:
-  ag::Var forward(const ag::Var& x) override { return ag::global_avgpool(x); }
-  const char* type_name() const override { return "GlobalAvgPool"; }
-};
-
-class Flatten : public Module {
- public:
-  ag::Var forward(const ag::Var& x) override { return ag::flatten2d(x); }
-  const char* type_name() const override { return "Flatten"; }
 };
 
 }  // namespace bd::nn

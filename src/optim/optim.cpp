@@ -30,19 +30,6 @@ float Optimizer::grad_norm() const {
   return static_cast<float>(std::sqrt(total));
 }
 
-void Optimizer::clip_grad_norm(float max_norm) {
-  const float norm = grad_norm();
-  if (norm <= max_norm || norm == 0.0f) return;
-  const float scale = max_norm / norm;
-  for (auto* p : params_) {
-    if (!p->has_grad()) continue;
-    // Gradients are owned by the node; scale in place.
-    Tensor& g = const_cast<Tensor&>(p->grad());
-    float* pg = g.data();
-    for (std::int64_t i = 0; i < g.numel(); ++i) pg[i] *= scale;
-  }
-}
-
 // ---------------------------------------------------------------------------
 // SGD
 // ---------------------------------------------------------------------------

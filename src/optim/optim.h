@@ -27,9 +27,6 @@ class Optimizer {
   /// Global L2 norm over all parameter gradients (0 if none).
   float grad_norm() const;
 
-  /// Scales gradients so the global norm is at most max_norm.
-  void clip_grad_norm(float max_norm);
-
  protected:
   std::vector<ag::Var*> params_;
 };

@@ -87,12 +87,6 @@ std::size_t FairQueue::depth() const {
   return depth_;
 }
 
-std::size_t FairQueue::in_flight(const std::string& tenant) const {
-  std::lock_guard lock(mutex_);
-  const auto it = in_flight_.find(tenant);
-  return it == in_flight_.end() ? 0 : it->second;
-}
-
 std::map<std::string, std::size_t> FairQueue::in_flight_by_tenant() const {
   std::lock_guard lock(mutex_);
   return in_flight_;

@@ -49,7 +49,6 @@ class FairQueue {
   void release(const std::string& tenant);
 
   std::size_t depth() const;
-  std::size_t in_flight(const std::string& tenant) const;
   std::map<std::string, std::size_t> in_flight_by_tenant() const;
 
   /// Stops admission; blocked pop() calls drain the remaining jobs and

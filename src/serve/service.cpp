@@ -22,15 +22,6 @@ std::string format_job_id(std::uint64_t n) {
 
 }  // namespace
 
-const char* wait_outcome_name(WaitOutcome outcome) {
-  switch (outcome) {
-    case WaitOutcome::kTerminal: return "terminal";
-    case WaitOutcome::kTimeout: return "timeout";
-    case WaitOutcome::kUnknown: return "unknown";
-  }
-  return "unknown";
-}
-
 SanitizeService::SanitizeService(const ServiceConfig& config)
     : config_(config),
       supervisor_(config.supervisor != nullptr ? config.supervisor

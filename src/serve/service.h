@@ -76,7 +76,6 @@ enum class WaitOutcome {
   kTimeout,   // known job, still in flight when the budget expired
   kUnknown,   // no such job id
 };
-const char* wait_outcome_name(WaitOutcome outcome);
 
 struct ServiceStats {
   std::int64_t submitted = 0;

@@ -215,14 +215,6 @@ Tensor mul(const Tensor& a, const Tensor& b) {
 Tensor div(const Tensor& a, const Tensor& b) {
   return broadcast(a, b, [](float x, float y) { return x / y; }, "div");
 }
-Tensor maximum(const Tensor& a, const Tensor& b) {
-  return broadcast(
-      a, b, [](float x, float y) { return x > y ? x : y; }, "maximum");
-}
-Tensor minimum(const Tensor& a, const Tensor& b) {
-  return broadcast(
-      a, b, [](float x, float y) { return x < y ? x : y; }, "minimum");
-}
 
 Tensor add_scalar(const Tensor& a, float s) {
   return unary(a, [s](float x) { return x + s; });
@@ -233,35 +225,14 @@ Tensor mul_scalar(const Tensor& a, float s) {
 Tensor neg(const Tensor& a) {
   return unary(a, [](float x) { return -x; });
 }
-Tensor exp(const Tensor& a) {
-  return unary(a, [](float x) { return std::exp(x); });
-}
-Tensor log(const Tensor& a) {
-  return unary(a, [](float x) { return std::log(x); });
-}
 Tensor sqrt(const Tensor& a) {
   return unary(a, [](float x) { return std::sqrt(x); });
-}
-Tensor abs(const Tensor& a) {
-  return unary(a, [](float x) { return std::fabs(x); });
-}
-Tensor sign(const Tensor& a) {
-  return unary(a, [](float x) { return x > 0 ? 1.0f : (x < 0 ? -1.0f : 0.0f); });
-}
-Tensor pow_scalar(const Tensor& a, float p) {
-  return unary(a, [p](float x) { return std::pow(x, p); });
-}
-Tensor clamp(const Tensor& a, float lo, float hi) {
-  return unary(a, [lo, hi](float x) { return std::min(hi, std::max(lo, x)); });
 }
 Tensor relu(const Tensor& a) {
   return unary(a, [](float x) { return x > 0 ? x : 0.0f; });
 }
 Tensor sigmoid(const Tensor& a) {
   return unary(a, [](float x) { return 1.0f / (1.0f + std::exp(-x)); });
-}
-Tensor tanh(const Tensor& a) {
-  return unary(a, [](float x) { return std::tanh(x); });
 }
 
 void axpy_inplace(Tensor& y, float alpha, const Tensor& x) {
@@ -283,18 +254,6 @@ float sum_all(const Tensor& a) {
   double s = 0.0;
   for (std::int64_t i = 0; i < a.numel(); ++i) s += a[i];
   return static_cast<float>(s);
-}
-
-float mean_all(const Tensor& a) {
-  if (a.numel() == 0) return 0.0f;
-  return sum_all(a) / static_cast<float>(a.numel());
-}
-
-float max_all(const Tensor& a) {
-  if (a.numel() == 0) throw std::invalid_argument("max_all: empty tensor");
-  float m = a[0];
-  for (std::int64_t i = 1; i < a.numel(); ++i) m = std::max(m, a[i]);
-  return m;
 }
 
 float l1_norm(const Tensor& a) {

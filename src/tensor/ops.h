@@ -42,8 +42,6 @@ Tensor add(const Tensor& a, const Tensor& b);
 Tensor sub(const Tensor& a, const Tensor& b);
 Tensor mul(const Tensor& a, const Tensor& b);
 Tensor div(const Tensor& a, const Tensor& b);
-Tensor maximum(const Tensor& a, const Tensor& b);
-Tensor minimum(const Tensor& a, const Tensor& b);
 
 // ---------------------------------------------------------------------------
 // Elementwise with scalars / unary
@@ -52,16 +50,9 @@ Tensor minimum(const Tensor& a, const Tensor& b);
 Tensor add_scalar(const Tensor& a, float s);
 Tensor mul_scalar(const Tensor& a, float s);
 Tensor neg(const Tensor& a);
-Tensor exp(const Tensor& a);
-Tensor log(const Tensor& a);
 Tensor sqrt(const Tensor& a);
-Tensor abs(const Tensor& a);
-Tensor sign(const Tensor& a);
-Tensor pow_scalar(const Tensor& a, float p);
-Tensor clamp(const Tensor& a, float lo, float hi);
 Tensor relu(const Tensor& a);
 Tensor sigmoid(const Tensor& a);
-Tensor tanh(const Tensor& a);
 
 /// out[i] = f(a[i]). A template so `f` inlines into the loop.
 template <typename F>
@@ -105,8 +96,6 @@ void axpy_inplace(Tensor& y, float alpha, const Tensor& x);
 // ---------------------------------------------------------------------------
 
 float sum_all(const Tensor& a);
-float mean_all(const Tensor& a);
-float max_all(const Tensor& a);
 float l1_norm(const Tensor& a);
 float l2_norm(const Tensor& a);
 

@@ -98,84 +98,6 @@ Tensor maxpool2d_backward(const Shape& input_shape,
   return grad_input;
 }
 
-Tensor avgpool2d_forward(const Tensor& input, const Pool2dSpec& spec) {
-  Tensor out(pool2d_shape(input.shape(), spec));
-  const std::int64_t n = input.size(0), c = input.size(1);
-  const std::int64_t h = input.size(2), w = input.size(3);
-  const std::int64_t oh = out.size(2), ow = out.size(3);
-  const float inv_area =
-      1.0f / static_cast<float>(spec.kernel * spec.kernel);
-
-  const float* pin = input.data();
-  float* pout = out.data();
-
-  runtime::parallel_for(
-      0, n * c,
-      runtime::grain_for_cost(oh * ow * spec.kernel * spec.kernel),
-      [&](std::int64_t lo, std::int64_t hi) {
-        for (std::int64_t p = lo; p < hi; ++p) {
-          const std::int64_t base = p * h * w;
-          std::int64_t oi = p * oh * ow;
-          for (std::int64_t oy = 0; oy < oh; ++oy) {
-            for (std::int64_t ox = 0; ox < ow; ++ox, ++oi) {
-              double acc = 0.0;
-              for (std::int64_t ky = 0; ky < spec.kernel; ++ky) {
-                const std::int64_t iy = oy * spec.stride - spec.padding + ky;
-                if (iy < 0 || iy >= h) continue;
-                for (std::int64_t kx = 0; kx < spec.kernel; ++kx) {
-                  const std::int64_t ix = ox * spec.stride - spec.padding + kx;
-                  if (ix < 0 || ix >= w) continue;
-                  acc += pin[base + iy * w + ix];
-                }
-              }
-              pout[oi] = static_cast<float>(acc) * inv_area;
-            }
-          }
-        }
-      });
-  return out;
-}
-
-Tensor avgpool2d_backward(const Shape& input_shape, const Tensor& grad_output,
-                          const Pool2dSpec& spec) {
-  Tensor grad_input(input_shape);
-  const std::int64_t n = input_shape[0], c = input_shape[1];
-  const std::int64_t h = input_shape[2], w = input_shape[3];
-  const std::int64_t oh = grad_output.size(2), ow = grad_output.size(3);
-  const float inv_area =
-      1.0f / static_cast<float>(spec.kernel * spec.kernel);
-
-  float* gi = grad_input.data();
-  const float* go = grad_output.data();
-
-  // Scatter-accumulate stays inside each (sample, channel) plane, so
-  // plane-level chunks never collide even with overlapping windows.
-  runtime::parallel_for(
-      0, n * c,
-      runtime::grain_for_cost(oh * ow * spec.kernel * spec.kernel),
-      [&](std::int64_t lo, std::int64_t hi) {
-        for (std::int64_t p = lo; p < hi; ++p) {
-          const std::int64_t base = p * h * w;
-          std::int64_t oi = p * oh * ow;
-          for (std::int64_t oy = 0; oy < oh; ++oy) {
-            for (std::int64_t ox = 0; ox < ow; ++ox, ++oi) {
-              const float g = go[oi] * inv_area;
-              for (std::int64_t ky = 0; ky < spec.kernel; ++ky) {
-                const std::int64_t iy = oy * spec.stride - spec.padding + ky;
-                if (iy < 0 || iy >= h) continue;
-                for (std::int64_t kx = 0; kx < spec.kernel; ++kx) {
-                  const std::int64_t ix = ox * spec.stride - spec.padding + kx;
-                  if (ix < 0 || ix >= w) continue;
-                  gi[base + iy * w + ix] += g;
-                }
-              }
-            }
-          }
-        }
-      });
-  return grad_input;
-}
-
 Tensor global_avgpool_forward(const Tensor& input) {
   Tensor out(global_avgpool_shape(input.shape()));
   const std::int64_t n = input.size(0), c = input.size(1);

@@ -20,8 +20,8 @@ struct MaxPoolResult {
   std::vector<std::int64_t> argmax;
 };
 
-/// The one shape rule of max/avg pooling: (N,C,OH,OW) for an NCHW input.
-/// The kernels and the autograd builders both call it, so both throw the
+/// The one shape rule of max pooling: (N,C,OH,OW) for an NCHW input.
+/// The kernel and the autograd builder both call it, so both throw the
 /// same std::invalid_argument on a malformed input.
 Shape pool2d_shape(const Shape& input, const Pool2dSpec& spec);
 
@@ -33,11 +33,6 @@ MaxPoolResult maxpool2d_forward(const Tensor& input, const Pool2dSpec& spec);
 Tensor maxpool2d_backward(const Shape& input_shape,
                           const std::vector<std::int64_t>& argmax,
                           const Tensor& grad_output);
-
-Tensor avgpool2d_forward(const Tensor& input, const Pool2dSpec& spec);
-
-Tensor avgpool2d_backward(const Shape& input_shape, const Tensor& grad_output,
-                          const Pool2dSpec& spec);
 
 /// (N,C,H,W) -> (N,C,1,1) spatial mean.
 Tensor global_avgpool_forward(const Tensor& input);

@@ -15,18 +15,28 @@ std::optional<std::string> env_string(const std::string& name) {
   return std::string(v);
 }
 
+template <typename T>
+std::optional<T> parse_whole(std::string_view text) {
+  T v{};
+  const char* end = text.data() + text.size();
+  const auto [stop, ec] = std::from_chars(text.data(), end, v);
+  if (ec != std::errc() || stop != end) return std::nullopt;
+  return v;
+}
+
+template std::optional<std::int64_t> parse_whole<std::int64_t>(
+    std::string_view);
+template std::optional<double> parse_whole<double>(std::string_view);
+
 namespace {
 
-/// Parses the whole of `value` as a T; an empty value means unset.
+/// `name`'s value as a whole T; an empty value means unset.
 template <typename T>
-std::optional<T> parse_whole(const std::string& name,
-                             const std::optional<std::string>& value,
-                             const char* expected) {
+std::optional<T> env_whole(const std::string& name, const char* expected) {
+  const auto value = env_string(name);
   if (!value || value->empty()) return std::nullopt;
-  T v{};
-  const char* end = value->data() + value->size();
-  const auto [stop, ec] = std::from_chars(value->data(), end, v);
-  if (ec != std::errc() || stop != end) {
+  const auto v = parse_whole<T>(*value);
+  if (!v) {
     throw std::invalid_argument(name + "='" + *value + "' is not " +
                                 expected);
   }
@@ -36,11 +46,11 @@ std::optional<T> parse_whole(const std::string& name,
 }  // namespace
 
 std::optional<std::int64_t> env_int(const std::string& name) {
-  return parse_whole<std::int64_t>(name, env_string(name), "an integer");
+  return env_whole<std::int64_t>(name, "an integer");
 }
 
 std::optional<double> env_double(const std::string& name) {
-  return parse_whole<double>(name, env_string(name), "a number");
+  return env_whole<double>(name, "a number");
 }
 
 RunMode env_run_mode() {

@@ -54,6 +54,7 @@
 #include <cstdint>
 #include <optional>
 #include <string>
+#include <string_view>
 
 namespace bd {
 
@@ -69,11 +70,19 @@ RunMode run_mode();
 /// True when run_mode() == kFull.
 bool full_mode();
 
+/// The one whole-value number rule, shared by the env knobs below and the
+/// command-line parsers: all of `text` parses as a T with std::from_chars,
+/// so a leading space or '+', any trailing character ("2x", "1e3" as an
+/// integer) and an out-of-range value all give std::nullopt, as does empty
+/// text. Defined for std::int64_t and double.
+template <typename T>
+std::optional<T> parse_whole(std::string_view text);
+
 /// Environment override helpers. env_string returns the raw value. env_int
-/// and env_double treat an empty value as unset and otherwise require the
-/// whole value to parse ("2x", "1e3" as an integer, "true" and " 5" are all
-/// rejected): anything else throws std::invalid_argument naming the
-/// variable and its value, so a typo never silently selects a default.
+/// and env_double treat an empty value as unset and otherwise require
+/// parse_whole to accept it: anything else throws std::invalid_argument
+/// naming the variable and its value, so a typo never silently selects a
+/// default.
 std::optional<std::string> env_string(const std::string& name);
 std::optional<std::int64_t> env_int(const std::string& name);
 std::optional<double> env_double(const std::string& name);

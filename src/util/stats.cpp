@@ -32,12 +32,6 @@ double mean_of(const std::vector<double>& v) {
   return s.mean();
 }
 
-double stddev_of(const std::vector<double>& v) {
-  RunningStat s;
-  for (double x : v) s.add(x);
-  return s.stddev();
-}
-
 std::string mean_std_string(const std::vector<double>& v, int precision) {
   RunningStat s;
   for (double x : v) s.add(x);

@@ -28,7 +28,6 @@ class RunningStat {
 };
 
 double mean_of(const std::vector<double>& v);
-double stddev_of(const std::vector<double>& v);
 
 /// Formats "12.34±5.67" in the paper's table style (percent-scale values).
 std::string mean_std_string(const std::vector<double>& v, int precision = 2);

@@ -291,35 +291,6 @@ TEST(TestSets, AsrAndRaConstruction) {
   }
 }
 
-TEST(AllToAll, RelabelsCyclically) {
-  const auto clean = small_clean_set(4);
-  BadNetsTrigger trigger;
-  Rng rng(8);
-  const auto poisoned =
-      poison_training_set_all_to_all(clean, trigger, 0.25, rng);
-  ASSERT_EQ(poisoned.size(), clean.size());
-  std::int64_t changed = 0;
-  for (std::size_t i = 0; i < poisoned.size(); ++i) {
-    if (poisoned.label(i) != clean.label(i)) {
-      ++changed;
-      EXPECT_EQ(poisoned.label(i), (clean.label(i) + 1) % 10);
-    }
-  }
-  EXPECT_EQ(changed, static_cast<std::int64_t>(clean.size() / 4));
-  EXPECT_THROW(poison_training_set_all_to_all(clean, trigger, 1.0, rng),
-               std::invalid_argument);
-}
-
-TEST(AllToAll, AsrTestSetCoversEveryClass) {
-  const auto clean = small_clean_set(2);
-  BadNetsTrigger trigger;
-  const auto asr = make_all_to_all_asr_test_set(clean, trigger);
-  ASSERT_EQ(asr.size(), clean.size());  // no class excluded in all-to-all
-  for (std::size_t i = 0; i < asr.size(); ++i) {
-    EXPECT_EQ(asr.label(i), (clean.label(i) + 1) % 10);
-  }
-}
-
 TEST(TestSets, SynthesizedBackdoorKeepsTrueLabels) {
   const auto clean = small_clean_set(2);
   BadNetsTrigger trigger;

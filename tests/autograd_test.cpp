@@ -170,20 +170,8 @@ TEST(GradCheck, BroadcastBinary) {
 TEST(GradCheck, UnaryOps) {
   Rng rng(3);
   check_gradients(
-      [](const std::vector<Var>& in) { return sum_all(exp(in[0])); },
-      {random_tensor({2, 3}, rng)});
-  check_gradients(
-      [](const std::vector<Var>& in) { return sum_all(log(in[0])); },
-      {random_tensor({2, 3}, rng, 0.5f, 2.0f)});
-  check_gradients(
       [](const std::vector<Var>& in) { return sum_all(sqrt(in[0])); },
       {random_tensor({2, 3}, rng, 0.5f, 2.0f)});
-  check_gradients(
-      [](const std::vector<Var>& in) { return sum_all(abs(in[0])); },
-      {random_tensor({2, 3}, rng, 0.2f, 1.0f)});  // away from the kink
-  check_gradients(
-      [](const std::vector<Var>& in) { return sum_all(pow_scalar(in[0], 3.0f)); },
-      {random_tensor({2, 3}, rng)});
   check_gradients(
       [](const std::vector<Var>& in) { return sum_all(neg(in[0])); },
       {random_tensor({2, 3}, rng)});
@@ -203,15 +191,10 @@ TEST(GradCheck, Activations) {
     const float mag = static_cast<float>(rng.uniform(0.2, 1.0));
     x[i] = (i % 2 == 0) ? mag : -mag;
   }
-  for (auto op : {relu, sigmoid, tanh, hardsigmoid, hardswish}) {
+  for (auto op : {relu, sigmoid, hardsigmoid, hardswish}) {
     check_gradients(
         [op](const std::vector<Var>& in) { return sum_all(op(in[0])); }, {x});
   }
-  check_gradients(
-      [](const std::vector<Var>& in) {
-        return sum_all(clamp(in[0], -0.5f, 0.5f));
-      },
-      {x});
 }
 
 TEST(GradCheck, ReductionsAndReshape) {
@@ -276,11 +259,6 @@ TEST(GradCheck, DepthwiseConv2d) {
 
 TEST(GradCheck, Pooling) {
   Rng rng(10);
-  check_gradients(
-      [](const std::vector<Var>& in) {
-        return sum_all(avgpool2d(in[0], {2, 2, 0}));
-      },
-      {random_tensor({2, 2, 4, 4}, rng)});
   check_gradients(
       [](const std::vector<Var>& in) {
         return sum_all(global_avgpool(in[0]));

@@ -221,12 +221,6 @@ TEST(Pooling, ModulesForwardShapes) {
   const Tensor x = random_tensor({2, 3, 8, 8}, rng);
   MaxPool2d mp({2, 2, 0});
   EXPECT_EQ(mp.forward(ag::Var(x)).value().shape(), (Shape{2, 3, 4, 4}));
-  AvgPool2d ap({2, 2, 0});
-  EXPECT_EQ(ap.forward(ag::Var(x)).value().shape(), (Shape{2, 3, 4, 4}));
-  GlobalAvgPool gp;
-  EXPECT_EQ(gp.forward(ag::Var(x)).value().shape(), (Shape{2, 3, 1, 1}));
-  Flatten fl;
-  EXPECT_EQ(fl.forward(ag::Var(x)).value().shape(), (Shape{2, 192}));
 }
 
 TEST(Summary, TreeWithPruneAnnotations) {

@@ -7,6 +7,7 @@
 //  * serialization round-trips over random shapes
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <sstream>
 #include <tuple>
@@ -161,25 +162,38 @@ TEST(DepthwiseProperty, MatchesPerChannelStandardConv) {
 class PoolSweep : public ::testing::TestWithParam<std::tuple<int, int, int>> {
 };
 
-TEST_P(PoolSweep, MaxDominatesAvgAndShapesAgree) {
+TEST_P(PoolSweep, MaxMatchesWindowMaxReference) {
   const auto [hw, kernel, stride] = GetParam();
   Rng rng(static_cast<std::uint64_t>(hw * 100 + kernel * 10 + stride));
   const Tensor x = random_tensor({2, 3, hw, hw}, rng);
   const Pool2dSpec spec{kernel, stride, 0};
 
   const auto mx = maxpool2d_forward(x, spec);
-  const Tensor av = avgpool2d_forward(x, spec);
-  ASSERT_EQ(mx.output.shape(), av.shape());
-  for (std::int64_t i = 0; i < av.numel(); ++i) {
-    EXPECT_GE(mx.output[i], av[i] - 1e-5f);
+  const std::int64_t out_hw = (hw - kernel) / stride + 1;
+  ASSERT_EQ(mx.output.shape(), (Shape{2, 3, out_hw, out_hw}));
+  ASSERT_EQ(mx.argmax.size(), static_cast<std::size_t>(mx.output.numel()));
+  std::int64_t oi = 0;
+  for (std::int64_t p = 0; p < 2 * 3; ++p) {
+    for (std::int64_t oy = 0; oy < out_hw; ++oy) {
+      for (std::int64_t ox = 0; ox < out_hw; ++ox, ++oi) {
+        const std::int64_t corner = p * hw * hw + (oy * hw + ox) * stride;
+        float want = x[corner];
+        for (std::int64_t ky = 0; ky < kernel; ++ky) {
+          for (std::int64_t kx = 0; kx < kernel; ++kx) {
+            want = std::max(want, x[corner + ky * hw + kx]);
+          }
+        }
+        EXPECT_EQ(mx.output[oi], want);
+        EXPECT_EQ(x[mx.argmax[static_cast<std::size_t>(oi)]], want);
+      }
+    }
   }
 
-  // Avgpool backward conserves gradient mass when windows tile exactly.
-  if ((hw - kernel) % stride == 0 && kernel == stride) {
-    const Tensor go = random_tensor(av.shape(), rng);
-    const Tensor gi = avgpool2d_backward(x.shape(), go, spec);
-    EXPECT_NEAR(sum_all(gi), sum_all(go), 1e-3f);
-  }
+  // Each output routes its gradient to exactly one input, so the mass is
+  // conserved even where windows overlap.
+  const Tensor go = random_tensor(mx.output.shape(), rng);
+  const Tensor gi = maxpool2d_backward(x.shape(), mx.argmax, go);
+  EXPECT_NEAR(sum_all(gi), sum_all(go), 1e-3f);
 }
 
 INSTANTIATE_TEST_SUITE_P(Grid, PoolSweep,

@@ -148,14 +148,9 @@ TEST(Broadcast, ScalarFastPath) {
 
 TEST(Elementwise, UnaryOps) {
   Tensor a({3}, {-1.0f, 0.0f, 4.0f});
-  EXPECT_EQ(abs(a)[0], 1.0f);
-  EXPECT_EQ(sign(a)[0], -1.0f);
-  EXPECT_EQ(sign(a)[1], 0.0f);
   EXPECT_EQ(relu(a)[0], 0.0f);
   EXPECT_EQ(relu(a)[2], 4.0f);
   EXPECT_FLOAT_EQ(sqrt(a)[2], 2.0f);
-  EXPECT_FLOAT_EQ(clamp(a, -0.5f, 2.0f)[0], -0.5f);
-  EXPECT_FLOAT_EQ(clamp(a, -0.5f, 2.0f)[2], 2.0f);
 }
 
 TEST(Elementwise, DivByTensor) {
@@ -169,10 +164,8 @@ TEST(Elementwise, DivByTensor) {
 TEST(Reductions, SumMeanNorms) {
   Tensor a({2, 2}, {1, -2, 3, -4});
   EXPECT_FLOAT_EQ(sum_all(a), -2.0f);
-  EXPECT_FLOAT_EQ(mean_all(a), -0.5f);
   EXPECT_FLOAT_EQ(l1_norm(a), 10.0f);
   EXPECT_FLOAT_EQ(l2_norm(a), std::sqrt(30.0f));
-  EXPECT_FLOAT_EQ(max_all(a), 3.0f);
 }
 
 TEST(Reductions, ReduceSumAxes) {
@@ -591,16 +584,6 @@ TEST(Pool, MaxPoolBackwardRoutesToArgmax) {
                                 Tensor::full({1, 1, 1, 1}, 2.0f));
   EXPECT_FLOAT_EQ(g[1], 2.0f);
   EXPECT_FLOAT_EQ(g[0], 0.0f);
-}
-
-TEST(Pool, AvgPool) {
-  Tensor x({1, 1, 2, 2}, {1, 2, 3, 6});
-  Tensor y = avgpool2d_forward(x, {2, 2, 0});
-  EXPECT_FLOAT_EQ(y[0], 3.0f);
-  Tensor g = avgpool2d_backward(x.shape(), Tensor::full({1, 1, 1, 1}, 4.0f),
-                                {2, 2, 0});
-  EXPECT_FLOAT_EQ(g[0], 1.0f);
-  EXPECT_FLOAT_EQ(g[3], 1.0f);
 }
 
 TEST(Pool, GlobalAvgPool) {

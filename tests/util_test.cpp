@@ -172,6 +172,19 @@ TEST(Env, DoubleParsing) {
   unsetenv("BD_TEST_DOUBLE");
 }
 
+// The one whole-value rule the env knobs and the CLI front ends share.
+TEST(Env, ParseWholeIsTheSharedRule) {
+  EXPECT_EQ(parse_whole<std::int64_t>("-42"), std::int64_t{-42});
+  EXPECT_EQ(parse_whole<double>("2.5e-1"), 0.25);
+  for (const char* bad : {"", " 8", "+8", "8 ", "8x", "1e3", "0x10",
+                          "99999999999999999999"}) {
+    EXPECT_FALSE(parse_whole<std::int64_t>(bad).has_value()) << bad;
+  }
+  for (const char* bad : {"", " 1.5", "+1.5", "1.5s", "1e999"}) {
+    EXPECT_FALSE(parse_whole<double>(bad).has_value()) << bad;
+  }
+}
+
 TEST(Env, ModeAndTrialParsing) {
   setenv("BDPROTO_MODE", "full", 1);
   EXPECT_EQ(env_run_mode(), RunMode::kFull);
