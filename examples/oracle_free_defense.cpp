@@ -49,12 +49,10 @@ int main() {
               "defender)...\n");
   eval::train_classifier(*model, poisoned, tc, rng);
 
-  const auto asr_set = attack::make_asr_test_set(data.test, real_trigger,
-                                                 poison_cfg.target_class);
-  const auto ra_set = attack::make_ra_test_set(data.test, real_trigger,
-                                               poison_cfg.target_class);
+  const auto triggered = attack::make_triggered_test_sets(
+      data.test, real_trigger, poison_cfg.target_class);
   const auto before =
-      eval::evaluate_backdoor(*model, data.test, asr_set, ra_set);
+      eval::evaluate_backdoor(*model, data.test, triggered.asr, triggered.ra);
   std::printf("backdoored: ACC=%.1f%% ASR=%.1f%% RA=%.1f%%\n\n", before.acc,
               before.asr, before.ra);
 
@@ -100,7 +98,7 @@ int main() {
 
   // --- 5. Evaluate against the REAL trigger. ---------------------------------
   const auto after =
-      eval::evaluate_backdoor(*model, data.test, asr_set, ra_set);
+      eval::evaluate_backdoor(*model, data.test, triggered.asr, triggered.ra);
   std::printf("\nagainst the attacker's real trigger:\n");
   std::printf("  ACC %.1f%% -> %.1f%%\n", before.acc, after.acc);
   std::printf("  ASR %.1f%% -> %.1f%%\n", before.asr, after.asr);

@@ -53,12 +53,10 @@ int main() {
   eval::train_classifier(*model, poisoned, train_cfg, rng);
 
   // 3. Measure the backdoor.
-  const auto asr_set =
-      attack::make_asr_test_set(data.test, trigger, poison_cfg.target_class);
-  const auto ra_set =
-      attack::make_ra_test_set(data.test, trigger, poison_cfg.target_class);
+  const auto triggered = attack::make_triggered_test_sets(
+      data.test, trigger, poison_cfg.target_class);
   const auto before =
-      eval::evaluate_backdoor(*model, data.test, asr_set, ra_set);
+      eval::evaluate_backdoor(*model, data.test, triggered.asr, triggered.ra);
   std::printf("Backdoored model:  ACC=%.1f%%  ASR=%.1f%%  RA=%.1f%%\n",
               before.acc, before.asr, before.ra);
 
@@ -74,7 +72,7 @@ int main() {
 
   // 5. Measure again.
   const auto after =
-      eval::evaluate_backdoor(*model, data.test, asr_set, ra_set);
+      eval::evaluate_backdoor(*model, data.test, triggered.asr, triggered.ra);
   std::printf("Defended model:    ACC=%.1f%%  ASR=%.1f%%  RA=%.1f%%\n",
               after.acc, after.asr, after.ra);
   std::printf("Backdoor mitigation: ASR %.1f%% -> %.1f%%\n", before.asr,

@@ -56,12 +56,10 @@ int main() {
   eval::train_classifier(*model, poisoned, train_cfg, rng);
 
   // --- 2. Audit. ------------------------------------------------------------
-  const auto asr_set =
-      attack::make_asr_test_set(gtsrb.test, trigger, poison_cfg.target_class);
-  const auto ra_set =
-      attack::make_ra_test_set(gtsrb.test, trigger, poison_cfg.target_class);
+  const auto triggered = attack::make_triggered_test_sets(
+      gtsrb.test, trigger, poison_cfg.target_class);
   const auto before =
-      eval::evaluate_backdoor(*model, gtsrb.test, asr_set, ra_set);
+      eval::evaluate_backdoor(*model, gtsrb.test, triggered.asr, triggered.ra);
   std::printf("\nAudit before defense:\n");
   std::printf("  clean accuracy          : %6.2f%%\n", before.acc);
   std::printf("  triggered -> class 0    : %6.2f%%  (attack success)\n",
@@ -85,7 +83,7 @@ int main() {
 
   // --- 4. Re-audit. ----------------------------------------------------------
   const auto after =
-      eval::evaluate_backdoor(*model, gtsrb.test, asr_set, ra_set);
+      eval::evaluate_backdoor(*model, gtsrb.test, triggered.asr, triggered.ra);
   std::printf("\nAudit after defense:\n");
   std::printf("  clean accuracy          : %6.2f%%  (was %.2f%%)\n",
               after.acc, before.acc);

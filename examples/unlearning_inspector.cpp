@@ -45,9 +45,10 @@ int main() {
   std::printf("Training backdoored VGG...\n");
   eval::train_classifier(*model, poisoned, train_cfg, rng);
 
-  const auto asr_set = attack::make_asr_test_set(data.test, trigger, 0);
-  const auto ra_set = attack::make_ra_test_set(data.test, trigger, 0);
-  auto metrics = eval::evaluate_backdoor(*model, data.test, asr_set, ra_set);
+  const auto triggered = attack::make_triggered_test_sets(
+      data.test, trigger, 0);
+  auto metrics = eval::evaluate_backdoor(*model, data.test,
+                                         triggered.asr, triggered.ra);
   std::printf("baseline: ACC=%.1f%% ASR=%.1f%%\n\n", metrics.acc, metrics.asr);
 
   // Defender data: SPC=10 with synthesized triggered variants.
@@ -88,7 +89,8 @@ int main() {
     const auto best = core::best_filter_to_prune(round_scores);
     if (!best) break;
     convs[best->conv_index]->prune_filter(best->filter);
-    metrics = eval::evaluate_backdoor(*model, data.test, asr_set, ra_set);
+    metrics = eval::evaluate_backdoor(*model, data.test,
+                                      triggered.asr, triggered.ra);
     std::printf("%-8d %-8.1f %-8.1f\n", round, metrics.acc, metrics.asr);
   }
   std::printf("\n(The full defense additionally restores the "

@@ -75,6 +75,18 @@ data::ImageDataset make_ra_test_set(const data::ImageDataset& clean_test,
                             /*use_target_labels=*/false);
 }
 
+TriggeredTestSets make_triggered_test_sets(
+    const data::ImageDataset& clean_test, const TriggerApplier& trigger,
+    std::int64_t target_class) {
+  data::ImageDataset ra = make_ra_test_set(clean_test, trigger, target_class);
+  data::ImageDataset asr(ra.image_shape(), ra.num_classes());
+  asr.reserve(ra.size());
+  for (std::size_t i = 0; i < ra.size(); ++i) {
+    asr.add(ra.image(i), target_class);
+  }
+  return {std::move(asr), std::move(ra)};
+}
+
 data::ImageDataset synthesize_backdoor_set(const data::ImageDataset& clean,
                                            const TriggerApplier& trigger) {
   data::ImageDataset out(clean.image_shape(), clean.num_classes());

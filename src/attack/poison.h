@@ -2,7 +2,8 @@
 //
 // All-to-one targeted attack: a `poison_ratio` fraction of training images
 // receives the trigger and is relabelled to the target class. Helpers also
-// build the triggered test sets used by the ASR and RA metrics.
+// build the triggered test sets used by the ASR and RA metrics: one set of
+// triggered non-target images under two labelings.
 #pragma once
 
 #include "attack/trigger.h"
@@ -32,6 +33,18 @@ data::ImageDataset make_asr_test_set(const data::ImageDataset& clean_test,
 data::ImageDataset make_ra_test_set(const data::ImageDataset& clean_test,
                                     const TriggerApplier& trigger,
                                     std::int64_t target_class);
+
+/// The ASR and RA test sets built together: the trigger is applied once
+/// per non-target image, and `ra.image(i)` is the very tensor of
+/// `asr.image(i)` (shared storage, same order), so eval::evaluate_backdoor
+/// scores both metrics from one forward pass over the images.
+struct TriggeredTestSets {
+  data::ImageDataset asr;  // labelled with the target class
+  data::ImageDataset ra;   // labelled with the true classes
+};
+TriggeredTestSets make_triggered_test_sets(
+    const data::ImageDataset& clean_test, const TriggerApplier& trigger,
+    std::int64_t target_class);
 
 /// Defender-side synthesis (Sec. III-C assumption): the backdoor variant of
 /// each clean defender image, labelled with its correct (true) label, which

@@ -1,10 +1,9 @@
 #include "eval/metrics.h"
 
-#include <atomic>
+#include <vector>
 
 #include "autograd/ops.h"
 #include "obs/obs.h"
-#include "runtime/thread_pool.h"
 #include "tensor/ops.h"
 
 namespace bd::eval {
@@ -26,41 +25,57 @@ class EvalModeScope {
   bool was_training_;
 };
 
-}  // namespace
-
-double accuracy(models::Classifier& model, const data::ImageDataset& dataset,
-                std::int64_t batch_size) {
-  if (dataset.empty()) return 0.0;
-  BD_OBS_SPAN_ARG("eval.accuracy",
-                  static_cast<std::int64_t>(dataset.size()));
+/// The model's predicted class for every example, in dataset order: one
+/// eval-mode, no-grad forward pass over the dataset in batches.
+std::vector<std::int64_t> predict(models::Classifier& model,
+                                  const data::ImageDataset& dataset,
+                                  std::int64_t batch_size) {
+  if (dataset.empty()) return {};
+  BD_OBS_SPAN_ARG("eval.predict", static_cast<std::int64_t>(dataset.size()));
   EvalModeScope scope(model);
   ag::NoGradGuard no_grad;
 
-  std::int64_t correct = 0;
+  std::vector<std::int64_t> preds;
+  preds.reserve(dataset.size());
   Rng dummy(0);
   data::DataLoader loader(dataset, batch_size, dummy, /*shuffle=*/false);
   data::Batch batch;
   while (loader.next(batch)) {
     const ag::Var logits = model.forward(ag::Var(batch.images));
-    const auto preds = argmax_rows(logits.value());
-    // Integer tallies are order-independent, so a per-chunk count folded
-    // through an atomic stays deterministic for any thread count.
-    std::atomic<std::int64_t> batch_correct{0};
-    runtime::parallel_for(
-        0, static_cast<std::int64_t>(batch.labels.size()), 256,
-        [&](std::int64_t lo, std::int64_t hi) {
-          std::int64_t local = 0;
-          for (std::int64_t i = lo; i < hi; ++i) {
-            const auto idx = static_cast<std::size_t>(i);
-            if (preds[idx] == batch.labels[idx]) ++local;
-          }
-          // bdlint:allow(no-relaxed-atomics): integer count reduction;
-          // parallel_for's join orders the final load below.
-          batch_correct.fetch_add(local, std::memory_order_relaxed);
-        });
-    correct += batch_correct.load(std::memory_order_relaxed);  // bdlint:allow(no-relaxed-atomics)
+    const auto batch_preds = argmax_rows(logits.value());
+    preds.insert(preds.end(), batch_preds.begin(), batch_preds.end());
+  }
+  return preds;
+}
+
+/// Fraction of `dataset`'s examples whose prediction is their label.
+double matching_share(const std::vector<std::int64_t>& preds,
+                      const data::ImageDataset& dataset) {
+  if (dataset.empty()) return 0.0;
+  std::int64_t correct = 0;
+  for (std::size_t i = 0; i < dataset.size(); ++i) {
+    if (preds[i] == dataset.label(i)) ++correct;
   }
   return static_cast<double>(correct) / static_cast<double>(dataset.size());
+}
+
+/// True when `b` holds `a`'s image tensors in the same order, so one
+/// prediction per image serves both labelings.
+bool same_images(const data::ImageDataset& a, const data::ImageDataset& b) {
+  if (a.size() != b.size() || a.image_shape() != b.image_shape()) {
+    return false;
+  }
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    if (!a.image(i).shares_storage_with(b.image(i))) return false;
+  }
+  return true;
+}
+
+}  // namespace
+
+double accuracy(models::Classifier& model, const data::ImageDataset& dataset,
+                std::int64_t batch_size) {
+  return matching_share(predict(model, dataset, batch_size), dataset);
 }
 
 double dataset_loss(models::Classifier& model,
@@ -93,8 +108,11 @@ BackdoorMetrics evaluate_backdoor(models::Classifier& model,
   BD_OBS_SPAN("eval.backdoor");
   BackdoorMetrics m;
   m.acc = 100.0 * accuracy(model, clean_test, batch_size);
-  m.asr = 100.0 * accuracy(model, asr_test, batch_size);
-  m.ra = 100.0 * accuracy(model, ra_test, batch_size);
+  const auto preds = predict(model, asr_test, batch_size);
+  m.asr = 100.0 * matching_share(preds, asr_test);
+  m.ra = 100.0 * (same_images(asr_test, ra_test)
+                      ? matching_share(preds, ra_test)
+                      : accuracy(model, ra_test, batch_size));
   return m;
 }
 

@@ -2,8 +2,11 @@
 //   ACC - accuracy on the clean test set
 //   ASR - accuracy on triggered images labelled with the target class
 //   RA  - accuracy on triggered images labelled with their true classes
-// ASR + RA <= 1 by construction (a prediction cannot match both labels for
-// non-target images).
+// ASR and RA are two labelings of one set, the triggered non-target test
+// images. When the two sets share their images
+// (attack::make_triggered_test_sets), both metrics come from one
+// prediction per image, so ASR + RA <= 1 holds image by image: one
+// prediction cannot match both the target and a (different) true label.
 #pragma once
 
 #include "data/dataset.h"
@@ -27,7 +30,11 @@ struct BackdoorMetrics {
   double ra = 0.0;   // recovery accuracy, percent
 };
 
-/// Evaluates the three paper metrics (in percent).
+/// Evaluates the three paper metrics (in percent): one prediction pass over
+/// `clean_test` and one over `asr_test`. When every `ra_test.image(i)`
+/// shares storage with `asr_test.image(i)`, RA is scored from the same
+/// predictions; otherwise `ra_test` gets its own pass. The two paths give
+/// the same bits, because a prediction depends only on its own image.
 BackdoorMetrics evaluate_backdoor(models::Classifier& model,
                                   const data::ImageDataset& clean_test,
                                   const data::ImageDataset& asr_test,

@@ -120,10 +120,10 @@ BackdooredModel prepare_backdoored_model(const std::string& dataset,
   const data::ImageDataset poisoned = attack::poison_training_set(
       bd.clean_train_pool, *bd.trigger, poison_cfg, rng);
 
-  bd.asr_test =
-      attack::make_asr_test_set(bd.clean_test, *bd.trigger, poison_cfg.target_class);
-  bd.ra_test =
-      attack::make_ra_test_set(bd.clean_test, *bd.trigger, poison_cfg.target_class);
+  attack::TriggeredTestSets triggered = attack::make_triggered_test_sets(
+      bd.clean_test, *bd.trigger, poison_cfg.target_class);
+  bd.asr_test = std::move(triggered.asr);
+  bd.ra_test = std::move(triggered.ra);
 
   auto model = models::make_model(bd.spec, rng);
   BD_LOG(Info) << "training backdoored " << arch << " (" << attack << ", "

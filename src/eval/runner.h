@@ -58,6 +58,11 @@ struct BackdooredModel {
   std::unique_ptr<attack::TriggerApplier> trigger;
   data::ImageDataset clean_train_pool;  // defender SPC sampling pool
   data::ImageDataset clean_test;
+  /// The triggered non-target test images labelled with the target class
+  /// (ASR), and the same image tensors, in the same order, with their true
+  /// labels (RA): prepare_backdoored_model builds both with
+  /// attack::make_triggered_test_sets, so evaluate_backdoor predicts each
+  /// triggered image once.
   data::ImageDataset asr_test;
   data::ImageDataset ra_test;
   BackdoorMetrics baseline;  // metrics with no defense applied

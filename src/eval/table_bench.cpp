@@ -1,7 +1,6 @@
 #include "eval/table_bench.h"
 
 #include <cstdio>
-#include <cstdlib>
 #include <stdexcept>
 
 #include "obs/obs.h"
@@ -27,37 +26,11 @@ std::string join_doubles(const std::vector<double>& v) {
   return out;
 }
 
-std::vector<double> split_doubles(const std::string& s) {
-  std::vector<double> out;
-  const char* p = s.c_str();
-  while (*p != '\0') {
-    char* end = nullptr;
-    const double v = std::strtod(p, &end);
-    if (end == p) break;  // no progress: malformed tail
-    out.push_back(v);
-    p = (*end == ',') ? end + 1 : end;
-  }
-  return out;
-}
-
 std::string join_ints(const std::vector<std::int64_t>& v) {
   std::string out;
   for (std::size_t i = 0; i < v.size(); ++i) {
     if (i) out += ',';
     out += std::to_string(v[i]);
-  }
-  return out;
-}
-
-std::vector<std::int64_t> split_ints(const std::string& s) {
-  std::vector<std::int64_t> out;
-  const char* p = s.c_str();
-  while (*p != '\0') {
-    char* end = nullptr;
-    const std::int64_t v = std::strtoll(p, &end, 10);
-    if (end == p) break;  // no progress: malformed tail
-    out.push_back(v);
-    p = (*end == ',') ? end + 1 : end;
   }
   return out;
 }
@@ -416,14 +389,14 @@ SettingResult decode_table_entry(const robust::JournalFields& f) {
   SettingResult s;
   s.attack = field(f, "attack");
   s.defense = field(f, "defense");
-  s.spc = std::strtoll(field(f, "spc").c_str(), nullptr, 10);
-  s.acc = split_doubles(field(f, "acc"));
-  s.asr = split_doubles(field(f, "asr"));
-  s.ra = split_doubles(field(f, "ra"));
-  s.seconds = split_doubles(field(f, "seconds"));
-  s.pruned = split_ints(field(f, "pruned"));
-  s.recoveries = split_ints(field(f, "recoveries"));
-  s.attempts = std::strtoll(field(f, "attempts").c_str(), nullptr, 10);
+  s.spc = robust::journal_number<std::int64_t>(f, "spc", 0);
+  s.acc = robust::journal_numbers<double>(f, "acc");
+  s.asr = robust::journal_numbers<double>(f, "asr");
+  s.ra = robust::journal_numbers<double>(f, "ra");
+  s.seconds = robust::journal_numbers<double>(f, "seconds");
+  s.pruned = robust::journal_numbers<std::int64_t>(f, "pruned");
+  s.recoveries = robust::journal_numbers<std::int64_t>(f, "recoveries");
+  s.attempts = robust::journal_number<std::int64_t>(f, "attempts", 0);
   s.degraded = field(f, "degraded") == "1";
   s.failure = field(f, "error");
   return s;

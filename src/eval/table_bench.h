@@ -97,6 +97,8 @@ TableRun run_table(const TableSpec& spec);
 /// Decodes one table-journal entry. A baseline comes back with an empty
 /// `defense` and its undefended evaluation as the one trial in acc/asr/ra.
 /// This and run_table's encoder are the only code that knows the schema.
+/// A numeric field that does not parse whole throws std::runtime_error
+/// naming it (robust::journal_number), like any other journal damage.
 SettingResult decode_table_entry(const robust::JournalFields& fields);
 
 /// "<attack>/baseline" or "<attack>/<defense>/spc=<n>", then the failure

@@ -9,6 +9,7 @@
 #include <filesystem>
 #include <fstream>
 #include <iterator>
+#include <optional>
 #include <stdexcept>
 
 #include "robust/fault_injector.h"
@@ -131,6 +132,53 @@ void RunJournal::record(const std::string& key, const JournalFields& fields) {
   append_line_atomic(path_, encode_journal_line(key, fields));
   entries_[key] = fields;
 }
+
+namespace {
+
+/// `text` parsed whole: one number of the field `name`, whose full text is
+/// `value`. Throws std::runtime_error naming the field and that text.
+template <typename T>
+T field_number(std::string_view text, const char* name,
+               const std::string& value) {
+  const std::optional<T> v = parse_whole<T>(text);
+  if (!v) {
+    throw std::runtime_error(std::string("journal field '") + name +
+                             "' is malformed: '" + value + "'");
+  }
+  return *v;
+}
+
+}  // namespace
+
+template <typename T>
+T journal_number(const JournalFields& fields, const char* name, T fallback) {
+  const auto it = fields.find(name);
+  if (it == fields.end() || it->second.empty()) return fallback;
+  return field_number<T>(it->second, name, it->second);
+}
+
+template <typename T>
+std::vector<T> journal_numbers(const JournalFields& fields, const char* name) {
+  std::vector<T> out;
+  const auto it = fields.find(name);
+  if (it == fields.end() || it->second.empty()) return out;
+  std::string_view rest = it->second;
+  for (;;) {
+    const std::size_t comma = rest.find(',');
+    out.push_back(field_number<T>(rest.substr(0, comma), name, it->second));
+    if (comma == std::string_view::npos) return out;
+    rest.remove_prefix(comma + 1);
+  }
+}
+
+template std::int64_t journal_number<std::int64_t>(const JournalFields&,
+                                                   const char*, std::int64_t);
+template double journal_number<double>(const JournalFields&, const char*,
+                                       double);
+template std::vector<std::int64_t> journal_numbers<std::int64_t>(
+    const JournalFields&, const char*);
+template std::vector<double> journal_numbers<double>(const JournalFields&,
+                                                     const char*);
 
 std::string stable_hash_hex(const std::string& s) {
   std::uint64_t h = 0xcbf29ce484222325ull;

@@ -28,6 +28,7 @@
 #include <map>
 #include <string>
 #include <string_view>
+#include <vector>
 
 #include "util/json.h"
 
@@ -117,5 +118,18 @@ std::string stable_hash_hex(const std::string& s);
 
 /// Doubles serialized for the journal ("%.17g", bit-exact through strtod).
 using bd::exact_double;
+
+/// The number in `fields[name]`, parsed whole (parse_whole, util/env.h),
+/// or `fallback` when the field is absent or empty. Any other text throws
+/// std::runtime_error naming the field and its value, so a damaged number
+/// fails instead of reading as 0. Defined for std::int64_t and double.
+template <typename T>
+T journal_number(const JournalFields& fields, const char* name, T fallback);
+
+/// The comma-separated numbers in `fields[name]`, each parsed whole; an
+/// absent or empty field is an empty list. A malformed element (or an
+/// empty one, as in "1,,2" or "1,") throws like journal_number.
+template <typename T>
+std::vector<T> journal_numbers(const JournalFields& fields, const char* name);
 
 }  // namespace bd::robust

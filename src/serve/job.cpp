@@ -252,9 +252,8 @@ JobRecord decode_job(const std::string& key,
     const auto it = fields.find(name);
     return it == fields.end() ? std::string() : it->second;
   };
-  const auto get_i = [&get](const char* name, std::int64_t fallback) {
-    const std::string v = get(name);
-    return v.empty() ? fallback : std::strtoll(v.c_str(), nullptr, 10);
+  const auto get_i = [&fields](const char* name, std::int64_t fallback) {
+    return robust::journal_number(fields, name, fallback);
   };
 
   JobRecord r;
@@ -284,10 +283,10 @@ JobRecord decode_job(const std::string& key,
   r.error = get("error");
   if (!get("acc").empty()) {
     r.have_metrics = true;
-    r.metrics.acc = std::strtod(get("acc").c_str(), nullptr);
-    r.metrics.asr = std::strtod(get("asr").c_str(), nullptr);
-    r.metrics.ra = std::strtod(get("ra").c_str(), nullptr);
-    r.seconds = std::strtod(get("seconds").c_str(), nullptr);
+    r.metrics.acc = robust::journal_number(fields, "acc", 0.0);
+    r.metrics.asr = robust::journal_number(fields, "asr", 0.0);
+    r.metrics.ra = robust::journal_number(fields, "ra", 0.0);
+    r.seconds = robust::journal_number(fields, "seconds", 0.0);
     r.pruned_units = get_i("pruned", 0);
   }
   return r;

@@ -122,7 +122,9 @@ struct JobRecord {
 
 robust::JournalFields encode_job(const JobRecord& record);
 /// Tolerant decode (missing fields keep their defaults); `key` must be the
-/// journal key the fields were stored under ("job|<id>").
+/// journal key the fields were stored under ("job|<id>"). A numeric field
+/// that is present but does not parse whole throws std::runtime_error
+/// naming it (robust::journal_number), like any other journal damage.
 JobRecord decode_job(const std::string& key,
                      const robust::JournalFields& fields);
 

@@ -1,6 +1,8 @@
 #include "shard/lease.h"
 
-#include <cstdlib>
+#include <optional>
+
+#include "util/env.h"
 
 namespace bd::shard {
 
@@ -142,9 +144,9 @@ bool record_from_fields(const std::string& key,
   if (!parse_op(get("op"), out.op)) return false;
   out.key = key;
   out.worker = get("worker");
-  const std::string ts = get("ts");
-  if (out.worker.empty() || ts.empty()) return false;
-  out.ts_ms = std::strtoll(ts.c_str(), nullptr, 10);
+  const std::optional<std::int64_t> ts = parse_whole<std::int64_t>(get("ts"));
+  if (out.worker.empty() || !ts) return false;
+  out.ts_ms = *ts;
   out.steal = get("steal") == "1";
   out.note = get("note");
   return true;

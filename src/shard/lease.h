@@ -111,8 +111,9 @@ class LeaseTable {
 /// ("op", "worker", "ts", optional "steal", "note").
 std::map<std::string, std::string> record_to_fields(const LedgerRecord& r);
 
-/// Inverse of record_to_fields. Returns false on an unknown op or a
-/// missing member instead of throwing.
+/// Inverse of record_to_fields. Returns false on an unknown op, a missing
+/// member or a "ts" that is not a whole integer (parse_whole) instead of
+/// throwing, so the ledger skips and counts the line.
 bool record_from_fields(const std::string& key,
                         const std::map<std::string, std::string>& fields,
                         LedgerRecord& out);

@@ -451,24 +451,6 @@ Tensor matmul(const Tensor& a, const Tensor& b, bool trans_a, bool trans_b) {
   return out;
 }
 
-Tensor transpose2d(const Tensor& a) {
-  if (a.dim() != 2) {
-    throw std::invalid_argument("transpose2d: expected rank 2, got " +
-                                shape_string(a.shape()));
-  }
-  const std::int64_t r = a.size(0), c = a.size(1);
-  Tensor out({c, r});
-  runtime::parallel_for(0, r, runtime::grain_for_cost(c),
-                        [&](std::int64_t lo, std::int64_t hi) {
-                          for (std::int64_t i = lo; i < hi; ++i) {
-                            for (std::int64_t j = 0; j < c; ++j) {
-                              out.at2(j, i) = a.at2(i, j);
-                            }
-                          }
-                        });
-  return out;
-}
-
 void check_rows(const Shape& s, const char* op) {
   if (s.size() != 2) {
     throw std::invalid_argument(std::string(op) + ": expected rank 2");

@@ -141,9 +141,6 @@ Shape matmul_shape(const Shape& a, const Shape& b, bool trans_a = false,
 Tensor matmul(const Tensor& a, const Tensor& b, bool trans_a = false,
               bool trans_b = false);
 
-/// 2-D transpose (a copy). Kernels use gemm's transpose flags instead.
-Tensor transpose2d(const Tensor& a);
-
 /// The rows rule of the row-wise ops: throws std::invalid_argument naming
 /// `op` unless `s` is rank 2 (rows, cols).
 void check_rows(const Shape& s, const char* op);

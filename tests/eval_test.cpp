@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 
 #include "attack/poison.h"
 #include "attack/trigger.h"
@@ -77,12 +78,78 @@ TEST(Metrics, AsrPlusRaInvariant) {
   const auto data = tiny_task(rng);
   auto model = tiny_model(rng);
   attack::BadNetsTrigger trigger;
-  const auto asr_set = attack::make_asr_test_set(data.test, trigger, 0);
-  const auto ra_set = attack::make_ra_test_set(data.test, trigger, 0);
-  const auto m = evaluate_backdoor(*model, data.test, asr_set, ra_set);
+  const auto triggered = attack::make_triggered_test_sets(data.test, trigger, 0);
+  const auto m =
+      evaluate_backdoor(*model, data.test, triggered.asr, triggered.ra);
   EXPECT_LE(m.asr + m.ra, 100.0 + 1e-9);
   EXPECT_GE(m.acc, 0.0);
   EXPECT_LE(m.acc, 100.0);
+}
+
+/// Counts the model's forward calls; with a batch larger than every test
+/// set, each call is one prediction pass over a set.
+class CountingClassifier : public models::Classifier {
+ public:
+  explicit CountingClassifier(models::Classifier& inner) : inner_(inner) {
+    register_module("inner", inner);
+  }
+  StagedOutput forward_with_features(const ag::Var& x) override {
+    ++forwards;
+    return inner_.forward_with_features(x);
+  }
+  std::int64_t num_classes() const override { return inner_.num_classes(); }
+  const char* type_name() const override { return "CountingClassifier"; }
+
+  int forwards = 0;
+
+ private:
+  models::Classifier& inner_;
+};
+
+TEST(Eval, SharedTriggeredPassMatchesSeparatePasses) {
+  // A briefly backdoored model, so ASR and RA are both away from 0.
+  Rng rng(11);
+  const auto data = tiny_task(rng, 12);
+  auto model = tiny_model(rng);
+  attack::BadNetsTrigger trigger;
+  attack::PoisonConfig poison;
+  poison.poison_ratio = 0.3;
+  TrainConfig cfg;
+  cfg.epochs = 2;
+  cfg.lr = 0.05f;
+  train_classifier(*model,
+                   attack::poison_training_set(data.train, trigger, poison, rng),
+                   cfg, rng);
+
+  const auto shared = attack::make_triggered_test_sets(data.test, trigger, 0);
+  ASSERT_EQ(shared.asr.size(), shared.ra.size());
+  for (std::size_t i = 0; i < shared.asr.size(); ++i) {
+    ASSERT_TRUE(shared.asr.image(i).shares_storage_with(shared.ra.image(i)));
+  }
+  const auto asr_set = attack::make_asr_test_set(data.test, trigger, 0);
+  const auto ra_set = attack::make_ra_test_set(data.test, trigger, 0);
+
+  constexpr std::int64_t kOneBatch = 256;
+  ASSERT_LT(data.test.size(), static_cast<std::size_t>(kOneBatch));
+  CountingClassifier counted(*model);
+  const BackdoorMetrics one =
+      evaluate_backdoor(counted, data.test, shared.asr, shared.ra, kOneBatch);
+  EXPECT_EQ(counted.forwards, 2);  // clean, triggered
+  counted.forwards = 0;
+  const BackdoorMetrics two =
+      evaluate_backdoor(counted, data.test, asr_set, ra_set, kOneBatch);
+  EXPECT_EQ(counted.forwards, 3);  // clean, ASR set, RA set
+
+  // Bit for bit, at the default batch size too.
+  const BackdoorMetrics dflt =
+      evaluate_backdoor(*model, data.test, shared.asr, shared.ra);
+  for (const BackdoorMetrics& m : {two, dflt}) {
+    EXPECT_EQ(std::memcmp(&m.acc, &one.acc, sizeof(double)), 0);
+    EXPECT_EQ(std::memcmp(&m.asr, &one.asr, sizeof(double)), 0);
+    EXPECT_EQ(std::memcmp(&m.ra, &one.ra, sizeof(double)), 0);
+  }
+  EXPECT_LE(one.asr + one.ra, 100.0);
+  EXPECT_GT(one.asr + one.ra, 0.0);
 }
 
 TEST(Trainer, LearnsTinyTask) {

@@ -23,8 +23,7 @@ struct Pipeline {
   attack::PoisonConfig poison_cfg;
   models::ModelSpec spec;
   std::unique_ptr<models::Classifier> model;
-  data::ImageDataset asr_set;
-  data::ImageDataset ra_set;
+  attack::TriggeredTestSets triggered;
 
   Pipeline()
       : data([this] {
@@ -36,8 +35,7 @@ struct Pipeline {
         }()),
         spec{"vgg", 10, 3, 8},
         model(models::make_model(spec, rng)),
-        asr_set(attack::make_asr_test_set(data.test, trigger, 0)),
-        ra_set(attack::make_ra_test_set(data.test, trigger, 0)) {
+        triggered(attack::make_triggered_test_sets(data.test, trigger, 0)) {
     const auto poisoned =
         attack::poison_training_set(data.train, trigger, poison_cfg, rng);
     eval::TrainConfig train_cfg;
@@ -55,7 +53,8 @@ Pipeline& pipeline() {
 TEST(EndToEnd, BackdoorImplants) {
   auto& p = pipeline();
   const auto m =
-      eval::evaluate_backdoor(*p.model, p.data.test, p.asr_set, p.ra_set);
+      eval::evaluate_backdoor(*p.model, p.data.test,
+                              p.triggered.asr, p.triggered.ra);
   EXPECT_GT(m.acc, 70.0) << "main task should be learned";
   EXPECT_GT(m.asr, 80.0) << "backdoor should be implanted";
   EXPECT_LT(m.ra, 30.0);
@@ -80,9 +79,11 @@ TEST(EndToEnd, GradPruneMitigatesBackdoor) {
   const auto info = defense.apply(*model, ctx);
 
   const auto before =
-      eval::evaluate_backdoor(*p.model, p.data.test, p.asr_set, p.ra_set);
+      eval::evaluate_backdoor(*p.model, p.data.test,
+                              p.triggered.asr, p.triggered.ra);
   const auto after =
-      eval::evaluate_backdoor(*model, p.data.test, p.asr_set, p.ra_set);
+      eval::evaluate_backdoor(*model, p.data.test,
+                              p.triggered.asr, p.triggered.ra);
 
   EXPECT_LT(after.asr, before.asr * 0.5) << "ASR should at least halve";
   EXPECT_GT(after.acc, before.acc - 15.0) << "ACC should survive";
@@ -105,7 +106,8 @@ TEST(EndToEnd, FinetuneDefenseWithEnoughDataAlsoWorks) {
   ft.apply(*model, ctx);
 
   const auto after =
-      eval::evaluate_backdoor(*model, p.data.test, p.asr_set, p.ra_set);
+      eval::evaluate_backdoor(*model, p.data.test,
+                              p.triggered.asr, p.triggered.ra);
   EXPECT_GT(after.acc, 60.0);
 }
 
@@ -117,9 +119,11 @@ TEST(EndToEnd, DefendedModelSurvivesSaveLoad) {
   auto reloaded = models::make_model(p.spec, rng);
   reloaded->load_state_dict(model->state_dict());
   const auto a =
-      eval::evaluate_backdoor(*model, p.data.test, p.asr_set, p.ra_set);
+      eval::evaluate_backdoor(*model, p.data.test,
+                              p.triggered.asr, p.triggered.ra);
   const auto b =
-      eval::evaluate_backdoor(*reloaded, p.data.test, p.asr_set, p.ra_set);
+      eval::evaluate_backdoor(*reloaded, p.data.test,
+                              p.triggered.asr, p.triggered.ra);
   EXPECT_DOUBLE_EQ(a.acc, b.acc);
   EXPECT_DOUBLE_EQ(a.asr, b.asr);
 }

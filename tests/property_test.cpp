@@ -31,6 +31,15 @@ Tensor random_tensor(const Shape& shape, Rng& rng, float scale = 1.0f) {
   return t;
 }
 
+/// Reference 2-D transpose (a copy).
+Tensor transposed(const Tensor& a) {
+  Tensor out({a.size(1), a.size(0)});
+  for (std::int64_t i = 0; i < a.size(0); ++i) {
+    for (std::int64_t j = 0; j < a.size(1); ++j) out.at2(j, i) = a.at2(i, j);
+  }
+  return out;
+}
+
 // ---------------------------------------------------------------------------
 // Conv2d gradient sweep: (channels_in, channels_out, size, stride, padding)
 // ---------------------------------------------------------------------------
@@ -252,8 +261,8 @@ TEST_P(MatmulSweep, TransposeIdentity) {
   Rng rng(static_cast<std::uint64_t>(m * 100 + k * 10 + n));
   const Tensor a = random_tensor({m, k}, rng);
   const Tensor b = random_tensor({k, n}, rng);
-  const Tensor lhs = transpose2d(matmul(a, b));
-  const Tensor rhs = matmul(transpose2d(b), transpose2d(a));
+  const Tensor lhs = transposed(matmul(a, b));
+  const Tensor rhs = matmul(transposed(b), transposed(a));
   ASSERT_EQ(lhs.shape(), rhs.shape());
   for (std::int64_t i = 0; i < lhs.numel(); ++i) {
     EXPECT_NEAR(lhs[i], rhs[i], 1e-3f);

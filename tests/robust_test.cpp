@@ -554,6 +554,57 @@ TEST(JournalCodec, EveryTruncationIsRejected) {
   }
 }
 
+/// Expects decoding `fields` with `fields[name] = text` to throw a
+/// std::runtime_error that names the field.
+template <typename Decode>
+void expect_damaged_number_fails(const Decode& decode,
+                                 robust::JournalFields fields,
+                                 const std::string& name,
+                                 const std::string& text) {
+  fields[name] = text;
+  try {
+    decode(fields);
+    ADD_FAILURE() << name << "='" << text << "' decoded";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("'" + name + "'"), std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(JournalCodec, TableEntryNumbersParseWholeOrFailNamingTheField) {
+  // The pinned table line decodes exactly, numbers and lists included.
+  const robust::JournalFields pinned = pinned_lines()[0].fields;
+  const eval::SettingResult s = eval::decode_table_entry(pinned);
+  ASSERT_EQ(s.acc.size(), 1u);
+  EXPECT_EQ(s.acc[0], 97.123456789012351);
+  EXPECT_EQ(s.asr, std::vector<double>{1.25});
+  EXPECT_EQ(s.ra, std::vector<double>{0.5});
+  EXPECT_EQ(s.attempts, 2);
+  EXPECT_EQ(s.spc, 0);  // absent: a baseline entry
+  EXPECT_TRUE(s.seconds.empty());
+
+  robust::JournalFields setting = pinned;
+  setting["spc"] = "10";
+  setting["pruned"] = "3,0,12";
+  setting["seconds"] = "0.25,1e-05";
+  const eval::SettingResult t = eval::decode_table_entry(setting);
+  EXPECT_EQ(t.spc, 10);
+  EXPECT_EQ(t.pruned, (std::vector<std::int64_t>{3, 0, 12}));
+  EXPECT_EQ(t.seconds, (std::vector<double>{0.25, 1e-05}));
+
+  const auto decode = [](const robust::JournalFields& f) {
+    return eval::decode_table_entry(f);
+  };
+  expect_damaged_number_fails(decode, setting, "spc", "2x");
+  expect_damaged_number_fails(decode, setting, "attempts", " 2");
+  expect_damaged_number_fails(decode, setting, "acc", "1,x");
+  expect_damaged_number_fails(decode, setting, "asr", "1,,2");
+  expect_damaged_number_fails(decode, setting, "ra", "0.5,");
+  expect_damaged_number_fails(decode, setting, "seconds", "0x1p3");
+  expect_damaged_number_fails(decode, setting, "pruned", "3,1.5");
+  expect_damaged_number_fails(decode, setting, "recoveries", "+1");
+}
+
 // ---------------------------------------------------------------------------
 // TrainGuard wired into the training loops
 // ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@
 // deliberately tiny custom scale.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdlib>
 
@@ -87,6 +88,33 @@ TEST(Runner, MicroExperimentEndToEnd) {
   EXPECT_GE(setting.acc[0], 0.0);
   EXPECT_LE(setting.acc[0], 100.0);
   EXPECT_LE(setting.asr[0] + setting.ra[0], 100.0 + 1e-9);
+}
+
+TEST(Runner, TriggeredTestSetsShareImagesAndLabelTruly) {
+  const BackdooredModel bd =
+      prepare_backdoored_model("cifar", "vgg", "badnet", micro_scale(), 42);
+  const std::int64_t target = attack::PoisonConfig{}.target_class;
+
+  // RA holds the triggered non-target images in clean_test order, with
+  // their true labels; ASR holds the very same tensors labelled `target`.
+  std::size_t j = 0;
+  for (std::size_t i = 0; i < bd.clean_test.size(); ++i) {
+    if (bd.clean_test.label(i) == target) continue;
+    ASSERT_LT(j, bd.ra_test.size());
+    EXPECT_EQ(bd.ra_test.label(j), bd.clean_test.label(i));
+    const Tensor want = bd.trigger->apply(bd.clean_test.image(i));
+    const Tensor& got = bd.ra_test.image(j);
+    ASSERT_EQ(got.shape(), want.shape());
+    EXPECT_TRUE(std::equal(want.span().begin(), want.span().end(),
+                           got.span().begin()));
+    ++j;
+  }
+  EXPECT_EQ(j, bd.ra_test.size());
+  ASSERT_EQ(bd.asr_test.size(), bd.ra_test.size());
+  for (std::size_t k = 0; k < bd.asr_test.size(); ++k) {
+    EXPECT_EQ(bd.asr_test.label(k), target);
+    EXPECT_TRUE(bd.asr_test.image(k).shares_storage_with(bd.ra_test.image(k)));
+  }
 }
 
 /// FNV-1a over one trial's repaired state_dict, the bit patterns of its

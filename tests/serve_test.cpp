@@ -12,6 +12,7 @@
 #include <cstring>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "eval/runner.h"
@@ -502,6 +503,35 @@ TEST(JobTest, JournalEncodingRoundTrips) {
   EXPECT_DOUBLE_EQ(back.metrics.asr, 1.5);
   EXPECT_DOUBLE_EQ(back.seconds, 2.5);
   EXPECT_EQ(back.pruned_units, 7);
+}
+
+TEST(JobTest, DamagedJournalNumberFailsNamingTheField) {
+  JobRecord rec;
+  rec.id = "j000007";
+  rec.spec.width = 6;
+  rec.state = JobState::kDone;
+  rec.have_metrics = true;
+  rec.metrics.acc = 81.25;
+  rec.seconds = 2.5;
+  const robust::JournalFields good = serve::encode_job(rec);
+  EXPECT_EQ(serve::decode_job("job|j000007", good).metrics.acc, 81.25);
+
+  const std::pair<const char*, const char*> damaged[] = {
+      {"spc", "4y"},     {"seed", "12 "},      {"width", "6.0"},
+      {"attempts", "-"}, {"acc", "1,x"},       {"asr", "nan?"},
+      {"ra", "0x10"},    {"seconds", "2.5s"},  {"pruned", "7x"}};
+  for (const auto& [name, text] : damaged) {
+    robust::JournalFields fields = good;
+    fields[name] = text;
+    try {
+      serve::decode_job("job|j000007", fields);
+      ADD_FAILURE() << name << "='" << text << "' decoded";
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find(std::string("'") + name + "'"),
+                std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------

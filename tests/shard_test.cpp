@@ -234,6 +234,34 @@ TEST(LeaseLedger, TornFinalLineStaysPendingUntilTerminated) {
   EXPECT_FALSE(healed.table.claimable("c", shard::now_ms(), 1000000));
 }
 
+TEST(LeaseLedger, DamagedTimestampLineIsSkippedAndCounted) {
+  shard::LedgerRecord bad;
+  for (const char* ts : {"12ab", " 12", "+12", "1.5", ""}) {
+    EXPECT_FALSE(shard::record_from_fields(
+        "k", {{"op", "claim"}, {"worker", "w1"}, {"ts", ts}}, bad))
+        << "'" << ts << "'";
+  }
+
+  TempFile file("damaged_ts");
+  {
+    shard::LeaseLedger ledger(file.path());
+    ledger.append(make_record(shard::LedgerOp::kClaim, "a", "w1"));
+  }
+  std::string content = slurp(file.path());
+  content += R"({"key":"b","fields":{"op":"claim","ts":"12ab","worker":"w2"}})"
+             "\n";
+  spit(file.path(), content);
+  {
+    shard::LeaseLedger ledger(file.path());
+    ledger.append(make_record(shard::LedgerOp::kClaim, "c", "w1"));
+  }
+  const shard::LedgerInspection inspection =
+      shard::inspect_ledger(file.path());
+  EXPECT_EQ(inspection.records, 2u);
+  EXPECT_EQ(inspection.malformed, 1u);
+  EXPECT_EQ(shard::LeaseLedger(file.path()).summarize(1000000).cells, 2u);
+}
+
 TEST(LeaseLedger, PollSeesOtherProcessAppends) {
   TempFile file("poll");
   shard::LeaseLedger reader(file.path());

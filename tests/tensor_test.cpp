@@ -207,9 +207,14 @@ TEST(Matmul, RejectsMismatch) {
 }
 
 TEST(Matmul, Transpose) {
+  // a^T * I through the trans_a flag: each output is one product by 1
+  // plus exact zeros, so it is a^T element for element.
   Tensor a({2, 3}, {1, 2, 3, 4, 5, 6});
-  Tensor t = transpose2d(a);
+  Tensor t = matmul(a, Tensor({2, 2}, {1, 0, 0, 1}), /*trans_a=*/true);
   EXPECT_EQ(t.shape(), (Shape{3, 2}));
+  for (std::int64_t i = 0; i < 3; ++i) {
+    for (std::int64_t j = 0; j < 2; ++j) EXPECT_EQ(t.at2(i, j), a.at2(j, i));
+  }
   EXPECT_EQ(t.at2(2, 1), 6.0f);
 }
 
@@ -230,6 +235,15 @@ void naive_gemm(bool ta, bool tb, std::int64_t m, std::int64_t n,
       c[i * ldc + j] = acc;
     }
   }
+}
+
+/// Reference 2-D transpose (a copy).
+Tensor transposed(const Tensor& a) {
+  Tensor out({a.size(1), a.size(0)});
+  for (std::int64_t i = 0; i < a.size(0); ++i) {
+    for (std::int64_t j = 0; j < a.size(1); ++j) out.at2(j, i) = a.at2(i, j);
+  }
+  return out;
 }
 
 std::vector<float> random_floats(std::size_t count, std::mt19937& gen) {
@@ -298,11 +312,11 @@ TEST(Matmul, TransposeFlagsMatchExplicitTranspose) {
   std::mt19937 gen(5);
   const Tensor a({4, 3}, random_floats(12, gen));
   const Tensor b({5, 3}, random_floats(15, gen));
-  const Tensor want = matmul(a, transpose2d(b));
+  const Tensor want = matmul(a, transposed(b));
   const Tensor got = matmul(a, b, false, true);
   ASSERT_EQ(got.shape(), (Shape{4, 5}));
   EXPECT_EQ(std::memcmp(want.data(), got.data(), 20 * sizeof(float)), 0);
-  const Tensor want_t = matmul(transpose2d(a), a);
+  const Tensor want_t = matmul(transposed(a), a);
   const Tensor got_t = matmul(a, a, true, false);
   ASSERT_EQ(got_t.shape(), (Shape{3, 3}));
   EXPECT_EQ(std::memcmp(want_t.data(), got_t.data(), 9 * sizeof(float)), 0);
