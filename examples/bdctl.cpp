@@ -28,8 +28,10 @@
 #include <thread>
 #include <type_traits>
 
+#include "attack/trigger.h"
 #include "eval/runner.h"
 #include "eval/table_bench.h"
+#include "models/factory.h"
 #include "nn/checkpoint.h"
 #include "obs/obs.h"
 #include "robust/journal.h"
@@ -39,6 +41,7 @@
 #include "serve/server.h"
 #include "shard/coordinator.h"
 #include "shard/ledger.h"
+#include "tensor/ops.h"
 #include "util/env.h"
 #include "util/logging.h"
 
@@ -318,6 +321,29 @@ int cmd_verify(const std::string& path) {
   }
 }
 
+/// Fails fast on a name no factory knows: the training commands check
+/// --attack, --arch and --defense before any training, so a typo is a usage
+/// error rather than a supervised failure after the backdoor is trained.
+void check_names(const Args& args) {
+  const auto check = [&args](const char* flag,
+                             const std::vector<std::string>& known) {
+    const std::string* value = args.last(flag);
+    if (value == nullptr ||
+        std::find(known.begin(), known.end(), *value) != known.end()) {
+      return;
+    }
+    std::string names;
+    for (const std::string& name : known) {
+      names += (names.empty() ? "" : "|") + name;
+    }
+    throw UsageError(std::string("--") + flag + " must be " + names +
+                     ", got '" + *value + "'");
+  };
+  check("attack", attack::known_attacks());
+  check("arch", models::known_architectures());
+  check("defense", eval::known_defenses());
+}
+
 /// The scale the flags select: default_scale(--dataset) with --width.
 eval::ExperimentScale scale_from_flags(const Args& args) {
   eval::ExperimentScale scale =
@@ -433,6 +459,8 @@ int cmd_profile(const Args& args) {
               attack.c_str(), defense_name.c_str(), dataset.c_str(),
               arch.c_str(), trial.acc[0], trial.asr[0], trial.ra[0],
               static_cast<long long>(trial.pruned[0]), trial.seconds[0]);
+  std::printf("gemm kernel: %s, engine threads: %d\n", gemm_kernel_name(),
+              runtime::thread_count());
   const robust::SupervisorStats stats = robust::Supervisor::instance().stats();
   std::printf("\n-- supervisor --\n"
               "runs=%lld retries=%lld timeouts=%lld quarantines=%lld "
@@ -879,6 +907,10 @@ int main(int argc, char** argv) {
     const Args args = parse_args(argc, argv);
     if (!args.rest.empty()) {
       throw UsageError("only shard run takes '-- <command...>'");
+    }
+    if (args.command == "train-backdoor" || args.command == "evaluate" ||
+        args.command == "defend" || args.command == "profile") {
+      check_names(args);
     }
     if (args.command == "train-backdoor") return cmd_train(args);
     if (args.command == "evaluate") return cmd_evaluate(args);

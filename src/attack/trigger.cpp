@@ -241,4 +241,8 @@ std::unique_ptr<TriggerApplier> make_trigger(const std::string& attack_name,
                               "'");
 }
 
+std::vector<std::string> known_attacks() {
+  return {"badnet", "blended", "lf", "bpp", "dynamic"};
+}
+
 }  // namespace bd::attack

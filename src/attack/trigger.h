@@ -13,6 +13,7 @@
 
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "tensor/tensor.h"
 #include "util/rng.h"
@@ -108,8 +109,12 @@ class SampleSpecificTrigger : public TriggerApplier {
 };
 
 /// Factory from the canonical attack names used by the bench harness:
-/// badnet | blended | lf | bpp | dynamic.
+/// badnet | blended | lf | bpp | dynamic. Throws std::invalid_argument for a
+/// name known_attacks() does not list.
 std::unique_ptr<TriggerApplier> make_trigger(const std::string& attack_name,
                                              const Shape& image_shape);
+
+/// Every name make_trigger accepts, in the paper's table order.
+std::vector<std::string> known_attacks();
 
 }  // namespace bd::attack

@@ -20,13 +20,16 @@ namespace {
 
 /// The one kernel probe site, `kernel.<op_kind_name>_fwd|_bwd`; items are
 /// the node's output elements. Instruments register on a probe's first
-/// use, so metrics list only kinds that ran. kNllLoss is the last OpKind.
+/// use, so metrics list only kinds that ran, and so does the `gemm.kernel`
+/// label that names the micro-kernel under conv and matmul (bd_tensor does
+/// not link bd_obs). kNllLoss is the last OpKind.
 obs::KernelScope kernel_scope(const Node& n, bool backward) {
   constexpr auto kKinds = static_cast<std::size_t>(OpKind::kNllLoss) + 1;
   static std::array<std::once_flag, 2 * kKinds> registered;
   static std::array<obs::KernelStats*, 2 * kKinds> stats;
   const std::size_t i = 2 * static_cast<std::size_t>(n.kind) + backward;
   std::call_once(registered[i], [&] {
+    obs::registry().set_label("gemm.kernel", gemm_kernel_name());
     stats[i] = &obs::kernel_stats(std::string("kernel.") +
                                   op_kind_name(n.kind) +
                                   (backward ? "_bwd" : "_fwd"));

@@ -98,6 +98,11 @@ Histogram& Registry::histogram(const std::string& name,
   return *slot;
 }
 
+void Registry::set_label(const std::string& name, const std::string& value) {
+  std::lock_guard lk(mutex_);
+  labels_[name] = value;
+}
+
 void Registry::write_jsonl(std::ostream& os) const {
   std::lock_guard lk(mutex_);
   // JSON numbers via the codec: a non-finite gauge (a diverged loss)
@@ -110,6 +115,9 @@ void Registry::write_jsonl(std::ostream& os) const {
   const auto count = [](std::uint64_t v) {
     return static_cast<std::int64_t>(v);
   };
+  for (const auto& [name, value] : labels_) {
+    os << entry("label", name).set("value", value).str() << '\n';
+  }
   for (const auto& [name, c] : counters_) {
     os << entry("counter", name).set_int("value", count(c->value())).str()
        << '\n';

@@ -95,7 +95,12 @@ class Registry {
                        const std::vector<double>& bounds =
                            duration_ns_buckets());
 
-  /// One JSON object per line:
+  /// Sets the export label `name` to `value`: a fact about the run that no
+  /// number carries, such as the GEMM kernel in use ("gemm.kernel").
+  void set_label(const std::string& name, const std::string& value);
+
+  /// One JSON object per line, labels first:
+  ///   {"type":"label","name":...,"value":"..."}
   ///   {"type":"counter","name":...,"value":N}
   ///   {"type":"gauge","name":...,"value":X}
   ///   {"type":"histogram","name":...,"count":N,"sum":X,
@@ -119,6 +124,7 @@ class Registry {
   std::map<std::string, std::unique_ptr<Counter>> counters_;
   std::map<std::string, std::unique_ptr<Gauge>> gauges_;
   std::map<std::string, std::unique_ptr<Histogram>> histograms_;
+  std::map<std::string, std::string> labels_;
 };
 
 inline Registry& registry() { return Registry::instance(); }

@@ -9,6 +9,7 @@
 #include <cstdlib>
 #include <optional>
 #include <sstream>
+#include <stdexcept>
 #include <thread>
 
 #include "obs/obs.h"
@@ -288,6 +289,11 @@ RunReport Supervisor::run(const std::string& key,
       std::lock_guard lock(mutex_);
       ++stats_.timeouts;
       BD_OBS_COUNT("supervisor.timeouts", 1);
+    } catch (const std::invalid_argument& e) {
+      // Permanent: an unknown name or a malformed value fails the same way
+      // on every attempt, so no retry, no backoff and no strike.
+      report.failure = e.what();
+      break;
     } catch (const std::exception& e) {
       report.failure = e.what();
     }

@@ -26,7 +26,9 @@
 //   BDPROTO_RETRIES   retries after the first failed attempt (default 2)
 //
 // SimulatedCrash (the `crash@n` fault) is deliberately NOT retried: it
-// models a process kill, so it propagates to the caller like one.
+// models a process kill, so it propagates to the caller like one. A
+// std::invalid_argument (an unknown name, a malformed value) is permanent:
+// the run fails after its one attempt, with no backoff and no strike.
 #pragma once
 
 #include <cstdint>

@@ -4,6 +4,7 @@
 #include <cstdio>
 #include <optional>
 
+#include "attack/trigger.h"
 #include "models/factory.h"
 
 namespace bd::serve {
@@ -89,9 +90,7 @@ JobSpec parse_job_spec(const Json& job, const std::string& tenant) {
   spec.arch = job.get_string("arch", spec.arch);
   require_known(spec.arch, models::known_architectures(), "arch");
   spec.attack = job.get_string("attack", spec.attack);
-  if (!one_of(spec.attack, {"badnet", "blended", "lf", "bpp", "dynamic"})) {
-    throw BadRequest("job.attack must be badnet|blended|lf|bpp|dynamic");
-  }
+  require_known(spec.attack, attack::known_attacks(), "attack");
   spec.defense = job.get_string("defense", spec.defense);
   require_known(spec.defense, eval::known_defenses(), "defense");
 

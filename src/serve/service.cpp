@@ -2,11 +2,14 @@
 
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
+#include <optional>
+#include <stdexcept>
+#include <string_view>
 #include <utility>
 
 #include "nn/checkpoint.h"
 #include "obs/obs.h"
+#include "util/env.h"
 #include "util/logging.h"
 
 namespace bd::serve {
@@ -18,6 +21,20 @@ std::string format_job_id(std::uint64_t n) {
   std::snprintf(buf, sizeof(buf), "j%06llu",
                 static_cast<unsigned long long>(n));
   return buf;
+}
+
+/// The counter of a job id "j<digits>", parsed whole (parse_whole,
+/// util/env.h); any other id throws std::runtime_error naming the field, as
+/// a damaged journal number does.
+std::int64_t job_id_number(const std::string& id) {
+  const std::optional<std::int64_t> n =
+      id.size() > 1 && id[0] == 'j'
+          ? parse_whole<std::int64_t>(std::string_view(id).substr(1))
+          : std::nullopt;
+  if (!n || *n < 0) {
+    throw std::runtime_error("journal field 'id' is malformed: '" + id + "'");
+  }
+  return *n;
 }
 
 }  // namespace
@@ -48,10 +65,8 @@ void SanitizeService::load_journal() {
       // the finished job back, not a fresh enqueue of the same work.
       dedup_[rec.spec.tenant + "|" + rec.spec.client_job_id] = rec.id;
     }
-    if (rec.id[0] == 'j') {
-      const std::uint64_t n = std::strtoull(rec.id.c_str() + 1, nullptr, 10);
-      if (n >= next_id_) next_id_ = n + 1;
-    }
+    const auto n = static_cast<std::uint64_t>(job_id_number(rec.id));
+    if (n >= next_id_) next_id_ = n + 1;
     ++counters_.submitted;
     if (job_state_terminal(rec.state)) {
       if (rec.state == JobState::kDone) ++counters_.done;
@@ -286,8 +301,7 @@ void SanitizeService::process_job(const std::string& id) {
     if (c != cancels_.end()) token = c->second.token();
   }
   BD_OBS_COUNT("serve.jobs.dispatched", 1);
-  BD_OBS_SPAN_ARG("serve.job", static_cast<std::int64_t>(std::strtoull(
-                                   id.c_str() + 1, nullptr, 10)));
+  BD_OBS_SPAN_ARG("serve.job", job_id_number(id));
 
   const eval::ExperimentScale scale = job_scale(spec);
   // Quarantine key: the configuration, not the job — repeated failures of

@@ -6,6 +6,7 @@
 #include <memory>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "runtime/thread_pool.h"
 
@@ -309,83 +310,139 @@ Tensor reduce_mean(const Tensor& a, const std::vector<std::int64_t>& axes,
 
 namespace {
 
-// Register tile of the GEMM micro-kernel: kMR rows of C by kNR columns,
-// held as kMR * kNV vectors of kLanes floats. The vectors are GCC/Clang
-// vector extensions, which lower to the target's SIMD registers (SSE on
-// baseline x86-64) with no intrinsics and no runtime dispatch; 4 x 8 keeps
-// all accumulators in the 16 SSE registers.
-constexpr std::int64_t kMR = 4;
-constexpr std::int64_t kNR = 8;
-constexpr std::int64_t kLanes = 4;
-constexpr std::int64_t kNV = kNR / kLanes;
-using Vec = float __attribute__((vector_size(kLanes * sizeof(float))));
-// The same vector at float alignment, for loads and stores anywhere in a
-// float array.
-using VecU = float __attribute__((vector_size(kLanes * sizeof(float)),
-                                  aligned(alignof(float)), may_alias));
-
 // Output tiles, the unit of parallel work: kTileRows x kTileCols of C.
-constexpr std::int64_t kTileRows = 64;
+// kTileRows is a multiple of every kernel's MR (4, 6, 8) and kTileCols of
+// every NR (8, 16).
+constexpr std::int64_t kTileRows = 96;
 constexpr std::int64_t kTileCols = 256;
 
-// Copies rows [r0, r0 + rows) of op(A) (m x k) into kMR-row strips, each
-// k x kMR and k-major; rows past `rows` in the last strip are zero.
+// Copies rows [r0, r0 + rows) of op(A) (m x k) into mr-row strips, each
+// k x mr and k-major; rows past `rows` in the last strip are zero.
 void pack_a(const float* a, std::int64_t lda, bool trans_a, std::int64_t k,
-            std::int64_t r0, std::int64_t rows, float* dst) {
-  const std::int64_t strips = (rows + kMR - 1) / kMR;
-  std::fill(dst + (strips - 1) * k * kMR, dst + strips * k * kMR, 0.0f);
+            std::int64_t r0, std::int64_t rows, std::int64_t mr, float* dst) {
+  const std::int64_t strips = (rows + mr - 1) / mr;
+  std::fill(dst + (strips - 1) * k * mr, dst + strips * k * mr, 0.0f);
   for (std::int64_t r = 0; r < rows; ++r) {
-    float* out = dst + (r / kMR) * k * kMR + r % kMR;
+    float* out = dst + (r / mr) * k * mr + r % mr;
     if (trans_a) {
-      for (std::int64_t p = 0; p < k; ++p) out[p * kMR] = a[p * lda + r0 + r];
+      for (std::int64_t p = 0; p < k; ++p) out[p * mr] = a[p * lda + r0 + r];
     } else {
       const float* src = a + (r0 + r) * lda;
-      for (std::int64_t p = 0; p < k; ++p) out[p * kMR] = src[p];
+      for (std::int64_t p = 0; p < k; ++p) out[p * mr] = src[p];
     }
   }
 }
 
-// One kMR x kNR block of C: every element starts at +0 and adds a*b for
-// p = 0..k-1 in order, and only its first rows x cols are stored. `pa` is a
-// packed A strip; row p of the B strip is pb + p * b_row.
-void micro_kernel(std::int64_t k, const float* pa, const float* pb,
-                  std::int64_t b_row, float* c, std::int64_t ldc,
-                  std::int64_t rows, std::int64_t cols) {
-  Vec acc[kMR][kNV];
-  for (auto& row : acc) {
-    for (Vec& v : row) v = Vec{};  // +0
-  }
-  for (std::int64_t p = 0; p < k; ++p) {
-    const VecU* bv = reinterpret_cast<const VecU*>(pb + p * b_row);
-    for (std::int64_t r = 0; r < kMR; ++r) {
-      const float av = pa[p * kMR + r];
-      for (std::int64_t v = 0; v < kNV; ++v) {
-        acc[r][v] = acc[r][v] + av * bv[v];
+// A tile's `rows` x `cols` block of C against one B strip, one MR x NR
+// register block per packed A strip, each held as MR * NR / Lanes vectors
+// of Lanes floats. Every element starts at +0 and adds a*b for p = 0..k-1
+// in order, and only the first rows x cols are stored. Row p of the B strip
+// is pb + p * b_row. The vectors are GCC/Clang vector extensions, which
+// lower to the SIMD registers of the calling function's target; each lane
+// does one rounded multiply and one rounded add per term, so every
+// instantiation gives the same bits.
+template <int Lanes, int MR, int NR>
+[[gnu::always_inline]] inline void strip_kernel(
+    std::int64_t k, const float* pa, const float* pb, std::int64_t b_row,
+    float* c, std::int64_t ldc, std::int64_t rows, std::int64_t cols) {
+  // typedef, not `using`: GCC drops a dependent vector_size on an alias.
+  typedef float Vec __attribute__((vector_size(Lanes * sizeof(float))));
+  // The same vector at float alignment, for loads and stores anywhere in a
+  // float array.
+  typedef float VecU __attribute__((vector_size(Lanes * sizeof(float)),
+                                    aligned(alignof(float)), may_alias));
+  static_assert(sizeof(Vec) == Lanes * sizeof(float) &&
+                alignof(VecU) == alignof(float));
+  constexpr int kNV = NR / Lanes;
+  for (std::int64_t r0 = 0; r0 < rows; r0 += MR, pa += MR * k) {
+    Vec acc[MR][kNV];
+    for (auto& row : acc) {
+      for (Vec& v : row) v = Vec{};  // +0
+    }
+    for (std::int64_t p = 0; p < k; ++p) {
+      const VecU* bv = reinterpret_cast<const VecU*>(pb + p * b_row);
+      for (int r = 0; r < MR; ++r) {
+        const float av = pa[p * MR + r];
+        for (int v = 0; v < kNV; ++v) acc[r][v] = acc[r][v] + av * bv[v];
       }
     }
-  }
-  for (std::int64_t r = 0; r < rows; ++r) {
-    float* out = c + r * ldc;
-    float row[kNR];
-    float* dst = cols == kNR ? out : row;
-    for (std::int64_t v = 0; v < kNV; ++v) {
-      *reinterpret_cast<VecU*>(dst + v * kLanes) = acc[r][v];
+    for (std::int64_t r = 0; r < std::min<std::int64_t>(MR, rows - r0); ++r) {
+      float* out = c + (r0 + r) * ldc;
+      float row[NR];
+      float* dst = cols == NR ? out : row;
+      for (int v = 0; v < kNV; ++v) {
+        *reinterpret_cast<VecU*>(dst + v * Lanes) = acc[r][v];
+      }
+      if (dst == row) std::copy(row, row + cols, out);
     }
-    if (dst == row) std::copy(row, row + cols, out);
   }
 }
 
-}  // namespace
+using StripFn = void (*)(std::int64_t, const float*, const float*,
+                         std::int64_t, float*, std::int64_t, std::int64_t,
+                         std::int64_t);
 
-void gemm(bool trans_a, bool trans_b, std::int64_t m, std::int64_t n,
-          std::int64_t k, const float* a, std::int64_t lda, const float* b,
-          std::int64_t ldb, float* c, std::int64_t ldc) {
+// The instantiations, each compiled for its instruction set. The target
+// strings name no FMA, and -ffp-contract=off would keep a*b and +acc two
+// rounded operations even where the target has one.
+void strip_sse(std::int64_t k, const float* pa, const float* pb,
+               std::int64_t b_row, float* c, std::int64_t ldc,
+               std::int64_t rows, std::int64_t cols) {
+  strip_kernel<4, 4, 8>(k, pa, pb, b_row, c, ldc, rows, cols);
+}
+#if defined(__x86_64__)
+[[gnu::target("avx2")]] void strip_avx2(std::int64_t k, const float* pa,
+                                        const float* pb, std::int64_t b_row,
+                                        float* c, std::int64_t ldc,
+                                        std::int64_t rows, std::int64_t cols) {
+  strip_kernel<8, 6, 16>(k, pa, pb, b_row, c, ldc, rows, cols);
+}
+// One 16-lane vector per row: at the small n of conv layers this beat both
+// AVX2 and an 8 x 32 AVX-512 tile end to end.
+[[gnu::target("avx512f")]] void strip_avx512(
+    std::int64_t k, const float* pa, const float* pb, std::int64_t b_row,
+    float* c, std::int64_t ldc, std::int64_t rows, std::int64_t cols) {
+  strip_kernel<16, 8, 16>(k, pa, pb, b_row, c, ldc, rows, cols);
+}
+#endif
+
+struct GemmKernel {
+  const char* name;  // instruction set and MR x NR tile
+  std::int64_t mr, nr;
+  StripFn strip;
+};
+
+// The kernels this host can run, baseline first and widest last; read once.
+const std::vector<GemmKernel>& host_kernels() {
+  static const std::vector<GemmKernel> kernels = [] {
+#if defined(__x86_64__)
+    std::vector<GemmKernel> v{{"sse 4x8", 4, 8, strip_sse}};
+    __builtin_cpu_init();
+    if (__builtin_cpu_supports("avx2")) {
+      v.push_back({"avx2 6x16", 6, 16, strip_avx2});
+    }
+    if (__builtin_cpu_supports("avx512f")) {
+      v.push_back({"avx512 8x16", 8, 16, strip_avx512});
+    }
+#else
+    std::vector<GemmKernel> v{{"vec4 4x8", 4, 8, strip_sse}};
+#endif
+    return v;
+  }();
+  return kernels;
+}
+
+void run_gemm(const GemmKernel& kernel, bool trans_a, bool trans_b,
+              std::int64_t m, std::int64_t n, std::int64_t k, const float* a,
+              std::int64_t lda, const float* b, std::int64_t ldb, float* c,
+              std::int64_t ldc) {
   if (m <= 0 || n <= 0) return;
+  const std::int64_t mr = kernel.mr, nr = kernel.nr;
   const std::int64_t row_tiles = (m + kTileRows - 1) / kTileRows;
   const std::int64_t col_tiles = (n + kTileCols - 1) / kTileCols;
   // Tiles write disjoint blocks of C and each element's sum runs whole
-  // inside one micro-kernel call, so neither the tile shape nor the thread
-  // split can change a result.
+  // inside one micro-kernel call, so neither the kernel, the tile shape nor
+  // the thread split can change a result.
   runtime::parallel_for(
       0, row_tiles * col_tiles,
       runtime::grain_for_cost(std::min(m, kTileRows) *
@@ -394,40 +451,68 @@ void gemm(bool trans_a, bool trans_b, std::int64_t m, std::int64_t n,
       [&](std::int64_t lo, std::int64_t hi) {
         // The tile's rows of op(A), packed once and reused by every strip
         // of B, and one strip of op(B): B's own rows are read in place
-        // when they hold a whole kNR columns, else copied here first.
+        // when they hold a whole nr columns, else copied here first.
         const auto packed_a = std::make_unique_for_overwrite<float[]>(
             static_cast<std::size_t>(kTileRows * k));
         const auto strip = std::make_unique_for_overwrite<float[]>(
-            static_cast<std::size_t>(k * kNR));
+            static_cast<std::size_t>(k * nr));
         for (std::int64_t t = lo; t < hi; ++t) {
           const std::int64_t ct = t / row_tiles, rt = t % row_tiles;
           const std::int64_t r_begin = rt * kTileRows;
           const std::int64_t rows = std::min(kTileRows, m - r_begin);
-          pack_a(a, lda, trans_a, k, r_begin, rows, packed_a.get());
+          pack_a(a, lda, trans_a, k, r_begin, rows, mr, packed_a.get());
           const std::int64_t c_end = std::min(n, (ct + 1) * kTileCols);
-          for (std::int64_t c0 = ct * kTileCols; c0 < c_end; c0 += kNR) {
-            const std::int64_t cols = std::min(kNR, c_end - c0);
+          for (std::int64_t c0 = ct * kTileCols; c0 < c_end; c0 += nr) {
+            const std::int64_t cols = std::min(nr, c_end - c0);
             const float* pb = b + c0;
             std::int64_t b_row = ldb;
-            if (trans_b || cols < kNR) {
-              std::fill(strip.get(), strip.get() + k * kNR, 0.0f);
+            if (trans_b || cols < nr) {
+              std::fill(strip.get(), strip.get() + k * nr, 0.0f);
               for (std::int64_t j = 0; j < cols; ++j) {
                 for (std::int64_t p = 0; p < k; ++p) {
-                  strip[p * kNR + j] =
+                  strip[p * nr + j] =
                       trans_b ? b[(c0 + j) * ldb + p] : b[p * ldb + c0 + j];
                 }
               }
               pb = strip.get();
-              b_row = kNR;
+              b_row = nr;
             }
-            for (std::int64_t r = 0; r < rows; r += kMR) {
-              micro_kernel(k, packed_a.get() + r * k, pb, b_row,
-                           c + (r_begin + r) * ldc + c0, ldc,
-                           std::min(kMR, rows - r), cols);
-            }
+            kernel.strip(k, packed_a.get(), pb, b_row,
+                         c + r_begin * ldc + c0, ldc, rows, cols);
           }
         }
       });
+}
+
+}  // namespace
+
+const char* gemm_kernel_name() { return host_kernels().back().name; }
+
+std::vector<std::string> gemm_host_kernels() {
+  std::vector<std::string> names;
+  for (const GemmKernel& kernel : host_kernels()) names.emplace_back(kernel.name);
+  return names;
+}
+
+void gemm_with_kernel(const std::string& kernel, bool trans_a, bool trans_b,
+                      std::int64_t m, std::int64_t n, std::int64_t k,
+                      const float* a, std::int64_t lda, const float* b,
+                      std::int64_t ldb, float* c, std::int64_t ldc) {
+  for (const GemmKernel& candidate : host_kernels()) {
+    if (kernel == candidate.name) {
+      run_gemm(candidate, trans_a, trans_b, m, n, k, a, lda, b, ldb, c, ldc);
+      return;
+    }
+  }
+  throw std::invalid_argument("gemm: kernel '" + kernel +
+                              "' does not run on this host");
+}
+
+void gemm(bool trans_a, bool trans_b, std::int64_t m, std::int64_t n,
+          std::int64_t k, const float* a, std::int64_t lda, const float* b,
+          std::int64_t ldb, float* c, std::int64_t ldc) {
+  run_gemm(host_kernels().back(), trans_a, trans_b, m, n, k, a, lda, b, ldb,
+           c, ldc);
 }
 
 Shape matmul_shape(const Shape& a, const Shape& b, bool trans_a,

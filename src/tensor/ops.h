@@ -4,6 +4,8 @@
 #pragma once
 
 #include <cstdint>
+#include <string>
+#include <vector>
 
 #include "runtime/thread_pool.h"
 #include "tensor/tensor.h"
@@ -122,12 +124,28 @@ Tensor reduce_mean(const Tensor& a, const std::vector<std::int64_t>& axes,
 /// and adds a*b for k ascending, one rounded multiply and one rounded add per
 /// term (the build's -ffp-contract=off keeps them unfused). Output tiles run
 /// in parallel and k is never split, so that order, and every result, is the
-/// same for any tile shape and thread count. Rows of op(A) are packed into
-/// strips and a register tile of C is accumulated against column strips of
-/// op(B). No term is skipped, so 0 * inf gives NaN as IEEE says.
+/// same for any kernel, tile shape and thread count. Rows of op(A) are packed
+/// into strips and a register tile of C is accumulated against column strips
+/// of op(B). No term is skipped, so 0 * inf gives NaN as IEEE says.
 void gemm(bool trans_a, bool trans_b, std::int64_t m, std::int64_t n,
           std::int64_t k, const float* a, std::int64_t lda, const float* b,
           std::int64_t ldb, float* c, std::int64_t ldc);
+
+/// The micro-kernel gemm runs on this host, as its instruction set and
+/// register tile ("sse 4x8", "avx2 6x16" or "avx512 8x16"): the widest the
+/// CPU supports, chosen once. Every kernel gives the same bits.
+const char* gemm_kernel_name();
+
+/// Test hook: the names of the kernels this host can run, the baseline
+/// first and gemm_kernel_name() last.
+std::vector<std::string> gemm_host_kernels();
+
+/// Test hook: gemm through the named kernel of gemm_host_kernels(); any
+/// other name throws std::invalid_argument.
+void gemm_with_kernel(const std::string& kernel, bool trans_a, bool trans_b,
+                      std::int64_t m, std::int64_t n, std::int64_t k,
+                      const float* a, std::int64_t lda, const float* b,
+                      std::int64_t ldb, float* c, std::int64_t ldc);
 
 /// The one shape rule of matmul: (m,n) for op(a) (m,k) and op(b) (k,n),
 /// where op transposes when its flag is set. Throws std::invalid_argument

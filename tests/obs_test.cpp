@@ -343,6 +343,7 @@ TEST_F(ObsTest, JsonlExportIsValid) {
   registry()
       .histogram("obs_test.export_hist", {10.0, 20.0})
       .observe(15.0);
+  registry().set_label("obs_test.export_label", "avx \"x\"");
 
   std::ostringstream os;
   registry().write_jsonl(os);
@@ -355,13 +356,19 @@ TEST_F(ObsTest, JsonlExportIsValid) {
             std::string::npos);
 
   const std::map<std::string, Json> metrics = parse_metrics_jsonl();
-  EXPECT_GE(metrics.size(), 3u);
+  EXPECT_GE(metrics.size(), 4u);
   const Json& counter = metrics.at("obs_test.export_counter");
   EXPECT_EQ(counter.get_string("type"), "counter");
   EXPECT_EQ(counter.get_int("value", -1), 3);
   const Json& gauge = metrics.at("obs_test.export_gauge");
   EXPECT_EQ(gauge.get_string("type"), "gauge");
   EXPECT_EQ(gauge.get_double("value", 0.0), 1.5);
+
+  const Json& label = metrics.at("obs_test.export_label");
+  EXPECT_EQ(label.get_string("type"), "label");
+  EXPECT_EQ(label.get_string("value"), "avx \"x\"");
+  // Labels come first, before any instrument.
+  EXPECT_EQ(jsonl.rfind("{\"type\":\"label\"", 0), 0u);
 
   const Json& hist = metrics.at("obs_test.export_hist");
   EXPECT_EQ(hist.get_string("type"), "histogram");

@@ -10,6 +10,7 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -1172,6 +1173,27 @@ TEST_F(SupervisorTest, QuarantineAfterStrikesThenRefusesImmediately) {
 
   // Other keys are unaffected.
   EXPECT_TRUE(sup.run("good", [] {}).ok());
+}
+
+TEST_F(SupervisorTest, InvalidArgumentFailsAfterOneAttempt) {
+  robust::SupervisorConfig config = fast_config();
+  config.max_retries = 5;
+  config.quarantine_strikes = 1;
+  robust::Supervisor sup(config);
+  int calls = 0;
+  const robust::RunReport report = sup.run("key", [&] {
+    ++calls;
+    throw std::invalid_argument("make_defense: unknown defense 'ours'");
+  });
+  // A usage error is permanent: one attempt, no retry, no strike.
+  EXPECT_EQ(report.status, robust::RunStatus::kFailed);
+  EXPECT_EQ(report.attempts, 1);
+  EXPECT_EQ(calls, 1);
+  EXPECT_NE(report.failure.find("unknown defense 'ours'"), std::string::npos);
+  EXPECT_EQ(sup.stats().retries, 0);
+  EXPECT_EQ(sup.stats().failures, 1);
+  EXPECT_EQ(sup.strikes("key"), 0);
+  EXPECT_FALSE(sup.quarantined("key"));
 }
 
 TEST_F(SupervisorTest, SimulatedCrashPropagatesWithoutRetry) {

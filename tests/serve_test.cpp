@@ -896,6 +896,40 @@ TEST_F(ServiceTest, RestartReportsInterruptedJobsDeterministically) {
   std::remove(journal.c_str());
 }
 
+TEST_F(ServiceTest, DamagedJournaledJobIdFailsNamingTheField) {
+  const std::string journal = "/tmp/serve_test_damaged_id.jsonl";
+  std::remove(journal.c_str());
+  {
+    ServiceConfig config;
+    config.workers = 0;
+    config.journal_path = journal;
+    SanitizeService service(config);
+    ASSERT_EQ(service.submit(micro_spec(1)).id, "j000001");
+    service.stop();
+  }
+  {
+    // The same job again under a damaged id.
+    robust::RunJournal appender(journal);
+    const robust::JournalFields* good = appender.find("job|j000001");
+    ASSERT_NE(good, nullptr);
+    robust::JournalFields damaged = *good;
+    damaged["id"] = "jx7";
+    appender.record("job|jx7", damaged);
+  }
+  ServiceConfig config;
+  config.workers = 0;
+  config.journal_path = journal;
+  try {
+    SanitizeService service(config);
+    ADD_FAILURE() << "a journal with job id 'jx7' loaded";
+  } catch (const std::runtime_error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("'id'"), std::string::npos) << what;
+    EXPECT_NE(what.find("jx7"), std::string::npos) << what;
+  }
+  std::remove(journal.c_str());
+}
+
 TEST_F(ServiceTest, RestartWithResumeRequeuesAndCompletes) {
   const std::string journal = "/tmp/serve_test_resume.jsonl";
   std::remove(journal.c_str());

@@ -301,6 +301,82 @@ TEST(Gemm, MatchesNaiveLoopBitForBit) {
   }
 }
 
+// Element (i, p) of op(X) for X row-major with rows `ld` apart.
+float& op_at(std::vector<float>& x, bool trans, std::int64_t ld,
+             std::int64_t i, std::int64_t p) {
+  return x[static_cast<std::size_t>(trans ? p * ld + i : i * ld + p)];
+}
+
+TEST(Gemm, EveryHostKernelMatchesBaselineBitwise) {
+  ThreadCountGuard guard;
+  const std::vector<std::string> kernels = gemm_host_kernels();
+  ASSERT_FALSE(kernels.empty());
+  EXPECT_EQ(kernels.back(), gemm_kernel_name());
+  EXPECT_THROW(gemm_with_kernel("nope", false, false, 1, 1, 1, nullptr, 1,
+                                nullptr, 1, nullptr, 1),
+               std::invalid_argument);
+  const float inf = std::numeric_limits<float>::infinity();
+  // The NaN the hardware makes of 0 * inf, so every NaN in C has one bit
+  // pattern: where two NaNs with different bits meet, which one an add
+  // keeps follows the compiler's operand order, not the kernel's arithmetic.
+  volatile float zero = 0.0f;
+  const float nan = zero * inf;
+  std::mt19937 gen(23);
+  // No m is a multiple of any MR (4, 6, 8), no n of any NR (8, 16);
+  // 101 and 300 span several row tiles and column panels.
+  const std::int64_t ms[] = {1, 7, 13, 101};
+  const std::int64_t ns[] = {1, 5, 19, 47, 300};
+  const std::int64_t ks[] = {0, 1, 3, 37};
+  for (int threads : {1, 3}) {
+    runtime::set_thread_count(threads);
+    for (bool ta : {false, true}) {
+      for (bool tb : {false, true}) {
+        for (std::int64_t m : ms) {
+          for (std::int64_t n : ns) {
+            for (std::int64_t k : ks) {
+              // Every leading dimension is wider than its matrix.
+              const std::int64_t lda = (ta ? m : k) + 5;
+              const std::int64_t ldb = (tb ? k : n) + 2;
+              const std::int64_t ldc = n + 3;
+              std::vector<float> a = random_floats(
+                  static_cast<std::size_t>((ta ? k : m) * lda), gen);
+              std::vector<float> b = random_floats(
+                  static_cast<std::size_t>((tb ? n : k) * ldb), gen);
+              if (k > 0) {
+                // Row 0 of op(A) is -0: its finite terms are -0, so those
+                // sums end at +0 only if they start at +0. The inf in the
+                // last row meets a 0 of op(B) (0 * inf = NaN), and a NaN
+                // and a -inf spread along their row and column.
+                for (std::int64_t p = 0; p < k; ++p) {
+                  op_at(a, ta, lda, 0, p) = -0.0f;
+                }
+                op_at(a, ta, lda, m - 1, 0) = inf;
+                op_at(a, ta, lda, m / 2, k - 1) = nan;
+                op_at(b, tb, ldb, 0, n - 1) = 0.0f;
+                op_at(b, tb, ldb, k / 2, n / 2) = -inf;
+              }
+              std::vector<float> want(static_cast<std::size_t>(m * ldc),
+                                      -7.0f);
+              gemm_with_kernel(kernels.front(), ta, tb, m, n, k, a.data(),
+                               lda, b.data(), ldb, want.data(), ldc);
+              for (const std::string& kernel : kernels) {
+                std::vector<float> got(want.size(), -7.0f);
+                gemm_with_kernel(kernel, ta, tb, m, n, k, a.data(), lda,
+                                 b.data(), ldb, got.data(), ldc);
+                EXPECT_EQ(std::memcmp(want.data(), got.data(),
+                                      want.size() * sizeof(float)),
+                          0)
+                    << kernel << " ta=" << ta << " tb=" << tb << " m=" << m
+                    << " n=" << n << " k=" << k << " threads=" << threads;
+              }
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
 TEST(Gemm, ZeroTimesInfIsNaN) {
   // No term is skipped: a zero in A meets the inf in B and the sum is NaN.
   const Tensor a({1, 2}, {0.0f, 1.0f});
