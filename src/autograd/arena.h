@@ -1,97 +1,44 @@
-// Arena memory planning for the autograd backward pass.
+// Per-thread footprint statistics of the autograd backward pass.
 //
-// The scheduler derives one BufferLifetime per interior (non-leaf, non-root)
-// gradient: `born` is the first backward step that writes into it, `dies`
-// the step that consumes it (the node's own backward step). plan_buffers()
-// assigns each lifetime to a slot such that no two overlapping lifetimes
-// share a slot — a pure, deterministic interval-assignment problem, unit
-// tested in tests/arena_test.cpp. GradArena then backs the slots with
-// retained storage that is REUSED across backward passes: in steady-state
-// training the gradient buffers of every intermediate come from the arena
-// instead of a fresh malloc per node per step.
+// An interior gradient is the backward kernel's own output (schedule.h);
+// nothing is pooled or reused. The scheduler records, per pass, the
+// high-water mark of interior-gradient bytes held at once: the sum of
+// numel * sizeof(float) over the interior nodes that hold a gradient.
+// Leaf and root gradients are persistent and not counted.
 //
-// Concurrency: the arena is thread_local — each thread doing backward owns
-// its own slots, so there is no shared state, no mutex, and no new lock
-// rank (see DESIGN.md "Graph IR & memory planning").
+// Concurrency: the stats are thread_local — each thread doing backward owns
+// its own, so there is no shared state and no lock.
 #pragma once
 
 #include <cstdint>
-#include <memory>
-#include <vector>
-
-#include "tensor/tensor.h"
 
 namespace bd::ag {
 
-/// Half-open-in-time interval of one gradient buffer, measured in backward
-/// step indices (0 = root's step). Inclusive on both ends: the buffer is
-/// written at `born` and last read at `dies`.
-struct BufferLifetime {
-  std::int64_t numel = 0;
-  std::int32_t born = 0;
-  std::int32_t dies = 0;
-};
-
-/// Deterministic slot assignment for a set of lifetimes.
-struct BufferPlan {
-  /// slot[i] is the slot assigned to lifetimes[i].
-  std::vector<std::int32_t> slot;
-  /// Element capacity of each slot (the max numel of its occupants).
-  std::vector<std::int64_t> slot_numel;
-  /// Arena footprint of the pass: sum of slot capacities, in bytes.
-  std::int64_t peak_bytes = 0;
-  /// Bytes a malloc-per-buffer scheme would have allocated.
-  std::int64_t naive_bytes = 0;
-};
-
-/// Assigns lifetimes to slots, never aliasing two lifetimes whose
-/// [born, dies] intervals overlap. Deterministic: lifetimes are processed
-/// in (born, index) order and each picks the best-fitting free slot
-/// (smallest sufficient capacity; ties to the lowest slot id), growing the
-/// largest free slot — or opening a new one — when none fits. Throws
-/// std::invalid_argument on a lifetime with dies < born or numel < 0.
-BufferPlan plan_buffers(const std::vector<BufferLifetime>& lifetimes);
-
-/// Cumulative per-thread arena statistics (monotonic; reset_stats zeroes).
+/// Backward-pass footprint of the calling thread (reset_stats zeroes).
 struct ArenaStats {
-  std::uint64_t passes = 0;          // backward passes planned
-  std::uint64_t buffers_planned = 0; // interior gradients across all passes
-  std::uint64_t buffers_reused = 0;  // served from an already-sized slot
-  std::uint64_t slot_allocs = 0;     // slot storage allocations/growths
-  std::uint64_t fallback_allocs = 0; // slot busy (abandoned graph): fresh buf
-  std::int64_t last_peak_bytes = 0;  // footprint of the most recent plan
-  std::int64_t max_peak_bytes = 0;   // largest footprint seen
-  std::int64_t last_naive_bytes = 0; // malloc-per-buffer bytes of that plan
+  std::int64_t last_peak_bytes = 0;  // peak of the most recent pass
+  std::int64_t max_peak_bytes = 0;   // largest peak seen
 };
 
-/// Thread-local gradient arena: retained slot storage reused across
-/// backward passes.
+/// Holder of the calling thread's ArenaStats.
 class GradArena {
  public:
-  /// The calling thread's arena.
-  static GradArena& local();
-
-  /// Sizes the slots for one backward pass and updates statistics. The
-  /// previous pass's transient gradients must already be released (the
-  /// scheduler clears each interior grad right after its backward step).
-  void prepare(const BufferPlan& plan);
-
-  /// Tensor viewing the storage of `plan.slot[lifetime_index]` as `shape`.
-  /// If the slot is unexpectedly still referenced (a backward pass was
-  /// abandoned mid-flight), a fresh buffer is returned instead so planned
-  /// reuse can never alias a live gradient; this is counted in
-  /// `stats().fallback_allocs`.
-  Tensor acquire(std::size_t lifetime_index, const Shape& shape);
+  /// The calling thread's stats holder.
+  static GradArena& local() {
+    thread_local GradArena arena;
+    return arena;
+  }
 
   const ArenaStats& stats() const { return stats_; }
   void reset_stats() { stats_ = ArenaStats{}; }
 
-  /// Drops all retained slot storage (stats are kept).
-  void release_storage();
+  /// Records one backward pass's peak interior-gradient bytes.
+  void record_pass(std::int64_t peak_bytes) {
+    stats_.last_peak_bytes = peak_bytes;
+    if (peak_bytes > stats_.max_peak_bytes) stats_.max_peak_bytes = peak_bytes;
+  }
 
  private:
-  std::vector<std::shared_ptr<std::vector<float>>> slots_;
-  BufferPlan plan_;
   ArenaStats stats_;
 };
 

@@ -19,7 +19,7 @@ void execute_forward(Node& n);
 
 /// Receives one gradient contribution for a target node. The scheduler's
 /// sink reduces broadcast gradients back to the target shape and routes
-/// the result to persistent (leaf/root) or arena-backed (interior) storage.
+/// the result to a persistent (leaf/root) or transient (interior) gradient.
 using GradSink = std::function<void(const NodePtr&, const Tensor&)>;
 
 /// Propagates n.grad into n's inputs, invoking `sink` once per gradient

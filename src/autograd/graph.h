@@ -6,17 +6,16 @@
 // runs at build time — execution is deferred to the Var::value() /
 // Var::backward() boundaries, where the deterministic scheduler
 // (schedule.h) materializes values in graph post-order and runs the
-// backward pass over an arena memory plan (arena.h). exec.h holds the
-// per-kind forward/backward kernels; they call exactly the same
-// src/tensor routines, in the same per-op order, as the old eager tape,
-// which is what keeps the refactor bitwise-invisible
+// backward pass. exec.h holds the per-kind forward/backward kernels; they
+// call exactly the same src/tensor routines, in the same per-op order, as
+// the old eager tape, which is what keeps the refactor bitwise-invisible
 // (Determinism.GraphIRInvariance pins this against a pre-refactor golden
 // hash).
 //
 // Gradient lifetimes: leaf gradients (parameters) live on the node and
 // accumulate across backward() calls, exactly as before. INTERIOR
-// gradients are now transient — they live in planned arena slots and are
-// released as soon as the node's backward step has consumed them, so
+// gradients are transient — each is a backward kernel's output tensor,
+// released as soon as the node's backward step has consumed it, so
 // reading .grad() of a non-leaf after backward() throws. All production
 // consumers (optimizers, Grad-Prune filter scoring, ANP masks, trigger
 // inversion) read only leaf gradients.
@@ -106,7 +105,7 @@ struct Node {
 
   /// Adds g to this node's persistent grad (allocating on first use);
   /// throws std::logic_error on shape mismatch. Used for leaves and the
-  /// backward root — interior accumulation goes through the arena plan.
+  /// backward root — interior gradients accumulate in the scheduler's sink.
   void accumulate_grad(const Tensor& g);
 };
 

@@ -165,54 +165,23 @@ void run_backward(const NodePtr& root) {
     }
   }
 
-  // Backward steps execute over the reversed order; step s of node P's
-  // gradient buffer: born when its first consumer writes it, dead after
-  // P's own step reads it. Those lifetimes drive the arena plan.
-  std::unordered_map<Node*, std::int32_t> step_of;
-  step_of.reserve(order.size());
-  {
-    std::int32_t s = 0;
-    for (auto it = order.rbegin(); it != order.rend(); ++it, ++s) {
-      step_of[*it] = s;
-    }
-  }
+  // An interior gradient is the first contribution's tensor itself, which
+  // may share storage with another node's gradient (add and add_scalar pass
+  // n.grad through, reshape passes a view of it). So later contributions
+  // accumulate out of place; x + y has the bits of x += 1 * y. `held` counts
+  // the interior-gradient bytes alive at once, including one a previous
+  // pass's root kept.
   Node* const root_raw = root.get();
-  std::unordered_map<Node*, std::int32_t> born;
-  {
-    std::int32_t s = 0;
-    for (auto it = order.rbegin(); it != order.rend(); ++it, ++s) {
-      Node* node = *it;
-      if (node->is_leaf) continue;
-      for (const auto& in : node->inputs) {
-        Node* t = in.get();
-        if (!t->requires_grad || t->is_leaf || t == root_raw) continue;
-        const auto found = born.find(t);
-        if (found == born.end()) {
-          born.emplace(t, s);
-        } else if (s < found->second) {
-          found->second = s;
-        }
-      }
+  const auto grad_bytes = [](const Node& n) {
+    return shape_numel(n.shape) * static_cast<std::int64_t>(sizeof(float));
+  };
+  std::int64_t held = 0;
+  for (Node* node : order) {
+    if (!node->is_leaf && node != root_raw && node->grad.defined()) {
+      held += grad_bytes(*node);
     }
   }
-  std::vector<BufferLifetime> lifetimes;
-  std::unordered_map<Node*, std::size_t> lifetime_of;
-  for (auto it = order.rbegin(); it != order.rend(); ++it) {
-    Node* node = *it;
-    if (node->is_leaf || node == root_raw) continue;
-    const auto b = born.find(node);
-    if (b == born.end()) continue;  // no in-graph consumer writes it
-    lifetime_of.emplace(node, lifetimes.size());
-    lifetimes.push_back(BufferLifetime{shape_numel(node->shape), b->second,
-                                       step_of.at(node)});
-  }
-
-  const BufferPlan plan = plan_buffers(lifetimes);
-  GradArena& arena = GradArena::local();
-  const std::uint64_t reused_before = arena.stats().buffers_reused;
-  arena.prepare(plan);
-  BD_OBS_GAUGE("autograd.arena_peak_bytes", plan.peak_bytes);
-
+  std::int64_t peak = held;
   const GradSink sink = [&](const NodePtr& target, const Tensor& g) {
     // backprop_to of the eager tape: ignore non-grad operands, reduce
     // broadcast gradients back to the operand shape, then accumulate.
@@ -223,15 +192,12 @@ void run_backward(const NodePtr& root) {
     const Tensor& contribution = reduce ? gg : g;
     if (t->is_leaf || t == root_raw) {
       t->accumulate_grad(contribution);
-      return;
-    }
-    if (!t->grad.defined()) {
-      Tensor slot = arena.acquire(lifetime_of.at(t), t->shape);
-      std::copy(contribution.data(), contribution.data() + contribution.numel(),
-                slot.data());
-      t->grad = std::move(slot);
+    } else if (t->grad.defined()) {
+      t->grad = bd::add(t->grad, contribution);
     } else {
-      axpy_inplace(t->grad, 1.0f, contribution);
+      t->grad = contribution;
+      held += grad_bytes(*t);
+      peak = std::max(peak, held);
     }
   };
 
@@ -242,14 +208,15 @@ void run_backward(const NodePtr& root) {
       const obs::KernelScope probe = kernel_scope(*node, /*backward=*/true);
       execute_backward(*node, sink);
     }
-    if (!node->is_leaf && node != root_raw) {
-      node->grad = Tensor();  // return the transient slot to the arena
+    if (!node->is_leaf && node != root_raw && node->grad.defined()) {
+      node->grad = Tensor();  // consumed: interior gradients are transient
+      held -= grad_bytes(*node);
     }
   }
 
+  GradArena::local().record_pass(peak);
+  BD_OBS_GAUGE("autograd.arena_peak_bytes", peak);
   BD_OBS_COUNT("autograd.backward_passes", 1);
-  BD_OBS_COUNT("autograd.arena_buffers_reused",
-               arena.stats().buffers_reused - reused_before);
 }
 
 }  // namespace bd::ag

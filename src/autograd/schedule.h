@@ -9,11 +9,13 @@
 // proves no Var handle outside the schedule could ever read them.
 //
 // run_backward() replays the exact reverse topological order of the old
-// eager tape (iterative DFS over grad-requiring edges), plans arena slots
-// for every interior gradient from the resulting lifetimes, and executes
-// the per-op backward kernels. Leaf and root gradients accumulate
-// persistently across calls, exactly as before; interior gradients are
-// transient and live in reused arena storage (see arena.h).
+// eager tape (iterative DFS over grad-requiring edges) and executes the
+// per-op backward kernels. Leaf and root gradients accumulate
+// persistently across calls, exactly as before. An interior gradient is
+// the backward kernel's own output, which may share storage with another
+// node's gradient, so it is never written in place; it is dropped right
+// after its node's backward step. arena.h holds the per-thread peak of
+// interior-gradient bytes.
 #pragma once
 
 #include "autograd/graph.h"
@@ -25,8 +27,8 @@ namespace bd::ag {
 void materialize(const NodePtr& root);
 
 /// Reverse-mode accumulation from a scalar root: materializes the forward
-/// graph, then runs the backward pass over an arena memory plan. Throws
-/// std::logic_error when the root is not scalar.
+/// graph, then runs the backward pass. Throws std::logic_error when the
+/// root is not scalar.
 void run_backward(const NodePtr& root);
 
 }  // namespace bd::ag

@@ -4,8 +4,7 @@
 // autograd/ops.h are graph BUILDERS: they validate and infer shapes
 // immediately, with the kernels' own shape rules, but run no kernels.
 // Execution happens at the value()/backward() boundaries through the
-// deterministic scheduler in schedule.h, which also plans arena-backed
-// gradient buffers (arena.h).
+// deterministic scheduler in schedule.h.
 // The API is source-compatible with the old eager tape; shape() now
 // reports the build-time inferred shape without forcing execution.
 //

@@ -3,7 +3,7 @@
 #include <csignal>
 
 #include <chrono>
-#include <cstdlib>
+#include <string_view>
 #include <thread>
 
 #include "util/env.h"
@@ -65,13 +65,13 @@ void FaultInjector::configure(const std::string& spec) {
                                   "' is not of the form kind@n");
     }
     const FaultKind kind = parse_kind(term.substr(0, at));
-    char* parse_end = nullptr;
-    const long long n = std::strtoll(term.c_str() + at + 1, &parse_end, 10);
-    if (parse_end == term.c_str() + at + 1 || *parse_end != '\0' || n < 1) {
+    const auto n = parse_whole<std::int64_t>(
+        std::string_view(term).substr(at + 1));
+    if (!n || *n < 1) {
       throw std::invalid_argument("BDPROTO_FAULTS: bad occurrence in '" +
                                   term + "' (need a positive integer)");
     }
-    triggers_[kind_index(kind)].insert(static_cast<std::int64_t>(n));
+    triggers_[kind_index(kind)].insert(*n);
   }
 }
 

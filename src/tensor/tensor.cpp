@@ -58,25 +58,6 @@ Tensor Tensor::full(Shape shape, float value) {
 
 Tensor Tensor::scalar(float value) { return Tensor({}, {value}); }
 
-Tensor Tensor::wrap_storage(std::shared_ptr<std::vector<float>> storage,
-                            Shape shape) {
-  if (!storage) {
-    throw std::invalid_argument("Tensor::wrap_storage: null storage");
-  }
-  const std::int64_t n = shape_numel(shape);
-  if (static_cast<std::int64_t>(storage->size()) < n) {
-    throw std::invalid_argument("Tensor::wrap_storage: storage of " +
-                                std::to_string(storage->size()) +
-                                " elements too small for shape " +
-                                shape_string(shape));
-  }
-  Tensor t;
-  t.storage_ = std::move(storage);
-  t.shape_ = std::move(shape);
-  t.numel_ = n;
-  return t;
-}
-
 std::int64_t Tensor::size(std::int64_t d) const {
   if (d < 0) d += dim();
   if (d < 0 || d >= dim()) {
@@ -139,8 +120,7 @@ Tensor Tensor::reshape(Shape new_shape) const {
 Tensor Tensor::clone() const {
   if (!storage_) return Tensor();
   Tensor copy;
-  copy.storage_ = std::make_shared<std::vector<float>>(
-      storage_->begin(), storage_->begin() + numel_);
+  copy.storage_ = std::make_shared<std::vector<float>>(*storage_);
   copy.shape_ = shape_;
   copy.numel_ = numel_;
   return copy;
@@ -148,7 +128,7 @@ Tensor Tensor::clone() const {
 
 void Tensor::fill(float value) {
   if (!storage_) throw std::logic_error("Tensor::fill on undefined tensor");
-  std::fill(storage_->begin(), storage_->begin() + numel_, value);
+  std::fill(storage_->begin(), storage_->end(), value);
 }
 
 std::string Tensor::to_string(std::int64_t max_elems) const {

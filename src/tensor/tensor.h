@@ -39,13 +39,6 @@ class Tensor {
   static Tensor full(Shape shape, float value);
   static Tensor scalar(float value);
 
-  /// Tensor viewing `storage` (no copy) as `shape`. The storage may be
-  /// larger than the shape requires — the autograd arena hands out slots
-  /// sized for the largest gradient that ever occupies them. Throws
-  /// std::invalid_argument on null or too-small storage.
-  static Tensor wrap_storage(std::shared_ptr<std::vector<float>> storage,
-                             Shape shape);
-
   /// True when this tensor was constructed with a shape (not default).
   bool defined() const { return static_cast<bool>(storage_); }
 
@@ -75,11 +68,10 @@ class Tensor {
   /// View with a new shape over the same storage; numel must match.
   Tensor reshape(Shape new_shape) const;
 
-  /// Deep copy of the tensor's numel() elements (not of a larger storage
-  /// it views).
+  /// Deep copy (no shared storage).
   Tensor clone() const;
 
-  /// Overwrites the tensor's numel() elements.
+  /// Overwrites every element.
   void fill(float value);
 
   /// True if the two tensors share storage.

@@ -6,6 +6,7 @@
 #include <cmath>
 #include <functional>
 
+#include "autograd/arena.h"
 #include "autograd/ops.h"
 #include "autograd/variable.h"
 #include "tensor/ops.h"
@@ -116,6 +117,45 @@ TEST(Graph, BackwardTwiceAccumulates) {
   Var c = mul(a, a);
   c.backward();
   EXPECT_FLOAT_EQ(a.grad()[0], 2.0f * g1);
+}
+
+// An interior gradient is its first contribution's tensor itself, so it can
+// share storage with another node's: here `s = a + b` hands one tensor to
+// both a and b. b then gets a second contribution while a is still waiting
+// for its own, so an in-place accumulate into b would also change a.
+// Reverse order of the pass: L, top, s, mid, p, a, x, b, y.
+TEST(Graph, SharedGradientAccumulatesOutOfPlace) {
+  Var x(Tensor({2}, {1.0f, -2.0f}), true);
+  Var y(Tensor({2}, {0.5f, 4.0f}), true);
+  Var a = mul_scalar(x, 2.0f);
+  Var b = mul_scalar(y, 3.0f);
+  Var s = add(a, b);
+  Var p = mul_scalar(a, 5.0f);
+  Var mid = add(b, p);
+  Var top = add(mid, s);
+  sum_all(top).backward();
+  // dL/da = 1 (via s) + 5 (via p); dL/db = 1 (via s) + 1 (via mid).
+  for (std::int64_t i = 0; i < 2; ++i) {
+    EXPECT_EQ(x.grad()[i], 2.0f * 6.0f) << i;
+    EXPECT_EQ(y.grad()[i], 3.0f * 2.0f) << i;
+  }
+}
+
+// The pass records the most interior-gradient bytes held at once. On this
+// chain, r's [4] gradient (16 B) is still held when m's [4, 8] one (128 B)
+// arrives; the root and the leaf are not counted.
+TEST(Graph, PeakBytesCountInteriorGradientsHeldAtOnce) {
+  GradArena& arena = GradArena::local();
+  arena.reset_stats();
+  Var x(Tensor::ones({4, 8}), true);
+  Var m = mul_scalar(x, 2.0f);
+  sum_all(reduce_sum(m, {1}, /*keepdim=*/false)).backward();
+  EXPECT_EQ(arena.stats().last_peak_bytes, 144);
+  EXPECT_EQ(arena.stats().max_peak_bytes, 144);
+
+  sum_all(mul_scalar(x, 3.0f)).backward();  // one [4, 8] gradient
+  EXPECT_EQ(arena.stats().last_peak_bytes, 128);
+  EXPECT_EQ(arena.stats().max_peak_bytes, 144);
 }
 
 // ---------------------------------------------------------------------------

@@ -525,10 +525,11 @@ TEST_F(ObsTest, KernelSpansAttributeOneNodeEach) {
   EXPECT_EQ(fwd_begins, nodes);
 }
 
-// The graph-IR scheduler reports its arena footprint: after a backward pass
-// with metrics on, the autograd.arena_peak_bytes gauge holds the plan's
-// peak (the same number GradArena::stats() carries) and the pass/planner
-// counters have moved.
+// The graph-IR scheduler reports its backward footprint: after a pass with
+// metrics on, the autograd.arena_peak_bytes gauge holds the bytes of the
+// interior gradients held at once (the same number GradArena::stats()
+// carries). Here mul's gradient is still held when relu's and sigmoid's
+// arrive: three [4, 4] gradients, 192 bytes.
 TEST_F(ObsTest, AutogradArenaGaugeRecordsBackwardFootprint) {
   set_metrics_enabled(true);
   const std::uint64_t passes_before =
@@ -542,10 +543,8 @@ TEST_F(ObsTest, AutogradArenaGaugeRecordsBackwardFootprint) {
   EXPECT_EQ(registry().counter("autograd.backward_passes").value(),
             passes_before + 1);
   EXPECT_GT(registry().counter("autograd.nodes_materialized").value(), 0u);
-  const double gauge = registry().gauge("autograd.arena_peak_bytes").value();
-  EXPECT_GT(gauge, 0.0);
-  EXPECT_EQ(gauge, static_cast<double>(
-                       ag::GradArena::local().stats().last_peak_bytes));
+  EXPECT_EQ(registry().gauge("autograd.arena_peak_bytes").value(), 192.0);
+  EXPECT_EQ(ag::GradArena::local().stats().last_peak_bytes, 192);
 }
 
 TEST_F(ObsTest, ResetValuesZeroesInPlace) {

@@ -124,6 +124,21 @@ TEST_F(FaultInjectorTest, RejectsMalformedSpecs) {
   EXPECT_NO_THROW(faults.configure("io_fail@3,nan@120"));
 }
 
+// Occurrences follow parse_whole, the rule of every numeric knob: a sign, a
+// space or a value past int64 is malformed, never clamped or trimmed.
+TEST_F(FaultInjectorTest, OccurrenceMustParseWhole) {
+  auto& faults = robust::FaultInjector::instance();
+  for (const char* spec : {"io_fail@+3", "io_fail@ 3", "io_fail@3 ",
+                           "io_fail@99999999999999999999", "io_fail@-3"}) {
+    EXPECT_THROW(faults.configure(spec), std::invalid_argument) << spec;
+  }
+  faults.configure("io_fail@3");
+  EXPECT_TRUE(faults.armed(robust::FaultKind::kIoFail));
+  EXPECT_NO_THROW(faults.fire_io("one"));
+  EXPECT_NO_THROW(faults.fire_io("two"));
+  EXPECT_THROW(faults.fire_io("three"), std::runtime_error);
+}
+
 // ---------------------------------------------------------------------------
 // TrainGuard policy
 // ---------------------------------------------------------------------------

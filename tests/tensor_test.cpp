@@ -65,19 +65,6 @@ TEST(TensorBasics, CloneIsDeep) {
   EXPECT_FALSE(t.shares_storage_with(c));
 }
 
-TEST(TensorBasics, ViewOfLargerStorageFillsAndClonesOnlyItsElements) {
-  // An autograd arena slot can be far larger than the gradient viewing it.
-  auto storage = std::make_shared<std::vector<float>>(8, -1.0f);
-  Tensor view = Tensor::wrap_storage(storage, {2, 2});
-  view.fill(3.0f);
-  for (std::size_t i = 0; i < storage->size(); ++i) {
-    EXPECT_EQ((*storage)[i], i < 4 ? 3.0f : -1.0f) << i;
-  }
-  const Tensor copy = view.clone();
-  EXPECT_EQ(copy.shape(), view.shape());
-  for (std::int64_t i = 0; i < 4; ++i) EXPECT_EQ(copy[i], 3.0f);
-}
-
 TEST(TensorBasics, SizeNegativeIndexing) {
   Tensor t({2, 3, 4});
   EXPECT_EQ(t.size(-1), 4);
