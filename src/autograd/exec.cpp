@@ -1,9 +1,12 @@
 #include "autograd/exec.h"
 
+#include <array>
 #include <cmath>
+#include <mutex>
 #include <stdexcept>
 #include <string>
 
+#include "obs/obs.h"
 #include "tensor/conv.h"
 #include "tensor/ops.h"
 #include "tensor/pool.h"
@@ -27,87 +30,83 @@ Tensor fused_grad(const Node& n, const Tensor& t, D d) {
                  op_kind_name(n.kind));
 }
 
-}  // namespace
+/// The kernel probe site of each direction, `kernel.<op_kind_name>_fwd|_bwd`;
+/// items are the node's output elements. Instruments register on a probe's
+/// first use, so metrics list only kinds that ran, and so does the
+/// `gemm.kernel` label that names the micro-kernel under conv and matmul
+/// (bd_tensor does not link bd_obs). kNllLoss is the last OpKind.
+obs::KernelStats& kernel_stats(OpKind kind, bool backward) {
+  constexpr auto kKinds = static_cast<std::size_t>(OpKind::kNllLoss) + 1;
+  static std::array<std::once_flag, 2 * kKinds> registered;
+  static std::array<obs::KernelStats*, 2 * kKinds> stats;
+  const std::size_t i = 2 * static_cast<std::size_t>(kind) + backward;
+  std::call_once(registered[i], [&] {
+    obs::registry().set_label("gemm.kernel", gemm_kernel_name());
+    stats[i] = &obs::kernel_stats(std::string("kernel.") +
+                                  op_kind_name(kind) +
+                                  (backward ? "_bwd" : "_fwd"));
+  });
+  return *stats[i];
+}
 
-void execute_forward(Node& n) {
+// The output of a forward kernel: a pure function of the input values
+// and the node's attributes (kMaxPool2d also leaves its argmax on n).
+Tensor forward_value(Node& n) {
   switch (n.kind) {
     case OpKind::kLeaf:
-      return;
+      break;
     case OpKind::kAdd:
-      n.value = bd::add(in_value(n, 0), in_value(n, 1));
-      return;
+      return bd::add(in_value(n, 0), in_value(n, 1));
     case OpKind::kSub:
-      n.value = bd::sub(in_value(n, 0), in_value(n, 1));
-      return;
+      return bd::sub(in_value(n, 0), in_value(n, 1));
     case OpKind::kMul:
-      n.value = bd::mul(in_value(n, 0), in_value(n, 1));
-      return;
+      return bd::mul(in_value(n, 0), in_value(n, 1));
     case OpKind::kDiv:
-      n.value = bd::div(in_value(n, 0), in_value(n, 1));
-      return;
+      return bd::div(in_value(n, 0), in_value(n, 1));
     case OpKind::kAddScalar:
-      n.value = bd::add_scalar(in_value(n, 0), n.scalar);
-      return;
+      return bd::add_scalar(in_value(n, 0), n.scalar);
     case OpKind::kMulScalar:
-      n.value = bd::mul_scalar(in_value(n, 0), n.scalar);
-      return;
+      return bd::mul_scalar(in_value(n, 0), n.scalar);
     case OpKind::kSqrt:
-      n.value = bd::sqrt(in_value(n, 0));
-      return;
+      return bd::sqrt(in_value(n, 0));
     case OpKind::kRelu:
-      n.value = bd::relu(in_value(n, 0));
-      return;
+      return bd::relu(in_value(n, 0));
     case OpKind::kSigmoid:
-      n.value = bd::sigmoid(in_value(n, 0));
-      return;
+      return bd::sigmoid(in_value(n, 0));
     case OpKind::kHardsigmoid:
-      n.value = bd::unary(in_value(n, 0), [](float x) {
+      return bd::unary(in_value(n, 0), [](float x) {
         return std::min(1.0f, std::max(0.0f, (x + 3.0f) / 6.0f));
       });
-      return;
     case OpKind::kHardswish:
-      n.value = bd::unary(in_value(n, 0), [](float x) {
+      return bd::unary(in_value(n, 0), [](float x) {
         return x * std::min(1.0f, std::max(0.0f, (x + 3.0f) / 6.0f));
       });
-      return;
     case OpKind::kReshape:
-      n.value = in_value(n, 0).reshape(n.shape);
-      return;
+      return in_value(n, 0).reshape(n.reshape_to);
     case OpKind::kReduceSum:
-      n.value = bd::reduce_sum(in_value(n, 0), n.axes, n.keepdim);
-      return;
+      return bd::reduce_sum(in_value(n, 0), n.axes, n.keepdim);
     case OpKind::kSumAll:
-      n.value = Tensor::scalar(bd::sum_all(in_value(n, 0)));
-      return;
+      return Tensor::scalar(bd::sum_all(in_value(n, 0)));
     case OpKind::kMatmul:
-      n.value = bd::matmul(in_value(n, 0), in_value(n, 1));
-      return;
+      return bd::matmul(in_value(n, 0), in_value(n, 1));
     case OpKind::kConv2d:
-      n.value = conv2d_forward(in_value(n, 0), in_value(n, 1),
-                               n.inputs.size() == 3 ? in_value(n, 2)
-                                                    : Tensor(),
-                               n.conv);
-      return;
+      return conv2d_forward(in_value(n, 0), in_value(n, 1),
+                            n.inputs.size() == 3 ? in_value(n, 2) : Tensor(),
+                            n.conv);
     case OpKind::kDepthwiseConv2d:
-      n.value = depthwise_conv2d_forward(in_value(n, 0), in_value(n, 1),
-                                         n.inputs.size() == 3
-                                             ? in_value(n, 2)
-                                             : Tensor(),
-                                         n.conv);
-      return;
+      return depthwise_conv2d_forward(
+          in_value(n, 0), in_value(n, 1),
+          n.inputs.size() == 3 ? in_value(n, 2) : Tensor(), n.conv);
     case OpKind::kMaxPool2d: {
       MaxPoolResult res = maxpool2d_forward(in_value(n, 0), n.pool);
       n.argmax = std::make_shared<std::vector<std::int64_t>>(
           std::move(res.argmax));
-      n.value = std::move(res.output);
-      return;
+      return std::move(res.output);
     }
     case OpKind::kGlobalAvgPool:
-      n.value = global_avgpool_forward(in_value(n, 0));
-      return;
+      return global_avgpool_forward(in_value(n, 0));
     case OpKind::kLogSoftmax:
-      n.value = log_softmax_rows(in_value(n, 0));
-      return;
+      return log_softmax_rows(in_value(n, 0));
     case OpKind::kNllLoss: {
       const Tensor& lp = in_value(n, 0);
       const std::int64_t rows = lp.size(0);
@@ -116,14 +115,25 @@ void execute_forward(Node& n) {
         loss -= lp.at2(i, (*n.labels)[static_cast<std::size_t>(i)]);
       }
       loss /= static_cast<double>(rows);
-      n.value = Tensor::scalar(static_cast<float>(loss));
-      return;
+      return Tensor::scalar(static_cast<float>(loss));
     }
   }
-  throw std::logic_error("execute_forward: unhandled op kind");
+  throw std::logic_error(std::string("execute_forward: no kernel for ") +
+                         op_kind_name(n.kind));
+}
+
+}  // namespace
+
+void execute_forward(Node& n) {
+  // The kernel sizes its own output, so the item count is known after it.
+  obs::KernelScope probe(kernel_stats(n.kind, /*backward=*/false));
+  n.value = forward_value(n);
+  probe.set_items(n.value.numel());
 }
 
 void execute_backward(const Node& n, const GradSink& sink) {
+  const obs::KernelScope probe(kernel_stats(n.kind, /*backward=*/true),
+                               n.value.numel());
   switch (n.kind) {
     case OpKind::kLeaf:
       return;
@@ -183,19 +193,19 @@ void execute_backward(const Node& n, const GradSink& sink) {
            }));
       return;
     case OpKind::kReshape:
-      sink(n.inputs[0], n.grad.reshape(n.inputs[0]->shape));
+      sink(n.inputs[0], n.grad.reshape(in_value(n, 0).shape()));
       return;
     case OpKind::kReduceSum: {
       // Broadcast the (keepdim-shaped) gradient back over reduced dims.
       // add-with-zeros rather than a broadcast copy: (-0)+(+0) == +0, so a
       // copy would NOT be bitwise-identical to the historical formulation.
       const Tensor g = n.grad.reshape(
-          bd::reduce_shape(n.inputs[0]->shape, n.axes, /*keepdim=*/true));
-      sink(n.inputs[0], bd::add(g, Tensor::zeros(n.inputs[0]->shape)));
+          bd::reduce_shape(in_value(n, 0).shape(), n.axes, /*keepdim=*/true));
+      sink(n.inputs[0], bd::add(g, Tensor::zeros(in_value(n, 0).shape())));
       return;
     }
     case OpKind::kSumAll:
-      sink(n.inputs[0], Tensor::full(n.inputs[0]->shape, n.grad[0]));
+      sink(n.inputs[0], Tensor::full(in_value(n, 0).shape(), n.grad[0]));
       return;
     case OpKind::kMatmul:
       sink(n.inputs[0], bd::matmul(n.grad, in_value(n, 1), /*trans_a=*/false,
@@ -218,10 +228,11 @@ void execute_backward(const Node& n, const GradSink& sink) {
     }
     case OpKind::kMaxPool2d:
       sink(n.inputs[0],
-           maxpool2d_backward(n.inputs[0]->shape, *n.argmax, n.grad));
+           maxpool2d_backward(in_value(n, 0).shape(), *n.argmax, n.grad));
       return;
     case OpKind::kGlobalAvgPool:
-      sink(n.inputs[0], global_avgpool_backward(n.inputs[0]->shape, n.grad));
+      sink(n.inputs[0],
+           global_avgpool_backward(in_value(n, 0).shape(), n.grad));
       return;
     case OpKind::kLogSoftmax: {
       // dL/dx = g - softmax(x) * sum_j(g_j) per row.
@@ -242,7 +253,7 @@ void execute_backward(const Node& n, const GradSink& sink) {
       return;
     }
     case OpKind::kNllLoss: {
-      const Shape& lp_shape = n.inputs[0]->shape;
+      const Shape& lp_shape = in_value(n, 0).shape();
       const float g = n.grad[0] / static_cast<float>(lp_shape[0]);
       Tensor gin(lp_shape);
       for (std::int64_t i = 0; i < lp_shape[0]; ++i) {

@@ -1,10 +1,12 @@
-// Per-op execution for the graph IR.
+// Per-op execution for the autograd graph.
 //
-// execute_forward computes a node's value from its (already materialized)
-// inputs; execute_backward propagates the node's gradient to its inputs
-// through a GradSink. Both call exactly the kernels of src/tensor that the
-// old eager tape called, in the same order per op — the bitwise-identity
-// contract the determinism suite pins (see graph.h).
+// execute_forward computes a node's value from its inputs' values when the
+// node is built (ops.cpp); execute_backward propagates the node's gradient
+// to its inputs through a GradSink. Both call exactly the kernels of
+// src/tensor that the old eager tape called, in the same order per op —
+// the bitwise-identity contract the determinism suite pins (see graph.h) —
+// and each is the one kernel probe site of its direction:
+// `kernel.<op>_fwd|_bwd`, with the node's output elements as items.
 #pragma once
 
 #include <functional>
@@ -14,7 +16,7 @@
 namespace bd::ag {
 
 /// Computes n.value (and auxiliary state such as the maxpool argmax) from
-/// n.inputs, whose values must be defined. Leaves are a no-op.
+/// n.inputs' values. Throws std::logic_error for a leaf.
 void execute_forward(Node& n);
 
 /// Receives one gradient contribution for a target node. The scheduler's

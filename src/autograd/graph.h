@@ -1,15 +1,14 @@
-// The autograd graph IR.
+// The autograd graph.
 //
-// ops.h builders create Nodes: an OpKind, the input edges, the op's
-// attributes, and a build-time inferred shape (each op's shape rule in
-// src/tensor, the one its kernel sizes its output with). No kernel
-// runs at build time — execution is deferred to the Var::value() /
-// Var::backward() boundaries, where the deterministic scheduler
-// (schedule.h) materializes values in graph post-order and runs the
-// backward pass. exec.h holds the per-kind forward/backward kernels; they
-// call exactly the same src/tensor routines, in the same per-op order, as
-// the old eager tape, which is what keeps the refactor bitwise-invisible
-// (Determinism.GraphIRInvariance pins this against a pre-refactor golden
+// Each ops.h builder creates a Node (an OpKind, its input edges and the
+// op's attributes) and runs the node's forward kernel (exec.h) right away,
+// so a node's value is a pure function of its inputs' values at the moment
+// it was built. A node that requires grad keeps its input edges for
+// Var::backward(), where schedule.h replays them in reverse topological
+// order; any other node drops them at once, so a gradient-free pass frees
+// each intermediate as soon as its last Var goes out of scope. The kernels
+// are the src/tensor routines the original eager tape called, in the same
+// per-op order (Determinism.GraphIRInvariance pins that tape's golden
 // hash).
 //
 // Gradient lifetimes: leaf gradients (parameters) live on the node and
@@ -81,13 +80,8 @@ struct Node {
   /// (NoGradGuard / no grad-requiring input) — the backward pass treats
   /// both as terminals, exactly as the old tape did.
   bool is_leaf = true;
-  /// Set when an eval-mode materialization recycled this node's value
-  /// after proving no live handle could ever read it again; guards the
-  /// error path in Var::value().
-  bool value_released = false;
-
-  /// Inferred at build time; always valid, even before materialization.
-  Shape shape;
+  /// Dropped once the forward kernel has run, unless requires_grad: only
+  /// the backward pass follows them.
   std::vector<NodePtr> inputs;
 
   // --- attributes, interpreted per kind ---
@@ -96,10 +90,11 @@ struct Node {
   Pool2dSpec pool;      // kMaxPool2d
   std::vector<std::int64_t> axes;  // kReduceSum, as the caller gave them
   bool keepdim = false;            // kReduceSum
+  Shape reshape_to;                // kReshape
   std::shared_ptr<const std::vector<std::int64_t>> labels;  // kNllLoss
 
   // --- execution state ---
-  Tensor value;  // defined once materialized (immediately, for leaves)
+  Tensor value;  // the forward kernel's output; the wrapped tensor on leaves
   Tensor grad;   // persistent on leaves and backward roots; transient else
   std::shared_ptr<std::vector<std::int64_t>> argmax;  // kMaxPool2d aux
 

@@ -2,24 +2,33 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <string>
 
+#include "autograd/exec.h"
+#include "obs/obs.h"
 #include "tensor/ops.h"
 
 namespace bd::ag {
 
 namespace {
 
-// Builds an op node: the shape the op's tensor rule infers (the rule its
-// kernel sizes its output with), defined inputs, grad flags. No kernel
-// runs here — execution is deferred to the value()/backward() boundaries.
-// Mirrors the eager tape's recording rule: the node participates in
-// backward only when recording is on and some input requires grad.
-Var make_op(OpKind kind, Shape shape, std::initializer_list<const Var*> ins) {
+// Builds an op node and runs its forward kernel at once; the kernel sizes
+// and validates its output with the op's src/tensor shape rule, so a
+// malformed op throws from here. `set_attrs` fills the op's attributes
+// before the kernel reads them. Mirrors the eager tape's recording rule:
+// the node participates in backward only when recording is on and some
+// input requires grad; otherwise it keeps no input edges.
+template <typename SetAttrs>
+Var make_op(OpKind kind, std::initializer_list<const Var*> ins,
+            SetAttrs set_attrs) {
   auto n = std::make_shared<Node>();
   n->kind = kind;
-  n->shape = std::move(shape);
   for (const Var* v : ins) {
-    if (v->defined()) n->inputs.push_back(v->node());
+    if (!v->defined()) {
+      throw std::logic_error(std::string(op_kind_name(kind)) +
+                             ": undefined input");
+    }
+    n->inputs.push_back(v->node());
   }
   if (grad_recording_enabled()) {
     for (const auto& in : n->inputs) {
@@ -30,64 +39,66 @@ Var make_op(OpKind kind, Shape shape, std::initializer_list<const Var*> ins) {
       }
     }
   }
+  set_attrs(*n);
+  execute_forward(*n);
+  if (!n->requires_grad) n->inputs.clear();
+  BD_OBS_COUNT("autograd.nodes_materialized", 1);
   return Var::from_node(std::move(n));
+}
+
+Var make_op(OpKind kind, std::initializer_list<const Var*> ins) {
+  return make_op(kind, ins, [](Node&) {});
+}
+
+// conv2d and depthwise_conv2d; `bias` may be undefined.
+Var make_conv(OpKind kind, const Var& input, const Var& weight,
+              const Var& bias, const Conv2dSpec& spec) {
+  const auto set_spec = [&spec](Node& n) { n.conv = spec; };
+  return bias.defined() ? make_op(kind, {&input, &weight, &bias}, set_spec)
+                        : make_op(kind, {&input, &weight}, set_spec);
 }
 
 }  // namespace
 
 Var add(const Var& a, const Var& b) {
-  return make_op(OpKind::kAdd, broadcast_shape(a.shape(), b.shape(), "add"),
-                 {&a, &b});
+  return make_op(OpKind::kAdd, {&a, &b});
 }
 
 Var sub(const Var& a, const Var& b) {
-  return make_op(OpKind::kSub, broadcast_shape(a.shape(), b.shape(), "sub"),
-                 {&a, &b});
+  return make_op(OpKind::kSub, {&a, &b});
 }
 
 Var mul(const Var& a, const Var& b) {
-  return make_op(OpKind::kMul, broadcast_shape(a.shape(), b.shape(), "mul"),
-                 {&a, &b});
+  return make_op(OpKind::kMul, {&a, &b});
 }
 
 Var div(const Var& a, const Var& b) {
-  return make_op(OpKind::kDiv, broadcast_shape(a.shape(), b.shape(), "div"),
-                 {&a, &b});
+  return make_op(OpKind::kDiv, {&a, &b});
 }
 
 Var add_scalar(const Var& a, float s) {
-  Var out = make_op(OpKind::kAddScalar, a.shape(), {&a});
-  out.node()->scalar = s;
-  return out;
+  return make_op(OpKind::kAddScalar, {&a}, [s](Node& n) { n.scalar = s; });
 }
 
 Var mul_scalar(const Var& a, float s) {
-  Var out = make_op(OpKind::kMulScalar, a.shape(), {&a});
-  out.node()->scalar = s;
-  return out;
+  return make_op(OpKind::kMulScalar, {&a}, [s](Node& n) { n.scalar = s; });
 }
 
 Var neg(const Var& a) { return mul_scalar(a, -1.0f); }
 
-Var sqrt(const Var& a) { return make_op(OpKind::kSqrt, a.shape(), {&a}); }
+Var sqrt(const Var& a) { return make_op(OpKind::kSqrt, {&a}); }
 
-Var relu(const Var& a) { return make_op(OpKind::kRelu, a.shape(), {&a}); }
+Var relu(const Var& a) { return make_op(OpKind::kRelu, {&a}); }
 
-Var sigmoid(const Var& a) {
-  return make_op(OpKind::kSigmoid, a.shape(), {&a});
-}
+Var sigmoid(const Var& a) { return make_op(OpKind::kSigmoid, {&a}); }
 
-Var hardsigmoid(const Var& a) {
-  return make_op(OpKind::kHardsigmoid, a.shape(), {&a});
-}
+Var hardsigmoid(const Var& a) { return make_op(OpKind::kHardsigmoid, {&a}); }
 
-Var hardswish(const Var& a) {
-  return make_op(OpKind::kHardswish, a.shape(), {&a});
-}
+Var hardswish(const Var& a) { return make_op(OpKind::kHardswish, {&a}); }
 
 Var reshape(const Var& a, Shape shape) {
-  check_reshape(a.shape(), shape);
-  return make_op(OpKind::kReshape, std::move(shape), {&a});
+  return make_op(OpKind::kReshape, {&a},
+                 [&shape](Node& n) { n.reshape_to = std::move(shape); });
 }
 
 Var flatten2d(const Var& a) {
@@ -100,12 +111,10 @@ Var flatten2d(const Var& a) {
 
 Var reduce_sum(const Var& a, const std::vector<std::int64_t>& axes,
                bool keepdim) {
-  Var out = make_op(OpKind::kReduceSum,
-                    reduce_shape(a.shape(), axes, keepdim), {&a});
-  Node& n = *out.node();
-  n.axes = axes;
-  n.keepdim = keepdim;
-  return out;
+  return make_op(OpKind::kReduceSum, {&a}, [&](Node& n) {
+    n.axes = axes;
+    n.keepdim = keepdim;
+  });
 }
 
 Var reduce_mean(const Var& a, const std::vector<std::int64_t>& axes,
@@ -117,10 +126,7 @@ Var reduce_mean(const Var& a, const std::vector<std::int64_t>& axes,
   return mul_scalar(s, 1.0f / denom);
 }
 
-Var sum_all(const Var& a) {
-  static_cast<void>(a.shape());  // throws on an undefined handle
-  return make_op(OpKind::kSumAll, Shape{}, {&a});
-}
+Var sum_all(const Var& a) { return make_op(OpKind::kSumAll, {&a}); }
 
 Var mean_all(const Var& a) {
   return mul_scalar(sum_all(a),
@@ -128,47 +134,30 @@ Var mean_all(const Var& a) {
 }
 
 Var matmul(const Var& a, const Var& b) {
-  return make_op(OpKind::kMatmul, matmul_shape(a.shape(), b.shape()),
-                 {&a, &b});
+  return make_op(OpKind::kMatmul, {&a, &b});
 }
 
 Var conv2d(const Var& input, const Var& weight, const Var& bias,
            const Conv2dSpec& spec) {
-  const Shape* bias_shape = bias.defined() ? &bias.shape() : nullptr;
-  Var out = make_op(OpKind::kConv2d,
-                    conv2d_shape(input.shape(), weight.shape(), bias_shape,
-                                 spec, /*depthwise=*/false),
-                    {&input, &weight, &bias});
-  out.node()->conv = spec;
-  return out;
+  return make_conv(OpKind::kConv2d, input, weight, bias, spec);
 }
 
 Var depthwise_conv2d(const Var& input, const Var& weight, const Var& bias,
                      const Conv2dSpec& spec) {
-  const Shape* bias_shape = bias.defined() ? &bias.shape() : nullptr;
-  Var out = make_op(OpKind::kDepthwiseConv2d,
-                    conv2d_shape(input.shape(), weight.shape(), bias_shape,
-                                 spec, /*depthwise=*/true),
-                    {&input, &weight, &bias});
-  out.node()->conv = spec;
-  return out;
+  return make_conv(OpKind::kDepthwiseConv2d, input, weight, bias, spec);
 }
 
 Var maxpool2d(const Var& input, const Pool2dSpec& spec) {
-  Var out = make_op(OpKind::kMaxPool2d, pool2d_shape(input.shape(), spec),
-                    {&input});
-  out.node()->pool = spec;
-  return out;
+  return make_op(OpKind::kMaxPool2d, {&input},
+                 [&spec](Node& n) { n.pool = spec; });
 }
 
 Var global_avgpool(const Var& input) {
-  return make_op(OpKind::kGlobalAvgPool, global_avgpool_shape(input.shape()),
-                 {&input});
+  return make_op(OpKind::kGlobalAvgPool, {&input});
 }
 
 Var log_softmax(const Var& logits) {
-  check_rows(logits.shape(), "log_softmax_rows");
-  return make_op(OpKind::kLogSoftmax, logits.shape(), {&logits});
+  return make_op(OpKind::kLogSoftmax, {&logits});
 }
 
 Var nll_loss(const Var& log_probs, const std::vector<std::int64_t>& labels) {
@@ -182,10 +171,9 @@ Var nll_loss(const Var& log_probs, const std::vector<std::int64_t>& labels) {
       throw std::invalid_argument("nll_loss: label out of range");
     }
   }
-  Var out = make_op(OpKind::kNllLoss, Shape{}, {&log_probs});
-  out.node()->labels =
-      std::make_shared<const std::vector<std::int64_t>>(labels);
-  return out;
+  return make_op(OpKind::kNllLoss, {&log_probs}, [&labels](Node& n) {
+    n.labels = std::make_shared<const std::vector<std::int64_t>>(labels);
+  });
 }
 
 Var cross_entropy(const Var& logits,

@@ -1,13 +1,12 @@
 // Differentiable operations over bd::ag::Var.
 //
-// Each op is a graph builder: it validates operands and infers the output
-// shape at call time, through the same src/tensor shape rule its kernel
-// calls (conv2d_shape, pool2d_shape, matmul_shape, reduce_shape, ...), so
-// a malformed op throws the kernel's message at build time. Kernel
-// execution is deferred to the value()/backward() boundaries
-// (autograd/schedule.h). Elementwise binaries broadcast (NumPy rules);
-// their backward reduces gradients back to the operand shapes, which is
-// what lets BatchNorm and squeeze-excite be expressed compositionally.
+// Each op builds a graph node and runs its forward kernel at once. The
+// kernel sizes and validates its output with the op's src/tensor shape rule
+// (conv2d_shape, pool2d_shape, matmul_shape, reduce_shape, ...), so a
+// malformed op throws the kernel's message from the call. Elementwise
+// binaries broadcast (NumPy rules); their backward reduces gradients back
+// to the operand shapes, which is what lets BatchNorm and squeeze-excite be
+// expressed compositionally.
 #pragma once
 
 #include <vector>

@@ -19,7 +19,6 @@ NoGradGuard::NoGradGuard() : previous_(g_grad_enabled) {
 NoGradGuard::~NoGradGuard() { g_grad_enabled = previous_; }
 
 Var::Var(Tensor value, bool requires_grad) : node_(std::make_shared<Node>()) {
-  node_->shape = value.shape();
   node_->value = std::move(value);
   node_->requires_grad = requires_grad;
   node_->is_leaf = true;
@@ -33,13 +32,11 @@ Var Var::from_node(NodePtr node) {
 
 const Tensor& Var::value() const {
   if (!node_) throw std::logic_error("Var::value on undefined Var");
-  if (!node_->value.defined()) materialize(node_);
   return node_->value;
 }
 
 Tensor& Var::mutable_value() {
   if (!node_) throw std::logic_error("Var::mutable_value on undefined Var");
-  if (!node_->value.defined()) materialize(node_);
   return node_->value;
 }
 
@@ -58,7 +55,7 @@ bool Var::is_leaf() const { return node_ && node_->is_leaf; }
 
 const Shape& Var::shape() const {
   if (!node_) throw std::logic_error("Var::shape on undefined Var");
-  return node_->shape;
+  return node_->value.shape();
 }
 
 void Var::zero_grad() {

@@ -1,12 +1,9 @@
-// Reverse-mode automatic differentiation over a lazy graph IR.
+// Reverse-mode automatic differentiation over an eagerly built graph.
 //
-// A Var is a handle to a graph node (see graph.h). Operations in
-// autograd/ops.h are graph BUILDERS: they validate and infer shapes
-// immediately, with the kernels' own shape rules, but run no kernels.
-// Execution happens at the value()/backward() boundaries through the
-// deterministic scheduler in schedule.h.
-// The API is source-compatible with the old eager tape; shape() now
-// reports the build-time inferred shape without forcing execution.
+// A Var is a handle to a graph node (see graph.h). Each operation in
+// autograd/ops.h runs its kernel when it is called, so value() and shape()
+// only read the node; backward() runs the deterministic reverse pass in
+// schedule.h.
 //
 // The defense code consumes exactly these gradients: the paper's filter
 // score xi (Eq. 3) is the mean absolute entry of a conv weight's grad under
@@ -24,8 +21,7 @@ namespace bd::ag {
 bool grad_recording_enabled();
 
 /// RAII scope that disables gradient recording (inference / evaluation).
-/// Ops built inside still join the lazy graph so their values can be
-/// computed on demand, but they are terminals for backward().
+/// Ops built inside keep no input edges and are terminals for backward().
 class NoGradGuard {
  public:
   NoGradGuard();
@@ -49,7 +45,6 @@ class Var {
   static Var from_node(NodePtr node);
 
   bool defined() const { return static_cast<bool>(node_); }
-  /// The node's value, materializing the pending subgraph if needed.
   const Tensor& value() const;
   /// Mutable access for optimizers; only valid on leaves.
   Tensor& mutable_value();
@@ -57,7 +52,7 @@ class Var {
   bool has_grad() const;
   bool requires_grad() const;
   bool is_leaf() const;
-  /// Build-time inferred shape; never triggers execution.
+  /// The value's shape.
   const Shape& shape() const;
 
   /// Clears this node's gradient.
@@ -66,8 +61,7 @@ class Var {
   /// Runs reverse-mode accumulation from this (scalar) node.
   void backward();
 
-  /// Leaf sharing this node's (materialized) value, detached from the
-  /// graph.
+  /// Leaf sharing this node's value, detached from the graph.
   Var detach() const;
 
   NodePtr node() const { return node_; }

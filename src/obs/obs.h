@@ -29,25 +29,27 @@ struct KernelStats {
 KernelStats& kernel_stats(const std::string& name);
 
 /// RAII kernel probe: trace span (when tracing) plus calls/items counters
-/// and a duration-histogram sample (when metrics are on). Off cost: one
+/// and a duration-histogram sample (when metrics are on). The item count
+/// may be set while the probe is open (a forward kernel sizes its own
+/// output), so the trace carries it on the span's end event. Off cost: one
 /// relaxed atomic load.
 class KernelScope {
  public:
-  KernelScope(KernelStats& stats, std::int64_t items) : stats_(stats) {
+  explicit KernelScope(KernelStats& stats, std::int64_t items = 0)
+      : stats_(stats), items_(items) {
     const std::uint32_t f = detail::flags();
     if (f == 0) return;
     if ((f & kTraceBit) != 0) {
       tracing_ = true;
-      record_span_event(stats.name.c_str(), 'B', items);
+      record_span_event(stats.name.c_str(), 'B', kNoArg);
     }
     if ((f & kMetricsBit) != 0) {
-      items_ = items;
       start_ns_ = trace_now_ns();
       timing_ = true;
     }
   }
   ~KernelScope() {
-    if (tracing_) record_span_event(stats_.name.c_str(), 'E', kNoArg);
+    if (tracing_) record_span_event(stats_.name.c_str(), 'E', items_);
     if (timing_) {
       stats_.calls.add(1);
       if (items_ > 0) stats_.items.add(static_cast<std::uint64_t>(items_));
@@ -55,6 +57,7 @@ class KernelScope {
           static_cast<double>(trace_now_ns() - start_ns_));
     }
   }
+  void set_items(std::int64_t items) { items_ = items; }
   KernelScope(const KernelScope&) = delete;
   KernelScope& operator=(const KernelScope&) = delete;
 

@@ -119,6 +119,38 @@ TEST(Graph, BackwardTwiceAccumulates) {
   EXPECT_FLOAT_EQ(a.grad()[0], 2.0f * g1);
 }
 
+// A node that was one pass's root is interior in the next: it starts that
+// pass with no gradient, so x.grad is 1 + 2, not 1 + (1 + 2).
+TEST(Graph, EarlierRootStartsLaterPassWithoutGradient) {
+  Var x(Tensor({3}, {1.0f, 2.0f, 3.0f}), true);
+  Var r = sum_all(x);
+  r.backward();
+  mul_scalar(r, 2.0f).backward();
+  for (std::int64_t i = 0; i < 3; ++i) EXPECT_EQ(x.grad()[i], 3.0f) << i;
+}
+
+// A node's value is computed when it is built: replacing an input leaf's
+// tensor afterwards leaves it as it was.
+TEST(Graph, ValueIsFixedWhenBuilt) {
+  Var x(Tensor({2}, {1.5f, -2.0f}), true);
+  Var d(Tensor::zeros({2}), true);
+  Var y = mul(x, add_scalar(d, 1.0f));
+  d.mutable_value() = Tensor::ones({2});
+  for (std::int64_t i = 0; i < 2; ++i) {
+    EXPECT_EQ(y.value()[i], x.value()[i]) << i;
+  }
+}
+
+// A node built without gradient recording never runs backward, so it keeps
+// no input edges: its inputs are freed as soon as their Vars are.
+TEST(Graph, NoGradNodeHoldsNoInputEdges) {
+  Var x(Tensor({2}, {1.0f, 2.0f}), true);
+  NoGradGuard guard;
+  Var y = relu(mul_scalar(x, 2.0f));
+  EXPECT_TRUE(y.node()->inputs.empty());
+  EXPECT_EQ(y.value()[1], 4.0f);
+}
+
 // An interior gradient is its first contribution's tensor itself, so it can
 // share storage with another node's: here `s = a + b` hands one tensor to
 // both a and b. b then gets a second contribution while a is still waiting

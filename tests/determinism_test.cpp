@@ -210,13 +210,13 @@ TEST(Determinism, ObservabilityInvariance) {
   }
 }
 
-// The graph-IR rewrite of src/autograd (lazy building, topological
-// scheduling, arena-backed backward buffers) is pinned to the eager tape it
-// replaced: this golden FNV-1a hash of a full poison -> train -> Grad-Prune
-// -> evaluate pipeline was captured from the pre-refactor engine and must
-// keep reproducing bit for bit, at every thread count. If any scheduling,
-// recycling or arena change perturbs a single bit of any weight, the
-// accuracy, or the pruned-unit count, this fails.
+// src/autograd's graph (per-op nodes that run their kernels when built, a
+// topological backward scheduler) is pinned to the eager tape it replaced:
+// this golden FNV-1a hash of a full poison -> train -> Grad-Prune ->
+// evaluate pipeline was captured from the original tape and must keep
+// reproducing bit for bit, at every thread count. If any graph or
+// scheduling change perturbs a single bit of any weight, the accuracy, or
+// the pruned-unit count, this fails.
 TEST(Determinism, GraphIRInvariance) {
   constexpr std::uint64_t kGoldenHash = 0xe9a3c98b7dbcddf3ull;
 

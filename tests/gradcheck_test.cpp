@@ -492,8 +492,8 @@ std::string thrown_message(const std::function<void()>& op) {
 }
 
 TEST(ShapeInfer, BuilderAndKernelThrowTheSameMessage) {
-  // Each op has one shape rule in src/tensor; its ag:: builder (at graph
-  // build time) and its kernel (at run time) must reject a malformed call
+  // Each op has one shape rule in src/tensor; its ag:: builder (which runs
+  // the kernel) and the kernel called directly must reject a malformed call
   // with the same message.
   const Conv2dSpec spec{1, 1};
   const Pool2dSpec pool;

@@ -446,9 +446,9 @@ TEST_F(ObsTest, RenderSpanTreeAggregates) {
   EXPECT_EQ(render_span_tree(), "(no spans recorded)\n");
 }
 
-// Kernels are probed where the graph scheduler runs them: one matmul node
-// costs one kernel.matmul_fwd and one kernel.matmul_bwd call, each counting
-// the node's m x n output elements.
+// Kernels are probed where the graph runs them: one matmul node costs one
+// kernel.matmul_fwd and one kernel.matmul_bwd call, each counting the
+// node's m x n output elements.
 TEST_F(ObsTest, KernelProbeRecordsWhenMetricsOn) {
   set_metrics_enabled(true);
   const auto counter = [](const char* name) {
@@ -475,8 +475,8 @@ TEST_F(ObsTest, KernelProbeRecordsWhenMetricsOn) {
 
 // Kernel spans are leaves of the span tree: one traced training step of a
 // conv + BatchNorm2d + Linear model opens no kernel.* span inside another on
-// the same thread, and every materialized node gets exactly one forward
-// probe — no op builder times graph construction or forced upstream work.
+// the same thread, and every built node gets exactly one forward probe —
+// no op builder times graph construction or another node's kernel.
 TEST_F(ObsTest, KernelSpansAttributeOneNodeEach) {
   Rng rng(7);
   nn::Conv2d conv(3, 4, 3, 1, 1, /*bias=*/false, rng);
@@ -525,7 +525,7 @@ TEST_F(ObsTest, KernelSpansAttributeOneNodeEach) {
   EXPECT_EQ(fwd_begins, nodes);
 }
 
-// The graph-IR scheduler reports its backward footprint: after a pass with
+// The backward scheduler reports its footprint: after a pass with
 // metrics on, the autograd.arena_peak_bytes gauge holds the bytes of the
 // interior gradients held at once (the same number GradArena::stats()
 // carries). Here mul's gradient is still held when relu's and sigmoid's
@@ -558,7 +558,7 @@ TEST_F(ObsTest, ResetValuesZeroesInPlace) {
 
 // The "costs nothing when off" guarantee, as a wall-clock bound: one
 // million span enter/exit pairs, each wrapping the kernel probe the graph
-// scheduler puts around every op, with both pillars disabled. Each disabled
+// puts around every op's kernel, with both pillars disabled. Each disabled
 // path is one relaxed atomic load, so even under ASan + Debug this runs in
 // a few milliseconds; the bound is deliberately generous (2s) to stay
 // robust on loaded CI machines while still catching a regression that
