@@ -1,7 +1,9 @@
 #include "autograd/exec.h"
 
 #include <array>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <mutex>
 #include <stdexcept>
 #include <string>
@@ -19,11 +21,20 @@ const Tensor& in_value(const Node& n, std::size_t i) {
   return n.inputs[i]->value;
 }
 
+// Whether input i receives a gradient: the sink drops any other, so a
+// backward step computes only the gradients of inputs for which this holds
+// (under nn::FrozenParameters, none of a model's weights).
+bool wants_grad(const Node& n, std::size_t i) {
+  return n.inputs[i]->requires_grad;
+}
+
 // Backward of a unary op in one pass: grad * d(t) elementwise, where `t` is
 // the op's input or output value. Each element computes exactly
 // `g * d(t)`, the product the separate derivative tensor and `mul` gave.
-// Masks convert a bool rather than use `?:`, which keeps GCC from folding
-// `g * 1` into `g` behind a branch, so most of these loops vectorize.
+// When a 0/1 factor comes from a compare, by `?:` or by converting the
+// bool, GCC folds `g * 1` into `g` behind a branch, and the loop does not
+// vectorize. So relu builds its factor's bits with integer ops, which
+// leaves its loop branch-free.
 template <typename D>
 Tensor fused_grad(const Node& n, const Tensor& t, D d) {
   return bd::zip(n.grad, t, [d](float g, float x) { return g * d(x); },
@@ -143,19 +154,21 @@ void execute_backward(const Node& n, const GradSink& sink) {
       return;
     case OpKind::kSub:
       sink(n.inputs[0], n.grad);
-      sink(n.inputs[1], bd::neg(n.grad));
+      if (wants_grad(n, 1)) sink(n.inputs[1], bd::neg(n.grad));
       return;
     case OpKind::kMul:
-      sink(n.inputs[0], bd::mul(n.grad, in_value(n, 1)));
-      sink(n.inputs[1], bd::mul(n.grad, in_value(n, 0)));
+      if (wants_grad(n, 0)) sink(n.inputs[0], bd::mul(n.grad, in_value(n, 1)));
+      if (wants_grad(n, 1)) sink(n.inputs[1], bd::mul(n.grad, in_value(n, 0)));
       return;
     case OpKind::kDiv: {
       const Tensor& av = in_value(n, 0);
       const Tensor& bv = in_value(n, 1);
-      sink(n.inputs[0], bd::div(n.grad, bv));
+      if (wants_grad(n, 0)) sink(n.inputs[0], bd::div(n.grad, bv));
       // d/db (a/b) = -a / b^2
-      sink(n.inputs[1],
-           bd::neg(bd::div(bd::mul(n.grad, av), bd::mul(bv, bv))));
+      if (wants_grad(n, 1)) {
+        sink(n.inputs[1],
+             bd::neg(bd::div(bd::mul(n.grad, av), bd::mul(bv, bv))));
+      }
       return;
     }
     case OpKind::kAddScalar:
@@ -171,8 +184,10 @@ void execute_backward(const Node& n, const GradSink& sink) {
                    op_kind_name(n.kind)));
       return;
     case OpKind::kRelu:
+      // 1.0f is 0x3f800000: the factor is 1 where x > 0 and +0 elsewhere.
       sink(n.inputs[0], fused_grad(n, in_value(n, 0), [](float x) {
-             return static_cast<float>(x > 0);
+             const std::uint32_t keep = -static_cast<std::uint32_t>(x > 0);
+             return std::bit_cast<float>(keep & 0x3f800000u);
            }));
       return;
     case OpKind::kSigmoid:
@@ -208,22 +223,28 @@ void execute_backward(const Node& n, const GradSink& sink) {
       sink(n.inputs[0], Tensor::full(in_value(n, 0).shape(), n.grad[0]));
       return;
     case OpKind::kMatmul:
-      sink(n.inputs[0], bd::matmul(n.grad, in_value(n, 1), /*trans_a=*/false,
-                                   /*trans_b=*/true));
-      sink(n.inputs[1], bd::matmul(in_value(n, 0), n.grad, /*trans_a=*/true));
+      if (wants_grad(n, 0)) {
+        sink(n.inputs[0], bd::matmul(n.grad, in_value(n, 1),
+                                     /*trans_a=*/false, /*trans_b=*/true));
+      }
+      if (wants_grad(n, 1)) {
+        sink(n.inputs[1],
+             bd::matmul(in_value(n, 0), n.grad, /*trans_a=*/true));
+      }
       return;
     case OpKind::kConv2d:
     case OpKind::kDepthwiseConv2d: {
-      const bool has_bias = n.inputs.size() == 3;
+      const bool need_bias = n.inputs.size() == 3 && wants_grad(n, 2);
       const Conv2dGrads grads =
           n.kind == OpKind::kConv2d
-              ? conv2d_backward(in_value(n, 0), in_value(n, 1), has_bias,
-                                n.grad, n.conv)
+              ? conv2d_backward(in_value(n, 0), in_value(n, 1), need_bias,
+                                n.grad, n.conv, wants_grad(n, 0),
+                                wants_grad(n, 1))
               : depthwise_conv2d_backward(in_value(n, 0), in_value(n, 1),
-                                          has_bias, n.grad, n.conv);
-      sink(n.inputs[0], grads.grad_input);
-      sink(n.inputs[1], grads.grad_weight);
-      if (has_bias) sink(n.inputs[2], grads.grad_bias);
+                                          need_bias, n.grad, n.conv);
+      if (grads.grad_input.defined()) sink(n.inputs[0], grads.grad_input);
+      if (grads.grad_weight.defined()) sink(n.inputs[1], grads.grad_weight);
+      if (need_bias) sink(n.inputs[2], grads.grad_bias);
       return;
     }
     case OpKind::kMaxPool2d:

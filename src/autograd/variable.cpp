@@ -51,6 +51,13 @@ bool Var::has_grad() const { return node_ && node_->grad.defined(); }
 
 bool Var::requires_grad() const { return node_ && node_->requires_grad; }
 
+void Var::set_requires_grad(bool requires_grad) {
+  if (!node_ || !node_->is_leaf) {
+    throw std::logic_error("Var::set_requires_grad on a non-leaf Var");
+  }
+  node_->requires_grad = requires_grad;
+}
+
 bool Var::is_leaf() const { return node_ && node_->is_leaf; }
 
 const Shape& Var::shape() const {

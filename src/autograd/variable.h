@@ -51,6 +51,10 @@ class Var {
   const Tensor& grad() const;
   bool has_grad() const;
   bool requires_grad() const;
+  /// Sets whether ops built from this leaf record a path to it, and so
+  /// whether backward() accumulates into it. Throws std::logic_error on an
+  /// undefined Var or a non-leaf, whose flag follows from its inputs.
+  void set_requires_grad(bool requires_grad);
   bool is_leaf() const;
   /// The value's shape.
   const Shape& shape() const;

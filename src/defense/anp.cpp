@@ -58,6 +58,10 @@ DefenseResult AnpDefense::apply(models::Classifier& model,
     for (auto& d : deltas) d.mutable_value().fill(0.0f);
   };
 
+  // Only the masks and perturbations are learned. With the weights frozen,
+  // backward computes no weight gradient and skips the stem conv, whose
+  // input is the image batch.
+  const nn::FrozenParameters frozen(model);
   for (std::int64_t it = 0; it < config_.iterations; ++it) {
     robust::poll_cancellation("anp.mask_iter");
     BD_OBS_SPAN_ARG("anp.mask_iter", it);
@@ -66,15 +70,14 @@ DefenseResult AnpDefense::apply(models::Classifier& model,
       loader.next(batch);
     }
 
-    // Inner step: adversarial sign-ascent on delta within [-eps, eps].
+    // Inner step: adversarial sign-ascent on delta within [-eps, eps],
+    // from the natural loss (delta = 0).
     set_deltas_zero();
     zero_all(delta_ptrs);
     zero_all(mask_ptrs);
-    {
-      ag::Var loss = ag::cross_entropy(model.forward(ag::Var(batch.images)),
-                                       batch.labels);
-      loss.backward();
-    }
+    ag::Var natural_loss = ag::cross_entropy(
+        model.forward(ag::Var(batch.images)), batch.labels);
+    natural_loss.backward();
     for (auto& d : deltas) {
       if (!d.has_grad()) continue;
       Tensor& v = d.mutable_value();
@@ -86,22 +89,12 @@ DefenseResult AnpDefense::apply(models::Classifier& model,
       }
     }
 
-    // Outer step: descend on masks with the ANP trade-off objective.
-    // Save the ascended deltas, evaluate the natural loss at delta = 0,
-    // then restore by REPLACING the tensors (not mutating in place, which
-    // would corrupt the natural-loss graph through shared storage).
-    std::vector<Tensor> ascended;
-    ascended.reserve(deltas.size());
-    for (auto& d : deltas) ascended.push_back(d.value().clone());
-
+    // Outer step: descend on masks with the ANP trade-off objective. The
+    // natural loss is the inner step's graph: its nodes' values were fixed
+    // at delta = 0 when they were built, and no backward step reads a
+    // delta's own value, so the ascent above left that graph intact.
     zero_all(mask_ptrs);
     zero_all(delta_ptrs);
-    set_deltas_zero();
-    ag::Var natural_loss = ag::cross_entropy(
-        model.forward(ag::Var(batch.images)), batch.labels);
-    for (std::size_t i = 0; i < deltas.size(); ++i) {
-      deltas[i].mutable_value() = std::move(ascended[i]);
-    }
     ag::Var perturbed_loss = ag::cross_entropy(
         model.forward(ag::Var(batch.images)), batch.labels);
     ag::Var loss =

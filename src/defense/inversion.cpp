@@ -52,6 +52,8 @@ InvertedTrigger invert_trigger(models::Classifier& model,
   data::Batch batch;
   double final_loss = 0.0;
 
+  // Adam reads only the trigger's gradients; the model's weights get none.
+  const nn::FrozenParameters frozen(model);
   for (std::int64_t it = 0; it < config.iterations; ++it) {
     if (!loader.next(batch)) {
       loader.reset();

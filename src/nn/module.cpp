@@ -115,6 +115,20 @@ void Module::visit(const std::function<void(Module&)>& fn) {
   for (auto& [name, child] : children_) child->visit(fn);
 }
 
+FrozenParameters::FrozenParameters(Module& module) {
+  for (ag::Var* p : module.parameters()) {
+    saved_.emplace_back(p, p->requires_grad());
+    p->set_requires_grad(false);
+  }
+}
+
+FrozenParameters::~FrozenParameters() {
+  // In reverse, so a parameter listed twice ends with its first saved flag.
+  for (auto it = saved_.rbegin(); it != saved_.rend(); ++it) {
+    it->first->set_requires_grad(it->second);
+  }
+}
+
 void Sequential::add(std::unique_ptr<Module> layer) {
   register_module("layer" + std::to_string(layers_.size()), *layer);
   layers_.push_back(std::move(layer));

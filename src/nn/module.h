@@ -87,6 +87,21 @@ class Module {
   bool training_ = true;
 };
 
+/// Scope in which no parameter of `module` requires grad. Ops built inside
+/// build no weight-gradient path, so backward() computes only the gradients
+/// of other leaves: ANP's masks, an inverted trigger. Each parameter's flag
+/// is restored when the scope ends, also when it unwinds.
+class FrozenParameters {
+ public:
+  explicit FrozenParameters(Module& module);
+  ~FrozenParameters();
+  FrozenParameters(const FrozenParameters&) = delete;
+  FrozenParameters& operator=(const FrozenParameters&) = delete;
+
+ private:
+  std::vector<std::pair<ag::Var*, bool>> saved_;
+};
+
 /// Sequential container owning its layers.
 class Sequential : public Module {
  public:

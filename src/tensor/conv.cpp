@@ -227,21 +227,16 @@ Tensor conv2d_forward(const Tensor& input, const Tensor& weight,
   return out;
 }
 
-Conv2dGrads conv2d_backward(const Tensor& input, const Tensor& weight,
-                            bool has_bias, const Tensor& grad_output,
-                            const Conv2dSpec& spec) {
-  const ConvGeometry g(input, weight, spec);
+namespace {
+
+// grad_input: per group, gather dOut into (cout, group*plane), take
+// W^T * dOut with one GEMM and fold each sample's columns back onto its
+// own (disjoint) image gradient.
+Tensor conv2d_grad_input(const ConvGeometry& g, const Tensor& input,
+                         const Tensor& weight, const Tensor& grad_output) {
   const std::int64_t n = input.size(0), cout = g.cout;
   const std::int64_t rows = g.patch_rows(), plane = g.plane();
-
-  Conv2dGrads grads;
-  grads.grad_input = Tensor(input.shape());
-  grads.grad_weight = Tensor(weight.shape());
-  if (has_bias) grads.grad_bias = Tensor({cout});
-
-  // grad_input: per group, gather dOut into (cout, group*plane), take
-  // W^T * dOut with one GEMM and fold each sample's columns back onto its
-  // own (disjoint) image gradient.
+  Tensor grad_input(input.shape());
   for_each_group(
       n, conv_group_size((rows + cout) * plane),
       [&](std::int64_t s0, std::int64_t samples) {
@@ -261,19 +256,26 @@ Conv2dGrads conv2d_backward(const Tensor& input, const Tensor& weight,
              dcols, ld);
         for (std::int64_t i = 0; i < samples; ++i) {
           col2im(g, dcols + i * plane, ld, padded,
-                 grads.grad_input.data() + (s0 + i) * g.image());
+                 grad_input.data() + (s0 + i) * g.image());
         }
       });
+  return grad_input;
+}
 
-  // grad_weight sums the per-sample products dOut_i * cols_i^T over the
-  // batch. Each chunk of samples computes its products in parallel into one
-  // scratch block; they are then added to grad_weight in sample order,
-  // parallel over weight elements. Every element thus sees the same
-  // additions in the same order for any thread count.
+// grad_weight sums the per-sample products dOut_i * cols_i^T over the
+// batch. Each chunk of samples computes its products in parallel into one
+// scratch block; they are then added to grad_weight in sample order,
+// parallel over weight elements. Every element thus sees the same
+// additions in the same order for any thread count.
+Tensor conv2d_grad_weight(const ConvGeometry& g, const Tensor& input,
+                          const Tensor& weight, const Tensor& grad_output) {
+  const std::int64_t n = input.size(0), cout = g.cout;
+  const std::int64_t rows = g.patch_rows(), plane = g.plane();
+  Tensor grad_weight(weight.shape());
   const std::int64_t wsize = cout * rows;
   const std::int64_t chunk = conv_weight_chunk(wsize);
   const auto products = scratch(std::min(chunk, n) * wsize);
-  float* gw = grads.grad_weight.data();
+  float* gw = grad_weight.data();
   for (std::int64_t s0 = 0; s0 < n; s0 += chunk) {
     const std::int64_t samples = std::min(chunk, n - s0);
     for_each_group(samples, 1, [&](std::int64_t i, std::int64_t) {
@@ -296,22 +298,44 @@ Conv2dGrads conv2d_backward(const Tensor& input, const Tensor& weight,
                             }
                           });
   }
+  return grad_weight;
+}
 
-  if (has_bias) {
-    // Per channel: each sample's plane sum (in double), added in order.
-    runtime::parallel_for(
-        0, cout, runtime::grain_for_cost(n * plane),
-        [&](std::int64_t lo, std::int64_t hi) {
-          for (std::int64_t c = lo; c < hi; ++c) {
-            for (std::int64_t i = 0; i < n; ++i) {
-              const float* row = grad_output.data() + (i * cout + c) * plane;
-              double s = 0.0;
-              for (std::int64_t j = 0; j < plane; ++j) s += row[j];
-              grads.grad_bias[c] += static_cast<float>(s);
-            }
+// Per channel: each sample's plane sum (in double), added in order.
+Tensor conv2d_grad_bias(const Tensor& grad_output) {
+  const std::int64_t n = grad_output.size(0), cout = grad_output.size(1);
+  const std::int64_t plane = grad_output.size(2) * grad_output.size(3);
+  Tensor grad_bias({cout});
+  runtime::parallel_for(
+      0, cout, runtime::grain_for_cost(n * plane),
+      [&](std::int64_t lo, std::int64_t hi) {
+        for (std::int64_t c = lo; c < hi; ++c) {
+          for (std::int64_t i = 0; i < n; ++i) {
+            const float* row = grad_output.data() + (i * cout + c) * plane;
+            double s = 0.0;
+            for (std::int64_t j = 0; j < plane; ++j) s += row[j];
+            grad_bias[c] += static_cast<float>(s);
           }
-        });
+        }
+      });
+  return grad_bias;
+}
+
+}  // namespace
+
+Conv2dGrads conv2d_backward(const Tensor& input, const Tensor& weight,
+                            bool has_bias, const Tensor& grad_output,
+                            const Conv2dSpec& spec, bool need_input,
+                            bool need_weight) {
+  const ConvGeometry g(input, weight, spec);
+  Conv2dGrads grads;
+  if (need_input) {
+    grads.grad_input = conv2d_grad_input(g, input, weight, grad_output);
   }
+  if (need_weight) {
+    grads.grad_weight = conv2d_grad_weight(g, input, weight, grad_output);
+  }
+  if (has_bias) grads.grad_bias = conv2d_grad_bias(grad_output);
   return grads;
 }
 

@@ -55,12 +55,17 @@ Tensor conv2d_forward(const Tensor& input, const Tensor& weight,
 struct Conv2dGrads {
   Tensor grad_input;
   Tensor grad_weight;
-  Tensor grad_bias;  // undefined when the forward had no bias
+  Tensor grad_bias;  // undefined unless has_bias
 };
 
+/// The gradients of conv2d_forward. `grad_input` is computed only when
+/// `need_input`, `grad_weight` only when `need_weight` and `grad_bias` only
+/// when `has_bias`; a skipped field stays undefined, and a computed one has
+/// the bits the full call gives it.
 Conv2dGrads conv2d_backward(const Tensor& input, const Tensor& weight,
                             bool has_bias, const Tensor& grad_output,
-                            const Conv2dSpec& spec);
+                            const Conv2dSpec& spec, bool need_input = true,
+                            bool need_weight = true);
 
 /// Depthwise conv: input (N,C,H,W) * weight (C,1,KH,KW) + bias (C).
 Tensor depthwise_conv2d_forward(const Tensor& input, const Tensor& weight,

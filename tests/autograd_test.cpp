@@ -1,14 +1,19 @@
 // Autograd engine tests: every differentiable op is validated against
 // central finite differences, plus graph-mechanics tests (accumulation,
-// no-grad scope, detach, reuse of a node in two branches).
+// no-grad scope, detach, reuse of a node in two branches, frozen
+// parameters).
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <functional>
+#include <vector>
 
 #include "autograd/arena.h"
 #include "autograd/ops.h"
 #include "autograd/variable.h"
+#include "nn/layers.h"
+#include "robust/cancel.h"
 #include "tensor/ops.h"
 #include "util/rng.h"
 
@@ -388,6 +393,88 @@ TEST(Composite, TwoLayerNetworkGradient) {
       },
       {random_tensor({2, 3}, rng), random_tensor({3, 4}, rng),
        random_tensor({4, 2}, rng)});
+}
+
+// ---------------------------------------------------------------------------
+// Frozen parameters: backward computes only the gradients someone reads
+// ---------------------------------------------------------------------------
+
+// Conv2d -> BatchNorm2d (training mode: sub, mul, div) -> Linear (matmul).
+struct FrozenFixture {
+  Rng rng{21};
+  nn::Sequential net;
+  Tensor images = random_tensor({4, 2, 4, 4}, rng);
+  std::vector<std::int64_t> labels{0, 3, 1, 4};
+
+  FrozenFixture() {
+    net.emplace<nn::Conv2d>(2, 3, 3, 1, 1, /*bias=*/true, rng);
+    net.emplace<nn::BatchNorm2d>(3);
+    net.emplace<nn::Linear>(3 * 4 * 4, 5, rng);
+  }
+
+  Tensor input_grad() {
+    Var x(images.clone(), /*requires_grad=*/true);
+    cross_entropy(net.forward(x), labels).backward();
+    return x.grad();
+  }
+};
+
+TEST(Frozen, ParametersGetNoGradientAndInputGradientKeepsItsBits) {
+  FrozenFixture f;
+  const Tensor full = f.input_grad();
+  for (const auto& [name, p] : f.net.named_parameters()) {
+    ASSERT_TRUE(p->has_grad()) << name;
+  }
+  f.net.zero_grad();
+  Tensor frozen_grad;
+  {
+    const nn::FrozenParameters frozen(f.net);
+    frozen_grad = f.input_grad();
+  }
+  for (const auto& [name, p] : f.net.named_parameters()) {
+    EXPECT_FALSE(p->has_grad()) << name;
+  }
+  ASSERT_EQ(frozen_grad.shape(), full.shape());
+  EXPECT_EQ(std::memcmp(frozen_grad.data(), full.data(),
+                        full.numel() * sizeof(float)),
+            0);
+}
+
+TEST(Frozen, RestoresRequiresGradAfterScopeAndAfterThrow) {
+  FrozenFixture f;
+  const std::vector<Var*> params = f.net.parameters();
+  params.back()->set_requires_grad(false);  // restored as saved, not as true
+  const auto expect_restored = [&params](const char* when) {
+    for (std::size_t i = 0; i < params.size(); ++i) {
+      EXPECT_EQ(params[i]->requires_grad(), i + 1 < params.size())
+          << when << ", parameter " << i;
+    }
+  };
+  {
+    const nn::FrozenParameters frozen(f.net);
+    for (const Var* p : params) EXPECT_FALSE(p->requires_grad());
+  }
+  expect_restored("after the scope");
+
+  robust::CancelSource source;
+  source.cancel("stop");
+  const robust::CancelScope scope(source.token());
+  EXPECT_THROW(
+      {
+        const nn::FrozenParameters frozen(f.net);
+        robust::poll_cancellation("frozen test");
+      },
+      robust::Cancelled);
+  expect_restored("after a throw");
+}
+
+TEST(Frozen, SetRequiresGradOnlyOnLeaves) {
+  Var a(Tensor::scalar(2.0f), /*requires_grad=*/false);
+  a.set_requires_grad(true);
+  Var b = mul(a, a);
+  EXPECT_TRUE(b.requires_grad());
+  EXPECT_THROW(b.set_requires_grad(false), std::logic_error);
+  EXPECT_THROW(Var().set_requires_grad(true), std::logic_error);
 }
 
 }  // namespace

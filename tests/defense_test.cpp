@@ -15,6 +15,7 @@
 #include "eval/metrics.h"
 #include "eval/runner.h"
 #include "models/factory.h"
+#include "robust/cancel.h"
 #include "tensor/ops.h"
 
 namespace bd::defense {
@@ -155,6 +156,29 @@ TEST(Anp, MaskLifecycleAndSuppression) {
     }
   }
   EXPECT_GE(suppressed, result.pruned_units);
+}
+
+// The mask search runs with the weights frozen: it leaves them no
+// gradient, and every parameter is trainable again after it, also when a
+// cancellation unwinds it.
+TEST(Anp, MaskSearchFreezesWeightsOnlyWhileItRuns) {
+  Fixture f;
+  AnpConfig cfg;
+  cfg.iterations = 2;
+  AnpDefense defense(cfg);
+  defense.apply(*f.model, f.ctx);
+  for (const auto& [name, p] : f.model->named_parameters()) {
+    EXPECT_FALSE(p->has_grad()) << name;
+    EXPECT_TRUE(p->requires_grad()) << name;
+  }
+
+  robust::CancelSource source;
+  source.cancel("stop");
+  const robust::CancelScope scope(source.token());
+  EXPECT_THROW(defense.apply(*f.model, f.ctx), robust::Cancelled);
+  for (const auto& [name, p] : f.model->named_parameters()) {
+    EXPECT_TRUE(p->requires_grad()) << name;
+  }
 }
 
 TEST(Nad, AttentionMapIsNormalized) {

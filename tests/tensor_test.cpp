@@ -8,6 +8,8 @@
 #include <memory>
 #include <random>
 #include <sstream>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "runtime/thread_pool.h"
@@ -608,6 +610,28 @@ void expect_conv_matches(const ConvCase& cc, std::mt19937& gen) {
   EXPECT_TRUE(same_bits(got.grad_weight, want.grad_weight)) << where;
   EXPECT_EQ(got.grad_bias.defined(), cc.bias) << where;
   if (cc.bias) EXPECT_TRUE(same_bits(got.grad_bias, want.grad_bias)) << where;
+
+  // A call that skips a gradient leaves it undefined and computes the
+  // others with the full call's bits.
+  for (const auto [need_input, need_weight] :
+       {std::pair{false, true}, std::pair{true, false},
+        std::pair{false, false}}) {
+    const std::string skip = where + " need_input=" +
+                             std::to_string(need_input) +
+                             " need_weight=" + std::to_string(need_weight);
+    const Conv2dGrads part = conv2d_backward(x, w, cc.bias, gy, cc.spec,
+                                             need_input, need_weight);
+    EXPECT_EQ(part.grad_input.defined(), need_input) << skip;
+    EXPECT_EQ(part.grad_weight.defined(), need_weight) << skip;
+    if (need_input) {
+      EXPECT_TRUE(same_bits(part.grad_input, got.grad_input)) << skip;
+    }
+    if (need_weight) {
+      EXPECT_TRUE(same_bits(part.grad_weight, got.grad_weight)) << skip;
+    }
+    EXPECT_EQ(part.grad_bias.defined(), cc.bias) << skip;
+    if (cc.bias) EXPECT_TRUE(same_bits(part.grad_bias, got.grad_bias)) << skip;
+  }
 }
 
 TEST(Conv, MatchesPerSampleReferenceBitForBit) {
