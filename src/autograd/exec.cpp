@@ -241,7 +241,8 @@ void execute_backward(const Node& n, const GradSink& sink) {
                                 n.grad, n.conv, wants_grad(n, 0),
                                 wants_grad(n, 1))
               : depthwise_conv2d_backward(in_value(n, 0), in_value(n, 1),
-                                          need_bias, n.grad, n.conv);
+                                          need_bias, n.grad, n.conv,
+                                          wants_grad(n, 0), wants_grad(n, 1));
       if (grads.grad_input.defined()) sink(n.inputs[0], grads.grad_input);
       if (grads.grad_weight.defined()) sink(n.inputs[1], grads.grad_weight);
       if (need_bias) sink(n.inputs[2], grads.grad_bias);

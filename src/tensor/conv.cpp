@@ -4,6 +4,7 @@
 #include <memory>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "runtime/thread_pool.h"
 #include "tensor/ops.h"
@@ -17,23 +18,6 @@ std::int64_t conv_out_size(std::int64_t in, std::int64_t kernel,
     throw std::invalid_argument("conv: non-positive output size");
   }
   return out;
-}
-
-std::int64_t conv_group_size(std::int64_t sample_floats) {
-  // Each group allocates its scratch and frees it when done. A budget below
-  // the allocator's mmap threshold (128 KiB in glibc) keeps the blocks on
-  // the heap, where the next tensors reuse them, so peak RSS does not grow.
-  constexpr std::int64_t kGroupScratchBytes = std::int64_t{1} << 16;
-  const std::int64_t bytes =
-      std::max<std::int64_t>(1, sample_floats) * std::int64_t{sizeof(float)};
-  return std::max<std::int64_t>(1, kGroupScratchBytes / bytes);
-}
-
-std::int64_t conv_weight_chunk(std::int64_t weight_floats) {
-  // A chunk's per-sample products are its only parallel work, so it keeps
-  // this many samples even where they overflow the scratch budget.
-  constexpr std::int64_t kMinChunkSamples = 8;
-  return std::max(kMinChunkSamples, conv_group_size(weight_floats));
 }
 
 Shape conv2d_shape(const Shape& input, const Shape& weight, const Shape* bias,
@@ -68,119 +52,108 @@ Shape conv2d_shape(const Shape& input, const Shape& weight, const Shape* bias,
 
 namespace {
 
-// Shape of one standard convolution: a (C,H,W) image unfolds into a
-// (C*KH*KW, OH*OW) patch matrix, and the weight is a (Cout, C*KH*KW) matrix.
+// Shape of one standard convolution, and the layout its GEMMs read. The
+// weight is a (Cout, C*KH*KW) matrix. Each image is zero-bordered by
+// `padding` (Hp x Wp) and split by (y mod stride, x mod stride) into phase
+// planes of Hl x Wl: padded pixel (c, y, x) lands at at(c, y, x). Only the
+// phases some tap lands on are kept: y mod stride < KH, x mod stride < KW.
+// Patch row (c, ky, kx) of output (oy, ox) is padded pixel (c, oy*stride +
+// ky, ox*stride + kx), which sits at at(c, ky, kx) + oy*Wl + ox. So the
+// GEMM's columns are the positions of an OH x Wl grid (its last row cut at
+// OW), every patch row is read in place at its tap offset at any stride,
+// and the Wl - OW columns past each output row are computed and dropped.
+// At stride 1 there is one phase and the split image is the padded image.
 struct ConvGeometry {
-  std::int64_t c, h, w, kh, kw, oh, ow, cout;
-  Conv2dSpec spec;
+  std::int64_t c, h, w, kh, kw, oh, ow, cout, s, pad;
+  std::int64_t ph, pw;  // phases kept along y and x
+  std::int64_t hl, wl;  // phase plane
 
   ConvGeometry(const Tensor& input, const Tensor& weight,
-               const Conv2dSpec& s)
+               const Conv2dSpec& spec)
       : c(input.size(1)),
         h(input.size(2)),
         w(input.size(3)),
         kh(weight.size(2)),
         kw(weight.size(3)),
-        oh(conv_out_size(h, kh, s.stride, s.padding)),
-        ow(conv_out_size(w, kw, s.stride, s.padding)),
+        oh(conv_out_size(h, kh, spec.stride, spec.padding)),
+        ow(conv_out_size(w, kw, spec.stride, spec.padding)),
         cout(weight.size(0)),
-        spec(s) {}
+        s(spec.stride),
+        pad(spec.padding),
+        ph(std::min(s, kh)),
+        pw(std::min(s, kw)),
+        hl((h + 2 * pad + s - 1) / s),
+        wl((w + 2 * pad + s - 1) / s) {
+    for (std::int64_t ch = 0; ch < c; ++ch) {
+      for (std::int64_t y = 0; y < h; ++y) {
+        if ((y + pad) % s >= ph) continue;
+        for (std::int64_t x = 0; x < std::min(s, w); ++x) {
+          if ((x + pad) % s >= pw) continue;
+          runs.push_back({at(ch, y + pad, x + pad), (ch * h + y) * w + x,
+                          (w - x + s - 1) / s});
+        }
+      }
+    }
+  }
 
   std::int64_t image() const { return c * h * w; }
   std::int64_t patch_rows() const { return c * kh * kw; }
   std::int64_t plane() const { return oh * ow; }
-  // The image with a zero border of `padding` on each side: every kernel
-  // tap of every output reads inside it, with no bounds tests.
-  std::int64_t hp() const { return h + 2 * spec.padding; }
-  std::int64_t wp() const { return w + 2 * spec.padding; }
-  std::int64_t padded() const { return c * hp() * wp(); }
+  std::int64_t columns() const { return (oh - 1) * wl + ow; }
+  // Floats of one channel's phase planes, and of a split image.
+  std::int64_t channel() const { return ph * pw * hl * wl; }
+  std::int64_t split() const { return c * channel(); }
+
+  // Where padded pixel (ch, y, x) of a kept phase sits in the split image.
+  std::int64_t at(std::int64_t ch, std::int64_t y, std::int64_t x) const {
+    return ((ch * ph + y % s) * pw + x % s) * hl * wl + (y / s) * wl + x / s;
+  }
+
+  // The tap offset of each patch row (c, ky, kx), in the weight's column
+  // order.
+  std::vector<std::int64_t> taps() const {
+    std::vector<std::int64_t> out;
+    out.reserve(static_cast<std::size_t>(patch_rows()));
+    for (std::int64_t ch = 0; ch < c; ++ch) {
+      for (std::int64_t ky = 0; ky < kh; ++ky) {
+        for (std::int64_t kx = 0; kx < kw; ++kx) out.push_back(at(ch, ky, kx));
+      }
+    }
+    return out;
+  }
+
+  // Copies one (C,H,W) image's pixels into a split image whose other
+  // floats (its border and the phases no tap reads) are already zero.
+  void split_image(const float* image, float* dst) const {
+    for (const Run& run : runs) {
+      const float* src = image + run.image;
+      float* to = dst + run.split;
+      for (std::int64_t i = 0; i < run.count; ++i) to[i] = src[i * s];
+    }
+  }
+
+  // Copies the pixels of a split image that are in the image (not its
+  // border) to a zeroed (C,H,W) image.
+  void join_image(const float* src, float* image) const {
+    for (const Run& run : runs) {
+      const float* from = src + run.split;
+      float* to = image + run.image;
+      for (std::int64_t i = 0; i < run.count; ++i) to[i * s] = from[i];
+    }
+  }
+
+  // The image's pixels as runs that are consecutive in the split image:
+  // image pixel image + i*stride is split float split + i for i < count.
+  struct Run {
+    std::int64_t split, image, count;
+  };
+  std::vector<Run> runs;
 };
 
 // Uninitialized scratch of `floats` floats, freed when the caller is done.
 std::unique_ptr<float[]> scratch(std::int64_t floats) {
   return std::make_unique_for_overwrite<float[]>(
       static_cast<std::size_t>(floats));
-}
-
-// Copies one (C,H,W) image into its zero-bordered padded form.
-void pad_image(const ConvGeometry& g, const float* image, float* padded) {
-  std::fill(padded, padded + g.padded(), 0.0f);
-  for (std::int64_t ch = 0; ch < g.c; ++ch) {
-    for (std::int64_t y = 0; y < g.h; ++y) {
-      const float* src = image + (ch * g.h + y) * g.w;
-      std::copy(src, src + g.w,
-                padded + (ch * g.hp() + y + g.spec.padding) * g.wp() +
-                    g.spec.padding);
-    }
-  }
-}
-
-// Unfolds one padded image into its patch matrix, rows `ld` floats apart.
-void im2col(const ConvGeometry& g, const float* padded, float* cols,
-            std::int64_t ld) {
-  const std::int64_t s = g.spec.stride, wp = g.wp();
-  std::int64_t row = 0;
-  for (std::int64_t ch = 0; ch < g.c; ++ch) {
-    for (std::int64_t ky = 0; ky < g.kh; ++ky) {
-      for (std::int64_t kx = 0; kx < g.kw; ++kx, ++row) {
-        const float* src = padded + (ch * g.hp() + ky) * wp + kx;
-        float* out = cols + row * ld;
-        for (std::int64_t oy = 0; oy < g.oh; ++oy, out += g.ow) {
-          const float* in = src + oy * s * wp;
-          for (std::int64_t ox = 0; ox < g.ow; ++ox) out[ox] = in[ox * s];
-        }
-      }
-    }
-  }
-}
-
-// Folds a patch-gradient matrix (rows `ld` floats apart) into a zeroed
-// padded image gradient, adding in (channel, tap, output) order, and writes
-// its interior to `image`, a zeroed (C,H,W) gradient that only this call
-// touches: every pixel gets the additions an unpadded fold would make.
-void col2im(const ConvGeometry& g, const float* cols, std::int64_t ld,
-            float* padded, float* image) {
-  const std::int64_t s = g.spec.stride, wp = g.wp();
-  std::fill(padded, padded + g.padded(), 0.0f);
-  std::int64_t row = 0;
-  for (std::int64_t ch = 0; ch < g.c; ++ch) {
-    for (std::int64_t ky = 0; ky < g.kh; ++ky) {
-      for (std::int64_t kx = 0; kx < g.kw; ++kx, ++row) {
-        float* dst = padded + (ch * g.hp() + ky) * wp + kx;
-        const float* in = cols + row * ld;
-        for (std::int64_t oy = 0; oy < g.oh; ++oy, in += g.ow) {
-          float* out = dst + oy * s * wp;
-          for (std::int64_t ox = 0; ox < g.ow; ++ox) out[ox * s] += in[ox];
-        }
-      }
-    }
-  }
-  for (std::int64_t ch = 0; ch < g.c; ++ch) {
-    for (std::int64_t y = 0; y < g.h; ++y) {
-      const float* src = padded + (ch * g.hp() + y + g.spec.padding) * wp +
-                         g.spec.padding;
-      std::copy(src, src + g.w, image + (ch * g.h + y) * g.w);
-    }
-  }
-}
-
-// Runs body(first_sample, samples) for consecutive groups of `group`
-// samples out of n, one parallel_for chunk per group. A lone group runs
-// outside parallel_for, so the GEMM inside it can spread its tiles.
-template <typename Body>
-void for_each_group(std::int64_t n, std::int64_t group, Body&& body) {
-  const std::int64_t groups = (n + group - 1) / group;
-  if (groups == 1) {
-    body(0, n);
-    return;
-  }
-  runtime::parallel_for(0, groups, 1,
-                        [&](std::int64_t lo, std::int64_t hi) {
-                          for (std::int64_t gi = lo; gi < hi; ++gi) {
-                            const std::int64_t s0 = gi * group;
-                            body(s0, std::min(group, n - s0));
-                          }
-                        });
 }
 
 }  // namespace
@@ -193,34 +166,41 @@ Tensor conv2d_forward(const Tensor& input, const Tensor& weight,
   const ConvGeometry g(input, weight, spec);
   const std::int64_t n = input.size(0), cout = g.cout;
   const std::int64_t rows = g.patch_rows(), plane = g.plane();
-
-  // Each group unfolds its samples side by side into one (rows, group*plane)
-  // patch block, runs one GEMM against the (cout, rows) weight and scatters
-  // the (cout, group*plane) result into NCHW. Groups write disjoint samples.
-  for_each_group(
-      n, conv_group_size((rows + cout) * plane),
-      [&](std::int64_t s0, std::int64_t samples) {
-        const std::int64_t ld = samples * plane;
-        const auto block = scratch((rows + cout) * ld + g.padded());
-        float* cols = block.get();
-        float* res = cols + rows * ld;
-        float* padded = res + cout * ld;
-        for (std::int64_t i = 0; i < samples; ++i) {
-          pad_image(g, input.data() + (s0 + i) * g.image(), padded);
-          im2col(g, padded, cols + i * plane, ld);
-        }
-        gemm(false, false, cout, ld, rows, weight.data(), rows, cols, ld, res,
-             ld);
-        for (std::int64_t i = 0; i < samples; ++i) {
-          for (std::int64_t c = 0; c < cout; ++c) {
-            const float* src = res + c * ld + i * plane;
-            float* dst = out.data() + ((s0 + i) * cout + c) * plane;
-            if (!bias.defined()) {
-              std::copy(src, src + plane, dst);
-              continue;
+  const std::int64_t cols = g.columns();
+  const std::vector<std::int64_t> taps = g.taps();
+  const GemmPackedA w(cout, rows, {weight.data(), rows, 1});
+  // Where the grid has columns past OW, each sample's (Cout, cols) product
+  // lands in scratch and the scatter keeps OW of every Wl; otherwise it
+  // lands in the output. Samples run in parallel and write disjoint outputs.
+  const bool cut = cols != plane;
+  const std::int64_t res_floats = cut ? cout * cols + kGemmSlack : 0;
+  runtime::parallel_for(
+      0, n, runtime::grain_for_cost(cout * rows * cols),
+      [&](std::int64_t lo, std::int64_t hi) {
+        const auto block = scratch(g.split() + kGemmSlack + res_floats);
+        float* image = block.get();
+        float* res = image + g.split() + kGemmSlack;
+        std::fill(image, res + res_floats, 0.0f);
+        for (std::int64_t i = lo; i < hi; ++i) {
+          g.split_image(input.data() + i * g.image(), image);
+          float* o = out.data() + i * cout * plane;
+          gemm_packed(w, cols, {image, taps.data(), nullptr, true},
+                      cut ? GemmC{res, cols, nullptr, true, false}
+                          : GemmC{o, plane, nullptr, false, false});
+          if (!cut && !bias.defined()) continue;
+          for (std::int64_t co = 0; co < cout; ++co) {
+            const float* src = cut ? res + co * cols : o + co * plane;
+            float* dst = o + co * plane;
+            for (std::int64_t oy = 0; oy < g.oh; ++oy) {
+              const float* from = src + oy * (cut ? g.wl : g.ow);
+              float* to = dst + oy * g.ow;
+              if (!bias.defined()) {
+                for (std::int64_t ox = 0; ox < g.ow; ++ox) to[ox] = from[ox];
+                continue;
+              }
+              const float b = bias[co];
+              for (std::int64_t ox = 0; ox < g.ow; ++ox) to[ox] = from[ox] + b;
             }
-            const float b = bias[c];
-            for (std::int64_t j = 0; j < plane; ++j) dst[j] = src[j] + b;
           }
         }
       });
@@ -229,75 +209,107 @@ Tensor conv2d_forward(const Tensor& input, const Tensor& weight,
 
 namespace {
 
-// grad_input: per group, gather dOut into (cout, group*plane), take
-// W^T * dOut with one GEMM and fold each sample's columns back onto its
-// own (disjoint) image gradient.
+// grad_input, per sample: one accumulating GEMM per tap (ky, kx), taps in
+// order, adds W(:, :, ky, kx)^T * dOut_i into the split input gradient at
+// the tap's offset; its unpadded pixels are then the sample's gradient.
+// Every pixel gets its taps' sums in tap order, as a fold of the patch
+// gradient would add them.
 Tensor conv2d_grad_input(const ConvGeometry& g, const Tensor& input,
                          const Tensor& weight, const Tensor& grad_output) {
-  const std::int64_t n = input.size(0), cout = g.cout;
-  const std::int64_t rows = g.patch_rows(), plane = g.plane();
+  const std::int64_t n = input.size(0), cout = g.cout, plane = g.plane();
+  const std::int64_t cols = g.columns(), taps = g.kh * g.kw;
   Tensor grad_input(input.shape());
-  for_each_group(
-      n, conv_group_size((rows + cout) * plane),
-      [&](std::int64_t s0, std::int64_t samples) {
-        const std::int64_t ld = samples * plane;
-        const auto block = scratch((rows + cout) * ld + g.padded());
-        float* dout = block.get();
-        float* dcols = dout + cout * ld;
-        float* padded = dcols + rows * ld;
-        for (std::int64_t i = 0; i < samples; ++i) {
-          for (std::int64_t c = 0; c < cout; ++c) {
-            const float* src =
-                grad_output.data() + ((s0 + i) * cout + c) * plane;
-            std::copy(src, src + plane, dout + c * ld + i * plane);
+  // Tap t's (C, Cout) matrix: A(c, co) = W[co, c, t].
+  std::vector<GemmPackedA> tap_w;
+  tap_w.reserve(static_cast<std::size_t>(taps));
+  for (std::int64_t t = 0; t < taps; ++t) {
+    tap_w.emplace_back(g.c, cout, GemmA{weight.data() + t, taps, g.c * taps});
+  }
+  // B is dOut_i copied onto the grid; C keeps its columns inside each
+  // output row.
+  std::vector<std::int64_t> b_row(static_cast<std::size_t>(cout));
+  for (std::int64_t co = 0; co < cout; ++co) b_row[co] = co * cols;
+  std::vector<std::int64_t> c_col(static_cast<std::size_t>(cols));
+  for (std::int64_t j = 0; j < cols; ++j) c_col[j] = j % g.wl < g.ow ? j : -1;
+  const std::int64_t grid = cout * cols + kGemmSlack;
+  runtime::parallel_for(
+      0, n, runtime::grain_for_cost(taps * g.c * cout * cols),
+      [&](std::int64_t lo, std::int64_t hi) {
+        const auto block = scratch(g.split() + kGemmSlack + grid);
+        float* split = block.get();
+        float* dgrid = split + g.split() + kGemmSlack;
+        std::fill(dgrid, dgrid + grid, 0.0f);
+        for (std::int64_t i = lo; i < hi; ++i) {
+          const float* dout = grad_output.data() + i * cout * plane;
+          for (std::int64_t co = 0; co < cout; ++co) {
+            for (std::int64_t oy = 0; oy < g.oh; ++oy) {
+              const float* src = dout + co * plane + oy * g.ow;
+              float* dst = dgrid + co * cols + oy * g.wl;
+              for (std::int64_t ox = 0; ox < g.ow; ++ox) dst[ox] = src[ox];
+            }
           }
-        }
-        gemm(true, false, rows, ld, cout, weight.data(), rows, dout, ld,
-             dcols, ld);
-        for (std::int64_t i = 0; i < samples; ++i) {
-          col2im(g, dcols + i * plane, ld, padded,
-                 grad_input.data() + (s0 + i) * g.image());
+          std::fill(split, split + g.split() + kGemmSlack, 0.0f);
+          for (std::int64_t ky = 0; ky < g.kh; ++ky) {
+            for (std::int64_t kx = 0; kx < g.kw; ++kx) {
+              gemm_packed(tap_w[ky * g.kw + kx], cols,
+                          {dgrid, b_row.data(), nullptr, true},
+                          {split + g.at(0, ky, kx), g.channel(),
+                           c_col.data(), true, true});
+            }
+          }
+          g.join_image(split, grad_input.data() + i * g.image());
         }
       });
   return grad_input;
 }
 
-// grad_weight sums the per-sample products dOut_i * cols_i^T over the
-// batch. Each chunk of samples computes its products in parallel into one
-// scratch block; they are then added to grad_weight in sample order,
-// parallel over weight elements. Every element thus sees the same
-// additions in the same order for any thread count.
+// grad_weight adds, for samples in order, dOut_i * patches_i^T straight
+// into the gradient: B(o, row) of sample i is its split image's float at
+// tap(row) + window(o). Each task owns a strip of weight columns and runs
+// every sample on it, so each element gets its samples' sums (each formed
+// from +0 over the positions in order) added in sample order, for any
+// thread count.
 Tensor conv2d_grad_weight(const ConvGeometry& g, const Tensor& input,
                           const Tensor& weight, const Tensor& grad_output) {
   const std::int64_t n = input.size(0), cout = g.cout;
   const std::int64_t rows = g.patch_rows(), plane = g.plane();
   Tensor grad_weight(weight.shape());
-  const std::int64_t wsize = cout * rows;
-  const std::int64_t chunk = conv_weight_chunk(wsize);
-  const auto products = scratch(std::min(chunk, n) * wsize);
-  float* gw = grad_weight.data();
-  for (std::int64_t s0 = 0; s0 < n; s0 += chunk) {
-    const std::int64_t samples = std::min(chunk, n - s0);
-    for_each_group(samples, 1, [&](std::int64_t i, std::int64_t) {
-      const auto block = scratch(rows * plane + g.padded());
-      float* cols = block.get();
-      float* padded = cols + rows * plane;
-      pad_image(g, input.data() + (s0 + i) * g.image(), padded);
-      im2col(g, padded, cols, plane);
-      gemm(false, true, cout, rows, plane,
-           grad_output.data() + (s0 + i) * cout * plane, plane, cols, plane,
-           products.get() + i * wsize, rows);
-    });
-    runtime::parallel_for(0, wsize, kElemwiseGrain,
-                          [&](std::int64_t lo, std::int64_t hi) {
-                            for (std::int64_t i = 0; i < samples; ++i) {
-                              const float* p = products.get() + i * wsize;
-                              for (std::int64_t e = lo; e < hi; ++e) {
-                                gw[e] += p[e];
-                              }
-                            }
-                          });
+  const std::vector<std::int64_t> taps = g.taps();
+  std::vector<std::int64_t> windows;
+  windows.reserve(static_cast<std::size_t>(plane));
+  for (std::int64_t oy = 0; oy < g.oh; ++oy) {
+    for (std::int64_t ox = 0; ox < g.ow; ++ox) {
+      windows.push_back(oy * g.wl + ox);
+    }
   }
+  // Every sample's split image and packed dOut_i, made once, in parallel.
+  const auto images = scratch(n * g.split());
+  std::vector<GemmPackedA> douts(static_cast<std::size_t>(n));
+  runtime::parallel_for(
+      0, n, runtime::grain_for_cost(g.split() + cout * plane),
+      [&](std::int64_t lo, std::int64_t hi) {
+        for (std::int64_t i = lo; i < hi; ++i) {
+          float* image = images.get() + i * g.split();
+          std::fill(image, image + g.split(), 0.0f);
+          g.split_image(input.data() + i * g.image(), image);
+          douts[i] = GemmPackedA(
+              cout, plane, {grad_output.data() + i * cout * plane, plane, 1});
+        }
+      });
+  constexpr std::int64_t kStrip = kGemmSlack;  // the widest kernel's strip
+  runtime::parallel_for(
+      0, (rows + kStrip - 1) / kStrip,
+      runtime::grain_for_cost(n * cout * kStrip * plane),
+      [&](std::int64_t lo, std::int64_t hi) {
+        const std::int64_t c0 = lo * kStrip;
+        const std::int64_t width = std::min(rows, hi * kStrip) - c0;
+        for (std::int64_t i = 0; i < n; ++i) {
+          gemm_packed(douts[i], width,
+                      {images.get() + i * g.split(), windows.data(),
+                       taps.data() + c0, false},
+                      {grad_weight.data() + c0, rows, nullptr, false, true});
+        }
+      });
   return grad_weight;
 }
 
@@ -382,16 +394,18 @@ Tensor depthwise_conv2d_forward(const Tensor& input, const Tensor& weight,
 Conv2dGrads depthwise_conv2d_backward(const Tensor& input,
                                       const Tensor& weight, bool has_bias,
                                       const Tensor& grad_output,
-                                      const Conv2dSpec& spec) {
+                                      const Conv2dSpec& spec, bool need_input,
+                                      bool need_weight) {
   const std::int64_t n = input.size(0), c = input.size(1);
   const std::int64_t h = input.size(2), w = input.size(3);
   const std::int64_t kh = weight.size(2), kw = weight.size(3);
   const std::int64_t oh = grad_output.size(2), ow = grad_output.size(3);
 
   Conv2dGrads grads;
-  grads.grad_input = Tensor(input.shape());
-  grads.grad_weight = Tensor(weight.shape());
+  if (need_input) grads.grad_input = Tensor(input.shape());
+  if (need_weight) grads.grad_weight = Tensor(weight.shape());
   if (has_bias) grads.grad_bias = Tensor({c});
+  if (!need_input && !need_weight && !has_bias) return grads;
 
   // Kernel and bias gradients accumulate across the batch per channel, so
   // parallelize over channels and keep the per-channel sample loop serial:
@@ -403,11 +417,14 @@ Conv2dGrads depthwise_conv2d_backward(const Tensor& input,
       [&](std::int64_t lo, std::int64_t hi) {
         for (std::int64_t ch = lo; ch < hi; ++ch) {
           const float* ker = weight.data() + ch * kh * kw;
-          float* gker = grads.grad_weight.data() + ch * kh * kw;
+          float* gker =
+              need_weight ? grads.grad_weight.data() + ch * kh * kw : nullptr;
           for (std::int64_t i = 0; i < n; ++i) {
             const float* chan = input.data() + (i * c + ch) * h * w;
             const float* gchan = grad_output.data() + (i * c + ch) * oh * ow;
-            float* gin = grads.grad_input.data() + (i * c + ch) * h * w;
+            float* gin = need_input
+                             ? grads.grad_input.data() + (i * c + ch) * h * w
+                             : nullptr;
             double gbias = 0.0;
             for (std::int64_t oy = 0; oy < oh; ++oy) {
               for (std::int64_t ox = 0; ox < ow; ++ox) {
@@ -420,8 +437,12 @@ Conv2dGrads depthwise_conv2d_backward(const Tensor& input,
                     const std::int64_t ix =
                         ox * spec.stride - spec.padding + kx;
                     if (ix < 0 || ix >= w) continue;
-                    gin[iy * w + ix] += g * ker[ky * kw + kx];
-                    gker[ky * kw + kx] += g * chan[iy * w + ix];
+                    if (need_input) {
+                      gin[iy * w + ix] += g * ker[ky * kw + kx];
+                    }
+                    if (need_weight) {
+                      gker[ky * kw + kx] += g * chan[iy * w + ix];
+                    }
                   }
                 }
               }

@@ -1,19 +1,24 @@
 // Convolution kernels (forward and backward) used by the autograd layer.
 //
-// Layout is NCHW. Standard convolutions run on the one GEMM (tensor/ops.h)
-// over groups of samples: a group's images unfold (im2col) side by side into
-// one bounded scratch block, so one GEMM covers group * OH*OW columns, and
-// groups run in parallel. The group size comes from a fixed byte budget and
-// the layer shape (conv_group_size), never from the thread count.
-//   forward      W (Cout, C*KH*KW) * cols, scattered into NCHW plus bias
-//   grad-input   W^T * dOut per group (transpose flag), col2im per sample
-//   grad-weight  dOut_i * cols_i^T per sample (transpose flag), samples in
-//                parallel, into one block per chunk of samples
-//                (conv_weight_chunk), added to the gradient in sample
-//                order, parallel over weight elements
-// Every output element is one GEMM sum in k order or a sample-ordered sum
-// of them, so results are bitwise identical for any thread count. The
-// depthwise variant (MobileNet / EfficientNet blocks) uses direct loops.
+// Layout is NCHW. Standard convolutions are implicit GEMMs on gemm_packed
+// (tensor/ops.h): no patch matrix is built. Each sample's image is copied
+// into a zero-bordered form split by (y mod stride, x mod stride) into
+// phase planes of Hl x Wl (at stride 1, the padded image), and B's patch
+// row (c, ky, kx) is read through an offset table at that tap's place in
+// it. The columns are the positions of an OH x Wl grid, so each column
+// strip is one vector load in place at any stride, and the Wl - OW columns
+// past each output row are dropped when stored.
+//   forward      W (Cout, C*KH*KW) * patches_i per sample, into NCHW plus
+//                bias; samples in parallel
+//   grad-input   per sample, one accumulating GEMM per tap (ky, kx), taps
+//                in order: W(:, :, ky, kx)^T * dOut_i added into the split
+//                input gradient at the tap's offset; samples in parallel
+//   grad-weight  dOut_i * patches_i^T added straight into the gradient for
+//                samples in order; strips of weight columns in parallel
+// Every output element is one GEMM sum in k order or an ordered sum of
+// them, formed on one thread, so results are bitwise identical for any
+// thread count and kernel. The depthwise variant (MobileNet / EfficientNet
+// blocks) uses direct loops.
 #pragma once
 
 #include "tensor/tensor.h"
@@ -36,16 +41,6 @@ std::int64_t conv_out_size(std::int64_t in, std::int64_t kernel,
 /// the same std::invalid_argument on malformed shapes.
 Shape conv2d_shape(const Shape& input, const Shape& weight, const Shape* bias,
                    const Conv2dSpec& spec, bool depthwise);
-
-/// Samples per group when each needs `sample_floats` floats of scratch: as
-/// many as fit a fixed 64 KiB budget, at least one. conv2d_forward and the
-/// grad-input pass use sample_floats = (C*KH*KW + Cout) * OH*OW.
-std::int64_t conv_group_size(std::int64_t sample_floats);
-
-/// Samples per grad-weight chunk for a weight of `weight_floats` floats:
-/// conv_group_size(weight_floats), but at least 8, because the chunk's
-/// per-sample products are what runs in parallel.
-std::int64_t conv_weight_chunk(std::int64_t weight_floats);
 
 /// input (N,Cin,H,W) * weight (Cout,Cin,KH,KW) + bias (Cout, optional
 /// undefined) -> (N,Cout,OH,OW).
@@ -71,9 +66,13 @@ Conv2dGrads conv2d_backward(const Tensor& input, const Tensor& weight,
 Tensor depthwise_conv2d_forward(const Tensor& input, const Tensor& weight,
                                 const Tensor& bias, const Conv2dSpec& spec);
 
+/// The gradients of depthwise_conv2d_forward, computed and skipped by the
+/// flags as conv2d_backward's are.
 Conv2dGrads depthwise_conv2d_backward(const Tensor& input,
                                       const Tensor& weight, bool has_bias,
                                       const Tensor& grad_output,
-                                      const Conv2dSpec& spec);
+                                      const Conv2dSpec& spec,
+                                      bool need_input = true,
+                                      bool need_weight = true);
 
 }  // namespace bd

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <atomic>
 #include <cmath>
 #include <memory>
 #include <stdexcept>
@@ -310,107 +311,125 @@ Tensor reduce_mean(const Tensor& a, const std::vector<std::int64_t>& axes,
 
 namespace {
 
-// Output tiles, the unit of parallel work: kTileRows x kTileCols of C.
-// kTileRows is a multiple of every kernel's MR (4, 6, 8) and kTileCols of
-// every NR (8, 16).
-constexpr std::int64_t kTileRows = 96;
-constexpr std::int64_t kTileCols = 256;
+// The micro-kernel's view of one strip: every packed strip of A against
+// one strip of at most NR columns of B, into C.
+struct StripCall {
+  std::int64_t k;
+  const float* pa;  // packed A: `rows` rows in MR-row strips
+  std::int64_t rows;
+  const float* pb;  // row p of the B strip: NR floats at pb + b_row[p]
+  const std::int64_t* b_row;
+  float* c;  // row r of the C strip starts at c + r * ldc
+  std::int64_t ldc;
+  std::int64_t cols;  // columns of the strip that exist
+  // How the strip is stored: with c_col, column j at c_col[j] (none where
+  // negative), one float at a time; else NR floats as vectors, where `keep`
+  // (if set) marks the lanes that take the result and the others are
+  // written back unchanged.
+  const std::int64_t* c_col;
+  const std::int32_t* keep;
+  bool accumulate;
+};
 
-// Copies rows [r0, r0 + rows) of op(A) (m x k) into mr-row strips, each
-// k x mr and k-major; rows past `rows` in the last strip are zero.
-void pack_a(const float* a, std::int64_t lda, bool trans_a, std::int64_t k,
-            std::int64_t r0, std::int64_t rows, std::int64_t mr, float* dst) {
-  const std::int64_t strips = (rows + mr - 1) / mr;
-  std::fill(dst + (strips - 1) * k * mr, dst + strips * k * mr, 0.0f);
-  for (std::int64_t r = 0; r < rows; ++r) {
-    float* out = dst + (r / mr) * k * mr + r % mr;
-    if (trans_a) {
-      for (std::int64_t p = 0; p < k; ++p) out[p * mr] = a[p * lda + r0 + r];
-    } else {
-      const float* src = a + (r0 + r) * lda;
-      for (std::int64_t p = 0; p < k; ++p) out[p * mr] = src[p];
-    }
-  }
-}
+// The widest NR of any kernel.
+constexpr std::int64_t kMaxNr = kGemmSlack;
 
-// A tile's `rows` x `cols` block of C against one B strip, one MR x NR
-// register block per packed A strip, each held as MR * NR / Lanes vectors
-// of Lanes floats. Every element starts at +0 and adds a*b for p = 0..k-1
-// in order, and only the first rows x cols are stored. Row p of the B strip
-// is pb + p * b_row. The vectors are GCC/Clang vector extensions, which
-// lower to the SIMD registers of the calling function's target; each lane
-// does one rounded multiply and one rounded add per term, so every
-// instantiation gives the same bits.
+// Every packed strip of A against one B strip, one MR x NR register block
+// per A strip, each held as MR * NR / Lanes vectors of Lanes floats. Every
+// element starts at +0 and adds a*b for p = 0..k-1 in order, then is stored
+// or, accumulating, added once to C. The vectors are GCC/Clang vector
+// extensions, which lower to the SIMD registers of the calling function's
+// target; each lane does one rounded multiply and one rounded add per term,
+// so every instantiation gives the same bits.
 template <int Lanes, int MR, int NR>
-[[gnu::always_inline]] inline void strip_kernel(
-    std::int64_t k, const float* pa, const float* pb, std::int64_t b_row,
-    float* c, std::int64_t ldc, std::int64_t rows, std::int64_t cols) {
+[[gnu::always_inline]] inline void strip_kernel(const StripCall& s) {
+  static_assert(NR <= kMaxNr);
   // typedef, not `using`: GCC drops a dependent vector_size on an alias.
   typedef float Vec __attribute__((vector_size(Lanes * sizeof(float))));
-  // The same vector at float alignment, for loads and stores anywhere in a
-  // float array.
+  typedef std::int32_t Mask
+      __attribute__((vector_size(Lanes * sizeof(std::int32_t))));
+  // The same vectors at element alignment, for loads and stores anywhere in
+  // an array.
   typedef float VecU __attribute__((vector_size(Lanes * sizeof(float)),
                                     aligned(alignof(float)), may_alias));
+  typedef std::int32_t MaskU
+      __attribute__((vector_size(Lanes * sizeof(std::int32_t)),
+                     aligned(alignof(std::int32_t)), may_alias));
   static_assert(sizeof(Vec) == Lanes * sizeof(float) &&
                 alignof(VecU) == alignof(float));
   constexpr int kNV = NR / Lanes;
-  for (std::int64_t r0 = 0; r0 < rows; r0 += MR, pa += MR * k) {
+  const float* pa = s.pa;
+  for (std::int64_t r0 = 0; r0 < s.rows; r0 += MR, pa += MR * s.k) {
     Vec acc[MR][kNV];
     for (auto& row : acc) {
       for (Vec& v : row) v = Vec{};  // +0
     }
-    for (std::int64_t p = 0; p < k; ++p) {
-      const VecU* bv = reinterpret_cast<const VecU*>(pb + p * b_row);
+    for (std::int64_t p = 0; p < s.k; ++p) {
+      const VecU* bv = reinterpret_cast<const VecU*>(s.pb + s.b_row[p]);
       for (int r = 0; r < MR; ++r) {
         const float av = pa[p * MR + r];
         for (int v = 0; v < kNV; ++v) acc[r][v] = acc[r][v] + av * bv[v];
       }
     }
-    for (std::int64_t r = 0; r < std::min<std::int64_t>(MR, rows - r0); ++r) {
-      float* out = c + (r0 + r) * ldc;
-      float row[NR];
-      float* dst = cols == NR ? out : row;
-      for (int v = 0; v < kNV; ++v) {
-        *reinterpret_cast<VecU*>(dst + v * Lanes) = acc[r][v];
+    for (std::int64_t r = 0; r < std::min<std::int64_t>(MR, s.rows - r0);
+         ++r) {
+      float* out = s.c + (r0 + r) * s.ldc;
+      if (s.c_col != nullptr) {
+        float row[NR];
+        for (int v = 0; v < kNV; ++v) {
+          *reinterpret_cast<VecU*>(row + v * Lanes) = acc[r][v];
+        }
+        for (std::int64_t j = 0; j < s.cols; ++j) {
+          if (s.c_col[j] < 0) continue;
+          float& o = out[s.c_col[j]];
+          o = s.accumulate ? o + row[j] : row[j];
+        }
+        continue;
       }
-      if (dst == row) std::copy(row, row + cols, out);
+      for (int v = 0; v < kNV; ++v) {
+        VecU* dst = reinterpret_cast<VecU*>(out + v * Lanes);
+        Vec val = acc[r][v];
+        if (s.accumulate || s.keep != nullptr) {
+          const Vec old = *dst;
+          if (s.accumulate) val = old + val;
+          if (s.keep != nullptr) {
+            const Mask keep =
+                *reinterpret_cast<const MaskU*>(s.keep + v * Lanes);
+            val = keep ? val : old;
+          }
+        }
+        *dst = val;
+      }
     }
   }
 }
 
-using StripFn = void (*)(std::int64_t, const float*, const float*,
-                         std::int64_t, float*, std::int64_t, std::int64_t,
-                         std::int64_t);
+using StripFn = void (*)(const StripCall&);
 
 // The instantiations, each compiled for its instruction set. The target
 // strings name no FMA, and -ffp-contract=off would keep a*b and +acc two
 // rounded operations even where the target has one.
-void strip_sse(std::int64_t k, const float* pa, const float* pb,
-               std::int64_t b_row, float* c, std::int64_t ldc,
-               std::int64_t rows, std::int64_t cols) {
-  strip_kernel<4, 4, 8>(k, pa, pb, b_row, c, ldc, rows, cols);
-}
+void strip_sse(const StripCall& s) { strip_kernel<4, 4, 8>(s); }
 #if defined(__x86_64__)
-[[gnu::target("avx2")]] void strip_avx2(std::int64_t k, const float* pa,
-                                        const float* pb, std::int64_t b_row,
-                                        float* c, std::int64_t ldc,
-                                        std::int64_t rows, std::int64_t cols) {
-  strip_kernel<8, 6, 16>(k, pa, pb, b_row, c, ldc, rows, cols);
+[[gnu::target("avx2")]] void strip_avx2(const StripCall& s) {
+  strip_kernel<8, 6, 16>(s);
 }
 // One 16-lane vector per row: at the small n of conv layers this beat both
 // AVX2 and an 8 x 32 AVX-512 tile end to end.
-[[gnu::target("avx512f")]] void strip_avx512(
-    std::int64_t k, const float* pa, const float* pb, std::int64_t b_row,
-    float* c, std::int64_t ldc, std::int64_t rows, std::int64_t cols) {
-  strip_kernel<16, 8, 16>(k, pa, pb, b_row, c, ldc, rows, cols);
+[[gnu::target("avx512f")]] void strip_avx512(const StripCall& s) {
+  strip_kernel<16, 8, 16>(s);
 }
 #endif
+
+}  // namespace
 
 struct GemmKernel {
   const char* name;  // instruction set and MR x NR tile
   std::int64_t mr, nr;
   StripFn strip;
 };
+
+namespace {
 
 // The kernels this host can run, baseline first and widest last; read once.
 const std::vector<GemmKernel>& host_kernels() {
@@ -432,12 +451,166 @@ const std::vector<GemmKernel>& host_kernels() {
   return kernels;
 }
 
-void run_gemm(const GemmKernel& kernel, bool trans_a, bool trans_b,
-              std::int64_t m, std::int64_t n, std::int64_t k, const float* a,
-              std::int64_t lda, const float* b, std::int64_t ldb, float* c,
-              std::int64_t ldc) {
+// The kernel a live GemmKernelScope names, else null.
+std::atomic<const GemmKernel*> scoped_kernel{nullptr};
+
+const GemmKernel& active_kernel() {
+  const GemmKernel* scoped = scoped_kernel.load(std::memory_order_acquire);
+  return scoped != nullptr ? *scoped : host_kernels().back();
+}
+
+// Output tiles of gemm, its unit of parallel work: kTileRows x kTileCols
+// of C. kTileRows is a multiple of every kernel's MR (4, 6, 8) and
+// kTileCols of every NR (8, 16).
+constexpr std::int64_t kTileRows = 96;
+constexpr std::int64_t kTileCols = 256;
+
+// Copies rows [r0, r0 + rows) of A (m x k) into mr-row strips, each k x mr
+// and k-major; rows past `rows` in the last strip are zero.
+void pack_a(const GemmA& a, std::int64_t k, std::int64_t r0,
+            std::int64_t rows, std::int64_t mr, float* dst) {
+  const std::int64_t strips = (rows + mr - 1) / mr;
+  std::fill(dst + (strips - 1) * k * mr, dst + strips * k * mr, 0.0f);
+  for (std::int64_t r = 0; r < rows; ++r) {
+    float* out = dst + (r / mr) * k * mr + r % mr;
+    const float* src = a.data + (r0 + r) * a.row_step;
+    for (std::int64_t p = 0; p < k; ++p) out[p * mr] = src[p * a.col_step];
+  }
+}
+
+// Room for the gathered B strips of one product, k rows of nr floats, and
+// their row offsets: on the stack when they fit, as every grad-weight strip
+// of the quick and full models' convs does, else allocated. Set up on first
+// use, since most products read B in place.
+class GatherStrip {
+ public:
+  // The strip's floats; rows() holds row p's offset, p * nr. Every call
+  // passes the same k and nr.
+  float* get(std::int64_t k, std::int64_t nr) {
+    if (rows_ == nullptr) {
+      data_ = local_;
+      rows_ = local_row_;
+      if (k * nr > kLocal) {
+        heap_ = std::make_unique_for_overwrite<float[]>(
+            static_cast<std::size_t>(k * nr));
+        heap_row_ = std::make_unique_for_overwrite<std::int64_t[]>(
+            static_cast<std::size_t>(k));
+        data_ = heap_.get();
+        rows_ = heap_row_.get();
+      }
+      for (std::int64_t p = 0; p < k; ++p) rows_[p] = p * nr;
+    }
+    return data_;
+  }
+  const std::int64_t* rows() const { return rows_; }
+
+ private:
+  // kLocal / 8 rows suffice: every kernel's nr is 8 or more.
+  static constexpr std::int64_t kLocal = 8192;
+  float local_[kLocal];
+  std::int64_t local_row_[kLocal / 8];
+  float* data_ = nullptr;
+  std::int64_t* rows_ = nullptr;
+  std::unique_ptr<float[]> heap_;
+  std::unique_ptr<std::int64_t[]> heap_row_;
+};
+
+// Every packed strip of A (`rows` rows) against columns [0, n) of B into C,
+// one kernel call per strip of nr columns.
+void run_strips(const GemmKernel& kernel, std::int64_t k, const float* pa,
+                std::int64_t rows, std::int64_t n, const GemmB& b,
+                const GemmC& c, GatherStrip& gather) {
+  const std::int64_t nr = kernel.nr;
+  for (std::int64_t c0 = 0; c0 < n; c0 += nr) {
+    const std::int64_t cols = std::min(nr, n - c0);
+    // Column j of the strip: its offset in B's rows and in C's rows.
+    const auto b_at = [&](std::int64_t j) {
+      return b.col != nullptr ? b.col[c0 + j] : c0 + j;
+    };
+    const auto c_at = [&](std::int64_t j) {
+      return c.col != nullptr ? c.col[c0 + j] : c0 + j;
+    };
+    StripCall call{k,    pa,   rows,    nullptr, nullptr,     nullptr,
+                   c.ld, cols, nullptr, nullptr, c.accumulate};
+    bool in_place = cols == nr || b.slack;
+    for (std::int64_t j = 1; j < cols && in_place; ++j) {
+      in_place = b_at(j) == b_at(0) + j;
+    }
+    if (in_place) {
+      call.pb = b.data + b_at(0);
+      call.b_row = b.row;
+    } else {
+      float* strip = gather.get(k, nr);
+      for (std::int64_t p = 0; p < k; ++p) {
+        const float* src = b.data + b.row[p];
+        float* dst = strip + p * nr;
+        for (std::int64_t j = 0; j < cols; ++j) dst[j] = src[b_at(j)];
+        std::fill(dst + cols, dst + nr, 0.0f);
+      }
+      call.pb = strip;
+      call.b_row = gather.rows();
+    }
+    // C: if every stored column j sits at from + j for one `from`, the
+    // strip is stored as vectors at `from`: whole ones when all nr columns
+    // are stored, else masked ones, which need C's slack. Otherwise it is
+    // stored one float at a time.
+    std::int32_t keep[kMaxNr] = {};
+    std::int64_t from = 0, stored = 0;
+    bool aligned = true;
+    for (std::int64_t j = 0; j < cols; ++j) {
+      const std::int64_t at = c_at(j);
+      if (at < 0) continue;
+      if (stored == 0) from = at - j;
+      aligned = aligned && at == from + j;
+      keep[j] = -1;
+      ++stored;
+    }
+    if (stored == 0) continue;
+    std::int64_t col[kMaxNr];
+    if (aligned && from >= 0 && (stored == nr || c.slack)) {
+      call.c = c.data + from;
+      if (stored < nr) call.keep = keep;
+    } else {
+      for (std::int64_t j = 0; j < cols; ++j) col[j] = c_at(j);
+      call.c = c.data;
+      call.c_col = col;
+    }
+    kernel.strip(call);
+  }
+}
+
+}  // namespace
+
+GemmPackedA::GemmPackedA(std::int64_t m, std::int64_t k, const GemmA& a)
+    : kernel_(&active_kernel()), m_(m), k_(k) {
+  const std::int64_t mr = kernel_->mr;
+  const std::int64_t floats = (m + mr - 1) / mr * mr * k;
+  data_ = std::make_unique_for_overwrite<float[]>(
+      static_cast<std::size_t>(std::max<std::int64_t>(floats, 1)));
+  if (m > 0) pack_a(a, k, 0, m, mr, data_.get());
+}
+
+void gemm_packed(const GemmPackedA& a, std::int64_t n, const GemmB& b,
+                 const GemmC& c) {
+  if (a.m_ <= 0 || n <= 0) return;
+  GatherStrip gather;
+  run_strips(*a.kernel_, a.k_, a.data_.get(), a.m_, n, b, c, gather);
+}
+
+void gemm(bool trans_a, bool trans_b, std::int64_t m, std::int64_t n,
+          std::int64_t k, const float* a, std::int64_t lda, const float* b,
+          std::int64_t ldb, float* c, std::int64_t ldc) {
   if (m <= 0 || n <= 0) return;
-  const std::int64_t mr = kernel.mr, nr = kernel.nr;
+  const GemmKernel& kernel = active_kernel();
+  const GemmA ga{a, trans_a ? 1 : lda, trans_a ? lda : 1};
+  // op(B)(p, j) is at p * ldb + j, or at p + j * ldb when transposed.
+  std::vector<std::int64_t> b_row(static_cast<std::size_t>(k));
+  for (std::int64_t p = 0; p < k; ++p) b_row[p] = trans_b ? p : p * ldb;
+  std::vector<std::int64_t> b_col;
+  if (trans_b) {
+    b_col.resize(static_cast<std::size_t>(n));
+    for (std::int64_t j = 0; j < n; ++j) b_col[j] = j * ldb;
+  }
   const std::int64_t row_tiles = (m + kTileRows - 1) / kTileRows;
   const std::int64_t col_tiles = (n + kTileCols - 1) / kTileCols;
   // Tiles write disjoint blocks of C and each element's sum runs whole
@@ -450,41 +623,24 @@ void run_gemm(const GemmKernel& kernel, bool trans_a, bool trans_b,
                               std::max<std::int64_t>(k, 1)),
       [&](std::int64_t lo, std::int64_t hi) {
         // The tile's rows of op(A), packed once and reused by every strip
-        // of B, and one strip of op(B): B's own rows are read in place
-        // when they hold a whole nr columns, else copied here first.
+        // of B.
         const auto packed_a = std::make_unique_for_overwrite<float[]>(
-            static_cast<std::size_t>(kTileRows * k));
-        const auto strip = std::make_unique_for_overwrite<float[]>(
-            static_cast<std::size_t>(k * nr));
+            static_cast<std::size_t>(kTileRows *
+                                     std::max<std::int64_t>(k, 1)));
+        GatherStrip gather;
         for (std::int64_t t = lo; t < hi; ++t) {
           const std::int64_t ct = t / row_tiles, rt = t % row_tiles;
-          const std::int64_t r_begin = rt * kTileRows;
-          const std::int64_t rows = std::min(kTileRows, m - r_begin);
-          pack_a(a, lda, trans_a, k, r_begin, rows, mr, packed_a.get());
-          const std::int64_t c_end = std::min(n, (ct + 1) * kTileCols);
-          for (std::int64_t c0 = ct * kTileCols; c0 < c_end; c0 += nr) {
-            const std::int64_t cols = std::min(nr, c_end - c0);
-            const float* pb = b + c0;
-            std::int64_t b_row = ldb;
-            if (trans_b || cols < nr) {
-              std::fill(strip.get(), strip.get() + k * nr, 0.0f);
-              for (std::int64_t j = 0; j < cols; ++j) {
-                for (std::int64_t p = 0; p < k; ++p) {
-                  strip[p * nr + j] =
-                      trans_b ? b[(c0 + j) * ldb + p] : b[p * ldb + c0 + j];
-                }
-              }
-              pb = strip.get();
-              b_row = nr;
-            }
-            kernel.strip(k, packed_a.get(), pb, b_row,
-                         c + r_begin * ldc + c0, ldc, rows, cols);
-          }
+          const std::int64_t r0 = rt * kTileRows, c0 = ct * kTileCols;
+          const std::int64_t rows = std::min(kTileRows, m - r0);
+          pack_a(ga, k, r0, rows, kernel.mr, packed_a.get());
+          const GemmB tile_b{trans_b ? b : b + c0, b_row.data(),
+                             trans_b ? b_col.data() + c0 : nullptr, false};
+          const GemmC tile_c{c + r0 * ldc + c0, ldc, nullptr, false, false};
+          run_strips(kernel, k, packed_a.get(), rows,
+                     std::min(kTileCols, n - c0), tile_b, tile_c, gather);
         }
       });
 }
-
-}  // namespace
 
 const char* gemm_kernel_name() { return host_kernels().back().name; }
 
@@ -494,13 +650,10 @@ std::vector<std::string> gemm_host_kernels() {
   return names;
 }
 
-void gemm_with_kernel(const std::string& kernel, bool trans_a, bool trans_b,
-                      std::int64_t m, std::int64_t n, std::int64_t k,
-                      const float* a, std::int64_t lda, const float* b,
-                      std::int64_t ldb, float* c, std::int64_t ldc) {
+GemmKernelScope::GemmKernelScope(const std::string& kernel) {
   for (const GemmKernel& candidate : host_kernels()) {
     if (kernel == candidate.name) {
-      run_gemm(candidate, trans_a, trans_b, m, n, k, a, lda, b, ldb, c, ldc);
+      scoped_kernel.store(&candidate, std::memory_order_release);
       return;
     }
   }
@@ -508,11 +661,8 @@ void gemm_with_kernel(const std::string& kernel, bool trans_a, bool trans_b,
                               "' does not run on this host");
 }
 
-void gemm(bool trans_a, bool trans_b, std::int64_t m, std::int64_t n,
-          std::int64_t k, const float* a, std::int64_t lda, const float* b,
-          std::int64_t ldb, float* c, std::int64_t ldc) {
-  run_gemm(host_kernels().back(), trans_a, trans_b, m, n, k, a, lda, b, ldb,
-           c, ldc);
+GemmKernelScope::~GemmKernelScope() {
+  scoped_kernel.store(nullptr, std::memory_order_release);
 }
 
 Shape matmul_shape(const Shape& a, const Shape& b, bool trans_a,

@@ -4,6 +4,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -126,10 +127,79 @@ Tensor reduce_mean(const Tensor& a, const std::vector<std::int64_t>& axes,
 /// in parallel and k is never split, so that order, and every result, is the
 /// same for any kernel, tile shape and thread count. Rows of op(A) are packed
 /// into strips and a register tile of C is accumulated against column strips
-/// of op(B). No term is skipped, so 0 * inf gives NaN as IEEE says.
+/// of op(B). No term is skipped, so 0 * inf gives NaN as IEEE says. This and
+/// gemm_packed below are one engine: gemm describes its operands with the
+/// offset tables gemm_packed takes.
 void gemm(bool trans_a, bool trans_b, std::int64_t m, std::int64_t n,
           std::int64_t k, const float* a, std::int64_t lda, const float* b,
           std::int64_t ldb, float* c, std::int64_t ldc);
+
+/// Floats past its last addressed element that a B or C operand with
+/// `slack` set holds for the kernel: one strip of the widest kernel.
+inline constexpr std::int64_t kGemmSlack = 16;
+
+/// A (m x k) of gemm_packed: element (r, p) at data[r * row_step + p *
+/// col_step].
+struct GemmA {
+  const float* data;
+  std::int64_t row_step, col_step;
+};
+
+/// B (k x n) of gemm_packed, described by offsets: element (p, j) at
+/// data[row[p] + col[j]], where `col` null means col[j] = j. A strip of
+/// columns whose offsets are consecutive is read in place, one vector load
+/// per row and kernel lane group; any other is gathered into a strip first.
+/// With `slack` every row may be read kGemmSlack floats past its last
+/// column, so a partial last strip is read in place too (what it reads past
+/// the last column feeds only columns that are not stored).
+struct GemmB {
+  const float* data;
+  const std::int64_t* row;
+  const std::int64_t* col;
+  bool slack;
+};
+
+/// C (m x n) of gemm_packed: element (r, j) at data[r * ld + col[j]], where
+/// `col` null means col[j] = j; a column with col[j] < 0 is not written.
+/// With `accumulate` each element adds its product, a sum formed from +0
+/// in k order as above, once to what C holds (BLAS beta = 1); otherwise it
+/// stores it. With `slack` every float of a row from data[r * ld] through
+/// kGemmSlack past its last column belongs to this call alone: the kernel
+/// may read such floats and write them back unchanged, so a strip whose
+/// stored columns are consecutive apart from dropped ones is stored as
+/// masked vectors.
+struct GemmC {
+  float* data;
+  std::int64_t ld;
+  const std::int64_t* col;
+  bool slack;
+  bool accumulate;
+};
+
+struct GemmKernel;
+
+/// A (m x k) packed once into the strips of the kernel gemm runs (see
+/// GemmKernelScope), so many products can share it: a convolution packs its
+/// weight once per call, not once per sample.
+class GemmPackedA {
+ public:
+  GemmPackedA() = default;
+  GemmPackedA(std::int64_t m, std::int64_t k, const GemmA& a);
+
+ private:
+  friend void gemm_packed(const GemmPackedA& a, std::int64_t n,
+                          const GemmB& b, const GemmC& c);
+  const GemmKernel* kernel_ = nullptr;
+  std::int64_t m_ = 0, k_ = 0;
+  std::unique_ptr<float[]> data_;
+};
+
+/// C (m x n) = or += A * B through the kernel `a` was packed for, with
+/// every element's sum formed as gemm's, on the calling thread: callers run
+/// independent products in parallel (each convolution over its samples or
+/// weight columns).
+void gemm_packed(const GemmPackedA& a, std::int64_t n, const GemmB& b,
+                 const GemmC& c);
 
 /// The micro-kernel gemm runs on this host, as its instruction set and
 /// register tile ("sse 4x8", "avx2 6x16" or "avx512 8x16"): the widest the
@@ -140,12 +210,16 @@ const char* gemm_kernel_name();
 /// first and gemm_kernel_name() last.
 std::vector<std::string> gemm_host_kernels();
 
-/// Test hook: gemm through the named kernel of gemm_host_kernels(); any
-/// other name throws std::invalid_argument.
-void gemm_with_kernel(const std::string& kernel, bool trans_a, bool trans_b,
-                      std::int64_t m, std::int64_t n, std::int64_t k,
-                      const float* a, std::int64_t lda, const float* b,
-                      std::int64_t ldb, float* c, std::int64_t ldc);
+/// Test hook: while one is alive, gemm, gemm_packed and so every
+/// convolution run the named kernel of gemm_host_kernels() on every thread;
+/// any other name throws std::invalid_argument. Scopes do not nest.
+class GemmKernelScope {
+ public:
+  explicit GemmKernelScope(const std::string& kernel);
+  ~GemmKernelScope();
+  GemmKernelScope(const GemmKernelScope&) = delete;
+  GemmKernelScope& operator=(const GemmKernelScope&) = delete;
+};
 
 /// The one shape rule of matmul: (m,n) for op(a) (m,k) and op(b) (k,n),
 /// where op transposes when its flag is set. Throws std::invalid_argument

@@ -1,6 +1,7 @@
 // Paper-result gate: the shape of the paper's results as tolerance-bounded
 // inequalities over BENCH_tables.json, the committed quick-scale snapshot
-// of the table benches (tools/bench_tables.py regenerates it).
+// of the table benches (tools/bench_tables.py regenerates it): Table I on
+// PreActResNet-18 and Table II on VGG-16.
 //
 // Each check states one claim with its bound. A check that holds today must
 // keep holding. A check that fails today stays here as a reported failing
@@ -124,7 +125,9 @@ std::vector<Violation> each_row(
 
 constexpr double kTol = 1e-9;  // the snapshot's numbers are exact
 
-std::vector<Check> table2_checks() {
+/// The checks that hold on both tables: Table I (PreActResNet-18) and
+/// Table II (VGG-16) run the same attacks and defenses.
+std::vector<Check> common_checks() {
   std::vector<Check> checks;
   checks.push_back(
       {"baselines_implant",
@@ -163,6 +166,11 @@ std::vector<Check> table2_checks() {
        },
        {},
        ""});
+  return checks;
+}
+
+std::vector<Check> table2_checks() {
+  std::vector<Check> checks = common_checks();
   checks.push_back(
       {"fp_fails_on_vgg_badnet",
        "FP leaves the VGG BadNet backdoor in: mean ASR >= 50 at every SPC "
@@ -227,37 +235,10 @@ std::vector<Check> table2_checks() {
   return checks;
 }
 
-TEST(ShapeCheck, SnapshotIsWellFormed) {
-  const Json doc = load_snapshot();
-  const Json* host = doc.find("host");
-  ASSERT_NE(host, nullptr);
-  for (const char* field : {"cores", "engine_threads", "shard_workers",
-                            "build_type", "compiler"}) {
-    EXPECT_NE(host->find(field), nullptr) << "host stamp lacks " << field;
-  }
-  const Rows rows = table_rows(doc, "table2");
-  std::size_t baselines = 0;
-  for (const Row& r : rows) {
-    if (r.defense == "baseline") {
-      ++baselines;
-      continue;
-    }
-    EXPECT_GT(r.spc, 0) << r.cell();
-    const std::size_t trials = r.trials.at("acc").size();
-    EXPECT_GE(trials, 1u) << r.cell();
-    for (const char* metric : {"asr", "ra", "pruned"}) {
-      EXPECT_EQ(r.trials.at(metric).size(), trials) << r.cell() << metric;
-    }
-  }
-  // Table II: 4 attacks; 7 defenses at quick mode's SPC {2, 10}.
-  EXPECT_EQ(baselines, 4u);
-  EXPECT_EQ(rows.size() - baselines, 4u * 7u * 2u);
-}
-
-TEST(ShapeCheck, TableII) {
-  const Rows rows = table_rows(load_snapshot(), "table2");
-  ASSERT_FALSE(rows.empty()) << "BENCH_tables.json has no table2 rows";
-  for (const Check& check : table2_checks()) {
+/// Prints every check over `rows` and fails where the set of failing
+/// cells differs from the one the check records.
+void run_checks(const Rows& rows, const std::vector<Check>& checks) {
+  for (const Check& check : checks) {
     const std::vector<Violation> found = check.violations(rows);
     std::vector<std::string> cells;
     for (const Violation& v : found) cells.push_back(v.cell);
@@ -273,6 +254,48 @@ TEST(ShapeCheck, TableII) {
         << (known ? "the failing cells changed; update them and the reason"
                   : "a check that held now fails");
   }
+}
+
+TEST(ShapeCheck, SnapshotIsWellFormed) {
+  const Json doc = load_snapshot();
+  const Json* host = doc.find("host");
+  ASSERT_NE(host, nullptr);
+  for (const char* field : {"cores", "engine_threads", "shard_workers",
+                            "build_type", "compiler"}) {
+    EXPECT_NE(host->find(field), nullptr) << "host stamp lacks " << field;
+  }
+  // Tables I and II: 4 attacks; 7 defenses at quick mode's SPC {2, 10}.
+  for (const char* table : {"table1", "table2"}) {
+    const Rows rows = table_rows(doc, table);
+    std::size_t baselines = 0;
+    for (const Row& r : rows) {
+      if (r.defense == "baseline") {
+        ++baselines;
+        continue;
+      }
+      EXPECT_GT(r.spc, 0) << table << " " << r.cell();
+      const std::size_t trials = r.trials.at("acc").size();
+      EXPECT_GE(trials, 1u) << table << " " << r.cell();
+      for (const char* metric : {"asr", "ra", "pruned"}) {
+        EXPECT_EQ(r.trials.at(metric).size(), trials)
+            << table << " " << r.cell() << metric;
+      }
+    }
+    EXPECT_EQ(baselines, 4u) << table;
+    EXPECT_EQ(rows.size() - baselines, 4u * 7u * 2u) << table;
+  }
+}
+
+TEST(ShapeCheck, TableI) {
+  const Rows rows = table_rows(load_snapshot(), "table1");
+  ASSERT_FALSE(rows.empty()) << "BENCH_tables.json has no table1 rows";
+  run_checks(rows, common_checks());
+}
+
+TEST(ShapeCheck, TableII) {
+  const Rows rows = table_rows(load_snapshot(), "table2");
+  ASSERT_FALSE(rows.empty()) << "BENCH_tables.json has no table2 rows";
+  run_checks(rows, table2_checks());
 }
 
 }  // namespace

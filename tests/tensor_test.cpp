@@ -290,6 +290,77 @@ TEST(Gemm, MatchesNaiveLoopBitForBit) {
   }
 }
 
+// Runs gemm_packed under every kernel on one layout (see the caller) and
+// checks each C, unstored floats included, against a naive loop.
+void expect_packed_gemm_matches(const std::vector<std::string>& kernels,
+                                std::int64_t m, std::int64_t n, std::int64_t k,
+                                int b_mode, int c_mode, bool accumulate,
+                                std::mt19937& gen) {
+  // A: element (r, p) at r * 2 + p * (2m + 1).
+  const std::int64_t row_step = 2, col_step = 2 * m + 1;
+  std::vector<float> a = random_floats(
+      static_cast<std::size_t>(std::max<std::int64_t>(k, 1) * (2 * m + 1)),
+      gen);
+  // B rows at non-affine offsets; columns by b_mode.
+  std::vector<std::int64_t> b_row(static_cast<std::size_t>(k));
+  std::int64_t at = 3;
+  for (std::int64_t p = 0; p < k; ++p) {
+    b_row[p] = at;
+    at += 2 * n + 1 + p % 3;
+  }
+  std::vector<std::int64_t> b_col(static_cast<std::size_t>(n));
+  for (std::int64_t j = 0; j < n; ++j) {
+    b_col[j] = b_mode == 1 ? j + 2 : 2 * j + j / 3;
+  }
+  const std::vector<float> b = random_floats(
+      static_cast<std::size_t>(at + 2 * n + kGemmSlack), gen);
+  // C columns by c_mode: dense; every third dropped, with slack; scattered
+  // with every fifth dropped; shifted one float left with two of every
+  // seven dropped, with slack (so the first strip's column 0 would sit
+  // before the row).
+  const std::int64_t ldc = c_mode == 2 ? 2 * n + 3 : n + 2;
+  std::vector<std::int64_t> c_col(static_cast<std::size_t>(n));
+  for (std::int64_t j = 0; j < n; ++j) {
+    switch (c_mode) {
+      case 1: c_col[j] = j % 3 == 1 ? -1 : j; break;
+      case 2: c_col[j] = j % 5 == 4 ? -1 : 2 * j + 1; break;
+      default: c_col[j] = j % 7 < 2 ? -1 : j - 1; break;
+    }
+  }
+  const bool c_slack = c_mode == 1 || c_mode == 3;
+  const std::vector<float> c0 =
+      random_floats(static_cast<std::size_t>(m * ldc + kGemmSlack), gen);
+  const GemmB b_desc{b.data(), b_row.data(),
+                     b_mode == 0 ? nullptr : b_col.data(), b_mode == 0};
+  std::vector<float> want = c0;
+  for (std::int64_t r = 0; r < m; ++r) {
+    for (std::int64_t j = 0; j < n; ++j) {
+      const std::int64_t cj = c_mode == 0 ? j : c_col[j];
+      if (cj < 0) continue;
+      float sum = 0.0f;
+      for (std::int64_t p = 0; p < k; ++p) {
+        sum += a[r * row_step + p * col_step] *
+               b[b_row[p] + (b_mode == 0 ? j : b_col[j])];
+      }
+      float& out = want[r * ldc + cj];
+      out = accumulate ? out + sum : sum;
+    }
+  }
+  for (const std::string& kernel : kernels) {
+    const GemmKernelScope scope(kernel);
+    const GemmPackedA packed(m, k, {a.data(), row_step, col_step});
+    std::vector<float> got = c0;
+    gemm_packed(packed, n, b_desc,
+                {got.data(), ldc, c_mode == 0 ? nullptr : c_col.data(),
+                 c_slack, accumulate});
+    EXPECT_EQ(std::memcmp(want.data(), got.data(), want.size() * sizeof(float)),
+              0)
+        << kernel << " m=" << m << " n=" << n << " k=" << k
+        << " b_mode=" << b_mode << " c_mode=" << c_mode
+        << " accumulate=" << accumulate;
+  }
+}
+
 // Element (i, p) of op(X) for X row-major with rows `ld` apart.
 float& op_at(std::vector<float>& x, bool trans, std::int64_t ld,
              std::int64_t i, std::int64_t p) {
@@ -301,9 +372,7 @@ TEST(Gemm, EveryHostKernelMatchesBaselineBitwise) {
   const std::vector<std::string> kernels = gemm_host_kernels();
   ASSERT_FALSE(kernels.empty());
   EXPECT_EQ(kernels.back(), gemm_kernel_name());
-  EXPECT_THROW(gemm_with_kernel("nope", false, false, 1, 1, 1, nullptr, 1,
-                                nullptr, 1, nullptr, 1),
-               std::invalid_argument);
+  EXPECT_THROW(GemmKernelScope("nope"), std::invalid_argument);
   const float inf = std::numeric_limits<float>::infinity();
   // The NaN the hardware makes of 0 * inf, so every NaN in C has one bit
   // pattern: where two NaNs with different bits meet, which one an add
@@ -346,18 +415,41 @@ TEST(Gemm, EveryHostKernelMatchesBaselineBitwise) {
               }
               std::vector<float> want(static_cast<std::size_t>(m * ldc),
                                       -7.0f);
-              gemm_with_kernel(kernels.front(), ta, tb, m, n, k, a.data(),
-                               lda, b.data(), ldb, want.data(), ldc);
+              {
+                const GemmKernelScope baseline(kernels.front());
+                gemm(ta, tb, m, n, k, a.data(), lda, b.data(), ldb,
+                     want.data(), ldc);
+              }
               for (const std::string& kernel : kernels) {
                 std::vector<float> got(want.size(), -7.0f);
-                gemm_with_kernel(kernel, ta, tb, m, n, k, a.data(), lda,
-                                 b.data(), ldb, got.data(), ldc);
+                const GemmKernelScope scope(kernel);
+                gemm(ta, tb, m, n, k, a.data(), lda, b.data(), ldb,
+                     got.data(), ldc);
                 EXPECT_EQ(std::memcmp(want.data(), got.data(),
                                       want.size() * sizeof(float)),
                           0)
                     << kernel << " ta=" << ta << " tb=" << tb << " m=" << m
                     << " n=" << n << " k=" << k << " threads=" << threads;
               }
+            }
+          }
+        }
+      }
+    }
+  }
+  // gemm_packed's offset-described operands and accumulate mode, against a
+  // naive loop over the same offsets: B read in place with slack, through a
+  // consecutive table without slack, or gathered; C dense, with dropped
+  // columns and slack (masked vectors), scattered, or shifted; stored or
+  // added. gemm_packed runs on the calling thread.
+  for (std::int64_t m : {1, 7, 13}) {
+    for (std::int64_t n : {1, 5, 19, 47}) {
+      for (std::int64_t k : {0, 1, 3, 37}) {
+        for (int b_mode = 0; b_mode < 3; ++b_mode) {
+          for (int c_mode = 0; c_mode < 4; ++c_mode) {
+            for (bool accumulate : {false, true}) {
+              expect_packed_gemm_matches(kernels, m, n, k, b_mode, c_mode,
+                                         accumulate, gen);
             }
           }
         }
@@ -585,29 +677,59 @@ struct ConvCase {
   Conv2dSpec spec;
   bool bias;
   std::int64_t pruned_filter;  // filter zeroed out, or -1
+  bool non_finite = false;     // one inf input pixel and one inf weight
 };
 
-void expect_conv_matches(const ConvCase& cc, std::mt19937& gen) {
-  const Tensor x = random_tensor(cc.x, gen);
+// Same bits, or for a non-finite case the same finite/non-finite pattern
+// and the same finite values (which NaN bits an add keeps follows the
+// compiler's operand order, not the arithmetic).
+bool same_values(const Tensor& got, const Tensor& want, bool non_finite) {
+  if (!non_finite) return same_bits(got, want);
+  if (got.shape() != want.shape()) return false;
+  for (std::int64_t i = 0; i < got.numel(); ++i) {
+    const bool finite = std::isfinite(want[i]);
+    if (std::isfinite(got[i]) != finite) return false;
+    if (finite &&
+        std::memcmp(got.data() + i, want.data() + i, sizeof(float)) != 0) {
+      return false;
+    }
+  }
+  return true;
+}
+
+// Checks one case under the GEMM kernel named `kernel`, which the caller
+// has put in scope.
+void expect_conv_matches(const ConvCase& cc, const std::string& kernel,
+                         std::mt19937& gen) {
+  Tensor x = random_tensor(cc.x, gen);
   Tensor w = random_tensor(cc.w, gen);
   if (cc.pruned_filter >= 0) {
     const std::int64_t per = w.numel() / w.size(0);
     std::fill(w.data() + cc.pruned_filter * per,
               w.data() + (cc.pruned_filter + 1) * per, 0.0f);
   }
+  if (cc.non_finite) {
+    // A pixel on the right edge, which the grid columns past OW of the row
+    // above read, and a weight whose products with padding zeros are NaN.
+    const float inf = std::numeric_limits<float>::infinity();
+    x.at4(0, 0, 1, cc.x[3] - 1) = inf;
+    w.at4(0, 0, 0, 0) = -inf;
+  }
   const Tensor bias = cc.bias ? random_tensor({cc.w[0]}, gen) : Tensor();
   const RefConv ref(x, w, cc.spec);
   const Tensor gy = random_tensor({ref.n, ref.cout, ref.oh, ref.ow}, gen);
-  const std::string where = std::string(cc.name) + " threads=" +
+  const std::string where = std::string(cc.name) + " kernel=" + kernel +
+                            " threads=" +
                             std::to_string(runtime::thread_count());
+  const bool nf = cc.non_finite;
 
-  EXPECT_TRUE(same_bits(conv2d_forward(x, w, bias, cc.spec),
-                        ref.forward(x, w, bias)))
+  EXPECT_TRUE(same_values(conv2d_forward(x, w, bias, cc.spec),
+                          ref.forward(x, w, bias), nf))
       << where;
   const Conv2dGrads got = conv2d_backward(x, w, cc.bias, gy, cc.spec);
   const Conv2dGrads want = ref.backward(x, w, cc.bias, gy);
-  EXPECT_TRUE(same_bits(got.grad_input, want.grad_input)) << where;
-  EXPECT_TRUE(same_bits(got.grad_weight, want.grad_weight)) << where;
+  EXPECT_TRUE(same_values(got.grad_input, want.grad_input, nf)) << where;
+  EXPECT_TRUE(same_values(got.grad_weight, want.grad_weight, nf)) << where;
   EXPECT_EQ(got.grad_bias.defined(), cc.bias) << where;
   if (cc.bias) EXPECT_TRUE(same_bits(got.grad_bias, want.grad_bias)) << where;
 
@@ -635,34 +757,72 @@ void expect_conv_matches(const ConvCase& cc, std::mt19937& gen) {
 }
 
 TEST(Conv, MatchesPerSampleReferenceBitForBit) {
-  // 32 -> 32 channels on 3x3 maps: the batch of 19 spans several forward
-  // groups and several grad-weight chunks, each with a remainder.
-  const std::int64_t group = conv_group_size((32 * 9 + 32) * 9);
-  const std::int64_t chunk = conv_weight_chunk(32 * 32 * 9);
-  ASSERT_GT(19, group);
-  ASSERT_NE(19 % group, 0);
-  ASSERT_GT(chunk, 1);
-  ASSERT_GT(19, chunk);
-  ASSERT_NE(19 % chunk, 0);
-  // A small weight whose chunk the scratch budget sets, with a remainder.
-  const std::int64_t budget_chunk = conv_weight_chunk(4 * 16 * 9);
-  ASSERT_GT(budget_chunk, chunk);
-  ASSERT_GT(30, budget_chunk);
-  ASSERT_NE(30 % budget_chunk, 0);
+  // The stride-1 GEMM's columns are an OH x Wp grid (its last row cut at
+  // OW) read in place from the padded image; strides above 1 gather. NR is
+  // 8 or 16 and MR 4, 6 or 8, so 5 and 7 channels are no multiple of MR.
   const ConvCase cases[] = {
       {"stride 2, pad 1, bias", {5, 3, 7, 7}, {4, 3, 3, 3}, {2, 1}, true, -1},
       {"pad 0, n = 1", {1, 4, 6, 5}, {6, 4, 3, 3}, {1, 0}, false, -1},
+      {"pad 2, 2x2 kernel", {2, 3, 5, 4}, {5, 3, 2, 2}, {1, 2}, true, -1},
+      {"2x2 kernel, stride 2", {2, 2, 6, 7}, {3, 2, 2, 2}, {2, 0}, false, -1},
+      // A stride past the kernel: the split image keeps 2 of 3 phases.
+      {"2x2 kernel, stride 3, pad 1", {2, 3, 8, 7}, {4, 3, 2, 2}, {3, 1}, true,
+       -1},
+      {"OH*Wp = 48, a multiple of NR", {2, 3, 6, 6}, {4, 3, 3, 3}, {1, 1},
+       false, -1},
+      {"OH*Wp = 35, no multiple of NR", {2, 3, 5, 5}, {4, 3, 3, 3}, {1, 1},
+       true, -1},
+      {"C = 1", {3, 1, 7, 6}, {5, 1, 3, 3}, {1, 1}, true, -1},
+      {"C = 5, Cout = 7", {3, 5, 6, 6}, {7, 5, 3, 3}, {1, 1}, false, -1},
+      {"3x3 map", {4, 6, 3, 3}, {6, 6, 3, 3}, {1, 1}, true, -1},
       {"1x1 pointwise", {3, 8, 5, 5}, {5, 8, 1, 1}, {1, 0}, true, -1},
       {"1x1 stride 2", {2, 6, 6, 6}, {4, 6, 1, 1}, {2, 0}, false, -1},
       {"pruned filters", {4, 5, 6, 6}, {6, 5, 3, 3}, {1, 1}, true, 2},
-      {"group remainder", {19, 32, 3, 3}, {32, 32, 3, 3}, {1, 1}, true, 31},
-      {"budget chunks", {30, 16, 4, 4}, {4, 16, 3, 3}, {1, 1}, false, -1},
+      // One sample per forward, grad-input and grad-weight chunk (each
+      // costs above the parallel grain) over 5 samples and 9 weight strips.
+      {"one sample per chunk", {5, 16, 6, 6}, {16, 16, 3, 3}, {1, 1}, true,
+       -1},
+      // Chunks of 5 samples over a batch of 12, the last one short.
+      {"several samples per chunk", {12, 4, 4, 4}, {8, 4, 3, 3}, {1, 1},
+       false, -1},
+      {"non-finite, stride 1", {2, 3, 5, 6}, {4, 3, 3, 3}, {1, 1}, true, -1,
+       true},
+      {"non-finite, stride 2", {2, 3, 7, 7}, {4, 3, 3, 3}, {2, 1}, false, -1,
+       true},
   };
   ThreadCountGuard guard;
   std::mt19937 gen(3);
-  for (int threads : {1, 3}) {
-    runtime::set_thread_count(threads);
-    for (const ConvCase& cc : cases) expect_conv_matches(cc, gen);
+  for (const std::string& kernel : gemm_host_kernels()) {
+    const GemmKernelScope scope(kernel);
+    for (int threads : {1, 3}) {
+      runtime::set_thread_count(threads);
+      for (const ConvCase& cc : cases) expect_conv_matches(cc, kernel, gen);
+    }
+  }
+}
+
+TEST(Conv, DepthwiseBackwardSkipsWhatIsNotNeeded) {
+  std::mt19937 gen(8);
+  const Tensor x = random_tensor({3, 4, 6, 5}, gen);
+  const Tensor w = random_tensor({4, 1, 3, 3}, gen);
+  const Conv2dSpec spec{2, 1};
+  const Tensor gy = random_tensor(
+      conv2d_shape(x.shape(), w.shape(), nullptr, spec, /*depthwise=*/true),
+      gen);
+  const Conv2dGrads full = depthwise_conv2d_backward(x, w, true, gy, spec);
+  for (const auto [need_input, need_weight] :
+       {std::pair{false, true}, std::pair{true, false},
+        std::pair{false, false}}) {
+    const Conv2dGrads part =
+        depthwise_conv2d_backward(x, w, true, gy, spec, need_input,
+                                  need_weight);
+    EXPECT_EQ(part.grad_input.defined(), need_input);
+    EXPECT_EQ(part.grad_weight.defined(), need_weight);
+    if (need_input) EXPECT_TRUE(same_bits(part.grad_input, full.grad_input));
+    if (need_weight) {
+      EXPECT_TRUE(same_bits(part.grad_weight, full.grad_weight));
+    }
+    EXPECT_TRUE(same_bits(part.grad_bias, full.grad_bias));
   }
 }
 

@@ -5,10 +5,11 @@ Usage, from the root of a checkout with a CMake build in build/:
 
     python3 tools/bench_tables.py [--build build] [--out BENCH_tables.json]
 
-For each table below it runs the quick-scale bench through `bdctl shard run
---workers 4` with BDPROTO_THREADS=1, in a temporary directory, with every
-other BDPROTO_* variable cleared (so BDPROTO_MODE is quick and BDPROTO_SEED
-the default 1234). The shard workers append each finished cell to the run
+For each table below (Table I on PreActResNet-18, Table II on VGG-16) it
+runs the quick-scale bench through `bdctl shard run --workers 4` with
+BDPROTO_THREADS=1, in a temporary directory, with every other BDPROTO_*
+variable cleared (so BDPROTO_MODE is quick and BDPROTO_SEED the default
+1234); the two take about 45 s on 4 cores. The shard workers append each finished cell to the run
 journal (BDPROTO_JOURNAL); the script folds that journal into one row per
 cell: attack, defense, SPC and the per-trial ACC, ASR, RA and pruned units.
 Rows are sorted, and per-trial wall times are left out, so the file is
@@ -30,7 +31,8 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-TABLES = {"table2": "bench_table2_cifar_vgg"}
+TABLES = {"table1": "bench_table1_cifar_preactresnet",
+          "table2": "bench_table2_cifar_vgg"}
 WORKERS = 4
 ENGINE_THREADS = 1
 SEED = 1234
