@@ -9,6 +9,7 @@
 #include <string>
 
 #include "obs/obs.h"
+#include "tensor/batch_norm.h"
 #include "tensor/conv.h"
 #include "tensor/ops.h"
 #include "tensor/pool.h"
@@ -27,6 +28,14 @@ const Tensor& in_value(const Node& n, std::size_t i) {
 bool wants_grad(const Node& n, std::size_t i) {
   return n.inputs[i]->requires_grad;
 }
+
+// kBatchNorm's operand positions: x, gamma, [delta], beta, [mask].
+struct BatchNormInputs {
+  std::size_t beta, mask;  // mask is valid only with has_mask
+
+  explicit BatchNormInputs(const Node& n)
+      : beta(n.has_delta ? 3 : 2), mask(beta + 1) {}
+};
 
 // Backward of a unary op in one pass: grad * d(t) elementwise, where `t` is
 // the op's input or output value. Each element computes exactly
@@ -116,6 +125,15 @@ Tensor forward_value(Node& n) {
     }
     case OpKind::kGlobalAvgPool:
       return global_avgpool_forward(in_value(n, 0));
+    case OpKind::kBatchNorm: {
+      const BatchNormInputs at(n);
+      BatchNormResult res = batch_norm_forward(
+          in_value(n, 0), in_value(n, 1),
+          n.has_delta ? in_value(n, 2) : Tensor(), in_value(n, at.beta),
+          n.has_mask ? in_value(n, at.mask) : Tensor(), n.batch_norm);
+      n.batch_stats = std::move(res.stats);
+      return std::move(res.output);
+    }
     case OpKind::kLogSoftmax:
       return log_softmax_rows(in_value(n, 0));
     case OpKind::kNllLoss: {
@@ -256,6 +274,34 @@ void execute_backward(const Node& n, const GradSink& sink) {
       sink(n.inputs[0],
            global_avgpool_backward(in_value(n, 0).shape(), n.grad));
       return;
+    case OpKind::kBatchNorm: {
+      const BatchNormInputs at(n);
+      BatchNormNeeds need;
+      need.input = wants_grad(n, 0);
+      need.gamma = wants_grad(n, 1);
+      need.delta = n.has_delta && wants_grad(n, 2);
+      need.beta = wants_grad(n, at.beta);
+      need.mask = n.has_mask && wants_grad(n, at.mask);
+      // x's two gradients (tensor/batch_norm.h) are one addend unless x
+      // already holds a gradient, which then takes them in turn.
+      need.split_input = n.inputs[0]->grad.defined();
+      const BatchNormGrads g = batch_norm_backward(
+          n.grad, in_value(n, 0), in_value(n, 1), in_value(n, at.beta),
+          n.has_mask ? in_value(n, at.mask) : Tensor(), n.batch_norm,
+          n.batch_stats, need);
+      // In the reference graph's order: mask, beta, gamma, delta, then x.
+      if (need.mask) sink(n.inputs[at.mask], g.grad_mask);
+      if (need.beta) sink(n.inputs[at.beta], g.grad_beta);
+      if (need.gamma) sink(n.inputs[1], g.grad_gamma);
+      if (need.delta) sink(n.inputs[2], g.grad_delta);
+      if (need.input) {
+        sink(n.inputs[0], g.grad_input);
+        if (g.grad_input_mean.defined()) {
+          sink(n.inputs[0], g.grad_input_mean);
+        }
+      }
+      return;
+    }
     case OpKind::kLogSoftmax: {
       // dL/dx = g - softmax(x) * sum_j(g_j) per row.
       const Tensor& out = n.value;

@@ -29,6 +29,7 @@ const char* op_kind_name(OpKind kind) {
     case OpKind::kDepthwiseConv2d: return "depthwise_conv2d";
     case OpKind::kMaxPool2d: return "maxpool2d";
     case OpKind::kGlobalAvgPool: return "global_avgpool";
+    case OpKind::kBatchNorm: return "batch_norm";
     case OpKind::kLogSoftmax: return "log_softmax";
     case OpKind::kNllLoss: return "nll_loss";
   }

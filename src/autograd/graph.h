@@ -9,7 +9,8 @@
 // each intermediate as soon as its last Var goes out of scope. The kernels
 // are the src/tensor routines the original eager tape called, in the same
 // per-op order (Determinism.GraphIRInvariance pins that tape's golden
-// hash).
+// hash); kBatchNorm's two kernels give the bits of the ten broadcast ops
+// the tape ran for a BatchNorm layer (tensor/batch_norm.h).
 //
 // Gradient lifetimes: leaf gradients (parameters) live on the node and
 // accumulate across backward() calls, exactly as before. INTERIOR
@@ -24,6 +25,7 @@
 #include <memory>
 #include <vector>
 
+#include "tensor/batch_norm.h"
 #include "tensor/conv.h"
 #include "tensor/pool.h"
 #include "tensor/tensor.h"
@@ -59,6 +61,8 @@ enum class OpKind : std::uint8_t {
   // Pooling.
   kMaxPool2d,
   kGlobalAvgPool,
+  // Normalization.
+  kBatchNorm,
   // Losses.
   kLogSoftmax,
   kNllLoss,
@@ -92,11 +96,15 @@ struct Node {
   bool keepdim = false;            // kReduceSum
   Shape reshape_to;                // kReshape
   std::shared_ptr<const std::vector<std::int64_t>> labels;  // kNllLoss
+  BatchNormSpec batch_norm;  // kBatchNorm; its inputs are x, gamma,
+  bool has_delta = false;    // then delta when has_delta, beta, and mask
+  bool has_mask = false;     // when has_mask
 
   // --- execution state ---
   Tensor value;  // the forward kernel's output; the wrapped tensor on leaves
   Tensor grad;   // persistent on leaves and backward roots; transient else
   std::shared_ptr<std::vector<std::int64_t>> argmax;  // kMaxPool2d aux
+  BatchNormStats batch_stats;                         // kBatchNorm aux
 
   /// Adds g to this node's persistent grad (allocating on first use);
   /// throws std::logic_error on shape mismatch. Used for leaves and the

@@ -1,6 +1,7 @@
 #include "autograd/ops.h"
 
 #include <algorithm>
+#include <span>
 #include <stdexcept>
 #include <string>
 
@@ -19,7 +20,7 @@ namespace {
 // the node participates in backward only when recording is on and some
 // input requires grad; otherwise it keeps no input edges.
 template <typename SetAttrs>
-Var make_op(OpKind kind, std::initializer_list<const Var*> ins,
+Var make_op(OpKind kind, std::span<const Var* const> ins,
             SetAttrs set_attrs) {
   auto n = std::make_shared<Node>();
   n->kind = kind;
@@ -44,6 +45,13 @@ Var make_op(OpKind kind, std::initializer_list<const Var*> ins,
   if (!n->requires_grad) n->inputs.clear();
   BD_OBS_COUNT("autograd.nodes_materialized", 1);
   return Var::from_node(std::move(n));
+}
+
+template <typename SetAttrs>
+Var make_op(OpKind kind, std::initializer_list<const Var*> ins,
+            SetAttrs set_attrs) {
+  return make_op(kind, std::span<const Var* const>(ins.begin(), ins.size()),
+                 set_attrs);
 }
 
 Var make_op(OpKind kind, std::initializer_list<const Var*> ins) {
@@ -154,6 +162,24 @@ Var maxpool2d(const Var& input, const Pool2dSpec& spec) {
 
 Var global_avgpool(const Var& input) {
   return make_op(OpKind::kGlobalAvgPool, {&input});
+}
+
+Var batch_norm(const Var& x, const Var& gamma, const Var& delta,
+               const Var& beta, const Var& mask, const BatchNormSpec& spec,
+               BatchNormStats* stats) {
+  const Var* ins[5] = {&x, &gamma};
+  std::size_t count = 2;
+  if (delta.defined()) ins[count++] = &delta;
+  ins[count++] = &beta;
+  if (mask.defined()) ins[count++] = &mask;
+  Var out = make_op(OpKind::kBatchNorm, std::span<const Var* const>(ins, count),
+                    [&](Node& n) {
+                      n.batch_norm = spec;
+                      n.has_delta = delta.defined();
+                      n.has_mask = mask.defined();
+                    });
+  if (stats != nullptr) *stats = out.node()->batch_stats;
+  return out;
 }
 
 Var log_softmax(const Var& logits) {

@@ -5,13 +5,14 @@
 // (conv2d_shape, pool2d_shape, matmul_shape, reduce_shape, ...), so a
 // malformed op throws the kernel's message from the call. Elementwise
 // binaries broadcast (NumPy rules); their backward reduces gradients back
-// to the operand shapes, which is what lets BatchNorm and squeeze-excite be
-// expressed compositionally.
+// to the operand shapes, which is what lets squeeze-excite and NAD's
+// attention maps be expressed compositionally. BatchNorm is one op.
 #pragma once
 
 #include <vector>
 
 #include "autograd/variable.h"
+#include "tensor/batch_norm.h"
 #include "tensor/conv.h"
 #include "tensor/pool.h"
 
@@ -62,6 +63,14 @@ Var depthwise_conv2d(const Var& input, const Var& weight, const Var& bias,
 // Pooling.
 Var maxpool2d(const Var& input, const Pool2dSpec& spec);
 Var global_avgpool(const Var& input);
+
+// BatchNorm over an (N,C,H,W) input with (C)-shaped gamma and beta; delta
+// (ANP's perturbation, scale gamma * (delta + 1)) and mask (on the output)
+// may be undefined Vars. See tensor/batch_norm.h. `stats`, when given,
+// receives the per-channel mean and variance the op normalized with.
+Var batch_norm(const Var& x, const Var& gamma, const Var& delta,
+               const Var& beta, const Var& mask, const BatchNormSpec& spec,
+               BatchNormStats* stats = nullptr);
 
 // Classification losses. `logits` is (N, classes).
 Var log_softmax(const Var& logits);

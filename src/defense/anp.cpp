@@ -15,6 +15,50 @@
 
 namespace bd::defense {
 
+void anp_mask_gradients(models::Classifier& model, const data::Batch& batch,
+                        const AnpConfig& config, std::vector<ag::Var>& masks,
+                        std::vector<ag::Var>& deltas) {
+  std::vector<ag::Var*> delta_ptrs;
+  for (auto& d : deltas) delta_ptrs.push_back(&d);
+
+  // Inner step: adversarial sign-ascent on delta within [-eps, eps],
+  // from the natural loss (delta = 0).
+  for (auto& d : deltas) {
+    d.mutable_value().fill(0.0f);
+    d.zero_grad();
+  }
+  for (auto& m : masks) m.zero_grad();
+  ag::Var natural_loss = ag::cross_entropy(
+      model.forward(ag::Var(batch.images)), batch.labels);
+  natural_loss.backward();
+  for (auto& d : deltas) {
+    if (!d.has_grad()) continue;
+    Tensor& v = d.mutable_value();
+    const Tensor& g = d.grad();
+    for (std::int64_t i = 0; i < v.numel(); ++i) {
+      const float step =
+          g[i] > 0 ? config.eps_step : (g[i] < 0 ? -config.eps_step : 0.0f);
+      v[i] = std::clamp(v[i] + step, -config.eps, config.eps);
+    }
+  }
+
+  // Outer step: the masks' gradient of the ANP trade-off objective. The
+  // natural loss is the inner step's graph: its nodes' values were fixed
+  // at delta = 0 when they were built, and no backward step reads a
+  // delta's own value, so the ascent above left that graph intact. The
+  // deltas are frozen through it, so neither graph computes their
+  // gradients, which nothing reads.
+  for (auto& m : masks) m.zero_grad();
+  for (auto& d : deltas) d.zero_grad();
+  const nn::FrozenParameters frozen_deltas(delta_ptrs);
+  ag::Var perturbed_loss = ag::cross_entropy(
+      model.forward(ag::Var(batch.images)), batch.labels);
+  ag::Var loss =
+      ag::add(ag::mul_scalar(natural_loss, config.trade_off),
+              ag::mul_scalar(perturbed_loss, 1.0f - config.trade_off));
+  loss.backward();
+}
+
 DefenseResult AnpDefense::apply(models::Classifier& model,
                                 const DefenseContext& context) {
   BD_OBS_SPAN("defense.anp");
@@ -42,21 +86,13 @@ DefenseResult AnpDefense::apply(models::Classifier& model,
     bn->set_gamma_perturbation(deltas.back());
   }
 
-  std::vector<ag::Var*> mask_ptrs, delta_ptrs;
+  std::vector<ag::Var*> mask_ptrs;
   for (auto& m : masks) mask_ptrs.push_back(&m);
-  for (auto& d : deltas) delta_ptrs.push_back(&d);
   optim::Sgd mask_opt(mask_ptrs, {config_.mask_lr, 0.9f, 0.0f});
 
   model.set_training(false);  // use running BN stats; masks still apply
   data::DataLoader loader(context.clean_train, config_.batch_size, rng);
   data::Batch batch;
-
-  auto zero_all = [](std::vector<ag::Var*>& vars) {
-    for (auto* v : vars) v->zero_grad();
-  };
-  auto set_deltas_zero = [&deltas] {
-    for (auto& d : deltas) d.mutable_value().fill(0.0f);
-  };
 
   // Only the masks and perturbations are learned. With the weights frozen,
   // backward computes no weight gradient and skips the stem conv, whose
@@ -69,38 +105,7 @@ DefenseResult AnpDefense::apply(models::Classifier& model,
       loader.reset();
       loader.next(batch);
     }
-
-    // Inner step: adversarial sign-ascent on delta within [-eps, eps],
-    // from the natural loss (delta = 0).
-    set_deltas_zero();
-    zero_all(delta_ptrs);
-    zero_all(mask_ptrs);
-    ag::Var natural_loss = ag::cross_entropy(
-        model.forward(ag::Var(batch.images)), batch.labels);
-    natural_loss.backward();
-    for (auto& d : deltas) {
-      if (!d.has_grad()) continue;
-      Tensor& v = d.mutable_value();
-      const Tensor& g = d.grad();
-      for (std::int64_t i = 0; i < v.numel(); ++i) {
-        const float step =
-            g[i] > 0 ? config_.eps_step : (g[i] < 0 ? -config_.eps_step : 0.0f);
-        v[i] = std::clamp(v[i] + step, -config_.eps, config_.eps);
-      }
-    }
-
-    // Outer step: descend on masks with the ANP trade-off objective. The
-    // natural loss is the inner step's graph: its nodes' values were fixed
-    // at delta = 0 when they were built, and no backward step reads a
-    // delta's own value, so the ascent above left that graph intact.
-    zero_all(mask_ptrs);
-    zero_all(delta_ptrs);
-    ag::Var perturbed_loss = ag::cross_entropy(
-        model.forward(ag::Var(batch.images)), batch.labels);
-    ag::Var loss =
-        ag::add(ag::mul_scalar(natural_loss, config_.trade_off),
-                ag::mul_scalar(perturbed_loss, 1.0f - config_.trade_off));
-    loss.backward();
+    anp_mask_gradients(model, batch, config_, masks, deltas);
     mask_opt.step();
 
     // Project masks back to [0, 1].

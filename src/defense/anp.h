@@ -25,6 +25,16 @@ struct AnpConfig {
   double max_accuracy_drop = 0.10;
 };
 
+/// One iteration of ANP's mask search on `batch`, up to the mask step; the
+/// model's parameters are frozen and masks[i] and deltas[i] are set on its
+/// i-th BatchNorm. The inner step sets each delta by sign ascent on the
+/// natural loss; the outer backward of the trade-off loss then runs with
+/// the deltas frozen, and leaves a gradient on every mask and none on any
+/// delta.
+void anp_mask_gradients(models::Classifier& model, const data::Batch& batch,
+                        const AnpConfig& config, std::vector<ag::Var>& masks,
+                        std::vector<ag::Var>& deltas);
+
 class AnpDefense : public Defense {
  public:
   AnpDefense() = default;

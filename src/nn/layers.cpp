@@ -150,50 +150,20 @@ ag::Var BatchNorm2d::forward(const ag::Var& x) {
                                 std::to_string(channels_) + ",H,W), got " +
                                 shape_string(x.shape()));
   }
-  const Shape cshape{1, channels_, 1, 1};
-
-  // Effective scale: gamma, optionally perturbed (ANP's adversarial inner
-  // step). The ANP channel mask multiplies the whole affine OUTPUT below
-  // (gamma and beta paths), matching the original formulation.
-  ag::Var scale = gamma_;
-  if (perturbation_.defined()) {
-    scale = ag::mul(scale, ag::add_scalar(perturbation_, 1.0f));
-  }
-  const ag::Var scale4 = ag::reshape(scale, cshape);
-  const ag::Var beta4 = ag::reshape(beta_, cshape);
-  const ag::Var mask4 = channel_mask_.defined()
-                            ? ag::reshape(channel_mask_, cshape)
-                            : ag::Var();
-
+  // Eval mode normalizes with the running statistics; training with the
+  // batch's, which then update the running ones.
+  BatchNormStats batch;
+  ag::Var out = ag::batch_norm(
+      x, gamma_, perturbation_, beta_, channel_mask_,
+      {eps_, training(), running_mean_, running_var_}, &batch);
   if (training()) {
-    const ag::Var mean = ag::reduce_mean(x, {0, 2, 3}, /*keepdim=*/true);
-    const ag::Var centered = ag::sub(x, mean);
-    const ag::Var var =
-        ag::reduce_mean(ag::mul(centered, centered), {0, 2, 3}, true);
-    const ag::Var xhat =
-        ag::div(centered, ag::sqrt(ag::add_scalar(var, eps_)));
-
-    // Update running statistics with detached batch stats.
-    const Tensor batch_mean = mean.value().reshape({channels_});
-    const Tensor batch_var = var.value().reshape({channels_});
     for (std::int64_t c = 0; c < channels_; ++c) {
       running_mean_[c] =
-          (1.0f - momentum_) * running_mean_[c] + momentum_ * batch_mean[c];
+          (1.0f - momentum_) * running_mean_[c] + momentum_ * batch.mean[c];
       running_var_[c] =
-          (1.0f - momentum_) * running_var_[c] + momentum_ * batch_var[c];
+          (1.0f - momentum_) * running_var_[c] + momentum_ * batch.var[c];
     }
-    ag::Var out = ag::add(ag::mul(xhat, scale4), beta4);
-    if (mask4.defined()) out = ag::mul(out, mask4);
-    return out;
   }
-
-  // Eval mode: normalize with running statistics (constants).
-  const ag::Var rm(running_mean_.reshape(cshape));
-  const ag::Var rv(running_var_.reshape(cshape));
-  const ag::Var xhat =
-      ag::div(ag::sub(x, rm), ag::sqrt(ag::add_scalar(rv, eps_)));
-  ag::Var out = ag::add(ag::mul(xhat, scale4), beta4);
-  if (mask4.defined()) out = ag::mul(out, mask4);
   return out;
 }
 

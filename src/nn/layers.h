@@ -3,8 +3,9 @@
 //
 // Conv2d carries an output-filter mask so the pruning defenses (ours, FP,
 // CLP) can zero a filter and keep it zero through subsequent fine-tuning.
-// BatchNorm2d accepts an optional per-channel mask / perturbation variable,
-// which is the hook the ANP defense optimizes.
+// BatchNorm2d is one ag::batch_norm op plus the running-statistics update;
+// it accepts an optional per-channel mask / perturbation variable, which
+// the op carries as operands and the ANP defense optimizes.
 #pragma once
 
 #include "nn/module.h"

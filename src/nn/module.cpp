@@ -115,8 +115,11 @@ void Module::visit(const std::function<void(Module&)>& fn) {
   for (auto& [name, child] : children_) child->visit(fn);
 }
 
-FrozenParameters::FrozenParameters(Module& module) {
-  for (ag::Var* p : module.parameters()) {
+FrozenParameters::FrozenParameters(Module& module)
+    : FrozenParameters(module.parameters()) {}
+
+FrozenParameters::FrozenParameters(const std::vector<ag::Var*>& leaves) {
+  for (ag::Var* p : leaves) {
     saved_.emplace_back(p, p->requires_grad());
     p->set_requires_grad(false);
   }

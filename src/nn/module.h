@@ -90,10 +90,13 @@ class Module {
 /// Scope in which no parameter of `module` requires grad. Ops built inside
 /// build no weight-gradient path, so backward() computes only the gradients
 /// of other leaves: ANP's masks, an inverted trigger. Each parameter's flag
-/// is restored when the scope ends, also when it unwinds.
+/// is restored when the scope ends, also when it unwinds. A backward() run
+/// inside skips the frozen leaves also in a graph built before the scope.
 class FrozenParameters {
  public:
   explicit FrozenParameters(Module& module);
+  /// Freezes the given leaves instead, e.g. ANP's perturbations.
+  explicit FrozenParameters(const std::vector<ag::Var*>& leaves);
   ~FrozenParameters();
   FrozenParameters(const FrozenParameters&) = delete;
   FrozenParameters& operator=(const FrozenParameters&) = delete;

@@ -3,6 +3,9 @@
 // the synthetic generators' class-conditional structure.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstring>
+#include <initializer_list>
 #include <set>
 
 #include "data/dataset.h"
@@ -153,6 +156,43 @@ TEST(Synth, CifarShapesAndRanges) {
       EXPECT_LE(img[j], 1.0f);
     }
   }
+}
+
+// The generators call libm (sin and cos, and Rng::normal's log and sqrt).
+// These pixels pin both to the bit, so a libm that rounds differently fails
+// here, by name, rather than as moved table cells.
+TEST(Synth, PixelsArePinnedToTheBit) {
+  SynthConfig cfg;
+  cfg.height = cfg.width = 8;
+  cfg.train_per_class = 1;
+  cfg.test_per_class = 1;
+  struct Pixel {
+    std::size_t image;
+    std::int64_t index;
+    std::uint32_t bits;
+  };
+  const auto expect_pixels = [](const TrainTest& data, const char* name,
+                                std::initializer_list<Pixel> pixels) {
+    for (const Pixel& p : pixels) {
+      const float v = data.train.image(p.image)[p.index];
+      std::uint32_t got = 0;
+      std::memcpy(&got, &v, sizeof(got));
+      EXPECT_EQ(got, p.bits) << name << " image " << p.image << " pixel "
+                             << p.index << " is " << v;
+    }
+  };
+  Rng cifar_rng(7);
+  expect_pixels(make_synth_cifar(cfg, cifar_rng), "cifar",
+                {{0, 0, 0x3dd8e34eu},
+                 {0, 37, 0x3e91d96du},
+                 {0, 150, 0x3f0a3523u},
+                 {5, 191, 0x3f0e8d08u}});
+  Rng gtsrb_rng(7);
+  expect_pixels(make_synth_gtsrb(cfg, gtsrb_rng), "gtsrb",
+                {{0, 0, 0x3f0d3788u},
+                 {0, 150, 0x3d9ce1c8u},
+                 {5, 37, 0x3f42573bu},
+                 {5, 191, 0x3f6f53bdu}});
 }
 
 TEST(Synth, GtsrbHas43Classes) {

@@ -3,6 +3,9 @@
 // name -> defense factory.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstring>
+
 #include "attack/trigger.h"
 #include "core/grad_prune.h"
 #include "data/synth.h"
@@ -15,6 +18,7 @@
 #include "eval/metrics.h"
 #include "eval/runner.h"
 #include "models/factory.h"
+#include "nn/layers.h"
 #include "robust/cancel.h"
 #include "tensor/ops.h"
 
@@ -178,6 +182,84 @@ TEST(Anp, MaskSearchFreezesWeightsOnlyWhileItRuns) {
   EXPECT_THROW(defense.apply(*f.model, f.ctx), robust::Cancelled);
   for (const auto& [name, p] : f.model->named_parameters()) {
     EXPECT_TRUE(p->requires_grad()) << name;
+  }
+}
+
+// The outer step freezes the perturbations: afterwards none holds a
+// gradient, and every mask's gradient has the bits of the step that left
+// them trainable, whose perturbation gradients nothing read.
+TEST(Anp, OuterStepLeavesNoPerturbationGradientAndTheMaskBits) {
+  Fixture f;
+  f.model->set_training(false);
+  const nn::FrozenParameters frozen(*f.model);
+  const AnpConfig cfg;
+  std::vector<std::size_t> first(8);
+  for (std::size_t i = 0; i < first.size(); ++i) first[i] = i;
+  const data::Batch batch = data::stack(f.ctx.clean_train, first);
+  const auto bns = f.model->modules_of_type<nn::BatchNorm2d>();
+  const auto install = [&bns](std::vector<ag::Var>& masks,
+                              std::vector<ag::Var>& deltas) {
+    for (auto* bn : bns) {
+      masks.emplace_back(Tensor::ones({bn->channels()}), true);
+      deltas.emplace_back(Tensor::zeros({bn->channels()}), true);
+      bn->set_channel_mask(masks.back());
+      bn->set_gamma_perturbation(deltas.back());
+    }
+  };
+
+  // The step with trainable perturbations throughout.
+  std::vector<ag::Var> ref_masks, ref_deltas;
+  ref_masks.reserve(bns.size());
+  ref_deltas.reserve(bns.size());
+  install(ref_masks, ref_deltas);
+  ag::Var natural = ag::cross_entropy(
+      f.model->forward(ag::Var(batch.images)), batch.labels);
+  natural.backward();
+  for (auto& d : ref_deltas) {
+    Tensor& v = d.mutable_value();
+    for (std::int64_t i = 0; i < v.numel(); ++i) {
+      const float g = d.grad()[i];
+      const float step = g > 0 ? cfg.eps_step : (g < 0 ? -cfg.eps_step : 0.0f);
+      v[i] = std::clamp(v[i] + step, -cfg.eps, cfg.eps);
+    }
+    d.zero_grad();
+  }
+  for (auto& m : ref_masks) m.zero_grad();
+  ag::Var perturbed = ag::cross_entropy(
+      f.model->forward(ag::Var(batch.images)), batch.labels);
+  ag::add(ag::mul_scalar(natural, cfg.trade_off),
+          ag::mul_scalar(perturbed, 1.0f - cfg.trade_off))
+      .backward();
+
+  std::vector<ag::Var> masks, deltas;
+  masks.reserve(bns.size());
+  deltas.reserve(bns.size());
+  install(masks, deltas);
+  anp_mask_gradients(*f.model, batch, cfg, masks, deltas);
+  for (std::size_t b = 0; b < bns.size(); ++b) {
+    EXPECT_FALSE(deltas[b].has_grad()) << "delta " << b;
+    EXPECT_TRUE(deltas[b].requires_grad()) << "delta " << b;
+    EXPECT_TRUE(ref_deltas[b].has_grad()) << "reference delta " << b;
+    ASSERT_TRUE(masks[b].has_grad()) << "mask " << b;
+    const Tensor& got = masks[b].grad();
+    const Tensor& want = ref_masks[b].grad();
+    ASSERT_EQ(got.numel(), want.numel());
+    EXPECT_EQ(std::memcmp(got.data(), want.data(),
+                          static_cast<std::size_t>(got.numel()) *
+                              sizeof(float)),
+              0)
+        << "mask " << b;
+    // The inner ascent set the same perturbations.
+    EXPECT_EQ(std::memcmp(deltas[b].value().data(),
+                          ref_deltas[b].value().data(),
+                          static_cast<std::size_t>(got.numel()) *
+                              sizeof(float)),
+              0)
+        << "delta " << b;
+  }
+  for (auto* bn : bns) {
+    bn->clear_channel_mask();
+    bn->clear_gamma_perturbation();
   }
 }
 

@@ -518,6 +518,16 @@ TEST(ShapeInfer, BuilderAndKernelThrowTheSameMessage) {
        [&] { conv2d_forward(rank3, w, Tensor(), spec); }},
       {"matmul", [&] { matmul(Var(m), Var(m2)); },
        [&] { bd::matmul(m, m2); }},
+      {"batch_norm rank",
+       [&] { batch_norm(Var(rank3), Var(bad_bias), Var(), Var(bad_bias),
+                        Var(), BatchNormSpec{}); },
+       [&] { batch_norm_forward(rank3, bad_bias, Tensor(), bad_bias,
+                                Tensor(), BatchNormSpec{}); }},
+      {"batch_norm channels",
+       [&] { batch_norm(Var(x), Var(bad_bias), Var(m), Var(bad_bias), Var(),
+                        BatchNormSpec{}); },
+       [&] { batch_norm_forward(x, bad_bias, m, bad_bias, Tensor(),
+                                BatchNormSpec{}); }},
       {"maxpool rank", [&] { maxpool2d(Var(rank3), pool); },
        [&] { maxpool2d_forward(rank3, pool); }},
       {"global avgpool rank", [&] { global_avgpool(Var(rank3)); },
@@ -787,6 +797,44 @@ GRAD_SWEEP(Pooling) {
           return weighted_sum(global_avgpool(in[0]), w);
         },
         {random_tensor({2, 3, 3, 5}, rng)});
+  }
+}
+
+// ---------------------------------------------------------------------------
+// BatchNorm
+// ---------------------------------------------------------------------------
+
+// Training (gradients through the batch mean and variance) and eval (running
+// statistics), each bare and with ANP's perturbation and mask.
+GRAD_SWEEP(BatchNorm) {
+  Rng rng(117);
+  GradCheckOpts opts;
+  opts.rtol = 2e-2;
+  opts.atol = 5e-3;
+  const Shape xs{3, 2, 2, 3};
+  const Tensor w = random_tensor(xs, rng);
+  for (const bool training : {true, false}) {
+    BatchNormSpec spec;
+    spec.training = training;
+    spec.running_mean = random_tensor({2}, rng, -0.5f, 0.5f);
+    spec.running_var = random_tensor({2}, rng, 0.5f, 1.5f);
+    check_numerical_grads(
+        [&](const std::vector<Var>& in) {
+          return weighted_sum(
+              batch_norm(in[0], in[1], Var(), in[2], Var(), spec), w);
+        },
+        {random_tensor(xs, rng), random_tensor({2}, rng, 0.5f, 1.5f),
+         random_tensor({2}, rng)},
+        opts);
+    check_numerical_grads(
+        [&](const std::vector<Var>& in) {
+          return weighted_sum(
+              batch_norm(in[0], in[1], in[2], in[3], in[4], spec), w);
+        },
+        {random_tensor(xs, rng), random_tensor({2}, rng, 0.5f, 1.5f),
+         random_tensor({2}, rng, -0.4f, 0.4f), random_tensor({2}, rng),
+         random_tensor({2}, rng, 0.2f, 1.0f)},
+        opts);
   }
 }
 

@@ -18,6 +18,7 @@
 #include <numeric>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "util/json.h"
@@ -126,7 +127,9 @@ std::vector<Violation> each_row(
 constexpr double kTol = 1e-9;  // the snapshot's numbers are exact
 
 /// The checks that hold on both tables: Table I (PreActResNet-18) and
-/// Table II (VGG-16) run the same attacks and defenses.
+/// Table II (VGG-16) run the same attacks and defenses. Two more run on
+/// both with per-table failing cells (ours_costs_little_acc,
+/// more_data_helps_ft_fp_nad), and one on Table II alone.
 std::vector<Check> common_checks() {
   std::vector<Check> checks;
   checks.push_back(
@@ -169,6 +172,72 @@ std::vector<Check> common_checks() {
   return checks;
 }
 
+/// The cells a check fails on one table today, and why; none where it
+/// holds.
+struct Failing {
+  std::vector<std::string> cells;
+  std::string reason;
+};
+
+Check ours_costs_little_acc(Failing failing) {
+  return {"ours_costs_little_acc",
+          "Ours keeps mean ACC within 5 points of the baseline's in every "
+          "cell (paper Table I BadNet: 3.0 points lost at SPC 2, 0.9 at SPC "
+          "100)",
+          [](const Rows& rows) {
+            return each_row(
+                rows, "gradprune", "acc",
+                [&rows](const Row& r, double v) {
+                  const Row* base = baseline_of(rows, r.attack);
+                  return base && v >= base->mean("acc") - 5 - kTol;
+                },
+                " more than 5 below the baseline's");
+          },
+          std::move(failing.cells), std::move(failing.reason)};
+}
+
+Check more_data_helps_ft_fp_nad(Failing failing) {
+  return {"more_data_helps_ft_fp_nad",
+          "FT, FP and NAD do no worse with more data: for every attack, mean "
+          "ASR at the larger SPC <= at the smaller one",
+          [](const Rows& rows) {
+            std::vector<Violation> out;
+            for (const Row& hi : rows) {
+              if (hi.defense != "ft" && hi.defense != "fp" &&
+                  hi.defense != "nad") {
+                continue;
+              }
+              for (const Row& lo : rows) {
+                if (lo.attack != hi.attack || lo.defense != hi.defense ||
+                    lo.spc >= hi.spc) {
+                  continue;
+                }
+                if (hi.mean("asr") > lo.mean("asr") + kTol) {
+                  out.push_back(
+                      {hi.cell(), "asr " + fixed2(hi.mean("asr")) + " > " +
+                                      fixed2(lo.mean("asr")) + " at spc=" +
+                                      std::to_string(lo.spc)});
+                }
+              }
+            }
+            return out;
+          },
+          std::move(failing.cells), std::move(failing.reason)};
+}
+
+std::vector<Check> table1_checks() {
+  std::vector<Check> checks = common_checks();
+  checks.push_back(ours_costs_little_acc(
+      {{"badnet/gradprune/spc=2", "lf/gradprune/spc=2"},
+       "At SPC 2, BadNet ends at ACC 89.4 against 98.8 and LF at 84.6 "
+       "against 100.0. Quick mode's alpha rule judges accuracy on 10 "
+       "validation images and its PreActResNet is 8-32 filters wide; where "
+       "the ACC goes (pruning or the 2-sample fine-tune) is not yet traced "
+       "(ROADMAP item 3)"}));
+  checks.push_back(more_data_helps_ft_fp_nad({}));
+  return checks;
+}
+
 std::vector<Check> table2_checks() {
   std::vector<Check> checks = common_checks();
   checks.push_back(
@@ -184,54 +253,17 @@ std::vector<Check> table2_checks() {
        },
        {},
        ""});
-  checks.push_back(
-      {"ours_costs_little_acc",
-       "Ours keeps mean ACC within 5 points of the baseline's in every cell "
-       "(paper Table I BadNet: 3.0 points lost at SPC 2, 0.9 at SPC 100)",
-       [](const Rows& rows) {
-         return each_row(
-             rows, "gradprune", "acc",
-             [&rows](const Row& r, double v) {
-               const Row* base = baseline_of(rows, r.attack);
-               return base && v >= base->mean("acc") - 5 - kTol;
-             },
-             " more than 5 below the baseline's");
-       },
-       {"lf/gradprune/spc=2"},
+  checks.push_back(ours_costs_little_acc(
+      {{"lf/gradprune/spc=2"},
        "LF at SPC 2 ends at ACC 91.6 against 100.0, pruning one unit per "
        "trial. The paper's anchors are BadNet rows at full scale; where this "
        "quick-scale ACC goes (pruning or the 2-sample fine-tune) is not yet "
-       "traced (ROADMAP item 3)"});
-  checks.push_back(
-      {"more_data_helps_ft_fp_nad",
-       "FT, FP and NAD do no worse with more data: for every attack, mean "
-       "ASR at the larger SPC <= at the smaller one",
-       [](const Rows& rows) {
-         std::vector<Violation> out;
-         for (const Row& hi : rows) {
-           if (hi.defense != "ft" && hi.defense != "fp" &&
-               hi.defense != "nad") {
-             continue;
-           }
-           for (const Row& lo : rows) {
-             if (lo.attack != hi.attack || lo.defense != hi.defense ||
-                 lo.spc >= hi.spc) {
-               continue;
-             }
-             if (hi.mean("asr") > lo.mean("asr") + kTol) {
-               out.push_back({hi.cell(), "asr " + fixed2(hi.mean("asr")) +
-                                             " > " + fixed2(lo.mean("asr")) +
-                                             " at spc=" +
-                                             std::to_string(lo.spc)});
-             }
-           }
-         }
-         return out;
-       },
-       {"badnet/fp/spc=10"},
+       "traced (ROADMAP item 3)"}));
+  checks.push_back(more_data_helps_ft_fp_nad(
+      {{"badnet/fp/spc=10"},
        "FP on VGG BadNet rises from ASR 95.3 at SPC 2 to 100.0 at SPC 10; "
        "the paper's own Table II FP BadNet row rises too (55.7 to 77.0) "
-       "before it falls at SPC 100, which quick mode does not run"});
+       "before it falls at SPC 100, which quick mode does not run"}));
   return checks;
 }
 
@@ -289,7 +321,7 @@ TEST(ShapeCheck, SnapshotIsWellFormed) {
 TEST(ShapeCheck, TableI) {
   const Rows rows = table_rows(load_snapshot(), "table1");
   ASSERT_FALSE(rows.empty()) << "BENCH_tables.json has no table1 rows";
-  run_checks(rows, common_checks());
+  run_checks(rows, table1_checks());
 }
 
 TEST(ShapeCheck, TableII) {

@@ -1,8 +1,10 @@
-// Unit tests for util: RNG determinism/statistics, stats accumulators,
-// table formatting, env-based configuration.
+// Unit tests for util: RNG determinism/statistics (normal draws pinned to
+// the bit), stats accumulators, table formatting, env-based configuration.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdlib>
+#include <cstring>
 #include <set>
 #include <stdexcept>
 
@@ -73,6 +75,21 @@ TEST(Rng, NormalMoments) {
   for (int i = 0; i < 20000; ++i) stat.add(rng.normal(2.0, 3.0));
   EXPECT_NEAR(stat.mean(), 2.0, 0.1);
   EXPECT_NEAR(stat.stddev(), 3.0, 0.1);
+}
+
+// normal() calls libm's log, sqrt, sin and cos. These bits pin the draws
+// every table is built from, so a libm that rounds differently fails here,
+// by name, rather than as moved table cells.
+TEST(Rng, NormalDrawsArePinnedToTheBit) {
+  Rng rng(2024);
+  for (const std::uint64_t want :
+       {0xbfd43ed06b8ce9a0ull, 0x3ff175bc5a8302c2ull, 0xbff7b2ebc7fea985ull,
+        0x3fe96b2141e368e3ull}) {
+    const double v = rng.normal();
+    std::uint64_t got = 0;
+    std::memcpy(&got, &v, sizeof(got));
+    EXPECT_EQ(got, want) << "normal() drew " << v;
+  }
 }
 
 TEST(Rng, BernoulliFrequency) {
