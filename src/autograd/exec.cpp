@@ -70,7 +70,8 @@ obs::KernelStats& kernel_stats(OpKind kind, bool backward) {
 }
 
 // The output of a forward kernel: a pure function of the input values
-// and the node's attributes (kMaxPool2d also leaves its argmax on n).
+// and the node's attributes (kMaxPool2d also leaves its argmax on n when
+// a backward may read it).
 Tensor forward_value(Node& n) {
   switch (n.kind) {
     case OpKind::kLeaf:
@@ -118,9 +119,12 @@ Tensor forward_value(Node& n) {
           in_value(n, 0), in_value(n, 1),
           n.inputs.size() == 3 ? in_value(n, 2) : Tensor(), n.conv);
     case OpKind::kMaxPool2d: {
-      MaxPoolResult res = maxpool2d_forward(in_value(n, 0), n.pool);
-      n.argmax = std::make_shared<std::vector<std::int64_t>>(
-          std::move(res.argmax));
+      MaxPoolResult res =
+          maxpool2d_forward(in_value(n, 0), n.pool, n.requires_grad);
+      if (n.requires_grad) {
+        n.argmax = std::make_shared<std::vector<std::int64_t>>(
+            std::move(res.argmax));
+      }
       return std::move(res.output);
     }
     case OpKind::kGlobalAvgPool:

@@ -1,13 +1,15 @@
 #include "runtime/thread_pool.h"
 
 #include <algorithm>
+#include <chrono>
 
 #include "obs/obs.h"
 #include "util/env.h"
 
-// bdlint:allow-file(no-relaxed-atomics): chunk distribution counters need
-// no ordering of their own — publication of job fields and chunk results
-// is ordered by mutex_ and the acq_rel done_chunks_ handshake below.
+// bdlint:allow-file(no-relaxed-atomics): chunk distribution counters, and
+// job_seq_/active_ where they change under mutex_, need no ordering of
+// their own: publication of job fields and chunk results is ordered by
+// mutex_ and the acq_rel done_chunks_ handshake below.
 
 namespace bd::runtime {
 
@@ -28,6 +30,48 @@ class RegionGuard {
   bool prev_;
 };
 
+// Runs [begin, end) as one call on the calling thread.
+void run_serial(std::int64_t begin, std::int64_t end, ChunkFn fn, void* ctx) {
+  RegionGuard guard;
+  fn(ctx, begin, end);
+}
+
+void cpu_relax() {
+#if defined(__x86_64__) || defined(__i386__)
+  __builtin_ia32_pause();
+#elif defined(__aarch64__)
+  asm volatile("yield");
+#endif
+}
+
+// Polls `ready` for up to kSpinWindow, yielding the core between rounds of
+// polls (a thread that shares it may be the one to make `ready` true);
+// true once it holds. A caller whose spin runs out blocks instead, on the
+// mutex or a condition variable, so the spin only saves the wake-up and
+// decides nothing.
+template <typename Ready>
+bool spin_until(Ready ready) {
+  const auto deadline = std::chrono::steady_clock::now() + kSpinWindow;
+  for (;;) {
+    for (int i = 0; i < 64; ++i) {  // a clock read per 64 polls
+      if (ready()) return true;
+      cpu_relax();
+    }
+    if (std::chrono::steady_clock::now() >= deadline) return ready();
+    std::this_thread::yield();
+  }
+}
+
+// Takes `m`, polling try_lock for up to kSpinWindow before blocking. The
+// pool's critical sections are a few stores, so a hand-off that meets the
+// lock held waits nanoseconds instead of sleeping in the kernel.
+template <typename Mutex>
+std::unique_lock<Mutex> lock_spinning(Mutex& m) {
+  std::unique_lock lk(m, std::try_to_lock);
+  if (lk.owns_lock() || spin_until([&] { return lk.try_lock(); })) return lk;
+  return std::unique_lock(m);
+}
+
 }  // namespace
 
 bool in_parallel_region() { return t_in_parallel; }
@@ -43,6 +87,7 @@ ThreadPool::~ThreadPool() {
   {
     std::lock_guard lk(mutex_);
     stop_ = true;
+    job_seq_.fetch_add(1, std::memory_order_relaxed);
   }
   cv_start_.notify_all();
   for (auto& w : workers_) w.join();
@@ -51,17 +96,26 @@ ThreadPool::~ThreadPool() {
 void ThreadPool::worker_loop() {
   std::uint64_t seen = 0;
   for (;;) {
+    spin_until(
+        [&] { return job_seq_.load(std::memory_order_acquire) != seen; });
     {
-      std::unique_lock lk(mutex_);
-      cv_start_.wait(lk, [&] { return stop_ || job_seq_ != seen; });
+      auto lk = lock_spinning(mutex_);
+      const auto posted = [&] {
+        return job_seq_.load(std::memory_order_relaxed) != seen;
+      };
+      if (!posted()) {
+        ++parked_;
+        cv_start_.wait(lk, posted);
+        --parked_;
+      }
       if (stop_) return;
-      seen = job_seq_;
-      ++active_;
+      seen = job_seq_.load(std::memory_order_relaxed);
+      active_.fetch_add(1, std::memory_order_relaxed);
     }
     run_chunks();
     {
-      std::lock_guard lk(mutex_);
-      --active_;
+      const auto lk = lock_spinning(mutex_);
+      active_.fetch_sub(1, std::memory_order_release);
     }
     cv_done_.notify_all();
   }
@@ -71,12 +125,10 @@ void ThreadPool::run_chunks() {
   RegionGuard guard;
   for (;;) {
     const std::int64_t k = next_chunk_.fetch_add(1, std::memory_order_relaxed);
-    if (k >= num_chunks_) break;
+    if (k >= chunks_.count) break;
     if (!failed_.load(std::memory_order_relaxed)) {
-      const std::int64_t lo = begin_ + k * grain_;
-      const std::int64_t hi = std::min(end_, lo + grain_);
       try {
-        fn_(ctx_, lo, hi);
+        fn_(ctx_, chunks_.lo(k), chunks_.lo(k + 1));
       } catch (...) {
         {
           std::lock_guard lk(error_mutex_);
@@ -92,42 +144,46 @@ void ThreadPool::run_chunks() {
 void ThreadPool::parallel_for(std::int64_t begin, std::int64_t end,
                               std::int64_t grain, ChunkFn fn, void* ctx) {
   if (end <= begin) return;
-  grain = std::max<std::int64_t>(1, grain);
-  if (t_in_parallel || workers_.empty() || end - begin <= grain) {
-    RegionGuard guard;
-    fn(ctx, begin, end);
+  const ChunkSplit split =
+      split_chunks(begin, end, std::max<std::int64_t>(1, grain));
+  if (t_in_parallel || workers_.empty() || split.count == 1) {
+    run_serial(begin, end, fn, ctx);
     return;
   }
 
   std::lock_guard job_lock(job_mutex_);
+  const auto idle = [&] {
+    return active_.load(std::memory_order_acquire) == 0;
+  };
+  // A straggler from the previous job may still be inside run_chunks; the
+  // (non-atomic) job fields change only once it has left.
+  spin_until(idle);
+  bool wake = false;
   {
-    // Wait until no straggler from a previous job is still inside
-    // run_chunks before mutating the (non-atomic) job fields.
-    std::unique_lock lk(mutex_);
-    cv_done_.wait(lk, [&] { return active_ == 0; });
+    auto lk = lock_spinning(mutex_);
+    cv_done_.wait(lk, idle);
     fn_ = fn;
     ctx_ = ctx;
-    begin_ = begin;
-    end_ = end;
-    grain_ = grain;
-    num_chunks_ = (end - begin + grain - 1) / grain;
+    chunks_ = split;
     next_chunk_.store(0, std::memory_order_relaxed);
     done_chunks_.store(0, std::memory_order_relaxed);
     failed_.store(false, std::memory_order_relaxed);
     error_ = nullptr;
-    ++job_seq_;
-    ++active_;  // the caller participates
+    job_seq_.fetch_add(1, std::memory_order_release);
+    wake = parked_ > 0;
   }
-  cv_start_.notify_all();
+  if (wake) {
+    BD_OBS_COUNT("runtime.worker_wakeups", 1);
+    cv_start_.notify_all();
+  }
   run_chunks();
-  {
+  const auto done = [&] {
+    return done_chunks_.load(std::memory_order_acquire) == split.count;
+  };
+  if (!spin_until(done)) {
     std::unique_lock lk(mutex_);
-    --active_;
-    cv_done_.wait(lk, [&] {
-      return done_chunks_.load(std::memory_order_acquire) == num_chunks_;
-    });
+    cv_done_.wait(lk, done);
   }
-  cv_done_.notify_all();
   if (error_) {
     std::exception_ptr e = error_;
     error_ = nullptr;
@@ -169,21 +225,16 @@ void set_thread_count(int n) {
 void parallel_for_impl(std::int64_t begin, std::int64_t end,
                        std::int64_t grain, ChunkFn fn, void* ctx) {
   if (end <= begin) return;
+  grain = std::max<std::int64_t>(1, grain);
   if (t_in_parallel) {
     // Nested region: run serially without touching the pool lock.
     BD_OBS_COUNT("runtime.jobs_nested", 1);
-    RegionGuard guard;
-    fn(ctx, begin, end);
+    run_serial(begin, end, fn, ctx);
     return;
   }
-  if (::bd::obs::metrics_enabled()) {
-    const std::int64_t chunks =
-        (end - begin + std::max<std::int64_t>(1, grain) - 1) /
-        std::max<std::int64_t>(1, grain);
-    BD_OBS_COUNT("runtime.jobs", 1);
-    BD_OBS_COUNT("runtime.chunks", chunks);
-    BD_OBS_COUNT("runtime.items", end - begin);
-  }
+  BD_OBS_COUNT("runtime.jobs", 1);
+  BD_OBS_COUNT("runtime.chunks", split_chunks(begin, end, grain).count);
+  BD_OBS_COUNT("runtime.items", end - begin);
   ThreadPool* pool;
   {
     std::lock_guard lk(g_pool_mutex);

@@ -263,12 +263,13 @@ Tensor conv2d_grad_input(const ConvGeometry& g, const Tensor& input,
   return grad_input;
 }
 
-// grad_weight adds, for samples in order, dOut_i * patches_i^T straight
-// into the gradient: B(o, row) of sample i is its split image's float at
-// tap(row) + window(o). Each task owns a strip of weight columns and runs
-// every sample on it, so each element gets its samples' sums (each formed
-// from +0 over the positions in order) added in sample order, for any
-// thread count.
+// grad_weight adds, for samples in order, dOut_i * patches_i^T: B(o, row)
+// of sample i is its split image's float at tap(row) + window(o). Each task
+// owns a strip of weight columns and runs every sample on it into a tile
+// of its own that starts at +0, as the zeroed gradient does, then stores
+// the tile once. So each element gets its samples' sums (each formed from
+// +0 over the positions in order) added in sample order, for any thread
+// count, and no two tasks write a cache line of the gradient per sample.
 Tensor conv2d_grad_weight(const ConvGeometry& g, const Tensor& input,
                           const Tensor& weight, const Tensor& grad_output) {
   const std::int64_t n = input.size(0), cout = g.cout;
@@ -303,11 +304,20 @@ Tensor conv2d_grad_weight(const ConvGeometry& g, const Tensor& input,
       [&](std::int64_t lo, std::int64_t hi) {
         const std::int64_t c0 = lo * kStrip;
         const std::int64_t width = std::min(rows, hi * kStrip) - c0;
+        // Each tile row owns kGemmSlack floats past its columns, so a
+        // partial strip is stored as masked vectors.
+        const std::int64_t ld = width + kGemmSlack;
+        const auto tile = scratch(cout * ld);
+        std::fill(tile.get(), tile.get() + cout * ld, 0.0f);
         for (std::int64_t i = 0; i < n; ++i) {
           gemm_packed(douts[i], width,
                       {images.get() + i * g.split(), windows.data(),
                        taps.data() + c0, false},
-                      {grad_weight.data() + c0, rows, nullptr, false, true});
+                      {tile.get(), ld, nullptr, true, true});
+        }
+        for (std::int64_t co = 0; co < cout; ++co) {
+          std::copy_n(tile.get() + co * ld, width,
+                      grad_weight.data() + co * rows + c0);
         }
       });
   return grad_weight;

@@ -28,13 +28,17 @@ Shape global_avgpool_shape(const Shape& input) {
   return {input[0], input[1], 1, 1};
 }
 
-MaxPoolResult maxpool2d_forward(const Tensor& input, const Pool2dSpec& spec) {
+MaxPoolResult maxpool2d_forward(const Tensor& input, const Pool2dSpec& spec,
+                                bool keep_argmax) {
   MaxPoolResult result;
   result.output = Tensor(pool2d_shape(input.shape(), spec));
   const std::int64_t n = input.size(0), c = input.size(1);
   const std::int64_t h = input.size(2), w = input.size(3);
   const std::int64_t oh = result.output.size(2), ow = result.output.size(3);
-  result.argmax.assign(static_cast<std::size_t>(n * c * oh * ow), -1);
+  if (keep_argmax) {
+    result.argmax.resize(static_cast<std::size_t>(n * c * oh * ow));
+  }
+  std::int64_t* argmax = keep_argmax ? result.argmax.data() : nullptr;
 
   const float* pin = input.data();
   float* pout = result.output.data();
@@ -65,7 +69,7 @@ MaxPoolResult maxpool2d_forward(const Tensor& input, const Pool2dSpec& spec) {
                 }
               }
               pout[oi] = (best_idx >= 0) ? best : 0.0f;
-              result.argmax[static_cast<std::size_t>(oi)] = best_idx;
+              if (argmax != nullptr) argmax[oi] = best_idx;
             }
           }
         }

@@ -28,7 +28,9 @@ Shape pool2d_shape(const Shape& input, const Pool2dSpec& spec);
 /// (N,C,1,1) for an NCHW input: global_avgpool's shape rule.
 Shape global_avgpool_shape(const Shape& input);
 
-MaxPoolResult maxpool2d_forward(const Tensor& input, const Pool2dSpec& spec);
+/// Leaves `argmax` empty unless `keep_argmax`: only a backward reads it.
+MaxPoolResult maxpool2d_forward(const Tensor& input, const Pool2dSpec& spec,
+                                bool keep_argmax = true);
 
 Tensor maxpool2d_backward(const Shape& input_shape,
                           const std::vector<std::int64_t>& argmax,

@@ -14,6 +14,7 @@
 #include "autograd/variable.h"
 #include "nn/layers.h"
 #include "robust/cancel.h"
+#include "tensor/pool.h"
 #include "tensor/ops.h"
 #include "util/rng.h"
 
@@ -154,6 +155,34 @@ TEST(Graph, NoGradNodeHoldsNoInputEdges) {
   Var y = relu(mul_scalar(x, 2.0f));
   EXPECT_TRUE(y.node()->inputs.empty());
   EXPECT_EQ(y.value()[1], 4.0f);
+}
+
+// Max-pool keeps its argmax only where a backward may read it: a no-grad
+// forward gives the same output bits and leaves the node's argmax empty.
+TEST(Graph, NoGradMaxPoolKeepsNoArgmax) {
+  Rng rng(7);
+  const Tensor x = random_tensor({2, 3, 6, 6}, rng);
+  const Pool2dSpec spec{3, 2, 1};
+  const MaxPoolResult kept = maxpool2d_forward(x, spec);
+  const MaxPoolResult bare = maxpool2d_forward(x, spec, false);
+  EXPECT_TRUE(bare.argmax.empty());
+  ASSERT_EQ(kept.argmax.size(),
+            static_cast<std::size_t>(kept.output.numel()));
+  ASSERT_EQ(bare.output.shape(), kept.output.shape());
+  EXPECT_EQ(std::memcmp(bare.output.data(), kept.output.data(),
+                        sizeof(float) * kept.output.numel()),
+            0);
+
+  Var in(x.clone(), true);
+  Var graded = maxpool2d(in, spec);
+  ASSERT_NE(graded.node()->argmax, nullptr);
+  EXPECT_EQ(*graded.node()->argmax, kept.argmax);
+  NoGradGuard guard;
+  Var plain = maxpool2d(in, spec);
+  EXPECT_EQ(plain.node()->argmax, nullptr);
+  EXPECT_EQ(std::memcmp(plain.value().data(), kept.output.data(),
+                        sizeof(float) * kept.output.numel()),
+            0);
 }
 
 // An interior gradient is its first contribution's tensor itself, so it can
