@@ -62,7 +62,7 @@ std::vector<FilterScore> score_filters(models::Classifier& model,
   }
   BD_OBS_COUNT("gradprune.filters_scored", scores.size());
   model.zero_grad();
-  if (robust::FaultInjector::instance().fire_nan_grad()) {
+  if (robust::FaultInjector::instance().fire(robust::FaultKind::kNanGrad)) {
     // Injected gradient blow-up: the whole scoring pass is garbage, exactly
     // as if the unlearning gradients had overflowed.
     for (auto& s : scores) s.xi = std::numeric_limits<double>::quiet_NaN();

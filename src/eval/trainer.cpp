@@ -39,7 +39,7 @@ const char* guarded_grad(const robust::TrainGuard& guard,
 const char* guarded_backward(robust::TrainGuard& guard, ag::Var& loss,
                              optim::Optimizer& opt, double& batch_loss) {
   batch_loss = static_cast<double>(loss.value()[0]);
-  if (robust::FaultInjector::instance().fire_nan_loss()) {
+  if (robust::FaultInjector::instance().fire(robust::FaultKind::kNanLoss)) {
     batch_loss = std::numeric_limits<double>::quiet_NaN();
   }
   if (const char* reason = guard.check_loss(batch_loss)) return reason;

@@ -39,8 +39,9 @@
 //                 accept as if accept(2) failed transiently; the accept
 //                 loop must log and keep serving (src/serve/server.cpp)
 //
-// Each site calls the matching fire_*() helper; the injector counts calls
-// per kind and fires at the armed indices. All counters are process-global
+// Each site calls fire(kind), which counts calls per kind and returns true
+// at the armed indices, or the fire_*() helper that also acts on a hit
+// (throws, sleeps or kills). All counters are process-global
 // and mutex-guarded; tests reset them via configure()/reset().
 #pragma once
 
@@ -110,12 +111,6 @@ class FaultInjector {
   /// fire(kIoFail), throwing std::runtime_error mentioning `what` if armed.
   void fire_io(const std::string& what);
 
-  /// fire(kNanLoss): true when the current batch loss must become NaN.
-  bool fire_nan_loss() { return fire(FaultKind::kNanLoss); }
-
-  /// fire(kNanGrad): true when the current scoring pass must go non-finite.
-  bool fire_nan_grad() { return fire(FaultKind::kNanGrad); }
-
   /// fire(kCrash), throwing SimulatedCrash mentioning `where` if armed.
   void fire_crash(const std::string& where);
 
@@ -130,22 +125,6 @@ class FaultInjector {
   /// destructors, no flushes) — the honest model of a worker dying
   /// mid-cell. Never returns when it fires.
   void fire_crash_worker(const std::string& where);
-
-  /// fire(kConnReset): true when the client must RST this connection
-  /// after sending the request (SO_LINGER{1,0} + close).
-  bool fire_conn_reset() { return fire(FaultKind::kConnReset); }
-
-  /// fire(kSlowPeer): true when the client must trickle this request one
-  /// byte at a time (slowloris against the server's read deadline).
-  bool fire_slow_peer() { return fire(FaultKind::kSlowPeer); }
-
-  /// fire(kShortWrite): true when this send_all() must degrade to
-  /// one-byte send(2) calls (the partial-write loop does the work).
-  bool fire_short_write() { return fire(FaultKind::kShortWrite); }
-
-  /// fire(kAcceptFail): true when the server must drop this accepted
-  /// connection as a transient accept failure.
-  bool fire_accept_fail() { return fire(FaultKind::kAcceptFail); }
 
  private:
   FaultInjector();

@@ -26,34 +26,17 @@ double seconds_since(Clock::time_point start) {
 
 }  // namespace
 
-Endpoint unix_endpoint(std::string socket_path) {
-  Endpoint e;
-  e.kind = Endpoint::Kind::kUnix;
-  e.socket_path = std::move(socket_path);
-  return e;
-}
-
 Endpoint tcp_endpoint(const std::string& host_port) {
   Endpoint e;
-  e.kind = Endpoint::Kind::kTcp;
   std::string error;
-  if (!parse_tcp_endpoint(host_port, e.tcp, error)) {
+  if (!net::parse_endpoint(host_port, e, error)) {
     throw std::invalid_argument(error);
   }
-  if (e.tcp.port == 0) {
+  if (e.port == 0) {
     throw std::invalid_argument("bad endpoint '" + host_port +
                                 "': clients must name a nonzero port");
   }
   return e;
-}
-
-std::string endpoint_name(const Endpoint& endpoint) {
-  if (endpoint.kind == Endpoint::Kind::kUnix) {
-    return "unix:" + endpoint.socket_path;
-  }
-  return "tcp:" +
-         (endpoint.tcp.host.empty() ? "localhost" : endpoint.tcp.host) + ":" +
-         std::to_string(endpoint.tcp.port);
 }
 
 ClientConfig ClientConfig::from_env() {
@@ -78,13 +61,8 @@ Client::Client(Endpoint endpoint, ClientConfig config)
 
 int Client::connect_fd() const {
   std::string error;
-  int fd = -1;
-  if (endpoint_.kind == Endpoint::Kind::kUnix) {
-    fd = net::connect_unix(endpoint_.socket_path,
-                           config_.connect_timeout_seconds, error);
-  } else {
-    fd = connect_tcp(endpoint_.tcp, config_.connect_timeout_seconds, error);
-  }
+  const int fd =
+      net::connect(endpoint_, config_.connect_timeout_seconds, error);
   if (fd < 0) throw TransportError(error, /*retryable=*/true);
   return fd;
 }
@@ -94,7 +72,7 @@ std::string Client::request(const std::string& line) const {
   const std::string payload = line + "\n";
   auto& faults = robust::FaultInjector::instance();
 
-  if (faults.fire_slow_peer()) {
+  if (faults.fire(robust::FaultKind::kSlowPeer)) {
     // Slowloris this request: one byte per send with small gaps. The
     // server's framing must reassemble it, and its read deadline must
     // tolerate a peer that is slow but making progress.
@@ -121,7 +99,7 @@ std::string Client::request(const std::string& line) const {
     }
   }
 
-  if (faults.fire_conn_reset()) {
+  if (faults.fire(robust::FaultKind::kConnReset)) {
     // SO_LINGER{on, 0}: close() sends a real RST instead of FIN, so the
     // daemon sees the mid-exchange reset a crashing client produces. The
     // client cannot know whether the request was processed — exactly the

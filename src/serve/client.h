@@ -27,25 +27,17 @@
 #include <stdexcept>
 #include <string>
 
-#include "serve/transport_tcp.h"
+#include "serve/net.h"
 #include "serve/wire.h"
 
 namespace bd::serve {
 
 /// Where the daemon lives: a filesystem socket or a TCP endpoint.
-struct Endpoint {
-  enum class Kind { kUnix, kTcp };
-  Kind kind = Kind::kUnix;
-  std::string socket_path;  // kUnix
-  TcpEndpoint tcp;          // kTcp
-};
-
-Endpoint unix_endpoint(std::string socket_path);
+using net::Endpoint;
+using net::unix_endpoint;
 /// Parses "host:port"; throws std::invalid_argument on a malformed spec
 /// or port 0 (clients must name a real port).
 Endpoint tcp_endpoint(const std::string& host_port);
-/// "unix:<path>" or "tcp:<host>:<port>" for logs and errors.
-std::string endpoint_name(const Endpoint& endpoint);
 
 /// A transport-level failure (vs a protocol {"ok":false,...} reply).
 /// `retryable` distinguishes faults worth re-attempting (refused, reset,

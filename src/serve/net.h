@@ -1,4 +1,11 @@
-// Shared connection-lifecycle primitives for the serve transports.
+// The serve daemon's socket layer, now the program's only one: every
+// socket the daemon listens on or a client connects, AF_UNIX and TCP
+// alike, is created, bound, listened on or connected here, and every byte
+// is sent and received here (bdlint's no-raw-socket rule keeps those
+// syscalls out of the rest of src/, examples/ and bench/). The two address
+// families differ only in the address and a few family-specific steps:
+// TCP sets SO_REUSEADDR, reads back a kernel-picked port and sets
+// TCP_NODELAY; a Unix listener checks what is already at its path.
 //
 // Every byte the daemon or a client moves over a socket goes through this
 // layer, which owns the three invariants the transports must never violate:
@@ -7,9 +14,10 @@
 //      return, not a process-killing signal: send_all() passes MSG_NOSIGNAL
 //      on every send(2) and loops over EINTR and short writes the way
 //      robust's journal appends do.
-//   2. Every blocking I/O step has a deadline. recv_ready()/send_all() poll
-//      with the caller's budget, so a slow or stalled peer (slowloris) costs
-//      one connection slot for a bounded time, never a thread forever.
+//   2. Every blocking I/O step has a deadline. connect(), recv_ready() and
+//      send_all() poll with the caller's budget, so a slow, stalled or
+//      unreachable peer (slowloris) costs one connection slot for a
+//      bounded time, never a thread forever.
 //   3. Buffers are bounded. LineFramer reassembles newline-delimited frames
 //      from arbitrary chunkings (byte-at-a-time, split at any boundary,
 //      several frames in one read) but refuses to buffer a line beyond its
@@ -22,9 +30,12 @@
 // client-side `conn_reset@n` / `slow_peer@n` live in serve/client.cpp.
 #pragma once
 
+#include <sys/types.h>
+
 #include <cstddef>
 #include <cstdint>
 #include <string>
+#include <utility>
 
 namespace bd::serve::net {
 
@@ -79,15 +90,70 @@ class LineFramer {
   bool overflowed_ = false;
 };
 
-/// Binds and listens on an AF_UNIX stream socket, unlinking a stale file
-/// first. Returns the listening fd, or -1 with `error` set.
-int listen_unix(const std::string& path, std::string& error);
+/// Where a daemon listens or a client connects: a filesystem socket
+/// (AF_UNIX) when `path` is set, otherwise an IPv4 `host:port`. Hosts are
+/// dotted quads or "localhost"; the wildcard spellings "", "*" and
+/// "0.0.0.0" listen on any address and connect to loopback. No DNS: the
+/// daemon fronts a trusted LAN or loopback, and a resolver would buy
+/// latency and nondeterminism for nothing.
+struct Endpoint {
+  std::string path;        // AF_UNIX socket file
+  std::string host;        // AF_INET
+  std::uint16_t port = 0;  // AF_INET; 0 lets a listener's kernel pick
+};
 
-/// Connects to an AF_UNIX socket within `timeout_seconds`. -1 + error.
-int connect_unix(const std::string& path, double timeout_seconds,
-                 std::string& error);
+inline Endpoint unix_endpoint(std::string path) {
+  Endpoint endpoint;
+  endpoint.path = std::move(path);
+  return endpoint;
+}
 
-/// The port a bound TCP socket actually got (resolves port 0); 0 on error.
-std::uint16_t bound_port(int fd);
+/// Parses "host:port" (also ":port" and bare "port") into a TCP endpoint.
+/// False with `error` set on a malformed spec; port 0 is legal here (for
+/// listeners), connect() callers must name a real port.
+bool parse_endpoint(const std::string& spec, Endpoint& out,
+                    std::string& error);
+
+/// A listening socket, open from listen() until destroyed. A Unix listener
+/// removes its socket file when destroyed, but only while the path still
+/// names the socket it bound: a file someone put there since stays.
+class Listener {
+ public:
+  Listener(Listener&& other) noexcept;
+  Listener& operator=(Listener&&) = delete;
+  Listener(const Listener&) = delete;
+  Listener& operator=(const Listener&) = delete;
+  ~Listener();
+
+  int fd() const { return fd_; }
+  /// The endpoint bound; a requested TCP port of 0 reads as the port the
+  /// kernel picked.
+  const Endpoint& endpoint() const { return endpoint_; }
+
+ private:
+  friend Listener listen(const Endpoint& endpoint);
+  Listener(int fd, Endpoint endpoint)
+      : fd_(fd), endpoint_(std::move(endpoint)) {}
+
+  int fd_ = -1;
+  Endpoint endpoint_;
+  // The Unix socket file this listener bound, by device and inode.
+  bool owns_path_ = false;
+  dev_t dev_ = 0;
+  ino_t ino_ = 0;
+};
+
+/// Binds and listens on `endpoint`; throws std::runtime_error naming it.
+/// On a Unix path, only a stale socket file (one that refuses connections,
+/// as a killed daemon leaves it) is replaced: a live daemon's socket or
+/// any other file at the path fails the listen and stays untouched.
+Listener listen(const Endpoint& endpoint);
+
+/// Connects to `endpoint` within `timeout_seconds` (<= 0: no bound) with a
+/// non-blocking connect + poll, so an unreachable host costs the budget,
+/// not the kernel's multi-minute SYN retry default. Returns a blocking-mode
+/// fd, or -1 with `error` set.
+int connect(const Endpoint& endpoint, double timeout_seconds,
+            std::string& error);
 
 }  // namespace bd::serve::net

@@ -13,7 +13,6 @@
 #include "obs/obs.h"
 #include "robust/fault_injector.h"
 #include "serve/net.h"
-#include "serve/transport_tcp.h"
 #include "util/logging.h"
 
 namespace bd::serve {
@@ -80,24 +79,19 @@ void SocketServer::run() {
         "serve: no transport configured (need a socket path or --listen)");
   }
 
-  int unix_fd = -1;
-  TcpListener tcp;
-  std::string error;
+  // One listener per configured endpoint, all polled by one accept loop.
+  std::vector<net::Listener> listeners;
   if (!config_.socket_path.empty()) {
-    unix_fd = net::listen_unix(config_.socket_path, error);
-    if (unix_fd < 0) throw std::runtime_error(error);
+    listeners.push_back(net::listen(net::unix_endpoint(config_.socket_path)));
   }
   if (!config_.listen_address.empty()) {
-    TcpEndpoint endpoint;
-    if (!parse_tcp_endpoint(config_.listen_address, endpoint, error) ||
-        !tcp.open(endpoint, error)) {
-      if (unix_fd >= 0) {
-        ::close(unix_fd);
-        ::unlink(config_.socket_path.c_str());
-      }
+    net::Endpoint endpoint;
+    std::string error;
+    if (!net::parse_endpoint(config_.listen_address, endpoint, error)) {
       throw std::runtime_error(error);
     }
-    tcp_port_.store(tcp.port());
+    listeners.push_back(net::listen(endpoint));
+    tcp_port_.store(listeners.back().endpoint().port);
   }
 
   struct sigaction old_term {};
@@ -115,65 +109,52 @@ void SocketServer::run() {
   }
 
   service_.start();
-  if (unix_fd >= 0) {
-    BD_LOG(Info) << "serve: listening on " << config_.socket_path;
-  }
-  if (tcp.fd() >= 0) {
-    BD_LOG(Info) << "serve: listening on tcp port " << tcp.port();
+  std::vector<pollfd> pfds(1 + listeners.size());
+  pfds[0].fd = wake_pipe_[0];
+  pfds[0].events = POLLIN;
+  for (std::size_t i = 0; i < listeners.size(); ++i) {
+    const net::Endpoint& endpoint = listeners[i].endpoint();
+    BD_LOG(Info) << "serve: listening on "
+                 << (endpoint.path.empty()
+                         ? "tcp port " + std::to_string(endpoint.port)
+                         : endpoint.path);
+    pfds[i + 1].fd = listeners[i].fd();
+    pfds[i + 1].events = POLLIN;
   }
 
   while (!stop_.load()) {
-    pollfd pfds[3];
-    nfds_t nfds = 0;
-    pfds[nfds].fd = wake_pipe_[0];
-    pfds[nfds].events = POLLIN;
-    const nfds_t wake_slot = nfds++;
-    nfds_t unix_slot = 0;
-    nfds_t tcp_slot = 0;
-    if (unix_fd >= 0) {
-      pfds[nfds].fd = unix_fd;
-      pfds[nfds].events = POLLIN;
-      unix_slot = nfds++;
-    }
-    if (tcp.fd() >= 0) {
-      pfds[nfds].fd = tcp.fd();
-      pfds[nfds].events = POLLIN;
-      tcp_slot = nfds++;
-    }
-    const int n = ::poll(pfds, nfds, -1);
+    const int n = ::poll(pfds.data(), pfds.size(), -1);
     if (n < 0) {
       if (errno == EINTR) continue;
       BD_LOG(Warn) << "serve: poll(): " << std::strerror(errno);
       break;
     }
-    if (pfds[wake_slot].revents != 0) {
+    if (pfds[0].revents != 0) {
       char buf[64];
       const ssize_t got = ::read(wake_pipe_[0], buf, sizeof(buf));
       for (ssize_t i = 0; i < got; ++i) {
         if (buf[i] == 'S') request_stop(StopMode::kDrain);  // signal
       }
     }
-    if (unix_fd >= 0 && pfds[unix_slot].revents != 0 && !stop_.load()) {
-      accept_on(unix_fd, "unix");
-    }
-    if (tcp.fd() >= 0 && pfds[tcp_slot].revents != 0 && !stop_.load()) {
-      accept_on(tcp.fd(), "tcp");
+    for (std::size_t i = 0; i < listeners.size(); ++i) {
+      if (pfds[i + 1].revents != 0 && !stop_.load()) {
+        accept_on(pfds[i + 1].fd,
+                  listeners[i].endpoint().path.empty() ? "tcp" : "unix");
+      }
     }
     reap_connections(/*join_all=*/false);
   }
 
-  // Stop accepting first, then cut connection reads (responses in flight
-  // still go out) and join the connection threads so every accepted
-  // request has either been answered or abandoned before the service
-  // winds down its workers.
-  if (unix_fd >= 0) ::close(unix_fd);
-  tcp.close();
+  // Stop accepting first (closing a Unix listener also removes its socket
+  // file), then cut connection reads (responses in flight still go out)
+  // and join the connection threads so every accepted request has either
+  // been answered or abandoned before the service winds down its workers.
+  listeners.clear();
   interrupt_connections();
   reap_connections(/*join_all=*/true);
 
   const auto mode = static_cast<StopMode>(stop_mode_.load());
   service_.stop(mode);
-  if (!config_.socket_path.empty()) ::unlink(config_.socket_path.c_str());
 
   if (signals_installed) {
     g_signal_wake_fd.store(-1);
@@ -188,7 +169,8 @@ void SocketServer::run() {
 void SocketServer::accept_on(int listener_fd, const char* transport) {
   const int conn = ::accept(listener_fd, nullptr, nullptr);
   if (conn < 0) return;  // transient (EINTR/ECONNABORTED): poll re-arms
-  if (robust::FaultInjector::instance().fire_accept_fail()) {
+  if (robust::FaultInjector::instance().fire(
+          robust::FaultKind::kAcceptFail)) {
     BD_LOG(Warn) << "fault injector: dropping accepted " << transport
                  << " connection";
     BD_OBS_COUNT("serve.conn.accept_fail", 1);

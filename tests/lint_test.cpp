@@ -43,7 +43,8 @@ TEST(LintCatalog, ListsEveryRule) {
   const std::set<std::string> expected = {
       "no-nondeterminism",    "no-naked-lock",
       "no-relaxed-atomics",   "no-naked-ofstream",
-      "no-swallowed-catch",   "no-unordered-iteration-to-output"};
+      "no-swallowed-catch",   "no-unordered-iteration-to-output",
+      "no-raw-socket"};
   EXPECT_EQ(names, expected);
 }
 
@@ -97,6 +98,22 @@ TEST(LintRules, UnorderedOutputFixtureFires) {
   const auto findings =
       bd::lint::lint_file(fixture("bad_unordered_output.cpp"));
   EXPECT_EQ(count_rule(findings, "no-unordered-iteration-to-output"), 1);
+}
+
+TEST(LintRules, RawSocketFixtureFires) {
+  const auto findings = bd::lint::lint_file(fixture("bad_raw_socket.cpp"));
+  EXPECT_EQ(count_rule(findings, "no-raw-socket"), 6)
+      << "::socket/bind/listen/connect/send/recv should each fire, "
+         "std::bind and net::connect not";
+  EXPECT_EQ(rules_fired(findings), std::set<std::string>{"no-raw-socket"});
+}
+
+TEST(LintRules, RawSocketAllowedInTheSocketLayer) {
+  const auto findings = bd::lint::lint_source(
+      "src/serve/net.cpp",
+      "#include <sys/socket.h>\n"
+      "int f() { return ::socket(AF_UNIX, SOCK_STREAM, 0); }\n");
+  EXPECT_EQ(count_rule(findings, "no-raw-socket"), 0);
 }
 
 TEST(LintRules, CleanFixtureIsSilent) {

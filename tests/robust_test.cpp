@@ -99,11 +99,12 @@ using FaultInjectorTest = FaultFixture;
 TEST_F(FaultInjectorTest, FiresAtArmedOccurrences) {
   auto& faults = robust::FaultInjector::instance();
   faults.configure("nan@2,nan@4,crash@1");
-  EXPECT_FALSE(faults.fire_nan_loss());  // occurrence 1
-  EXPECT_TRUE(faults.fire_nan_loss());   // occurrence 2 (armed)
-  EXPECT_FALSE(faults.fire_nan_loss());  // occurrence 3
-  EXPECT_TRUE(faults.fire_nan_loss());   // occurrence 4 (armed)
-  EXPECT_FALSE(faults.armed(robust::FaultKind::kNanLoss));
+  const auto nan_loss = robust::FaultKind::kNanLoss;
+  EXPECT_FALSE(faults.fire(nan_loss));  // occurrence 1
+  EXPECT_TRUE(faults.fire(nan_loss));   // occurrence 2 (armed)
+  EXPECT_FALSE(faults.fire(nan_loss));  // occurrence 3
+  EXPECT_TRUE(faults.fire(nan_loss));   // occurrence 4 (armed)
+  EXPECT_FALSE(faults.armed(nan_loss));
   EXPECT_THROW(faults.fire_crash("here"), robust::SimulatedCrash);
   EXPECT_NO_THROW(faults.fire_io("save"));  // io_fail never armed
 }
@@ -112,7 +113,7 @@ TEST_F(FaultInjectorTest, ResetDisarms) {
   auto& faults = robust::FaultInjector::instance();
   faults.configure("nan@1");
   faults.reset();
-  EXPECT_FALSE(faults.fire_nan_loss());
+  EXPECT_FALSE(faults.fire(robust::FaultKind::kNanLoss));
 }
 
 TEST_F(FaultInjectorTest, RejectsMalformedSpecs) {

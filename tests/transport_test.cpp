@@ -1,18 +1,23 @@
-// Tests for the socket transports and connection lifecycle: TCP endpoint
-// parsing, adversarial framing (byte-at-a-time, split at every boundary,
-// pipelined, oversized mid-stream), SIGPIPE-free writes against a dead
-// peer, injected network faults (short_write, accept_fail, conn_reset,
-// slow_peer), read deadlines, connection-cap shedding, client retry with
-// idempotent resubmission (including across a daemon restart), drain vs
-// abandon shutdown, and the WaitOutcome contract.
+// Tests for the socket layer and connection lifecycle: endpoint parsing,
+// adversarial framing (byte-at-a-time, split at every boundary, pipelined,
+// oversized mid-stream), SIGPIPE-free writes against a dead peer, injected
+// network faults (short_write, accept_fail, conn_reset, slow_peer), read
+// deadlines and connection-cap shedding over both address families, what
+// a Unix listener does with the file already at its path, client retry
+// with idempotent resubmission (including across a daemon restart), drain
+// vs abandon shutdown, and the WaitOutcome contract.
 #include <gtest/gtest.h>
 
 #include <sys/socket.h>
+#include <sys/stat.h>
+#include <sys/un.h>
 #include <unistd.h>
 
 #include <atomic>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
+#include <fstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -25,7 +30,6 @@
 #include "serve/protocol.h"
 #include "serve/server.h"
 #include "serve/service.h"
-#include "serve/transport_tcp.h"
 #include "serve/wire.h"
 
 namespace bd {
@@ -44,51 +48,50 @@ using serve::ServerConfig;
 using serve::ServiceConfig;
 using serve::SocketServer;
 using serve::StopMode;
-using serve::TcpEndpoint;
 using serve::TransportError;
 using serve::WaitOutcome;
 namespace net = serve::net;
 
 // ---------------------------------------------------------------------------
-// TCP endpoint parsing
+// endpoint parsing
 // ---------------------------------------------------------------------------
 
-TEST(TcpEndpointTest, ParsesValidSpecs) {
-  TcpEndpoint e;
+TEST(EndpointTest, ParsesValidSpecs) {
+  Endpoint e;
   std::string error;
-  ASSERT_TRUE(serve::parse_tcp_endpoint("127.0.0.1:8080", e, error)) << error;
+  ASSERT_TRUE(net::parse_endpoint("127.0.0.1:8080", e, error)) << error;
   EXPECT_EQ(e.host, "127.0.0.1");
   EXPECT_EQ(e.port, 8080);
-  ASSERT_TRUE(serve::parse_tcp_endpoint("localhost:1", e, error)) << error;
+  ASSERT_TRUE(net::parse_endpoint("localhost:1", e, error)) << error;
   EXPECT_EQ(e.port, 1);
-  ASSERT_TRUE(serve::parse_tcp_endpoint(":9000", e, error)) << error;
+  ASSERT_TRUE(net::parse_endpoint(":9000", e, error)) << error;
   EXPECT_EQ(e.host, "");
-  ASSERT_TRUE(serve::parse_tcp_endpoint("*:9000", e, error)) << error;
-  ASSERT_TRUE(serve::parse_tcp_endpoint("0.0.0.0:0", e, error)) << error;
+  ASSERT_TRUE(net::parse_endpoint("*:9000", e, error)) << error;
+  ASSERT_TRUE(net::parse_endpoint("0.0.0.0:0", e, error)) << error;
   EXPECT_EQ(e.port, 0);  // ephemeral: legal for listeners
 }
 
-TEST(TcpEndpointTest, RejectsMalformedSpecs) {
-  TcpEndpoint e;
+TEST(EndpointTest, RejectsMalformedSpecs) {
+  Endpoint e;
   std::string error;
-  EXPECT_FALSE(serve::parse_tcp_endpoint("", e, error));
-  EXPECT_FALSE(serve::parse_tcp_endpoint("127.0.0.1", e, error));
-  EXPECT_FALSE(serve::parse_tcp_endpoint("host:", e, error));
-  EXPECT_FALSE(serve::parse_tcp_endpoint("host:abc", e, error));
-  EXPECT_FALSE(serve::parse_tcp_endpoint("host:70000", e, error));
-  EXPECT_FALSE(serve::parse_tcp_endpoint("host:-1", e, error));
+  EXPECT_FALSE(net::parse_endpoint("", e, error));
+  EXPECT_FALSE(net::parse_endpoint("127.0.0.1", e, error));
+  EXPECT_FALSE(net::parse_endpoint("host:", e, error));
+  EXPECT_FALSE(net::parse_endpoint("host:abc", e, error));
+  EXPECT_FALSE(net::parse_endpoint("host:70000", e, error));
+  EXPECT_FALSE(net::parse_endpoint("host:-1", e, error));
   // No DNS by design: non-numeric hosts other than localhost are refused.
-  EXPECT_FALSE(serve::parse_tcp_endpoint("example.com:80", e, error));
+  EXPECT_FALSE(net::parse_endpoint("example.com:80", e, error));
   EXPECT_NE(error, "");
 }
 
-TEST(TcpEndpointTest, ClientEndpointRequiresRealPort) {
+TEST(EndpointTest, ClientEndpointRequiresRealPort) {
   EXPECT_THROW(serve::tcp_endpoint("127.0.0.1:0"), std::invalid_argument);
   EXPECT_THROW(serve::tcp_endpoint("nonsense"), std::invalid_argument);
   const Endpoint e = serve::tcp_endpoint("127.0.0.1:8080");
-  EXPECT_EQ(serve::endpoint_name(e), "tcp:127.0.0.1:8080");
-  EXPECT_EQ(serve::endpoint_name(serve::unix_endpoint("/tmp/x.sock")),
-            "unix:/tmp/x.sock");
+  EXPECT_EQ(e.path, "");
+  EXPECT_EQ(e.host, "127.0.0.1");
+  EXPECT_EQ(e.port, 8080);
 }
 
 // ---------------------------------------------------------------------------
@@ -163,7 +166,7 @@ TEST(LineFramerTest, ToleratesCrlfAndSkipsKeepAliveNewlines) {
 }
 
 // ---------------------------------------------------------------------------
-// net: SIGPIPE safety and injected short writes
+// net: listen/connect, SIGPIPE safety and injected short writes
 // ---------------------------------------------------------------------------
 
 class FaultFixture : public ::testing::Test {
@@ -175,43 +178,101 @@ class FaultFixture : public ::testing::Test {
   void TearDown() override { robust::FaultInjector::instance().reset(); }
 };
 
-using NetTest = FaultFixture;
+/// The two address families one accept loop serves.
+enum class Family { kUnix, kTcp };
 
-TEST_F(NetTest, SendToClosedPeerReportsResetNotSigpipe) {
-  int fds[2];
-  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
-  ::close(fds[1]);  // peer dies before we write
+std::string family_name(const ::testing::TestParamInfo<Family>& info) {
+  return info.param == Family::kUnix ? "Unix" : "Tcp";
+}
+
+/// A Unix socket path private to this process.
+std::string socket_path(const std::string& tag) {
+  return "/tmp/transport_test_" + tag + "_" + std::to_string(::getpid()) +
+         ".sock";
+}
+
+/// Where a listener of `family` binds: a private Unix path, or an
+/// ephemeral loopback port.
+Endpoint listen_endpoint(Family family, const std::string& tag) {
+  if (family == Family::kUnix) return serve::unix_endpoint(socket_path(tag));
+  Endpoint e;
+  e.host = "127.0.0.1";
+  return e;
+}
+
+/// A connected pair made the daemon's way: `client` from net::connect,
+/// `server` accepted on a net::listen listener.
+struct SocketPair {
+  explicit SocketPair(Family family)
+      : listener(net::listen(listen_endpoint(family, "pair"))) {
+    std::string error;
+    client = net::connect(listener.endpoint(), 5.0, error);
+    EXPECT_GE(client, 0) << error;
+    server = ::accept(listener.fd(), nullptr, nullptr);
+    EXPECT_GE(server, 0);
+  }
+  ~SocketPair() {
+    if (client >= 0) ::close(client);
+    if (server >= 0) ::close(server);
+  }
+
+  net::Listener listener;
+  int client = -1;
+  int server = -1;
+};
+
+class NetTest : public FaultFixture,
+                public ::testing::WithParamInterface<Family> {};
+
+TEST_P(NetTest, SendToClosedPeerReportsResetNotSigpipe) {
+  SocketPair pair(GetParam());
+  ASSERT_GE(pair.server, 0);
+  ::close(pair.server);  // peer dies before we write
+  pair.server = -1;
   const std::string payload(4096, 'x');
   // Without MSG_NOSIGNAL this would raise SIGPIPE and kill the test
   // process. The first send may land in the buffer; looping over a large
   // payload guarantees we hit the dead peer.
   net::IoStatus status = net::IoStatus::kOk;
   for (int i = 0; i < 64 && status == net::IoStatus::kOk; ++i) {
-    status = net::send_all(fds[0], payload, /*deadline_seconds=*/1.0);
+    status = net::send_all(pair.client, payload, /*deadline_seconds=*/1.0);
   }
   EXPECT_EQ(status, net::IoStatus::kReset);
-  ::close(fds[0]);
 }
 
-TEST_F(NetTest, ShortWriteFaultStillDeliversEveryByte) {
+TEST_P(NetTest, ShortWriteFaultStillDeliversEveryByte) {
+  SocketPair pair(GetParam());
+  ASSERT_GE(pair.server, 0);
   robust::FaultInjector::instance().configure("short_write@1");
-  int fds[2];
-  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
   const std::string payload = "{\"op\":\"ping\"}\n";
-  std::thread reader([&fds, &payload] {
+  std::thread reader([&pair, &payload] {
     std::string got;
     while (got.size() < payload.size()) {
-      const net::IoStatus status = net::recv_some(fds[1], got, 4096, 5.0);
+      const net::IoStatus status = net::recv_some(pair.server, got, 4096, 5.0);
       if (status != net::IoStatus::kOk) break;
     }
     EXPECT_EQ(got, payload);
   });
-  EXPECT_EQ(net::send_all(fds[0], payload, /*deadline_seconds=*/5.0),
+  EXPECT_EQ(net::send_all(pair.client, payload, /*deadline_seconds=*/5.0),
             net::IoStatus::kOk);
   reader.join();
-  ::close(fds[0]);
-  ::close(fds[1]);
 }
+
+TEST_P(NetTest, ConnectToNothingFailsWithinItsBudget) {
+  // Listen, note the address, close: nothing answers there any more.
+  Endpoint gone;
+  {
+    net::Listener listener = net::listen(listen_endpoint(GetParam(), "gone"));
+    gone = listener.endpoint();
+  }
+  std::string error;
+  EXPECT_EQ(net::connect(gone, 1.0, error), -1);
+  EXPECT_NE(error.find("connect("), std::string::npos) << error;
+}
+
+INSTANTIATE_TEST_SUITE_P(Families, NetTest,
+                         ::testing::Values(Family::kUnix, Family::kTcp),
+                         family_name);
 
 // ---------------------------------------------------------------------------
 // server lifecycle over real sockets
@@ -230,11 +291,12 @@ JobSpec micro_spec(std::uint64_t seed = 2024) {
   return spec;
 }
 
-/// A serve daemon on an ephemeral TCP port (and optionally a Unix socket),
+/// A serve daemon on an ephemeral TCP port and/or a Unix socket,
 /// run()ning on its own thread until stop() or a protocol shutdown.
 class TestServer {
  public:
-  explicit TestServer(ServerConfig config) : server_(config) {
+  explicit TestServer(ServerConfig config)
+      : socket_path_(config.socket_path), server_(config) {
     thread_ = std::thread([this] { server_.run(); });
     if (!config.listen_address.empty()) {
       for (int i = 0; i < 500 && server_.tcp_port() == 0; ++i) {
@@ -256,12 +318,17 @@ class TestServer {
     return serve::tcp_endpoint("127.0.0.1:" +
                                std::to_string(server_.tcp_port()));
   }
+  /// The TCP endpoint when the daemon listens on one, else its Unix path.
+  Endpoint endpoint() const {
+    return server_.tcp_port() != 0 ? tcp() : serve::unix_endpoint(socket_path_);
+  }
   /// Joins run() — for tests that end the daemon via a protocol shutdown.
   void join() {
     if (thread_.joinable()) thread_.join();
   }
 
  private:
+  std::string socket_path_;
   SocketServer server_;
   std::thread thread_;
 };
@@ -273,6 +340,16 @@ ServerConfig tcp_config(robust::Supervisor* supervisor,
   config.listen_address = "127.0.0.1:0";
   config.service.workers = workers;
   config.service.supervisor = supervisor;
+  return config;
+}
+
+/// A daemon listening on `family` only.
+ServerConfig family_config(Family family, robust::Supervisor* supervisor) {
+  ServerConfig config = tcp_config(supervisor);
+  if (family == Family::kUnix) {
+    config.listen_address.clear();
+    config.socket_path = socket_path("daemon");
+  }
   return config;
 }
 
@@ -305,12 +382,20 @@ TEST_F(TransportTest, TcpEndToEndPingSubmitStatus) {
   EXPECT_EQ(status.find("job")->get_string("state"), "queued");
 }
 
+TEST_F(TransportTest, OneDaemonServesBothFamilies) {
+  robust::Supervisor supervisor;
+  ServerConfig config = tcp_config(&supervisor);
+  config.socket_path = socket_path("both");
+  TestServer ts(config);
+  EXPECT_TRUE(Client(ts.tcp()).alive());
+  EXPECT_TRUE(Client(config.socket_path).alive());
+}
+
 TEST_F(TransportTest, ByteAtATimeAndPipelinedRequestsOverTcp) {
   robust::Supervisor supervisor;
   TestServer ts(tcp_config(&supervisor));
   std::string error;
-  const int fd =
-      serve::connect_tcp({"127.0.0.1", ts.server().tcp_port()}, 5.0, error);
+  const int fd = net::connect(ts.tcp(), 5.0, error);
   ASSERT_GE(fd, 0) << error;
 
   // Trickle one ping a byte at a time...
@@ -337,12 +422,18 @@ TEST_F(TransportTest, ByteAtATimeAndPipelinedRequestsOverTcp) {
   ::close(fd);
 }
 
-TEST_F(TransportTest, OversizedRequestGetsStructuredErrorNotCrash) {
+// ---------------------------------------------------------------------------
+// connection lifecycle, over each address family
+// ---------------------------------------------------------------------------
+
+class LifecycleTest : public FaultFixture,
+                      public ::testing::WithParamInterface<Family> {};
+
+TEST_P(LifecycleTest, OversizedRequestGetsStructuredErrorNotCrash) {
   robust::Supervisor supervisor;
-  TestServer ts(tcp_config(&supervisor));
+  TestServer ts(family_config(GetParam(), &supervisor));
   std::string error;
-  const int fd =
-      serve::connect_tcp({"127.0.0.1", ts.server().tcp_port()}, 5.0, error);
+  const int fd = net::connect(ts.endpoint(), 5.0, error);
   ASSERT_GE(fd, 0) << error;
   // An unterminated line past kMaxRequestBytes arrives mid-stream.
   const std::string flood(serve::Protocol::kMaxRequestBytes + 100, 'a');
@@ -355,49 +446,42 @@ TEST_F(TransportTest, OversizedRequestGetsStructuredErrorNotCrash) {
   EXPECT_NE(buf.find("oversized_request"), std::string::npos);
   ::close(fd);
   // The daemon is still alive for the next client.
-  EXPECT_TRUE(Client(ts.tcp()).alive());
+  EXPECT_TRUE(Client(ts.endpoint()).alive());
 }
 
-TEST_F(TransportTest, PeerClosingMidResponseDoesNotKillDaemon) {
+TEST_P(LifecycleTest, PeerClosingMidResponseDoesNotKillDaemon) {
   robust::Supervisor supervisor;
-  ServerConfig config = tcp_config(&supervisor);
-  config.socket_path = "/tmp/transport_test_sigpipe.sock";  // both transports
-  TestServer ts(config);
+  TestServer ts(family_config(GetParam(), &supervisor));
   // Fire a request and slam the connection shut without reading the
-  // response, over both transports; the daemon's reply hits a dead or
-  // dying socket and must not SIGPIPE the process.
+  // response, by RST and by orderly close; the daemon's reply hits a dead
+  // or dying socket and must not SIGPIPE the process.
   for (int round = 0; round < 3; ++round) {
-    std::string error;
-    int fd = serve::connect_tcp({"127.0.0.1", ts.server().tcp_port()}, 5.0,
-                                error);
-    ASSERT_GE(fd, 0) << error;
-    ASSERT_EQ(net::send_all(fd, std::string("{\"op\":\"stats\"}\n"), 5.0),
-              net::IoStatus::kOk);
-    struct linger lg {};
-    lg.l_onoff = 1;
-    lg.l_linger = 0;  // RST instead of FIN: the rudest possible exit
-    ::setsockopt(fd, SOL_SOCKET, SO_LINGER, &lg, sizeof(lg));
-    ::close(fd);
-
-    fd = net::connect_unix(config.socket_path, 5.0, error);
-    ASSERT_GE(fd, 0) << error;
-    ASSERT_EQ(net::send_all(fd, std::string("{\"op\":\"stats\"}\n"), 5.0),
-              net::IoStatus::kOk);
-    ::close(fd);  // orderly close, response still unread
+    for (const bool reset : {true, false}) {
+      std::string error;
+      const int fd = net::connect(ts.endpoint(), 5.0, error);
+      ASSERT_GE(fd, 0) << error;
+      ASSERT_EQ(net::send_all(fd, std::string("{\"op\":\"stats\"}\n"), 5.0),
+                net::IoStatus::kOk);
+      if (reset) {
+        struct linger lg {};
+        lg.l_onoff = 1;
+        lg.l_linger = 0;  // RST instead of FIN: the rudest possible exit
+        ::setsockopt(fd, SOL_SOCKET, SO_LINGER, &lg, sizeof(lg));
+      }
+      ::close(fd);  // response still unread
+    }
   }
   std::this_thread::sleep_for(std::chrono::milliseconds(50));
-  EXPECT_TRUE(Client(ts.tcp()).alive());
-  std::remove(config.socket_path.c_str());
+  EXPECT_TRUE(Client(ts.endpoint()).alive());
 }
 
-TEST_F(TransportTest, ReadDeadlineEvictsSilentConnection) {
+TEST_P(LifecycleTest, ReadDeadlineEvictsSilentConnection) {
   robust::Supervisor supervisor;
-  ServerConfig config = tcp_config(&supervisor);
+  ServerConfig config = family_config(GetParam(), &supervisor);
   config.read_deadline_seconds = 0.2;
   TestServer ts(config);
   std::string error;
-  const int fd =
-      serve::connect_tcp({"127.0.0.1", ts.server().tcp_port()}, 5.0, error);
+  const int fd = net::connect(ts.endpoint(), 5.0, error);
   ASSERT_GE(fd, 0) << error;
   // Send nothing. Within the deadline (plus slack) the server must give
   // up on us: a best-effort `timeout` error then EOF.
@@ -411,15 +495,14 @@ TEST_F(TransportTest, ReadDeadlineEvictsSilentConnection) {
   ::close(fd);
 }
 
-TEST_F(TransportTest, ConnectionCapShedsWithOverloadedError) {
+TEST_P(LifecycleTest, ConnectionCapShedsWithOverloadedError) {
   robust::Supervisor supervisor;
-  ServerConfig config = tcp_config(&supervisor);
+  ServerConfig config = family_config(GetParam(), &supervisor);
   config.max_connections = 1;
   config.read_deadline_seconds = 10.0;  // the hog idles within its budget
   TestServer ts(config);
   std::string error;
-  const int hog =
-      serve::connect_tcp({"127.0.0.1", ts.server().tcp_port()}, 5.0, error);
+  const int hog = net::connect(ts.endpoint(), 5.0, error);
   ASSERT_GE(hog, 0) << error;
   // The hog must be inside serve_connection (not just queued in the
   // accept backlog) before the next connection can be shed.
@@ -432,8 +515,7 @@ TEST_F(TransportTest, ConnectionCapShedsWithOverloadedError) {
 
   bool shed = false;
   for (int i = 0; i < 50 && !shed; ++i) {
-    const int fd = serve::connect_tcp({"127.0.0.1", ts.server().tcp_port()},
-                                      5.0, error);
+    const int fd = net::connect(ts.endpoint(), 5.0, error);
     ASSERT_GE(fd, 0) << error;
     std::string buf;
     net::IoStatus status = net::IoStatus::kOk;
@@ -449,12 +531,110 @@ TEST_F(TransportTest, ConnectionCapShedsWithOverloadedError) {
 
   // With the hog gone the slot frees up and service resumes.
   bool recovered = false;
-  const Client probe(ts.tcp());
+  const Client probe(ts.endpoint());
   for (int i = 0; i < 100 && !recovered; ++i) {
     recovered = probe.alive();
     if (!recovered) std::this_thread::sleep_for(std::chrono::milliseconds(10));
   }
   EXPECT_TRUE(recovered);
+}
+
+INSTANTIATE_TEST_SUITE_P(Families, LifecycleTest,
+                         ::testing::Values(Family::kUnix, Family::kTcp),
+                         family_name);
+
+// ---------------------------------------------------------------------------
+// a Unix listener and the file already at its path
+// ---------------------------------------------------------------------------
+
+using UnixPathTest = FaultFixture;
+
+ServerConfig unix_config(const std::string& path,
+                         robust::Supervisor* supervisor) {
+  ServerConfig config = tcp_config(supervisor);
+  config.listen_address.clear();
+  config.socket_path = path;
+  return config;
+}
+
+/// run()s a daemon that must fail to listen; "" when it ran instead. The
+/// stop is requested first, so a run() that wrongly binds returns at once
+/// rather than serving forever.
+std::string failed_run(const ServerConfig& config) {
+  SocketServer server(config);
+  server.request_stop();
+  try {
+    server.run();
+  } catch (const std::runtime_error& e) {
+    return e.what();
+  }
+  return "";
+}
+
+std::string read_file(const std::string& path) {
+  std::ifstream in(path);
+  std::string content;
+  std::getline(in, content);
+  return content;
+}
+
+TEST_F(UnixPathTest, SecondDaemonOnLivePathFailsAndFirstStillAnswers) {
+  robust::Supervisor supervisor;
+  const std::string path = socket_path("live");
+  TestServer first(unix_config(path, &supervisor));
+  ASSERT_TRUE(Client(path).alive());
+  const std::string error = failed_run(unix_config(path, &supervisor));
+  EXPECT_NE(error.find("a daemon is already listening on " + path),
+            std::string::npos)
+      << "second daemon's run(): '" << error << "'";
+  EXPECT_TRUE(Client(path).alive());
+}
+
+TEST_F(UnixPathTest, RegularFileAtPathIsRefusedAndKept) {
+  robust::Supervisor supervisor;
+  const std::string path = socket_path("notes");
+  std::ofstream(path) << "keep me\n";
+  const std::string error = failed_run(unix_config(path, &supervisor));
+  EXPECT_NE(error.find(path), std::string::npos) << "run(): '" << error << "'";
+  EXPECT_EQ(read_file(path), "keep me");
+  std::remove(path.c_str());
+}
+
+TEST_F(UnixPathTest, StaleSocketFromKilledDaemonIsReused) {
+  robust::Supervisor supervisor;
+  const std::string path = socket_path("stale");
+  // What a killed daemon leaves: a socket file nothing listens on.
+  const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+  ASSERT_GE(fd, 0);
+  sockaddr_un addr{};
+  addr.sun_family = AF_UNIX;
+  std::strncpy(addr.sun_path, path.c_str(), sizeof(addr.sun_path) - 1);
+  ASSERT_EQ(::bind(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr)),
+            0);
+  ::close(fd);
+  struct stat st {};
+  ASSERT_EQ(::lstat(path.c_str(), &st), 0);
+  ASSERT_TRUE(S_ISSOCK(st.st_mode));
+  {
+    TestServer ts(unix_config(path, &supervisor));
+    EXPECT_TRUE(Client(path).alive());
+  }
+  EXPECT_NE(::lstat(path.c_str(), &st), 0)
+      << "shutdown removes the socket the daemon bound";
+}
+
+TEST_F(UnixPathTest, ShutdownLeavesAReplacedPathAlone) {
+  robust::Supervisor supervisor;
+  const std::string path = socket_path("replaced");
+  {
+    TestServer ts(unix_config(path, &supervisor));
+    ASSERT_TRUE(Client(path).alive());
+    // Someone removes the daemon's socket and puts a file there.
+    std::remove(path.c_str());
+    std::ofstream(path) << "keep me\n";
+  }
+  EXPECT_EQ(read_file(path), "keep me");
+  std::remove(path.c_str());
 }
 
 TEST_F(TransportTest, AcceptFailFaultIsSheddedAndRetried) {

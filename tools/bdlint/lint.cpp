@@ -546,6 +546,38 @@ void rule_no_unordered_iteration(LintContext& ctx) {
   }
 }
 
+// ---------------------------------------------------------------------------
+// no-raw-socket
+
+void rule_no_raw_socket(LintContext& ctx) {
+  if (path_contains(ctx.path, {"src/serve/net.cpp"})) {
+    return;  // the one socket layer
+  }
+  const std::string& code = ctx.stripped.code;
+  for (const std::string call :
+       {"socket", "bind", "listen", "connect", "send", "recv"}) {
+    for (std::size_t pos = find_token(code, call); pos != std::string::npos;
+         pos = find_token(code, call, pos + 1)) {
+      // Only the global-scope spelling `::call(` names the syscall;
+      // `std::bind(` or `net::connect(` has a scope before the `::`.
+      if (pos < 2 || code.compare(pos - 2, 2, "::") != 0) continue;
+      const std::size_t scope = skip_ws_back(code, pos - 2);
+      if (scope != std::string::npos &&
+          (is_word_char(code[scope]) || code[scope] == '>')) {
+        continue;
+      }
+      const std::size_t after = skip_ws(code, pos + call.size());
+      if (after >= code.size() || code[after] != '(') continue;
+      ctx.report("no-raw-socket", pos - 2,
+                 "::" + call +
+                     "() outside src/serve/net.cpp — listen and connect "
+                     "through net::listen/net::connect and send through "
+                     "net::send_all (MSG_NOSIGNAL, so a dead peer cannot "
+                     "SIGPIPE the process)");
+    }
+  }
+}
+
 }  // namespace
 
 const std::vector<RuleInfo>& rule_catalog() {
@@ -562,6 +594,8 @@ const std::vector<RuleInfo>& rule_catalog() {
        "catch (...) must rethrow, capture or log"},
       {"no-unordered-iteration-to-output",
        "unordered container iteration feeding an output sink"},
+      {"no-raw-socket",
+       "::socket/bind/listen/connect/send/recv outside src/serve/net.cpp"},
   };
   return catalog;
 }
@@ -578,6 +612,7 @@ std::vector<Finding> lint_source(const std::string& path,
   rule_no_naked_ofstream(ctx);
   rule_no_swallowed_catch(ctx);
   rule_no_unordered_iteration(ctx);
+  rule_no_raw_socket(ctx);
   std::sort(findings.begin(), findings.end(),
             [](const Finding& a, const Finding& b) {
               if (a.line != b.line) return a.line < b.line;

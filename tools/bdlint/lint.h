@@ -38,6 +38,11 @@
 //                           feeding an output sink (stream <<, append,
 //                           push_back, printf); hash-order iteration makes
 //                           emitted tables/JSON nondeterministic.
+//   no-raw-socket           ::socket/::bind/::listen/::connect/::send/
+//                           ::recv outside src/serve/net.cpp, the one
+//                           socket layer: every send goes through
+//                           send_all's MSG_NOSIGNAL (no SIGPIPE), and a
+//                           second listen/connect path cannot grow back.
 //
 // Suppressions:
 //   // bdlint:allow(rule)          on the finding's line, the line above,
