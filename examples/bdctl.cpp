@@ -40,7 +40,7 @@
 #include "serve/job.h"
 #include "serve/server.h"
 #include "shard/coordinator.h"
-#include "shard/ledger.h"
+#include "shard/lease_file.h"
 #include "tensor/ops.h"
 #include "util/env.h"
 #include "util/logging.h"
@@ -132,10 +132,9 @@ int usage() {
                "             bdctl verify <journal>  (run-journal summary: "
                "entries, retries,\n"
                "             degraded cells with failure reasons)\n"
-               "             bdctl verify <ledger>  (lease-ledger summary: "
-               "per-worker cell\n"
-               "             counts, steals, expired leases, orphaned "
-               "cells)\n"
+               "             bdctl verify <leases>  (lease-file summary: "
+               "cells, done,\n"
+               "             steals, live and orphaned leases)\n"
                "  profile  : --defense NAME --spc N --epochs N --rounds N "
                "--topk N\n"
                "             runs an instrumented attack+defense workload and "
@@ -174,14 +173,15 @@ int usage() {
                "             [--distinct D] [--concurrency C] [--idempotent "
                "0|1] [job flags]\n"
                "  shard    : bdctl shard run --workers N [--journal J] "
-               "[--ledger L]\n"
-               "             [--ttl SECS] [--out MERGED] [--resume 0|1]\n"
+               "[--leases L]\n"
+               "             [--out MERGED] [--resume 0|1]\n"
                "             [--worker-faults IDX:SPEC]... -- <bench "
                "command...>\n"
-               "             runs the bench command as N shard workers over "
-               "a crash-\n"
-               "             resilient lease ledger, then merges the journal "
-               "into one table\n");
+               "             runs the bench command as N shard workers that "
+               "lease cells\n"
+               "             through a lease file (default "
+               "<journal>.leases), then merges\n"
+               "             the journal into one table\n");
   return 2;
 }
 
@@ -213,57 +213,27 @@ int cmd_verify_journal(const std::string& path) {
   }
 }
 
-/// `bdctl verify <ledger>`: replays a shard lease ledger and summarizes
-/// the fleet's history — per-worker claim/done counts, steals, abandons,
-/// plus every lease still outstanding (live, expired, or orphaned). The
-/// lease TTL for expiry classification comes from BDPROTO_SHARD_TTL
-/// (default 5s), matching what the workers ran with.
-int cmd_verify_ledger(const std::string& path) {
+/// `bdctl verify <leases>`: summarizes a shard lease file — cells, done,
+/// steals (claims after a cell's first), and every cell still held by a
+/// live worker or claimed, unfinished and no longer held (orphaned).
+int cmd_verify_leases(const std::string& path) {
   try {
-    const shard::LedgerInspection inspection = shard::inspect_ledger(path);
-    const auto ttl_ms = static_cast<std::int64_t>(
-        env_double("BDPROTO_SHARD_TTL").value_or(5.0) * 1000.0);
-    const std::int64_t now = shard::now_ms();
-    const shard::LedgerSummary s = inspection.table.summarize(now, ttl_ms);
-    std::printf("%s: lease ledger, %zu records, cells=%zu done=%zu "
-                "leased=%zu expired=%zu steals=%zu abandons=%zu "
-                "heartbeats=%zu\n",
-                path.c_str(), inspection.records, s.cells, s.done, s.leased,
-                s.expired, s.steals, s.abandons, s.heartbeats);
-    for (const auto& [worker, claims] : s.claims_by_worker) {
-      const auto done = s.done_by_worker.find(worker);
-      std::printf("  %s: claims=%lld done=%lld\n", worker.c_str(),
-                  static_cast<long long>(claims),
-                  static_cast<long long>(
-                      done == s.done_by_worker.end() ? 0 : done->second));
-    }
-    std::size_t orphaned = 0;
-    for (const auto& [key, state] : inspection.table.states()) {
-      if (state.phase == shard::LeaseState::Phase::kLeased) {
-        std::printf("  %s lease on %s held by %s\n",
-                    state.expired(now, ttl_ms) ? "expired" : "live",
-                    key.c_str(), state.holder.c_str());
-      } else if (state.phase == shard::LeaseState::Phase::kOpen &&
-                 state.claims > 0) {
-        // Claimed at least once but neither finished nor currently held:
-        // every holder died or abandoned, and no worker picked it back up.
-        ++orphaned;
-        std::printf("  orphaned cell %s (last holder %s, %d lost leases)\n",
-                    key.c_str(), state.holder.c_str(),
-                    state.steals + state.abandons);
+    const std::vector<shard::SlotState> slots = shard::inspect_leases(path);
+    const shard::LeaseSummary s = shard::summarize(slots);
+    std::printf("%s: lease file, cells=%zu done=%zu steals=%zu live=%zu "
+                "orphaned=%zu\n",
+                path.c_str(), s.cells, s.done, s.steals, s.live, s.orphaned);
+    for (std::size_t i = 0; i < slots.size(); ++i) {
+      const shard::SlotState& slot = slots[i];
+      if (slot.held || (slot.claims > 0 && !slot.done)) {
+        std::printf("  %s cell %zu (key hash %016llx, %u claim(s))\n",
+                    slot.held ? "live" : "orphaned", i,
+                    static_cast<unsigned long long>(slot.key_hash),
+                    slot.claims);
       }
     }
-    if (inspection.malformed > 0) {
-      std::printf("  %zu malformed line(s) skipped (torn tails fused with "
-                  "later appends)\n",
-                  inspection.malformed);
-    }
-    if (inspection.torn_tail) {
-      std::printf("  torn final line tolerated (a writer died mid-append)\n");
-    }
-    if (s.leased > 0 || orphaned > 0) {
-      std::printf("OK (%zu lease(s) outstanding, %zu orphaned)\n", s.leased,
-                  orphaned);
+    if (s.live > 0 || s.orphaned > 0) {
+      std::printf("OK (%zu live, %zu orphaned)\n", s.live, s.orphaned);
     } else {
       std::printf("OK\n");
     }
@@ -275,22 +245,13 @@ int cmd_verify_ledger(const std::string& path) {
 }
 
 /// `bdctl verify <checkpoint>`: full integrity check + state-dict summary.
-/// JSONL files (first byte '{') are dispatched by their field grammar:
-/// lease ledgers carry "op" in every record, run journals never do.
+/// Lease files are recognized by their magic and JSONL run journals by
+/// their first byte ('{').
 int cmd_verify(const std::string& path) {
+  if (shard::is_lease_file(path)) return cmd_verify_leases(path);
   {
     std::ifstream probe(path, std::ios::binary);
-    if (probe && probe.peek() == '{') {
-      std::string first;
-      std::getline(probe, first);
-      std::string key;
-      robust::JournalFields fields;
-      if (robust::parse_journal_line(first, key, fields) &&
-          fields.count("op") != 0) {
-        return cmd_verify_ledger(path);
-      }
-      return cmd_verify_journal(path);
-    }
+    if (probe && probe.peek() == '{') return cmd_verify_journal(path);
   }
   try {
     const nn::CheckpointInfo info = nn::inspect_checkpoint(path);
@@ -634,6 +595,7 @@ int cmd_serve(const Args& args) {
                 static_cast<long long>(loaded.cancelled),
                 static_cast<long long>(loaded.interrupted));
   }
+  server.listen();  // announce only listeners that are open
   std::printf("serving on %s%s%s (workers=%zu queue=%zu quota=%zu cache=%zu "
               "conn-cap=%zu)\n",
               config.socket_path.c_str(),
@@ -875,15 +837,14 @@ int cmd_shard(const Args& args) {
         options.worker_faults[static_cast<int>(parse_flag<std::int64_t>(
             "--" + flag, value.substr(0, colon)))] = value.substr(colon + 1);
       }
-    } else if (flag != "workers" && flag != "journal" && flag != "ledger" &&
-               flag != "ttl" && flag != "out" && flag != "resume") {
+    } else if (flag != "workers" && flag != "journal" && flag != "leases" &&
+               flag != "out" && flag != "resume") {
       throw UsageError("shard run: unknown flag --" + flag);
     }
   }
   options.workers = static_cast<int>(args.get_int("workers", options.workers));
   options.journal_path = args.get("journal", options.journal_path);
-  options.ledger_path = args.get("ledger", options.ledger_path);
-  options.lease_ttl_seconds = args.get_double("ttl", options.lease_ttl_seconds);
+  options.lease_path = args.get("leases", options.lease_path);
   options.merged_out = args.get("out", options.merged_out);
   options.resume = args.get_int("resume", 0) != 0;
   options.command = args.rest;

@@ -120,7 +120,7 @@ struct AttackPlan {
 /// uninterrupted run would draw them, so skipping completed cells — or
 /// splitting the plan across shard workers — never shifts the seeds of
 /// the remaining ones. Every process running the same spec derives the
-/// identical plan; the keys double as lease-ledger work items.
+/// identical plan; the keys double as the lease file's work items.
 std::vector<AttackPlan> build_plan(const TableSpec& spec,
                                    const ExperimentScale& scale,
                                    const std::string& sig,
@@ -274,7 +274,7 @@ class ItemRunner {
   SettingResult baseline_;
 };
 
-/// Shard-worker mode: claim items through the lease ledger, run and journal
+/// Shard-worker mode: claim items through the lease file, run and journal
 /// each, print worker stats. No table — the coordinator's merge pass
 /// (resume run, sharding off) renders it from the journal.
 TableRun run_worker(const std::vector<Item>& items, ItemRunner& runner,
@@ -290,13 +290,12 @@ TableRun run_worker(const std::vector<Item>& items, ItemRunner& runner,
   for (const Item& item : items) keys.push_back(item.key());
 
   TableRun run;
-  shard::WorkerSession session(config);
-  const shard::WorkerStats stats = session.run_all(
-      keys,
+  const shard::WorkerStats stats = shard::run_session(
+      config, keys,
       [&](std::size_t index) {
         if (journal.has(keys[index])) {
-          // Already durable: a resumed run, or a steal from a worker that
-          // died after journaling but before its done record landed.
+          // Already durable: a resumed run, or a cell whose earlier
+          // holder died after journaling but before marking it done.
           ++run.resumed_cells;
           return;
         }

@@ -27,12 +27,12 @@
 // byte-identical to an uninterrupted one, and an attack whose items are
 // all journaled is never retrained.
 //
-// Shard-worker mode (BDPROTO_SHARD_LEDGER set, or spec.shard filled in)
-// hands the same runner to shard::WorkerSession, which claims items
-// through the crash-resilient lease ledger (shard/ledger.h); the worker
-// prints its stats instead of the table. The coordinator's merge pass — a
-// plain resume run with sharding off — renders the table from the
-// journal, byte-identically to a single-process run.
+// Shard-worker mode (BDPROTO_SHARD_LEASES set, or spec.shard filled in)
+// hands the same runner to shard::run_session, which claims items
+// through the lease file (shard/lease_file.h); the worker prints its
+// stats instead of the table. The coordinator's merge pass — a plain
+// resume run with sharding off — renders the table from the journal,
+// byte-identically to a single-process run.
 #pragma once
 
 #include <optional>

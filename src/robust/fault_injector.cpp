@@ -127,7 +127,7 @@ void FaultInjector::fire_oom(const std::string& what) {
 void FaultInjector::fire_crash_worker(const std::string& where) {
   if (fire(FaultKind::kCrashWorker)) {
     BD_LOG(Warn) << "fault injector: SIGKILLing worker at " << where;
-    ::raise(SIGKILL);  // no unwinding: the lease must expire, not release
+    ::raise(SIGKILL);  // no unwinding: the kernel drops the lease
   }
 }
 

@@ -23,8 +23,8 @@
 //                 supervisor treats as retryable)
 //   crash_worker@2  second claimed shard cell SIGKILLs the worker process
 //                 mid-cell — a real kill, not an exception: the claim is
-//                 already durable in the lease ledger, so a surviving
-//                 worker must steal the expired lease (src/shard/)
+//                 already counted in the lease file, so a surviving
+//                 worker must take over the cell (src/shard/)
 //   conn_reset@1  client side: after sending its 1st request the client
 //                 sets SO_LINGER{1,0} and closes, so the daemon sees a
 //                 real RST mid-exchange and the client's retry layer must

@@ -18,6 +18,26 @@
 
 namespace bd::robust {
 
+namespace {
+
+/// Calls `on_line(line, offset)` for every '\n'-terminated line of `data`
+/// (newline stripped, empty lines included, `offset` where the line
+/// starts) and returns the offset of the unterminated tail: data.size()
+/// when `data` is empty or ends in '\n'. A writer killed mid-append
+/// leaves exactly such a tail.
+template <typename OnLine>
+std::size_t scan_lines(std::string_view data, OnLine&& on_line) {
+  std::size_t start = 0;
+  for (std::size_t nl = data.find('\n'); nl != std::string_view::npos;
+       nl = data.find('\n', start)) {
+    on_line(data.substr(start, nl - start), start);
+    start = nl + 1;
+  }
+  return start;
+}
+
+}  // namespace
+
 std::string encode_journal_line(const std::string& key,
                                 const JournalFields& fields) {
   JsonObject body;
@@ -49,22 +69,10 @@ bool parse_journal_line(std::string_view line, std::string& key,
   return true;
 }
 
-void append_to_fd(int fd, std::string_view bytes, const std::string& path) {
+void append_line_atomic(const std::string& path, const std::string& line) {
   // Read (and validate) the knob first: a bad value must fail the append
   // before any byte lands, never after.
   const bool sync = env_int("BDPROTO_JOURNAL_FSYNC").value_or(0) != 0;
-  ssize_t n;
-  do {
-    n = ::write(fd, bytes.data(), bytes.size());
-  } while (n < 0 && errno == EINTR);
-  if (n != static_cast<ssize_t>(bytes.size())) {
-    const std::string reason = n < 0 ? std::strerror(errno) : "short write";
-    throw std::runtime_error("write failure on '" + path + "': " + reason);
-  }
-  if (sync) ::fsync(fd);
-}
-
-void append_line_atomic(const std::string& path, const std::string& line) {
   const int fd =
       ::open(path.c_str(), O_WRONLY | O_CREAT | O_APPEND | O_CLOEXEC, 0644);
   if (fd < 0) {
@@ -75,7 +83,15 @@ void append_line_atomic(const std::string& path, const std::string& line) {
     int fd;
     ~Closer() { ::close(fd); }
   } closer{fd};
-  append_to_fd(fd, line, path);
+  ssize_t n;
+  do {
+    n = ::write(fd, line.data(), line.size());
+  } while (n < 0 && errno == EINTR);
+  if (n != static_cast<ssize_t>(line.size())) {
+    const std::string reason = n < 0 ? std::strerror(errno) : "short write";
+    throw std::runtime_error("write failure on '" + path + "': " + reason);
+  }
+  if (sync) ::fsync(fd);
 }
 
 RunJournal::RunJournal(std::string path) : path_(std::move(path)) {
@@ -180,15 +196,19 @@ template std::vector<std::int64_t> journal_numbers<std::int64_t>(
 template std::vector<double> journal_numbers<double>(const JournalFields&,
                                                      const char*);
 
-std::string stable_hash_hex(const std::string& s) {
+std::uint64_t stable_hash(std::string_view s) {
   std::uint64_t h = 0xcbf29ce484222325ull;
   for (const unsigned char c : s) {
     h ^= c;
     h *= 0x100000001b3ull;
   }
+  return h;
+}
+
+std::string stable_hash_hex(const std::string& s) {
   char buf[17];
   std::snprintf(buf, sizeof(buf), "%016llx",
-                static_cast<unsigned long long>(h));
+                static_cast<unsigned long long>(stable_hash(s)));
   return buf;
 }
 

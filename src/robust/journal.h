@@ -12,16 +12,10 @@
 // tables are byte-identical to uninterrupted runs.
 //
 // Multi-writer safety: every entry is appended with O_APPEND and exactly
-// one write(2) call (append_to_fd below), so concurrent appender
+// one write(2) call (append_line_atomic below), so concurrent appender
 // processes — the sharded bench workers of src/shard/ — can never
 // interleave bytes mid-line. BDPROTO_JOURNAL_FSYNC=1 additionally fsyncs
 // each append for crash-durability tests.
-//
-// The shard lease ledger shares this header's line grammar (a schema over
-// util/json.h), append_to_fd and the complete-line scanner scan_lines.
-// Damage policy stays with each reader: the journal truncates a torn tail
-// and throws on interior damage; the ledger buffers its tail and skips
-// malformed lines.
 #pragma once
 
 #include <cstdint>
@@ -71,8 +65,7 @@ class RunJournal {
 
 /// Serializes one {key, fields} entry as a single line (trailing newline
 /// included) of the journal's canonical JSONL grammar: a JSON object with
-/// a string "key" and a "fields" object of strings. Shared with the shard
-/// lease ledger so both files parse with the same code.
+/// a string "key" and a "fields" object of strings.
 std::string encode_journal_line(const std::string& key,
                                 const JournalFields& fields);
 
@@ -82,38 +75,20 @@ std::string encode_journal_line(const std::string& key,
 bool parse_journal_line(std::string_view line, std::string& key,
                         JournalFields& fields);
 
-/// Appends `bytes` to the O_APPEND descriptor `fd` with exactly one
+/// Appends `line` to `path` (creating it) with O_APPEND and exactly one
 /// write(2) call (retried on EINTR), so concurrent appenders never
 /// interleave bytes mid-line. Honours BDPROTO_JOURNAL_FSYNC=1 by fsyncing
-/// before returning. Throws, naming `path`, on a write error or a short
-/// write (ENOSPC-class; the torn tail it may leave is the shape every
-/// reader already tolerates).
-void append_to_fd(int fd, std::string_view bytes, const std::string& path);
-
-/// Opens `path` for append (creating it) and append_to_fd()s `line`.
-/// Throws on open failure or a failed append.
+/// before returning. Throws, naming `path`, on open failure, a write
+/// error or a short write (ENOSPC-class; the torn tail it may leave is
+/// the shape the journal reader already tolerates).
 void append_line_atomic(const std::string& path, const std::string& line);
 
-/// Complete-line scanner for append-only line files. Calls
-/// `on_line(line, offset)` for every '\n'-terminated line of `data`
-/// (newline stripped, empty lines included, `offset` where the line
-/// starts) and returns the offset of the unterminated tail: data.size()
-/// when `data` is empty or ends in '\n'. A writer killed mid-append
-/// leaves exactly such a tail.
-template <typename OnLine>
-std::size_t scan_lines(std::string_view data, OnLine&& on_line) {
-  std::size_t start = 0;
-  for (std::size_t nl = data.find('\n'); nl != std::string_view::npos;
-       nl = data.find('\n', start)) {
-    on_line(data.substr(start, nl - start), start);
-    start = nl + 1;
-  }
-  return start;
-}
+/// FNV-1a 64-bit hash of `s`. Stable across runs and platforms (unlike
+/// std::hash), so journal keys written by one process match the keys
+/// computed by the resuming one.
+std::uint64_t stable_hash(std::string_view s);
 
-/// FNV-1a 64-bit hash of `s`, as 16 lowercase hex digits. Stable across
-/// runs and platforms (unlike std::hash), so journal keys written by one
-/// process match the keys computed by the resuming one.
+/// stable_hash(s) as 16 lowercase hex digits.
 std::string stable_hash_hex(const std::string& s);
 
 /// Doubles serialized for the journal ("%.17g", bit-exact through strtod).

@@ -35,10 +35,6 @@
 //    40  | BackboneCache::mutex_                   | (nothing; ranked below
 //         |                                        |  robust/runtime because a
 //         |                                        |  build runs unlocked)
-//    42  | shard WorkerSession::mutex_             | (nothing; guards the
-//         |                                        |  heartbeat bookkeeping)
-//    44  | shard LeaseLedger::mutex_               | worker mutex (heartbeat
-//         |                                        |  thread appends)
 //    50  | Supervisor::mutex_                      | service-level callers
 //    60  | supervisor Watchdog::mutex_             | (watchdog thread only)
 //    70  | runtime pool registry (g_pool_mutex)    | any caller of parallel_for
@@ -69,8 +65,6 @@ enum class LockRank : int {
   kServeService = 20,
   kServeQueue = 30,
   kServeBackboneCache = 40,
-  kShardWorker = 42,
-  kShardLedger = 44,
   kSupervisor = 50,
   kSupervisorWatchdog = 60,
   kPoolRegistry = 70,
@@ -86,8 +80,6 @@ inline const char* lock_rank_name(int rank) {
     case LockRank::kServeService: return "serve.service";
     case LockRank::kServeQueue: return "serve.queue";
     case LockRank::kServeBackboneCache: return "serve.backbone_cache";
-    case LockRank::kShardWorker: return "shard.worker";
-    case LockRank::kShardLedger: return "shard.ledger";
     case LockRank::kSupervisor: return "robust.supervisor";
     case LockRank::kSupervisorWatchdog: return "robust.watchdog";
     case LockRank::kPoolRegistry: return "runtime.pool_registry";

@@ -73,12 +73,12 @@ void SocketServer::request_stop(StopMode mode) {
   wake();
 }
 
-void SocketServer::run() {
+void SocketServer::listen() {
   if (config_.socket_path.empty() && config_.listen_address.empty()) {
     throw std::runtime_error(
         "serve: no transport configured (need a socket path or --listen)");
   }
-
+  listened_ = true;
   // One listener per configured endpoint, all polled by one accept loop.
   std::vector<net::Listener> listeners;
   if (!config_.socket_path.empty()) {
@@ -93,6 +93,11 @@ void SocketServer::run() {
     listeners.push_back(net::listen(endpoint));
     tcp_port_.store(listeners.back().endpoint().port);
   }
+  listeners_ = std::move(listeners);
+}
+
+void SocketServer::run() {
+  if (!listened_) listen();
 
   struct sigaction old_term {};
   struct sigaction old_int {};
@@ -109,16 +114,16 @@ void SocketServer::run() {
   }
 
   service_.start();
-  std::vector<pollfd> pfds(1 + listeners.size());
+  std::vector<pollfd> pfds(1 + listeners_.size());
   pfds[0].fd = wake_pipe_[0];
   pfds[0].events = POLLIN;
-  for (std::size_t i = 0; i < listeners.size(); ++i) {
-    const net::Endpoint& endpoint = listeners[i].endpoint();
+  for (std::size_t i = 0; i < listeners_.size(); ++i) {
+    const net::Endpoint& endpoint = listeners_[i].endpoint();
     BD_LOG(Info) << "serve: listening on "
                  << (endpoint.path.empty()
                          ? "tcp port " + std::to_string(endpoint.port)
                          : endpoint.path);
-    pfds[i + 1].fd = listeners[i].fd();
+    pfds[i + 1].fd = listeners_[i].fd();
     pfds[i + 1].events = POLLIN;
   }
 
@@ -136,10 +141,10 @@ void SocketServer::run() {
         if (buf[i] == 'S') request_stop(StopMode::kDrain);  // signal
       }
     }
-    for (std::size_t i = 0; i < listeners.size(); ++i) {
+    for (std::size_t i = 0; i < listeners_.size(); ++i) {
       if (pfds[i + 1].revents != 0 && !stop_.load()) {
         accept_on(pfds[i + 1].fd,
-                  listeners[i].endpoint().path.empty() ? "tcp" : "unix");
+                  listeners_[i].endpoint().path.empty() ? "tcp" : "unix");
       }
     }
     reap_connections(/*join_all=*/false);
@@ -149,7 +154,7 @@ void SocketServer::run() {
   // file), then cut connection reads (responses in flight still go out)
   // and join the connection threads so every accepted request has either
   // been answered or abandoned before the service winds down its workers.
-  listeners.clear();
+  listeners_.clear();
   interrupt_connections();
   reap_connections(/*join_all=*/true);
 

@@ -34,6 +34,7 @@
 #include <vector>
 
 #include "runtime/ordered_mutex.h"
+#include "serve/net.h"
 #include "serve/protocol.h"
 #include "serve/service.h"
 
@@ -66,11 +67,17 @@ class SocketServer {
   SocketServer(const SocketServer&) = delete;
   SocketServer& operator=(const SocketServer&) = delete;
 
-  /// Binds the configured listeners, starts the worker pool and serves
-  /// until a client sends {"op":"shutdown"}, a handled signal arrives, or
-  /// request_stop() is called. Returns after outstanding work is wound
-  /// down per the stop mode and all threads are joined. Throws
-  /// std::runtime_error when no listener can be bound.
+  /// Binds the configured listeners. Throws std::runtime_error when no
+  /// transport is configured or a listener cannot be bound. Call at most
+  /// once, before run(); a caller that reports the daemon as serving
+  /// does so after this returns.
+  void listen();
+
+  /// Binds the listeners unless listen() already did, starts the worker
+  /// pool and serves until a client sends {"op":"shutdown"}, a handled
+  /// signal arrives, or request_stop() is called. Returns after
+  /// outstanding work is wound down per the stop mode and all threads
+  /// are joined.
   void run();
 
   /// Asks a running run() to stop accepting and wind down (thread-safe,
@@ -78,7 +85,7 @@ class SocketServer {
   void request_stop(StopMode mode = StopMode::kDrain);
 
   /// The TCP port actually bound (resolves a requested port of 0);
-  /// 0 until run() has opened the TCP listener or when TCP is disabled.
+  /// 0 until listen() has opened the TCP listener or when TCP is disabled.
   std::uint16_t tcp_port() const { return tcp_port_.load(); }
 
   /// The service behind the transports (restart inspection, tests).
@@ -102,6 +109,8 @@ class SocketServer {
   ServerConfig config_;
   SanitizeService service_;
   Protocol protocol_;
+  bool listened_ = false;
+  std::vector<net::Listener> listeners_;  // one per configured endpoint
   std::atomic<bool> stop_{false};
   std::atomic<int> stop_mode_{static_cast<int>(StopMode::kDrain)};
   std::atomic<std::uint16_t> tcp_port_{0};

@@ -8,12 +8,12 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <fstream>
 #include <iostream>
 #include <stdexcept>
 #include <vector>
 
-#include "shard/ledger.h"
-#include "util/logging.h"
+#include "shard/lease_file.h"
 
 namespace bd::shard {
 
@@ -86,27 +86,25 @@ CoordinatorReport run_sharded(const CoordinatorOptions& options) {
   if (options.command.empty()) {
     throw std::runtime_error("shard: no bench command given");
   }
-  const std::string ledger_path = options.ledger_path.empty()
-                                      ? options.journal_path + ".ledger"
-                                      : options.ledger_path;
+  const std::string lease_path = options.lease_path.empty()
+                                     ? options.journal_path + ".leases"
+                                     : options.lease_path;
   if (!options.resume) {
     ::remove(options.journal_path.c_str());
-    ::remove(ledger_path.c_str());
+    ::remove(lease_path.c_str());
   }
 
   std::cout << "shard: " << options.workers << " worker(s), journal "
-            << options.journal_path << ", ledger " << ledger_path
-            << ", ttl " << options.lease_ttl_seconds << "s\n";
+            << options.journal_path << ", leases " << lease_path << "\n";
 
   CoordinatorReport report;
   for (int i = 1; i <= options.workers; ++i) {
     WorkerExit we;
     we.worker_id = std::to_string(i).insert(0, 1, 'w');
-    we.log_path = ledger_path + "." + we.worker_id + ".log";
+    we.log_path = lease_path + "." + we.worker_id + ".log";
     std::vector<EnvPair> env = {
-        {"BDPROTO_SHARD_LEDGER", ledger_path},
+        {"BDPROTO_SHARD_LEASES", lease_path},
         {"BDPROTO_SHARD_WORKER", we.worker_id},
-        {"BDPROTO_SHARD_TTL", std::to_string(options.lease_ttl_seconds)},
         {"BDPROTO_JOURNAL", options.journal_path},
         {"BDPROTO_RESUME", "1"},
     };
@@ -131,6 +129,12 @@ CoordinatorReport run_sharded(const CoordinatorOptions& options) {
     } else {
       std::cout << "shard: worker " << we.worker_id << " completed\n";
     }
+    // Per-worker counts live in the workers' own stats lines, not in the
+    // lease file.
+    std::ifstream log(we.log_path);
+    for (std::string line; std::getline(log, line);) {
+      if (line.rfind("shard worker ", 0) == 0) std::cout << line << "\n";
+    }
   }
 
   // Merge pass: sharding off, resume on — the bench re-derives the table
@@ -138,7 +142,7 @@ CoordinatorReport run_sharded(const CoordinatorOptions& options) {
   // whole fleet failed to finish. Output is byte-identical across worker
   // counts and crash schedules.
   std::vector<EnvPair> merge_env = {
-      {"BDPROTO_SHARD_LEDGER", ""},  // empty disables worker mode
+      {"BDPROTO_SHARD_LEASES", ""},  // empty disables worker mode
       {"BDPROTO_JOURNAL", options.journal_path},
       {"BDPROTO_RESUME", "1"},
       {"BDPROTO_FAULTS", ""},
@@ -152,26 +156,12 @@ CoordinatorReport run_sharded(const CoordinatorOptions& options) {
               << "\n";
   }
 
-  const LedgerInspection inspection = inspect_ledger(ledger_path);
-  report.ledger =
-      inspection.table.summarize(now_ms(),
-                                 static_cast<std::int64_t>(
-                                     options.lease_ttl_seconds * 1000.0));
-  const LedgerSummary& s = report.ledger;
+  report.leases = summarize(inspect_leases(lease_path));
+  const LeaseSummary& s = report.leases;
   std::cout << "shard: cells=" << s.cells << " done=" << s.done
-            << " steals=" << s.steals << " abandons=" << s.abandons
-            << " heartbeats=" << s.heartbeats
+            << " steals=" << s.steals << " live=" << s.live
+            << " orphaned=" << s.orphaned
             << " crashed_workers=" << report.crashed_workers << "\n";
-  for (const auto& [worker, n] : s.done_by_worker) {
-    const auto claims = s.claims_by_worker.find(worker);
-    std::cout << "shard:   " << worker << " done=" << n << " claims="
-              << (claims == s.claims_by_worker.end() ? 0 : claims->second)
-            << "\n";
-  }
-  if (inspection.torn_tail) {
-    std::cout << "shard: ledger has a torn final line (a worker died "
-                 "mid-append); tolerated\n";
-  }
   if (report.exit_code == 0 && !options.merged_out.empty()) {
     std::cout << "shard: merged table written to " << options.merged_out
               << "\n";

@@ -2,34 +2,28 @@
 // supervises them with waitpid, and runs the deterministic merge pass.
 //
 // Workers are the bench binary itself, re-executed with the
-// BDPROTO_SHARD_* env set; each claims cells through the lease ledger
-// and appends results to the shared run journal (both multi-writer
-// safe). A worker that dies — SIGKILL, OOM, crash — forfeits at most its
-// in-flight cell: its lease expires and a surviving worker steals it.
-//
-// The merge pass re-executes the bench once more with sharding off and
-// BDPROTO_RESUME=1: every cell is journaled by then, so it re-derives
-// the table purely from the journal's full-precision fields (completing
-// any cells the fleet lost, e.g. when every worker died). Because the
-// journal is keyed by config hashes with pre-drawn seeds, the merged
-// output is byte-identical across 1/2/4/8 workers and across any
-// crash/steal schedule.
+// BDPROTO_SHARD_* env set; each claims cells through the lease file and
+// appends results to the shared run journal. A worker that dies forfeits
+// at most its in-flight cell: the kernel drops its lease and a survivor
+// takes the cell. The merge pass re-executes the bench with sharding off
+// and BDPROTO_RESUME=1, so it renders the table from the journal
+// (completing any cells the fleet lost): byte-identical across worker
+// counts and crash schedules.
 #pragma once
 
 #include <map>
 #include <string>
 #include <vector>
 
-#include "shard/lease.h"
+#include "shard/lease_file.h"
 
 namespace bd::shard {
 
 struct CoordinatorOptions {
   int workers = 2;
-  /// Shared run journal; the ledger defaults to `<journal>.ledger`.
+  /// Shared run journal; the lease file defaults to `<journal>.leases`.
   std::string journal_path = "shard.journal";
-  std::string ledger_path;
-  double lease_ttl_seconds = 5.0;
+  std::string lease_path;
   /// Merge-pass stdout destination ("" inherits the coordinator's).
   std::string merged_out;
   /// Per-worker BDPROTO_FAULTS overrides keyed by 1-based worker index:
@@ -39,7 +33,7 @@ struct CoordinatorOptions {
   /// The bench command (argv). Must run a table bench that honours the
   /// BDPROTO_SHARD_* worker protocol (any eval::run_table caller does).
   std::vector<std::string> command;
-  /// Keep existing journal/ledger and finish the remaining cells;
+  /// Keep existing journal/lease file and finish the remaining cells;
   /// default starts fresh by removing both files.
   bool resume = false;
 };
@@ -57,11 +51,11 @@ struct CoordinatorReport {
   std::vector<WorkerExit> workers;
   int crashed_workers = 0;  // died to a signal
   int failed_workers = 0;   // nonzero exit
-  LedgerSummary ledger;
+  LeaseSummary leases;
 };
 
-/// Runs the sharded bench end to end; prints per-worker exits and the
-/// ledger summary to stdout. Throws on spawn failure.
+/// Runs the sharded bench end to end; prints per-worker exits, each
+/// worker's own stats line and the lease summary to stdout. Throws on spawn failure.
 CoordinatorReport run_sharded(const CoordinatorOptions& options);
 
 }  // namespace bd::shard

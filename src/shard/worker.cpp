@@ -2,162 +2,95 @@
 
 #include <algorithm>
 #include <chrono>
-#include <mutex>
+#include <thread>
 
 #include "obs/obs.h"
 #include "robust/fault_injector.h"
 #include "robust/supervisor.h"
+#include "shard/lease_file.h"
 #include "util/env.h"
 #include "util/logging.h"
 
 namespace bd::shard {
 
-namespace {
-using WorkerLock =
-    std::unique_lock<runtime::OrderedMutex<runtime::LockRank::kShardWorker>>;
-}
-
 std::optional<ShardConfig> shard_config_from_env() {
-  const std::string ledger = env_string("BDPROTO_SHARD_LEDGER").value_or("");
-  if (ledger.empty()) return std::nullopt;
+  const std::string leases = env_string("BDPROTO_SHARD_LEASES").value_or("");
+  if (leases.empty()) return std::nullopt;
   ShardConfig config;
-  config.ledger_path = ledger;
+  config.lease_path = leases;
   config.worker_id = env_string("BDPROTO_SHARD_WORKER").value_or("w1");
-  config.lease_ttl_seconds =
-      env_double("BDPROTO_SHARD_TTL").value_or(config.lease_ttl_seconds);
   return config;
 }
 
-WorkerSession::WorkerSession(const ShardConfig& config)
-    : config_(config), ledger_(config.ledger_path) {
-  if (config_.quarantine_strikes <= 0) {
-    config_.quarantine_strikes =
-        robust::Supervisor::instance().config().quarantine_strikes;
-  }
-  heartbeat_ = std::thread([this] { heartbeat_main(); });
-}
-
-WorkerSession::~WorkerSession() {
-  {
-    WorkerLock lock(mutex_);
-    stop_ = true;
-  }
-  cv_.notify_all();
-  if (heartbeat_.joinable()) heartbeat_.join();
-}
-
-void WorkerSession::set_held_key(const std::string& key) {
-  {
-    WorkerLock lock(mutex_);
-    held_key_ = key;
-  }
-  cv_.notify_all();
-}
-
-void WorkerSession::heartbeat_main() {
-  // Beat well inside the TTL so one missed beat (scheduling hiccup,
-  // fsync stall) never expires a live lease.
-  const auto interval = std::chrono::milliseconds(
-      std::max<std::int64_t>(config_.ttl_ms() / 4, 10));
-  WorkerLock lock(mutex_);
-  while (!stop_) {
-    cv_.wait_for(lock, interval);
-    if (stop_) break;
-    if (held_key_.empty()) continue;
-    LedgerRecord beat;
-    beat.op = LedgerOp::kHeartbeat;
-    beat.key = held_key_;
-    beat.worker = config_.worker_id;
-    beat.ts_ms = now_ms();
-    // Worker mutex (rank 42) is held across the ledger append (rank 44):
-    // ascending, and it keeps the beat's key stable against a concurrent
-    // done/claim transition on the main thread.
-    ledger_.append(beat);
-    BD_OBS_COUNT("shard.heartbeats", 1);
-  }
-}
-
-WorkerStats WorkerSession::run_all(const std::vector<std::string>& keys,
-                                   const RunCell& run_cell,
-                                   const QuarantineCell& quarantine_cell) {
-  WorkerStats stats;
-  auto& faults = robust::FaultInjector::instance();
-  const std::int64_t ttl_ms = config_.ttl_ms();
+WorkerStats run_session(const ShardConfig& config,
+                        const std::vector<std::string>& keys,
+                        const RunCell& run_cell,
+                        const QuarantineCell& quarantine_cell) {
+  const std::uint32_t quarantine_strikes = static_cast<std::uint32_t>(
+      config.quarantine_strikes > 0
+          ? config.quarantine_strikes
+          : robust::Supervisor::instance().config().quarantine_strikes);
   const auto idle = std::chrono::duration<double>(
-      std::max(config_.poll_interval_seconds, 0.001));
+      std::max(config.poll_interval_seconds, 0.001));
+  auto& faults = robust::FaultInjector::instance();
+  LeaseFile leases(config.lease_path, keys);
+  std::vector<bool> done(keys.size(), false);
+  std::size_t remaining = keys.size();
+  WorkerStats stats;
 
-  for (;;) {
-    ledger_.poll();
-    bool all_done = true;
+  while (remaining > 0) {
     std::size_t pick = keys.size();
-    for (std::size_t i = 0; i < keys.size(); ++i) {
-      if (ledger_.done(keys[i])) continue;
-      all_done = false;
-      if (ledger_.claimable(keys[i], ttl_ms)) {
-        pick = i;
-        break;
+    std::uint32_t strikes = 0;
+    for (std::size_t i = 0; i < keys.size() && pick == keys.size(); ++i) {
+      if (done[i]) continue;
+      const LeaseFile::Claim claim = leases.try_claim(i, &strikes);
+      if (claim == LeaseFile::Claim::kWon) pick = i;
+      if (claim == LeaseFile::Claim::kDone) {
+        done[i] = true;
+        --remaining;
       }
     }
-    if (all_done) break;
     if (pick == keys.size()) {
       // Every remaining cell is leased to a live worker: idle until one
-      // finishes or an abandoned lease expires.
-      std::this_thread::sleep_for(idle);
+      // finishes or its holder dies.
+      if (remaining > 0) std::this_thread::sleep_for(idle);
       continue;
     }
 
     const std::string& key = keys[pick];
-    const int strikes = ledger_.strikes(key, ttl_ms);
-    bool stole = false;
-    if (!ledger_.try_claim(key, config_.worker_id, ttl_ms, &stole)) {
-      continue;  // raced out: rescan
-    }
     ++stats.claimed;
-    if (stole) ++stats.stolen;
-    set_held_key(key);
+    BD_OBS_COUNT("shard.claims", 1);
+    if (strikes > 0) {
+      ++stats.stolen;
+      BD_OBS_COUNT("shard.steals", 1);
+      BD_LOG(Info) << "shard: " << config.worker_id << " took over " << key
+                   << " after " << strikes << " unfinished claim(s)";
+    }
 
-    // Chaos hook: a SIGKILL here models a worker dying mid-cell — the
-    // claim is durable, the done record will never come, and the lease
-    // must expire and be stolen.
+    // Chaos hook: a SIGKILL here models a worker dying mid-cell. The
+    // claim is counted, the done flag never comes, and the kernel drops
+    // the lease.
     faults.fire_crash_worker("shard cell " + key);
 
-    LedgerRecord done;
-    done.op = LedgerOp::kDone;
-    done.key = key;
-    done.worker = config_.worker_id;
-    try {
-      if (strikes >= config_.quarantine_strikes) {
-        const std::string reason =
-            "quarantined after " + std::to_string(strikes) +
-            " lost leases (workers died or abandoned mid-cell)";
-        BD_LOG(Warn) << "shard: " << config_.worker_id << " cell " << key
-                     << ": " << reason;
-        quarantine_cell(pick, reason);
-        done.note = "quarantined";
-        ++stats.quarantined;
-      } else {
-        BD_OBS_SPAN("shard.cell");
-        run_cell(pick);
-        ++stats.completed;
-      }
-    } catch (...) {
-      // Give the lease back so another worker retries immediately
-      // instead of waiting out the TTL; the failure still propagates
-      // and ends this worker.
-      LedgerRecord abandon;
-      abandon.op = LedgerOp::kAbandon;
-      abandon.key = key;
-      abandon.worker = config_.worker_id;
-      abandon.ts_ms = now_ms();
-      abandon.note = "cell execution failed";
-      ledger_.append(abandon);
-      set_held_key("");
-      throw;
+    // An exception unwinds out of this function, whose LeaseFile then
+    // closes and so releases the lease for another worker to retry.
+    if (strikes >= quarantine_strikes) {
+      const std::string reason =
+          "quarantined after " + std::to_string(strikes) +
+          " lost leases (workers died or abandoned mid-cell)";
+      BD_LOG(Warn) << "shard: " << config.worker_id << " cell " << key << ": "
+                   << reason;
+      quarantine_cell(pick, reason);
+      ++stats.quarantined;
+    } else {
+      BD_OBS_SPAN("shard.cell");
+      run_cell(pick);
+      ++stats.completed;
     }
-    done.ts_ms = now_ms();
-    ledger_.append(done);
+    leases.finish(pick);
     BD_OBS_COUNT("shard.cells_done", 1);
-    set_held_key("");
+    done[pick] = true;
+    --remaining;
   }
   return stats;
 }

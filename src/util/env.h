@@ -22,7 +22,7 @@
 // Crash-resumable journaling (see robust/journal.h):
 //   BDPROTO_JOURNAL=<path>    - append completed cells to a JSONL journal
 //   BDPROTO_RESUME=1          - skip cells already in the journal
-//   BDPROTO_JOURNAL_FSYNC=1   - fsync journal/ledger appends (durability
+//   BDPROTO_JOURNAL_FSYNC=1   - fsync journal appends (durability
 //                               over throughput; default off)
 //
 // Serve clients (see serve/client.h; the daemon's listener, connection
@@ -38,12 +38,9 @@
 //
 // Sharded execution (see shard/worker.h; normally set by `bdctl shard
 // run` rather than by hand):
-//   BDPROTO_SHARD_LEDGER=<path> - run as a shard worker against this
-//                                 lease ledger (empty/unset: normal run)
-//   BDPROTO_SHARD_WORKER=<id>   - worker id in ledger records (default w1)
-//   BDPROTO_SHARD_TTL=<secs>    - lease expiry; a dead worker's cell is
-//                                 stealable this long after its last
-//                                 heartbeat (default 5)
+//   BDPROTO_SHARD_LEASES=<path> - run as a shard worker against this
+//                                 lease file (empty/unset: normal run)
+//   BDPROTO_SHARD_WORKER=<id>   - worker id in its stats line (default w1)
 //
 // Parse rule: a numeric knob must parse as a whole and BDPROTO_MODE must be
 // exactly quick or full; an empty value means unset. Any other value (e.g.

@@ -1,7 +1,7 @@
 // The JSON codec: a strict reader plus an insertion-ordered object writer.
 // Every JSON byte the library reads or writes goes through this file: the
-// serve wire protocol, run-journal and lease-ledger lines, the obs metrics
-// and trace exports, and the bench emitters.
+// serve wire protocol, run-journal lines, the obs metrics and trace
+// exports, and the bench emitters.
 //
 // Reader. Strict: complete values only, no trailing bytes, nesting depth
 // at most 16, numbers per the JSON grammar and finite. It never throws on

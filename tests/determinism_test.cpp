@@ -358,7 +358,7 @@ TEST(Determinism, ProcessCountInvariance) {
   for (const int workers : {1, 2, 4}) {
     cleanup(workers);
     const std::string journal = dir + "_j" + std::to_string(workers);
-    const std::string ledger = dir + "_l" + std::to_string(workers);
+    const std::string leases = dir + "_l" + std::to_string(workers);
     const eval::TableSpec spec = make_spec(journal);
 
     std::vector<pid_t> fleet;
@@ -376,9 +376,8 @@ TEST(Determinism, ProcessCountInvariance) {
         }
         eval::TableSpec worker_spec = spec;
         shard::ShardConfig config;
-        config.ledger_path = ledger;
+        config.lease_path = leases;
         config.worker_id = "w" + std::to_string(w);
-        config.lease_ttl_seconds = 5.0;
         config.poll_interval_seconds = 0.01;
         worker_spec.shard = config;
         int rc = 0;

@@ -1,20 +1,26 @@
-// Sharded-execution tests: lease ledger edge cases (torn final line,
-// duplicate claims racing under the fcntl lock, expiry → steal), the
-// multi-writer run journal, cross-process quarantine strikes, and the
-// headline crash-resilience property — a worker SIGKILLed at every cell
-// boundary of a mini-table never changes the merged output by a byte.
+// Sharded-execution tests: the lease file (claims, strikes, the done
+// flag, a killed holder's lease freed at once, OFD locks conflicting
+// inside one process, a racing claim admitting exactly one winner, a
+// foreign table or torn initialization), the multi-writer run journal,
+// cross-process quarantine strikes, and the headline crash-resilience
+// property — a worker SIGKILLed at every cell boundary of a mini-table
+// never changes the merged output by a byte.
 //
 // Fork discipline: the test pins the thread pool to one thread before any
 // fork so no pool threads (and no locks they might hold) exist in the
-// children; children redirect stdout/stderr and _exit.
+// children; children redirect stdout/stderr and _exit. A LeaseFile is
+// never open across a fork: a child sharing the parent's open file
+// description would share its leases.
 #include <gtest/gtest.h>
 
 #include <fcntl.h>
+#include <signal.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
 #include <cstdio>
 #include <fstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -23,12 +29,13 @@
 #include "robust/journal.h"
 #include "runtime/thread_pool.h"
 #include "shard/coordinator.h"
-#include "shard/ledger.h"
-#include "shard/lease.h"
+#include "shard/lease_file.h"
 #include "shard/worker.h"
 
 namespace bd {
 namespace {
+
+using Claim = shard::LeaseFile::Claim;
 
 class TempFile {
  public:
@@ -44,267 +51,141 @@ class TempFile {
   std::string path_;
 };
 
-std::string slurp(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  return std::string((std::istreambuf_iterator<char>(in)),
-                     std::istreambuf_iterator<char>());
-}
-
 void spit(const std::string& path, const std::string& content) {
   std::ofstream out(path, std::ios::binary | std::ios::trunc);
   out << content;
 }
 
-shard::LedgerRecord make_record(shard::LedgerOp op, const std::string& key,
-                                const std::string& worker) {
-  shard::LedgerRecord r;
-  r.op = op;
-  r.key = key;
-  r.worker = worker;
-  r.ts_ms = shard::now_ms();
-  return r;
+shard::LeaseSummary summary_of(const std::string& path) {
+  return shard::summarize(shard::inspect_leases(path));
+}
+
+shard::ShardConfig worker_config(const std::string& leases,
+                                 const std::string& id) {
+  shard::ShardConfig config;
+  config.lease_path = leases;
+  config.worker_id = id;
+  config.poll_interval_seconds = 0.01;
+  return config;
 }
 
 // ---------------------------------------------------------------------------
-// Lease state machine
+// Lease file
 // ---------------------------------------------------------------------------
 
-TEST(LeaseTable, ClaimDoneLifecycle) {
-  shard::LeaseTable table;
-  EXPECT_TRUE(table.claimable("a", 1000, 100));  // never mentioned
-  table.apply(make_record(shard::LedgerOp::kClaim, "a", "w1"));
-  const shard::LeaseState* state = table.find("a");
-  ASSERT_NE(state, nullptr);
-  EXPECT_EQ(state->phase, shard::LeaseState::Phase::kLeased);
-  EXPECT_EQ(state->holder, "w1");
-  table.apply(make_record(shard::LedgerOp::kDone, "a", "w1"));
-  EXPECT_TRUE(table.done("a"));
-  EXPECT_FALSE(table.claimable("a", shard::now_ms() + 1000000, 1));
-}
-
-TEST(LeaseTable, ExpiredLeaseIsClaimableAndStrikes) {
-  shard::LeaseTable table;
-  shard::LedgerRecord claim =
-      make_record(shard::LedgerOp::kClaim, "a", "w1");
-  claim.ts_ms = 1000;
-  table.apply(claim);
-  EXPECT_FALSE(table.claimable("a", 1050, 100));  // lease fresh
-  EXPECT_EQ(table.strikes("a", 1050, 100), 0);
-  EXPECT_TRUE(table.claimable("a", 1200, 100));  // heartbeat stale
-  EXPECT_EQ(table.strikes("a", 1200, 100), 1);   // expired holder counts
-
-  // Heartbeats extend the lease; a stranger's heartbeat does not.
-  shard::LedgerRecord beat =
-      make_record(shard::LedgerOp::kHeartbeat, "a", "w1");
-  beat.ts_ms = 1300;
-  table.apply(beat);
-  EXPECT_FALSE(table.claimable("a", 1350, 100));
-  shard::LedgerRecord stranger =
-      make_record(shard::LedgerOp::kHeartbeat, "a", "w9");
-  stranger.ts_ms = 5000;
-  table.apply(stranger);
-  EXPECT_EQ(table.find("a")->last_beat_ms, 1300);
-}
-
-TEST(LeaseTable, AbandonReopensAndCountsStrikes) {
-  shard::LeaseTable table;
-  table.apply(make_record(shard::LedgerOp::kClaim, "a", "w1"));
-  table.apply(make_record(shard::LedgerOp::kAbandon, "a", "w1"));
-  EXPECT_EQ(table.find("a")->phase, shard::LeaseState::Phase::kOpen);
-  EXPECT_TRUE(table.claimable("a", shard::now_ms(), 100000));
-  EXPECT_EQ(table.strikes("a", shard::now_ms(), 100000), 1);
-
-  shard::LedgerRecord steal = make_record(shard::LedgerOp::kClaim, "a", "w2");
-  steal.steal = true;
-  table.apply(steal);
-  table.apply(make_record(shard::LedgerOp::kAbandon, "a", "w2"));
-  EXPECT_EQ(table.strikes("a", shard::now_ms(), 100000), 3);  // steal + 2 abandons
-}
-
-TEST(LeaseTable, RecordsAgainstDoneCellIgnored) {
-  shard::LeaseTable table;
-  table.apply(make_record(shard::LedgerOp::kClaim, "a", "w1"));
-  table.apply(make_record(shard::LedgerOp::kDone, "a", "w1"));
-  // A raced-out holder's late records must not resurrect the cell.
-  table.apply(make_record(shard::LedgerOp::kClaim, "a", "w2"));
-  table.apply(make_record(shard::LedgerOp::kAbandon, "a", "w2"));
-  EXPECT_TRUE(table.done("a"));
-  EXPECT_EQ(table.find("a")->done_worker, "w1");
-}
-
-TEST(LeaseTable, RecordFieldsRoundTrip) {
-  shard::LedgerRecord r = make_record(shard::LedgerOp::kClaim, "cell7", "w3");
-  r.steal = true;
-  r.note = "stolen from w1";
-  shard::LedgerRecord back;
-  ASSERT_TRUE(
-      shard::record_from_fields("cell7", shard::record_to_fields(r), back));
-  EXPECT_EQ(back.op, shard::LedgerOp::kClaim);
-  EXPECT_EQ(back.worker, "w3");
-  EXPECT_EQ(back.ts_ms, r.ts_ms);
-  EXPECT_TRUE(back.steal);
-  EXPECT_EQ(back.note, "stolen from w1");
-
-  shard::LedgerRecord bad;
-  EXPECT_FALSE(shard::record_from_fields(
-      "k", {{"op", "launder"}, {"worker", "w1"}, {"ts", "0"}}, bad));
-  EXPECT_FALSE(shard::record_from_fields("k", {{"worker", "w1"}}, bad));
-}
-
-// ---------------------------------------------------------------------------
-// Lease ledger file behavior
-// ---------------------------------------------------------------------------
-
-TEST(LeaseLedger, PersistsAndReplays) {
-  TempFile file("replay");
+TEST(LeaseFile, ClaimsAreStrikesAndDoneIsTerminal) {
+  TempFile file("lifecycle");
+  const std::vector<std::string> keys = {"a", "b"};
+  std::uint32_t prior = 9;
   {
-    shard::LeaseLedger ledger(file.path());
-    ledger.append(make_record(shard::LedgerOp::kClaim, "a", "w1"));
-    ledger.append(make_record(shard::LedgerOp::kDone, "a", "w1"));
-    ledger.append(make_record(shard::LedgerOp::kClaim, "b", "w1"));
-  }
-  shard::LeaseLedger reopened(file.path());
-  EXPECT_TRUE(reopened.done("a"));
-  EXPECT_FALSE(reopened.done("b"));
-  const shard::LedgerSummary s = reopened.summarize(1000000);
+    shard::LeaseFile first(file.path(), keys);
+    ASSERT_EQ(first.try_claim(0, &prior), Claim::kWon);
+    EXPECT_EQ(prior, 0u);
+    const shard::LeaseSummary held = summary_of(file.path());
+    EXPECT_EQ(held.live, 1u);
+    EXPECT_EQ(held.orphaned, 0u);
+  }  // closed unfinished: the lease is gone, the claim stays a strike
+  EXPECT_TRUE(shard::is_lease_file(file.path()));
+  const shard::LeaseSummary orphaned = summary_of(file.path());
+  EXPECT_EQ(orphaned.live, 0u);
+  EXPECT_EQ(orphaned.orphaned, 1u);
+
+  shard::LeaseFile second(file.path(), keys);
+  ASSERT_EQ(second.try_claim(0, &prior), Claim::kWon);
+  EXPECT_EQ(prior, 1u);
+  second.finish(0);
+  EXPECT_EQ(second.try_claim(0, &prior), Claim::kDone);
+  const shard::LeaseSummary s = summary_of(file.path());
   EXPECT_EQ(s.cells, 2u);
   EXPECT_EQ(s.done, 1u);
-  EXPECT_EQ(s.claims_by_worker.at("w1"), 2);
+  EXPECT_EQ(s.steals, 1u);
+  EXPECT_EQ(s.live, 0u);
+  EXPECT_EQ(s.orphaned, 0u);
 }
 
-TEST(LeaseLedger, PinnedRecordLinesRoundTripByteForByte) {
-  // Ledger lines exactly as earlier releases wrote them.
-  const std::string claim =
-      R"({"key":"c1","fields":{"op":"claim","steal":"1","ts":"12345",)"
-      R"("worker":"w2"}})"
-      "\n";
-  const std::string done =
-      R"({"key":"c2","fields":{"note":"ok \"1\"","op":"done","ts":"7",)"
-      R"("worker":"w0"}})"
-      "\n";
-  for (const std::string& line : {claim, done}) {
-    std::string key;
-    robust::JournalFields fields;
-    ASSERT_TRUE(robust::parse_journal_line(line.substr(0, line.size() - 1),
-                                           key, fields))
-        << line;
-    shard::LedgerRecord record;
-    ASSERT_TRUE(shard::record_from_fields(key, fields, record)) << line;
-    EXPECT_EQ(robust::encode_journal_line(record.key,
-                                          shard::record_to_fields(record)),
-              line);
+TEST(LeaseFile, KilledHolderFreesItsCellAtOnce) {
+  runtime::set_thread_count(1);
+  TempFile file("killed");
+  const std::vector<std::string> keys = {"a", "b"};
+  { shard::LeaseFile create(file.path(), keys); }
+  int ready[2];
+  ASSERT_EQ(::pipe(ready), 0);
+  std::fflush(stdout);
+  std::fflush(stderr);
+  const pid_t pid = ::fork();
+  ASSERT_GE(pid, 0);
+  if (pid == 0) {
+    ::close(ready[0]);
+    shard::LeaseFile leases(file.path(), keys);
+    std::uint32_t prior = 0;
+    const char won = leases.try_claim(0, &prior) == Claim::kWon ? '1' : '0';
+    (void)!::write(ready[1], &won, 1);
+    for (;;) ::pause();  // hold the lease until killed
   }
-  std::string key;
-  robust::JournalFields fields;
-  ASSERT_TRUE(robust::parse_journal_line(claim.substr(0, claim.size() - 1),
-                                         key, fields));
-  shard::LedgerRecord record;
-  ASSERT_TRUE(shard::record_from_fields(key, fields, record));
-  EXPECT_EQ(record.op, shard::LedgerOp::kClaim);
-  EXPECT_EQ(record.key, "c1");
-  EXPECT_EQ(record.worker, "w2");
-  EXPECT_EQ(record.ts_ms, 12345);
-  EXPECT_TRUE(record.steal);
+  ::close(ready[1]);
+  struct Reaper {
+    pid_t pid;
+    ~Reaper() {
+      if (pid > 0) {
+        ::kill(pid, SIGKILL);
+        ::waitpid(pid, nullptr, 0);
+      }
+    }
+  } reaper{pid};
+  char won = 0;
+  ASSERT_EQ(::read(ready[0], &won, 1), 1);
+  ::close(ready[0]);
+  ASSERT_EQ(won, '1');
+
+  shard::LeaseFile leases(file.path(), keys);
+  std::uint32_t prior = 0;
+  EXPECT_EQ(leases.try_claim(0, &prior), Claim::kHeld);
+  ASSERT_EQ(::kill(pid, SIGKILL), 0);
+  int status = 0;
+  ASSERT_EQ(::waitpid(pid, &status, 0), pid);
+  reaper.pid = 0;
+  ASSERT_TRUE(WIFSIGNALED(status));
+  // No sleep: the kernel dropped the dead holder's lease before waitpid
+  // returned.
+  ASSERT_EQ(leases.try_claim(0, &prior), Claim::kWon);
+  EXPECT_EQ(prior, 1u);
 }
 
-TEST(LeaseLedger, TornFinalLineStaysPendingUntilTerminated) {
-  TempFile file("torn");
-  {
-    shard::LeaseLedger ledger(file.path());
-    ledger.append(make_record(shard::LedgerOp::kClaim, "a", "w1"));
-  }
-  // Simulate a writer killed mid-append: half a record, no newline.
-  std::string content = slurp(file.path());
-  content += "{\"key\":\"b\",\"fields\":{\"op\":\"cl";
-  spit(file.path(), content);
-
-  shard::LeaseLedger ledger(file.path());
-  EXPECT_EQ(ledger.summarize(1000000).cells, 1u);
-  const shard::LedgerInspection inspection =
-      shard::inspect_ledger(file.path());
-  EXPECT_TRUE(inspection.torn_tail);
-  EXPECT_EQ(inspection.records, 1u);
-
-  // Another writer appends after the torn tail: the fused line is skipped
-  // with a warning, the fresh record lands. Self-healing, not fatal.
-  shard::LeaseLedger writer(file.path());
-  writer.append(make_record(shard::LedgerOp::kClaim, "c", "w2"));
-  const shard::LedgerInspection healed = shard::inspect_ledger(file.path());
-  EXPECT_EQ(healed.malformed, 1u);
-  EXPECT_FALSE(healed.table.claimable("c", shard::now_ms(), 1000000));
+TEST(LeaseFile, SecondSessionInOneProcessCannotClaimAHeldCell) {
+  TempFile file("two_sessions");
+  const std::vector<std::string> keys = {"a", "b"};
+  int refused = 0;
+  const shard::WorkerStats stats = shard::run_session(
+      worker_config(file.path(), "w1"), keys,
+      [&](std::size_t index) {
+        // OFD locks belong to the open file description, so a second
+        // lease file in this very process conflicts with the session's
+        // lease (a classic fcntl lock would be granted: same process).
+        shard::LeaseFile other(file.path(), keys);
+        std::uint32_t prior = 0;
+        if (other.try_claim(index, &prior) == Claim::kHeld) ++refused;
+      },
+      [](std::size_t, const std::string&) {});
+  EXPECT_EQ(refused, 2);
+  EXPECT_EQ(stats.claimed, 2);
+  EXPECT_EQ(stats.completed, 2);
+  EXPECT_EQ(stats.stolen, 0);
 }
 
-TEST(LeaseLedger, DamagedTimestampLineIsSkippedAndCounted) {
-  shard::LedgerRecord bad;
-  for (const char* ts : {"12ab", " 12", "+12", "1.5", ""}) {
-    EXPECT_FALSE(shard::record_from_fields(
-        "k", {{"op", "claim"}, {"worker", "w1"}, {"ts", ts}}, bad))
-        << "'" << ts << "'";
-  }
-
-  TempFile file("damaged_ts");
-  {
-    shard::LeaseLedger ledger(file.path());
-    ledger.append(make_record(shard::LedgerOp::kClaim, "a", "w1"));
-  }
-  std::string content = slurp(file.path());
-  content += R"({"key":"b","fields":{"op":"claim","ts":"12ab","worker":"w2"}})"
-             "\n";
-  spit(file.path(), content);
-  {
-    shard::LeaseLedger ledger(file.path());
-    ledger.append(make_record(shard::LedgerOp::kClaim, "c", "w1"));
-  }
-  const shard::LedgerInspection inspection =
-      shard::inspect_ledger(file.path());
-  EXPECT_EQ(inspection.records, 2u);
-  EXPECT_EQ(inspection.malformed, 1u);
-  EXPECT_EQ(shard::LeaseLedger(file.path()).summarize(1000000).cells, 2u);
-}
-
-TEST(LeaseLedger, PollSeesOtherProcessAppends) {
-  TempFile file("poll");
-  shard::LeaseLedger reader(file.path());
-  shard::LeaseLedger writer(file.path());  // stands in for another process
-  writer.append(make_record(shard::LedgerOp::kClaim, "a", "w2"));
-  writer.append(make_record(shard::LedgerOp::kDone, "a", "w2"));
-  EXPECT_FALSE(reader.done("a"));  // not yet polled
-  reader.poll();
-  EXPECT_TRUE(reader.done("a"));
-}
-
-TEST(LeaseLedger, TryClaimRefusesHeldAndStealsExpired) {
-  TempFile file("steal");
-  shard::LeaseLedger w1(file.path());
-  shard::LeaseLedger w2(file.path());
-
-  bool stole = true;
-  ASSERT_TRUE(w1.try_claim("a", "w1", /*ttl_ms=*/50, &stole));
-  EXPECT_FALSE(stole);
-  EXPECT_FALSE(w2.try_claim("a", "w2", 50, &stole));  // held, fresh
-
-  // No heartbeats arrive (the holder is "dead"): after the TTL the lease
-  // is stealable and the claim carries the steal flag.
-  ::usleep(80 * 1000);
-  ASSERT_TRUE(w2.try_claim("a", "w2", 50, &stole));
-  EXPECT_TRUE(stole);
-  EXPECT_EQ(w2.strikes("a", 50), 1);
-
-  w2.append(make_record(shard::LedgerOp::kDone, "a", "w2"));
-  w1.poll();
-  EXPECT_TRUE(w1.done("a"));
-  EXPECT_FALSE(w1.try_claim("a", "w1", 50, &stole));  // done is terminal
-}
-
-// Duplicate claims racing from separate processes: fcntl locks are
-// per-process, so only a real fork exercises the claim serialization.
-TEST(LeaseLedger, ForkedClaimRaceAdmitsExactlyOneWinner) {
+// Claims racing from separate processes, each holding its lease until
+// every racer has tried: exactly one wins.
+TEST(LeaseFile, ForkedClaimRaceAdmitsExactlyOneWinner) {
   runtime::set_thread_count(1);
   TempFile file("race");
-  {
-    shard::LeaseLedger init(file.path());  // create the file
-  }
+  const std::vector<std::string> keys = {"contested"};
+  { shard::LeaseFile create(file.path(), keys); }
 
+  int go[2];
+  int results[2];
+  int release[2];
+  ASSERT_EQ(::pipe(go), 0);
+  ASSERT_EQ(::pipe(results), 0);
+  ASSERT_EQ(::pipe(release), 0);
   constexpr int kRacers = 4;
   std::vector<pid_t> children;
   for (int i = 0; i < kRacers; ++i) {
@@ -313,36 +194,99 @@ TEST(LeaseLedger, ForkedClaimRaceAdmitsExactlyOneWinner) {
     const pid_t pid = ::fork();
     ASSERT_GE(pid, 0);
     if (pid == 0) {
-      // Child: claim the same key as fast as possible, then exit with a
-      // code encoding whether the claim was won.
-      int won = 0;
-      {
-        shard::LeaseLedger ledger(file.path());
-        bool stole = false;
-        won = ledger.try_claim("contested", "w" + std::to_string(i + 1),
-                               /*ttl_ms=*/60 * 1000, &stole)
-                  ? 1
-                  : 0;
-      }
-      ::_exit(won);
+      ::close(go[1]);
+      ::close(results[0]);
+      ::close(release[1]);
+      char byte = 0;
+      (void)!::read(go[0], &byte, 1);  // EOF once every racer exists
+      shard::LeaseFile leases(file.path(), keys);
+      std::uint32_t prior = 0;
+      const char won =
+          leases.try_claim(0, &prior) == Claim::kWon ? '1' : '0';
+      (void)!::write(results[1], &won, 1);
+      (void)!::read(release[0], &byte, 1);  // hold the lease until EOF
+      ::_exit(0);
     }
     children.push_back(pid);
   }
+  ::close(go[0]);
+  ::close(results[1]);
+  ::close(release[0]);
+  ::close(go[1]);  // start the race
   int winners = 0;
+  for (int i = 0; i < kRacers; ++i) {
+    char won = 0;
+    ASSERT_EQ(::read(results[0], &won, 1), 1);
+    winners += won == '1' ? 1 : 0;
+  }
+  ::close(results[0]);
+  ::close(release[1]);  // let the racers exit
   for (const pid_t pid : children) {
     int status = 0;
     ASSERT_EQ(::waitpid(pid, &status, 0), pid);
     ASSERT_TRUE(WIFEXITED(status));
-    winners += WEXITSTATUS(status);
   }
   EXPECT_EQ(winners, 1);
+  const std::vector<shard::SlotState> slots =
+      shard::inspect_leases(file.path());
+  ASSERT_EQ(slots.size(), 1u);
+  EXPECT_EQ(slots[0].claims, 1u);
+  EXPECT_FALSE(slots[0].done);
+}
 
-  const shard::LedgerInspection inspection =
-      shard::inspect_ledger(file.path());
-  const shard::LeaseState* state = inspection.table.find("contested");
-  ASSERT_NE(state, nullptr);
-  EXPECT_EQ(state->claims, 1);
-  EXPECT_EQ(state->steals, 0);
+TEST(LeaseFile, FileOfAnotherTableFailsNamingItsPath) {
+  TempFile file("other_table");
+  { shard::LeaseFile create(file.path(), {"a", "b"}); }
+  const std::vector<std::vector<std::string>> others = {{"a", "b", "c"},
+                                                        {"a", "x"}};
+  for (const std::vector<std::string>& keys : others) {
+    try {
+      shard::LeaseFile leases(file.path(), keys);
+      ADD_FAILURE() << "opened a lease file of another table";
+    } catch (const std::runtime_error& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find(file.path()), std::string::npos) << what;
+      EXPECT_NE(what.find("another table"), std::string::npos) << what;
+    }
+  }
+  // The file is untouched: its own table still opens.
+  EXPECT_NO_THROW(shard::LeaseFile(file.path(), {"a", "b"}));
+
+  spit(file.path(), "{\"key\":\"k\",\"fields\":{}}\n");
+  try {
+    shard::LeaseFile leases(file.path(), {"a", "b"});
+    ADD_FAILURE() << "opened a run journal as a lease file";
+  } catch (const std::runtime_error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find(file.path()), std::string::npos) << what;
+    EXPECT_NE(what.find("not a lease file"), std::string::npos) << what;
+  }
+  EXPECT_FALSE(shard::is_lease_file(file.path()));
+}
+
+TEST(LeaseFile, TornInitializationIsRedone) {
+  TempFile file("torn_init");
+  const std::vector<std::string> keys = {"a", "b", "c"};
+  // A creator killed right after creating the file, or after part of the
+  // slots landed, left no header: the next opener initializes the file.
+  for (const std::string& torn :
+       {std::string(), std::string(32, '\0') + "partial slot bytes"}) {
+    spit(file.path(), torn);
+    {
+      shard::LeaseFile leases(file.path(), keys);
+      std::uint32_t prior = 7;
+      ASSERT_EQ(leases.try_claim(1, &prior), Claim::kWon);
+      EXPECT_EQ(prior, 0u);
+      leases.finish(1);
+    }
+    const std::vector<shard::SlotState> slots =
+        shard::inspect_leases(file.path());
+    ASSERT_EQ(slots.size(), 3u);
+    EXPECT_TRUE(slots[1].done);
+    EXPECT_EQ(slots[1].claims, 1u);
+    EXPECT_EQ(slots[0].claims, 0u);
+    EXPECT_EQ(slots[0].key_hash, robust::stable_hash("a"));
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -427,16 +371,6 @@ eval::TableSpec mini_spec(const std::string& journal) {
   return spec;
 }
 
-shard::ShardConfig worker_config(const std::string& ledger,
-                                 const std::string& id, double ttl) {
-  shard::ShardConfig config;
-  config.ledger_path = ledger;
-  config.worker_id = id;
-  config.lease_ttl_seconds = ttl;
-  config.poll_interval_seconds = 0.01;
-  return config;
-}
-
 /// Forks a shard worker over `spec`; stdout/stderr go to /dev/null. The
 /// optional fault spec arms the injector in the child only.
 pid_t fork_worker(const eval::TableSpec& spec,
@@ -504,10 +438,10 @@ TEST_F(ShardTable, SingleWorkerMatchesUnshardedRun) {
   ASSERT_NE(reference.find("Baseline"), std::string::npos);
 
   TempFile journal("single_journal");
-  TempFile ledger("single_ledger");
+  TempFile leases("single_leases");
   const eval::TableSpec spec = mini_spec(journal.path());
   eval::TableSpec worker_spec = spec;
-  worker_spec.shard = worker_config(ledger.path(), "w1", 5.0);
+  worker_spec.shard = worker_config(leases.path(), "w1");
   ::testing::internal::CaptureStdout();
   const eval::TableRun run = eval::run_table(worker_spec);
   const std::string worker_out = ::testing::internal::GetCapturedStdout();
@@ -530,12 +464,11 @@ TEST_F(ShardTable, WorkerKilledAtEveryCellBoundaryNeverChangesOutput) {
   // byte-identical merged table every time.
   for (int n = 1; n <= 7; ++n) {
     TempFile journal("chaos_journal_" + std::to_string(n));
-    TempFile ledger("chaos_ledger_" + std::to_string(n));
+    TempFile leases("chaos_leases_" + std::to_string(n));
     const eval::TableSpec spec = mini_spec(journal.path());
-    const double ttl = 0.3;
 
     const pid_t victim =
-        fork_worker(spec, worker_config(ledger.path(), "w1", ttl),
+        fork_worker(spec, worker_config(leases.path(), "w1"),
                     "crash_worker@" + std::to_string(n));
     ASSERT_GE(victim, 0);
     int status = 0;
@@ -543,23 +476,20 @@ TEST_F(ShardTable, WorkerKilledAtEveryCellBoundaryNeverChangesOutput) {
     ASSERT_TRUE(WIFSIGNALED(status)) << "kill point " << n;
     EXPECT_EQ(WTERMSIG(status), SIGKILL);
 
-    // Survivor: steals the orphaned lease after the TTL and finishes.
+    // Survivor: takes the dead worker's cell at once and finishes.
     eval::TableSpec survivor_spec = spec;
-    survivor_spec.shard = worker_config(ledger.path(), "w2", ttl);
+    survivor_spec.shard = worker_config(leases.path(), "w2");
     ::testing::internal::CaptureStdout();
     const eval::TableRun survivor = eval::run_table(survivor_spec);
     ::testing::internal::GetCapturedStdout();
     ASSERT_TRUE(survivor.worker_stats.has_value());
     EXPECT_EQ(survivor.worker_stats->stolen, 1) << "kill point " << n;
 
-    const shard::LedgerInspection inspection =
-        shard::inspect_ledger(ledger.path());
-    const shard::LedgerSummary summary =
-        inspection.table.summarize(shard::now_ms(),
-                                   static_cast<std::int64_t>(ttl * 1000));
+    const shard::LeaseSummary summary = summary_of(leases.path());
     EXPECT_EQ(summary.steals, 1u) << "kill point " << n;
     EXPECT_EQ(summary.done, 7u) << "kill point " << n;
-    EXPECT_EQ(summary.leased, 0u) << "kill point " << n;
+    EXPECT_EQ(summary.live, 0u) << "kill point " << n;
+    EXPECT_EQ(summary.orphaned, 0u) << "kill point " << n;
 
     EXPECT_EQ(merged_output(spec), reference) << "kill point " << n;
   }
@@ -567,25 +497,23 @@ TEST_F(ShardTable, WorkerKilledAtEveryCellBoundaryNeverChangesOutput) {
 
 TEST_F(ShardTable, QuarantineAfterRepeatedLostLeases) {
   TempFile journal("quarantine_journal");
-  TempFile ledger("quarantine_ledger");
+  TempFile leases("quarantine_leases");
   const eval::TableSpec spec = mini_spec(journal.path());
 
   // Kill a fresh worker on its first claim three times: the first victim
   // claims the cell, the next two steal it and die too. Three strikes.
-  const double ttl = 0.2;
   for (int round = 0; round < 3; ++round) {
     const pid_t victim = fork_worker(
-        spec, worker_config(ledger.path(), "v" + std::to_string(round), ttl),
+        spec, worker_config(leases.path(), "v" + std::to_string(round)),
         "crash_worker@1");
     ASSERT_GE(victim, 0);
     int status = 0;
     ASSERT_EQ(::waitpid(victim, &status, 0), victim);
     ASSERT_TRUE(WIFSIGNALED(status));
-    ::usleep(250 * 1000);  // let the lease expire before the next victim
   }
 
   eval::TableSpec survivor_spec = spec;
-  survivor_spec.shard = worker_config(ledger.path(), "surv", ttl);
+  survivor_spec.shard = worker_config(leases.path(), "surv");
   survivor_spec.shard->quarantine_strikes = 3;
   ::testing::internal::CaptureStdout();
   const eval::TableRun survivor = eval::run_table(survivor_spec);
