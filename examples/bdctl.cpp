@@ -404,7 +404,7 @@ int cmd_profile(const Args& args) {
       eval::prepare_backdoored_model(dataset, arch, attack, scale, seed);
 
   // Profile one trial the way the bench harness runs it: supervised, so
-  // the watchdog/retry machinery shows up in the stats section below.
+  // the budget/retry machinery shows up in the stats section below.
   scale.trials = 1;
   const eval::SettingResult trial =
       eval::run_setting(bd_model, defense_name, spc, scale,

@@ -3,21 +3,23 @@
 // A CancelSource owns the shared cancellation state; CancelTokens are cheap
 // handles onto it. Work never gets killed mid-mutation: long-running loops
 // call poll_cancellation() at their batch/round boundaries (the same places
-// that open the obs epoch/round spans), which stamps a heartbeat for the
-// watchdog and throws Cancelled once the source has been cancelled — so a
-// cancelled loop always unwinds from a consistent point with an integer
-// number of optimizer steps applied.
+// that open the obs epoch/round spans), and every stop is decided there:
+// the poll throws Cancelled once the token has been cancelled, the attempt
+// has run past its deadline, or the gap since the previous poll exceeds
+// the stall budget — so a cancelled loop always unwinds from a consistent
+// point with an integer number of optimizer steps applied.
 //
-// The current token is installed thread-locally by a CancelScope (the
-// Supervisor does this around every attempt), which keeps the token out of
-// every loop signature: trainer epochs, defense rounds and Grad-Prune
-// iterations all share one poll_cancellation() call site per boundary.
-// Code running outside any scope polls against a null token, which never
-// cancels and costs a thread-local read plus one relaxed atomic store.
+// The current token and budgets are installed thread-locally by a
+// CancelScope (the Supervisor does this around every attempt), which keeps
+// them out of every loop signature: trainer epochs, defense rounds and
+// Grad-Prune iterations all share one poll_cancellation() call site per
+// boundary. Code running outside any scope polls against a null token and
+// no budgets, which never cancels and costs a thread-local read plus a
+// steady-clock read.
 #pragma once
 
 #include <atomic>
-#include <cstdint>
+#include <chrono>
 #include <memory>
 #include <mutex>
 #include <stdexcept>
@@ -26,10 +28,11 @@
 
 namespace bd::robust {
 
-/// Thrown by poll_cancellation() at the first boundary after the owning
-/// CancelSource was cancelled. `reason()` is the source's cancellation
-/// reason (e.g. the watchdog's deadline message); what() adds the boundary
-/// at which the work actually stopped.
+/// Thrown by poll_cancellation() at the first boundary after the scope's
+/// token was cancelled or one of its budgets ran out. `reason()` is the
+/// token's cancellation reason or the budget's message (e.g. "watchdog:
+/// deadline of 1s exceeded"); what() adds the boundary at which the work
+/// actually stopped.
 class Cancelled : public std::runtime_error {
  public:
   Cancelled(std::string reason, const std::string& where)
@@ -44,12 +47,8 @@ class Cancelled : public std::runtime_error {
 
 namespace detail {
 
-/// Nanoseconds on the steady clock (shared epoch with heartbeats).
-std::uint64_t cancel_now_ns();
-
 struct CancelState {
   std::atomic<bool> cancelled{false};
-  std::atomic<std::uint64_t> heartbeat_ns{0};  // steady-clock ns of last poll
   std::mutex mutex;
   std::string reason;  // set once by the first cancel()
 };
@@ -57,7 +56,7 @@ struct CancelState {
 }  // namespace detail
 
 /// Cheap copyable handle onto a CancelSource's state. A default-constructed
-/// token is null: never cancelled, heartbeats are no-ops.
+/// token is null: never cancelled.
 class CancelToken {
  public:
   CancelToken() = default;
@@ -76,16 +75,6 @@ class CancelToken {
     return state_->reason;
   }
 
-  /// Stamps "the work is alive" for the watchdog's stall detector.
-  void heartbeat() const {
-    if (state_ != nullptr) {
-      // bdlint:allow(no-relaxed-atomics): a monotonic liveness timestamp;
-      // the watchdog only compares it against now(), no data rides on it.
-      state_->heartbeat_ns.store(detail::cancel_now_ns(),
-                                 std::memory_order_relaxed);
-    }
-  }
-
  private:
   friend class CancelSource;
   explicit CancelToken(std::shared_ptr<detail::CancelState> state)
@@ -96,11 +85,7 @@ class CancelToken {
 
 class CancelSource {
  public:
-  CancelSource() : state_(std::make_shared<detail::CancelState>()) {
-    // bdlint:allow(no-relaxed-atomics): initial heartbeat stamp (see above).
-    state_->heartbeat_ns.store(detail::cancel_now_ns(),
-                               std::memory_order_relaxed);
-  }
+  CancelSource() : state_(std::make_shared<detail::CancelState>()) {}
 
   CancelToken token() const { return CancelToken(state_); }
 
@@ -117,39 +102,51 @@ class CancelSource {
     return state_->cancelled.load(std::memory_order_acquire);
   }
 
-  /// Seconds since the most recent heartbeat (or since construction).
-  double heartbeat_age_seconds() const {
-    const std::uint64_t last =  // bdlint:allow(no-relaxed-atomics)
-        state_->heartbeat_ns.load(std::memory_order_relaxed);
-    return static_cast<double>(detail::cancel_now_ns() - last) * 1e-9;
-  }
-
  private:
   std::shared_ptr<detail::CancelState> state_;
 };
 
-/// RAII installation of the calling thread's current token (nesting
-/// restores the previous one). Owned by Supervisor attempts; tests install
-/// scopes directly to drive loops without a supervisor.
+namespace detail {
+
+/// What a CancelScope installs on its thread. Only that thread reads or
+/// writes it, so none of it is atomic.
+struct ScopeFrame {
+  CancelToken token;
+  std::chrono::steady_clock::time_point start;
+  std::chrono::steady_clock::time_point last_poll;
+  double deadline_seconds = 0.0;  // 0: no total budget
+  double stall_seconds = 0.0;     // 0: no gap budget
+};
+
+}  // namespace detail
+
+/// RAII installation of the calling thread's current token and budgets
+/// (nesting restores the previous ones). The scope's start is also its
+/// first "poll", so the stall budget covers the stretch before the first
+/// boundary too. Owned by Supervisor attempts; tests install scopes
+/// directly to drive loops without a supervisor.
 class CancelScope {
  public:
-  explicit CancelScope(CancelToken token);
+  explicit CancelScope(CancelToken token, double deadline_seconds = 0.0,
+                       double stall_seconds = 0.0);
   ~CancelScope();
   CancelScope(const CancelScope&) = delete;
   CancelScope& operator=(const CancelScope&) = delete;
 
  private:
-  CancelToken previous_;
+  detail::ScopeFrame previous_;
 };
 
 /// The calling thread's current token (null outside any CancelScope).
 CancelToken current_cancel_token();
 
-/// Batch/round-boundary check: stamps the heartbeat, runs any armed
-/// `hang@n` fault (a simulated stall that sits here, heartbeat-silent,
-/// until the watchdog cancels), and throws Cancelled when the current
-/// token has been cancelled. `where` must describe the boundary (e.g.
-/// "train.batch") and appears in the Cancelled message.
+/// Batch/round-boundary check. Throws Cancelled, in this order, when the
+/// current token has been cancelled, the scope has run past its deadline,
+/// or the gap since the previous poll exceeds its stall budget; otherwise
+/// records this poll's time. An armed `hang@n` fault then sits here, as
+/// a stalled loop would, until one of those ends it (or a 30 s cap, so an
+/// unsupervised test cannot wedge). `where` must describe the boundary
+/// (e.g. "train.batch") and appears in the Cancelled message.
 void poll_cancellation(const char* where);
 
 }  // namespace bd::robust

@@ -11,8 +11,9 @@
 //   crash@5       a SimulatedCrash is thrown after the 5th completed bench
 //                 cell (simulates a kill between cells; the run journal is
 //                 already durable at that point)
-//   hang@4        cancellation poll #4 stalls heartbeat-silent until the
-//                 supervisor's watchdog cancels it (exercises stall
+//   hang@4        cancellation poll #4 sits still, as a stalled loop
+//                 would, until the attempt's stall or deadline budget or
+//                 its caller's token ends it (30 s cap; exercises stall
 //                 detection + cooperative cancellation)
 //   slow_io@2     second journal append sleeps ~25ms before proceeding
 //                 (latency without failure; must not change any output)

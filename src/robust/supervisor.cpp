@@ -1,13 +1,9 @@
 #include "robust/supervisor.h"
 
-#include "runtime/ordered_mutex.h"
-
 #include <algorithm>
 #include <chrono>
 #include <cmath>
-#include <condition_variable>
 #include <cstdlib>
-#include <optional>
 #include <sstream>
 #include <stdexcept>
 #include <thread>
@@ -21,10 +17,12 @@ namespace bd::robust {
 
 namespace {
 
-thread_local CancelToken t_current_token;
+using Clock = std::chrono::steady_clock;
+
+thread_local detail::ScopeFrame t_frame;
 
 /// Formats a seconds value the way it was configured (shortest form), so
-/// watchdog reasons depend only on the config — never on measured time —
+/// budget reasons depend only on the config — never on measured time —
 /// and degraded cells replay byte-identically on resume.
 std::string format_seconds(double seconds) {
   std::ostringstream out;
@@ -32,89 +30,32 @@ std::string format_seconds(double seconds) {
   return out.str();
 }
 
-/// Background thread that cancels `source` when the attempt overruns its
-/// deadline or its heartbeat goes stale. Join-on-destruction RAII; spawned
-/// only when at least one budget is configured.
-class Watchdog {
- public:
-  Watchdog(CancelSource& source, double deadline_seconds, double stall_seconds,
-           CancelToken external)
-      : source_(source),
-        deadline_seconds_(deadline_seconds),
-        stall_seconds_(stall_seconds),
-        external_(std::move(external)),
-        start_(std::chrono::steady_clock::now()) {
-    thread_ = std::thread([this] { watch(); });
+double seconds_between(Clock::time_point from, Clock::time_point to) {
+  return std::chrono::duration<double>(to - from).count();
+}
+
+/// Throws Cancelled when `frame` must stop at `now`: its token was
+/// cancelled, it ran past its deadline, or its last poll is older than the
+/// stall budget, checked in that order.
+void throw_if_stopped(const detail::ScopeFrame& frame, Clock::time_point now,
+                      const char* where) {
+  if (frame.token.cancelled()) {
+    const std::string reason = frame.token.reason();
+    throw Cancelled(reason.empty() ? "cancelled by caller" : reason, where);
   }
-
-  ~Watchdog() {
-    {
-      std::lock_guard lock(mutex_);
-      done_ = true;
-    }
-    cv_.notify_all();
-    thread_.join();
+  if (frame.deadline_seconds > 0.0 &&
+      seconds_between(frame.start, now) > frame.deadline_seconds) {
+    throw Cancelled("watchdog: deadline of " +
+                        format_seconds(frame.deadline_seconds) + "s exceeded",
+                    where);
   }
-
-  Watchdog(const Watchdog&) = delete;
-  Watchdog& operator=(const Watchdog&) = delete;
-
- private:
-  void watch() {
-    // Poll at ~1/8 of the tightest budget so detection lands well within
-    // one budget interval, clamped to [1ms, 250ms]. With only an external
-    // token to watch there is no budget to subdivide; 50ms keeps client
-    // cancellation snappy without spinning.
-    double tightest = 0.0;
-    if (deadline_seconds_ > 0.0) tightest = deadline_seconds_;
-    if (stall_seconds_ > 0.0 &&
-        (tightest == 0.0 || stall_seconds_ < tightest)) {
-      tightest = stall_seconds_;
-    }
-    const auto interval =
-        tightest > 0.0
-            ? std::chrono::milliseconds(std::clamp(
-                  static_cast<long long>(tightest * 1000.0 / 8.0), 1LL,
-                  250LL))
-            : std::chrono::milliseconds(50);
-
-    std::unique_lock lock(mutex_);
-    while (!done_) {
-      cv_.wait_for(lock, interval);
-      if (done_) return;
-      if (external_.valid() && external_.cancelled()) {
-        source_.cancel(external_.reason().empty() ? "cancelled by caller"
-                                                  : external_.reason());
-        return;
-      }
-      const double elapsed =
-          std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                        start_)
-              .count();
-      if (deadline_seconds_ > 0.0 && elapsed > deadline_seconds_) {
-        source_.cancel("watchdog: deadline of " +
-                       format_seconds(deadline_seconds_) + "s exceeded");
-        return;
-      }
-      if (stall_seconds_ > 0.0 &&
-          source_.heartbeat_age_seconds() > stall_seconds_) {
-        source_.cancel("watchdog: heartbeat stalled beyond " +
-                       format_seconds(stall_seconds_) + "s");
-        return;
-      }
-    }
+  if (frame.stall_seconds > 0.0 &&
+      seconds_between(frame.last_poll, now) > frame.stall_seconds) {
+    throw Cancelled("watchdog: heartbeat stalled beyond " +
+                        format_seconds(frame.stall_seconds) + "s",
+                    where);
   }
-
-  CancelSource& source_;
-  const double deadline_seconds_;
-  const double stall_seconds_;
-  const CancelToken external_;
-  const std::chrono::steady_clock::time_point start_;
-  std::thread thread_;
-  runtime::OrderedMutex<runtime::LockRank::kSupervisorWatchdog> mutex_;
-  std::condition_variable_any cv_;
-  bool done_ = false;
-};
+}
 
 SupervisorConfig config_from_env() {
   SupervisorConfig config;
@@ -132,42 +73,33 @@ SupervisorConfig config_from_env() {
 
 }  // namespace
 
-namespace detail {
-
-std::uint64_t cancel_now_ns() {
-  return static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
+CancelScope::CancelScope(CancelToken token, double deadline_seconds,
+                         double stall_seconds)
+    : previous_(std::move(t_frame)) {
+  const Clock::time_point now = Clock::now();
+  t_frame = {std::move(token), now, now, deadline_seconds, stall_seconds};
 }
 
-}  // namespace detail
+CancelScope::~CancelScope() { t_frame = std::move(previous_); }
 
-CancelScope::CancelScope(CancelToken token) : previous_(t_current_token) {
-  t_current_token = std::move(token);
-}
-
-CancelScope::~CancelScope() { t_current_token = previous_; }
-
-CancelToken current_cancel_token() { return t_current_token; }
+CancelToken current_cancel_token() { return t_frame.token; }
 
 void poll_cancellation(const char* where) {
-  const CancelToken& token = t_current_token;
-  token.heartbeat();
-  auto& faults = FaultInjector::instance();
-  if (faults.fire(FaultKind::kHang)) {
-    // Simulated hang: sit here heartbeat-silent until the watchdog cancels
-    // us (or a safety cap expires so an unsupervised test cannot wedge).
+  detail::ScopeFrame& frame = t_frame;
+  Clock::time_point now = Clock::now();
+  throw_if_stopped(frame, now, where);
+  frame.last_poll = now;
+  if (FaultInjector::instance().fire(FaultKind::kHang)) {
+    // Simulated hang: sit here without polling, as a stalled loop would,
+    // until a budget or the token ends it (or a safety cap expires so an
+    // unsupervised test cannot wedge).
     BD_LOG(Warn) << "fault injector: simulated hang at " << where;
-    const auto start = std::chrono::steady_clock::now();
-    while (!token.cancelled() &&
-           std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                         start)
-                   .count() < 30.0) {
+    const Clock::time_point cap = now + std::chrono::seconds(30);
+    while ((now = Clock::now()) < cap) {
+      throw_if_stopped(frame, now, where);
       std::this_thread::sleep_for(std::chrono::milliseconds(1));
     }
   }
-  if (token.cancelled()) throw Cancelled(token.reason(), where);
 }
 
 Supervisor& Supervisor::instance() {
@@ -259,14 +191,7 @@ RunReport Supervisor::run(const std::string& key,
     }
     report.attempts = attempt;
     try {
-      CancelSource source;
-      CancelScope scope(source.token());
-      std::optional<Watchdog> watchdog;
-      if (config.deadline_seconds > 0.0 || stall > 0.0 ||
-          external_cancel.valid()) {
-        watchdog.emplace(source, config.deadline_seconds, stall,
-                         external_cancel);
-      }
+      CancelScope scope(external_cancel, config.deadline_seconds, stall);
       fn();
       report.status = RunStatus::kOk;
       report.failure.clear();

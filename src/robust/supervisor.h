@@ -1,14 +1,16 @@
-// Supervised trial execution: watchdog deadlines, retry with exponential
-// backoff, and quarantine of repeatedly-failing configurations.
+// Supervised trial execution: per-attempt deadline and stall budgets,
+// retry with exponential backoff, and quarantine of repeatedly-failing
+// configurations.
 //
 // Every unit of work (an attack preparation, one defense trial, a journal
 // append) runs through Supervisor::run(key, fn):
 //
-//   * A watchdog thread cancels the attempt's CancelSource when the
-//     attempt exceeds its wall-clock deadline or its heartbeat (stamped by
-//     poll_cancellation() at batch/round boundaries) goes stale. The work
-//     observes the cancellation cooperatively at the next boundary, so no
-//     model mutation is ever torn mid-update.
+//   * Each attempt runs inside a CancelScope carrying the caller's token
+//     and the attempt's budgets. poll_cancellation(), called at batch/round
+//     boundaries, throws Cancelled once the token is cancelled, the attempt
+//     exceeds its wall-clock deadline, or the gap since the previous poll
+//     exceeds the stall budget. The work stops only at such a boundary, so
+//     no model mutation is ever torn mid-update.
 //   * A failed or timed-out attempt is retried with exponential backoff.
 //     The supervisor never touches any RNG: callers re-derive all
 //     randomness inside `fn` from seeds drawn BEFORE the first attempt, so
@@ -21,7 +23,7 @@
 //
 // Knobs (read once by Supervisor::instance()):
 //   BDPROTO_DEADLINE  per-attempt wall-clock budget in seconds (0 = off)
-//   BDPROTO_STALL     heartbeat staleness budget in seconds
+//   BDPROTO_STALL     longest gap between two polls, in seconds
 //                     (default: the deadline)
 //   BDPROTO_RETRIES   retries after the first failed attempt (default 2)
 //
@@ -43,10 +45,11 @@
 namespace bd::robust {
 
 struct SupervisorConfig {
-  /// Per-attempt wall-clock budget in seconds; 0 disables the watchdog's
-  /// total-budget check.
+  /// Per-attempt wall-clock budget in seconds; 0 disables the total-budget
+  /// check.
   double deadline_seconds = 0.0;
-  /// Cancel when no heartbeat arrived for this many seconds; 0 defers to
+  /// Cancel at the first poll that comes more than this many seconds after
+  /// the previous one (or the attempt's start); 0 defers to
   /// `deadline_seconds` (so a bare deadline also catches hangs).
   double stall_seconds = 0.0;
   /// Retries after the first failed attempt.
@@ -68,7 +71,7 @@ struct RunReport {
   RunStatus status = RunStatus::kOk;
   /// Attempts actually executed (0 when refused while quarantined).
   int attempts = 0;
-  /// True when any attempt was cancelled by the watchdog.
+  /// True when any attempt was stopped by its deadline or stall budget.
   bool timed_out = false;
   /// True when the run stopped because the caller-supplied external token
   /// was cancelled (e.g. a serve client cancelled its job). Externally
@@ -84,7 +87,7 @@ struct RunReport {
 struct SupervisorStats {
   std::int64_t runs = 0;         // run() calls that executed at least once
   std::int64_t retries = 0;      // attempts beyond each run's first
-  std::int64_t timeouts = 0;     // attempts cancelled by the watchdog
+  std::int64_t timeouts = 0;     // attempts stopped by a budget
   std::int64_t failures = 0;     // runs ending kFailed
   std::int64_t quarantines = 0;  // keys moved into quarantine
   std::int64_t refused = 0;      // runs refused because the key was quarantined
@@ -99,12 +102,11 @@ class Supervisor {
   Supervisor() = default;
   explicit Supervisor(const SupervisorConfig& config) : config_(config) {}
 
-  /// Runs `fn` under the watchdog/retry/quarantine policy. `fn` must be
+  /// Runs `fn` under the budget/retry/quarantine policy. `fn` must be
   /// re-runnable: every attempt re-derives its state from pre-drawn seeds.
-  /// When `external_cancel` is a valid token, the watchdog also forwards
-  /// its cancellation into the attempt (observed cooperatively at the next
-  /// poll_cancellation() boundary); an externally cancelled run stops
-  /// without retrying and without striking `key`.
+  /// When `external_cancel` is a valid token, its cancellation stops the
+  /// attempt at the next poll_cancellation() boundary; an externally
+  /// cancelled run stops without retrying and without striking `key`.
   RunReport run(const std::string& key, const std::function<void()>& fn,
                 CancelToken external_cancel = CancelToken());
 

@@ -36,7 +36,6 @@
 //         |                                        |  robust/runtime because a
 //         |                                        |  build runs unlocked)
 //    50  | Supervisor::mutex_                      | service-level callers
-//    60  | supervisor Watchdog::mutex_             | (watchdog thread only)
 //    70  | runtime pool registry (g_pool_mutex)    | any caller of parallel_for
 //    80  | ThreadPool::job_mutex_                  | caller serialization
 //    90  | ThreadPool::mutex_                      | job mutex (parallel_for)
@@ -66,7 +65,6 @@ enum class LockRank : int {
   kServeQueue = 30,
   kServeBackboneCache = 40,
   kSupervisor = 50,
-  kSupervisorWatchdog = 60,
   kPoolRegistry = 70,
   kPoolJob = 80,
   kPoolState = 90,
@@ -81,7 +79,6 @@ inline const char* lock_rank_name(int rank) {
     case LockRank::kServeQueue: return "serve.queue";
     case LockRank::kServeBackboneCache: return "serve.backbone_cache";
     case LockRank::kSupervisor: return "robust.supervisor";
-    case LockRank::kSupervisorWatchdog: return "robust.watchdog";
     case LockRank::kPoolRegistry: return "runtime.pool_registry";
     case LockRank::kPoolJob: return "runtime.pool_job";
     case LockRank::kPoolState: return "runtime.pool_state";

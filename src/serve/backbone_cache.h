@@ -6,8 +6,9 @@
 // backbone on its own thread while later workers for the same key wait on
 // a shared future instead of duplicating the training run. Waiters pass a
 // wait-poll hook that is invoked between bounded waits, so a supervised
-// waiter keeps stamping its watchdog heartbeat (and observes cancellation)
-// while somebody else trains.
+// waiter keeps polling its own cancel token and budgets while somebody
+// else trains. A build whose job was cancelled fails nobody else: its
+// waiters take the lookup again.
 //
 // Entries are shared_ptr<const BackdooredModel>: a cache eviction never
 // invalidates a backbone a running job is still using.
@@ -50,7 +51,9 @@ class BackboneCache {
 
   /// Returns the cached backbone for `key`, joins an in-flight build of
   /// it, or runs `build` on the calling thread and caches the result.
-  /// `build` exceptions propagate to the builder AND every waiter.
+  /// `build` exceptions propagate to the builder AND every waiter, except
+  /// robust::Cancelled: a waiter whose joined build was cancelled looks
+  /// the key up again, as its builder or as a waiter on a newer build.
   /// `wait_poll` (may be null) runs every ~100ms while waiting.
   Lookup get_or_build(const std::string& key, const Builder& build,
                       const WaitPoll& wait_poll = nullptr);

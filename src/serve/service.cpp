@@ -108,7 +108,7 @@ void SanitizeService::start() {
   if (started_ || stopped_) return;
   started_ = true;
   for (std::size_t i = 0; i < config_.workers; ++i) {
-    workers_.emplace_back([this, i] { worker_loop(i); });
+    workers_.emplace_back([this] { worker_loop(); });
   }
 }
 
@@ -170,7 +170,7 @@ CancelOutcome SanitizeService::cancel(const std::string& id) {
     return CancelOutcome::kCancelledQueued;
   }
   // Already popped (or running): cooperative cancellation through the
-  // supervisor's external token; the job lands in kCancelled via finish().
+  // supervisor's external token; process_job() records it as kCancelled.
   const auto c = cancels_.find(id);
   if (c != cancels_.end()) c->second.cancel("cancelled by client");
   return CancelOutcome::kSignalled;
@@ -272,8 +272,7 @@ void SanitizeService::journal_locked(const JobRecord& record) {
   journal_.record("job|" + record.id, encode_job(record));
 }
 
-void SanitizeService::worker_loop(std::size_t worker_index) {
-  (void)worker_index;
+void SanitizeService::worker_loop() {
   std::string tenant;
   std::string id;
   while (queue_.pop(tenant, id)) {

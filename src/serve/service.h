@@ -4,7 +4,7 @@
 // A submitted job passes admission control (FairQueue: bounded depth +
 // per-tenant in-flight quota), is journaled as `queued`, and waits for a
 // worker. Each worker runs its job under the robust::Supervisor — the same
-// watchdog/retry/quarantine policy as batch benches — with a per-job
+// budget/retry/quarantine policy as batch benches — with a per-job
 // external cancel token so clients can cancel running work cooperatively.
 // The expensive backbone (poisoned training run) is shared across jobs
 // through a single-flight LRU cache keyed by the FNV-1a config hash.
@@ -134,10 +134,8 @@ class SanitizeService {
 
  private:
   void load_journal();
-  void worker_loop(std::size_t worker_index);
+  void worker_loop();
   void process_job(const std::string& id);
-  void finish(const std::string& id, const robust::RunReport& report,
-              const JobRecord& update);
   void journal_locked(const JobRecord& record);
 
   ServiceConfig config_;

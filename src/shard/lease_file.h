@@ -12,7 +12,7 @@
 // LeaseFiles conflict even inside one process, and the kernel drops the
 // lock when its holder's descriptor closes, SIGKILL included. A stopped
 // (SIGSTOP) but live worker keeps its lease; a hang inside a cell is the
-// supervisor's watchdog's job. The header's own lock range is held only
+// supervisor's stall budget's job. The header's own lock range is held only
 // while a LeaseFile creates or validates the file; a creator writes the
 // slots first and the header last, so a zero header is a torn
 // initialization and is redone.

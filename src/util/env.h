@@ -13,8 +13,8 @@
 //
 // Supervised execution (see robust/supervisor.h):
 //   BDPROTO_DEADLINE=<secs>   - per-attempt wall-clock budget (0/unset: off)
-//   BDPROTO_STALL=<secs>      - heartbeat staleness budget (default: the
-//                               deadline)
+//   BDPROTO_STALL=<secs>      - longest gap between two polls (default:
+//                               the deadline)
 //   BDPROTO_RETRIES=<n>       - retries after a failed attempt (default 2)
 //   BDPROTO_FAULTS=<spec>     - deterministic fault injection, e.g.
 //                               "hang@2,io_fail@3" (robust/fault_injector.h)

@@ -139,8 +139,7 @@ TEST(LockRankTable, RanksMatchTheDocumentedNestingOrder) {
   EXPECT_LT(LockRank::kServeService, LockRank::kServeQueue);       // push/remove under service mutex
   EXPECT_LT(LockRank::kServeQueue, LockRank::kServeBackboneCache);
   EXPECT_LT(LockRank::kServeBackboneCache, LockRank::kSupervisor);
-  EXPECT_LT(LockRank::kSupervisor, LockRank::kSupervisorWatchdog);
-  EXPECT_LT(LockRank::kSupervisorWatchdog, LockRank::kPoolRegistry);
+  EXPECT_LT(LockRank::kSupervisor, LockRank::kPoolRegistry);
   EXPECT_LT(LockRank::kPoolRegistry, LockRank::kPoolJob);          // registry lock outlives pool dtor
   EXPECT_LT(LockRank::kPoolJob, LockRank::kPoolState);             // run_chunks: job -> state
   EXPECT_LT(LockRank::kPoolState, LockRank::kPoolError);           // first-error capture under job

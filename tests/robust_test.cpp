@@ -1032,7 +1032,6 @@ TEST(CancelToken, NullTokenNeverCancelsAndHeartbeatIsNoop) {
   EXPECT_FALSE(token.valid());
   EXPECT_FALSE(token.cancelled());
   EXPECT_EQ(token.reason(), "");
-  token.heartbeat();  // must not crash
   // Polling outside any scope is a cheap no-op too.
   robust::poll_cancellation("test.no_scope");
 }
@@ -1047,14 +1046,6 @@ TEST(CancelSource, FirstCancelReasonWins) {
   EXPECT_TRUE(source.cancelled());
   EXPECT_TRUE(token.cancelled());
   EXPECT_EQ(token.reason(), "first");
-}
-
-TEST(CancelSource, HeartbeatAgeTracksPolls) {
-  robust::CancelSource source;
-  std::this_thread::sleep_for(std::chrono::milliseconds(30));
-  EXPECT_GT(source.heartbeat_age_seconds(), 0.02);
-  source.token().heartbeat();
-  EXPECT_LT(source.heartbeat_age_seconds(), 0.02);
 }
 
 TEST(CancelScope, InstallsAndRestoresThreadToken) {
@@ -1089,7 +1080,7 @@ TEST(Cancelled, MessageCarriesReasonAndBoundary) {
 }
 
 // ---------------------------------------------------------------------------
-// Supervisor: retry, watchdog, quarantine
+// Supervisor: retry, budgets, quarantine
 // ---------------------------------------------------------------------------
 
 /// Saves/restores the process-global supervisor config (and clears its
@@ -1229,7 +1220,7 @@ TEST_F(SupervisorTest, SimulatedCrashPropagatesWithoutRetry) {
 TEST_F(SupervisorTest, HangIsDetectedWithinStallBudget) {
   robust::SupervisorConfig config = fast_config();
   config.deadline_seconds = 20.0;  // generous total budget...
-  config.stall_seconds = 0.2;      // ...but a tight heartbeat budget
+  config.stall_seconds = 0.2;      // ...but a tight stall budget
   config.max_retries = 0;
   robust::Supervisor sup(config);
   robust::FaultInjector::instance().configure("hang@1");
@@ -1256,7 +1247,7 @@ TEST_F(SupervisorTest, HangIsDetectedWithinStallBudget) {
 TEST_F(SupervisorTest, DeadlineCancelsOverBudgetAttempt) {
   robust::SupervisorConfig config = fast_config();
   config.deadline_seconds = 0.2;
-  config.stall_seconds = 20.0;  // heartbeats stay fresh; total budget trips
+  config.stall_seconds = 20.0;  // polls stay frequent; total budget trips
   config.max_retries = 0;
   robust::Supervisor sup(config);
 
@@ -1273,6 +1264,33 @@ TEST_F(SupervisorTest, DeadlineCancelsOverBudgetAttempt) {
   // The reason is formatted from the configured budget, never measured
   // time, so degraded cells replay byte-identically on resume.
   EXPECT_NE(report.failure.find("0.2s"), std::string::npos);
+}
+
+TEST_F(SupervisorTest, ExternalCancelIsSeenAtTheNextPoll) {
+  robust::Supervisor sup(fast_config());
+  robust::CancelSource client;
+  bool passed_poll = false;
+  const robust::RunReport report = sup.run(
+      "key",
+      [&] {
+        client.cancel("cancelled by client");
+        robust::poll_cancellation("test.step");
+        passed_poll = true;
+      },
+      client.token());
+
+  // The very next poll stops the attempt: no background tick has to pass
+  // the cancel on first.
+  EXPECT_FALSE(passed_poll);
+  EXPECT_FALSE(report.ok());
+  EXPECT_TRUE(report.externally_cancelled);
+  EXPECT_FALSE(report.timed_out);
+  EXPECT_EQ(report.attempts, 1);
+  EXPECT_NE(report.failure.find("cancelled by client (observed at test.step)"),
+            std::string::npos);
+  EXPECT_EQ(sup.stats().cancelled, 1);
+  EXPECT_EQ(sup.stats().timeouts, 0);
+  EXPECT_EQ(sup.strikes("key"), 0);
 }
 
 TEST_F(SupervisorTest, CancellationAtBatchBoundaryLeavesWeightsUntouched) {

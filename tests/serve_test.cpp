@@ -10,6 +10,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <memory>
 #include <string>
 #include <thread>
 #include <utility>
@@ -856,6 +857,95 @@ TEST_F(ServiceTest, CancelRunningJobViaExternalToken) {
   EXPECT_EQ(supervisor.stats().retries, 0);
   EXPECT_EQ(supervisor.stats().failures, 0);
   service.stop();
+}
+
+/// Checks `done` every 5 ms for up to 30 s; false when it never held.
+template <typename Pred>
+bool eventually(Pred done) {
+  for (int i = 0; i < 6000; ++i) {
+    if (done()) return true;
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  return done();
+}
+
+/// Two jobs on one backbone, two workers: the first job misses the cache
+/// and trains the backbone, the second joins that build as a waiter.
+/// Returns once both are in place, with the build still running.
+struct SharedBuild {
+  explicit SharedBuild(robust::Supervisor& supervisor) {
+    ServiceConfig config;
+    config.workers = 2;
+    config.supervisor = &supervisor;
+    service = std::make_unique<SanitizeService>(config);
+    service->start();
+    JobSpec spec = micro_spec(41);
+    spec.attack_epochs = 300;  // a build long enough to act on mid-flight
+    builder = service->submit(spec).id;
+    EXPECT_TRUE(eventually([&] { return service->stats().cache.misses == 1; }));
+    waiter = service->submit(spec).id;
+    EXPECT_TRUE(eventually([&] { return service->stats().cache.hits == 1; }));
+  }
+
+  JobRecord record(const std::string& id) const {
+    JobRecord out;
+    EXPECT_TRUE(service->status(id, out));
+    return out;
+  }
+
+  std::unique_ptr<SanitizeService> service;
+  std::string builder;
+  std::string waiter;
+};
+
+TEST_F(ServiceTest, CancelledBuilderDoesNotStrikeItsWaiter) {
+  // The client cancels the builder. Its Cancelled is no fault of the
+  // waiter's configuration: the waiter takes the lookup again, builds the
+  // backbone itself and finishes on its first attempt.
+  robust::Supervisor supervisor;
+  SharedBuild run(supervisor);
+  EXPECT_EQ(run.service->cancel(run.builder), CancelOutcome::kSignalled);
+  run.service->drain();
+
+  EXPECT_EQ(run.record(run.builder).state, JobState::kCancelled);
+  const JobRecord waiter = run.record(run.waiter);
+  EXPECT_EQ(waiter.state, JobState::kDone) << waiter.error;
+  EXPECT_EQ(waiter.attempts, 1);
+  EXPECT_EQ(supervisor.stats().timeouts, 0);
+  EXPECT_EQ(supervisor.stats().retries, 0);
+  EXPECT_EQ(supervisor.stats().cancelled, 1);
+  EXPECT_EQ(supervisor.strikes("serve|" + waiter.cache_key + "|" +
+                               waiter.spec.defense + "|" +
+                               std::to_string(waiter.spec.spc)),
+            0);
+  // The waiter rebuilt the backbone after the cancelled build.
+  EXPECT_EQ(run.service->stats().cache.misses, 2);
+  run.service->stop();
+}
+
+TEST_F(ServiceTest, CancelJobWaitingOnAnInFlightBuild) {
+  // The client cancels the waiter: its serve.cache.wait poll stops it while
+  // the builder trains on and finishes.
+  robust::Supervisor supervisor;
+  SharedBuild run(supervisor);
+  EXPECT_EQ(run.service->cancel(run.waiter), CancelOutcome::kSignalled);
+  ASSERT_EQ(run.service->wait(run.waiter, /*timeout_seconds=*/30.0),
+            serve::WaitOutcome::kTerminal);
+  const JobRecord waiter = run.record(run.waiter);
+  EXPECT_EQ(waiter.state, JobState::kCancelled);
+  EXPECT_NE(waiter.error.find("observed at serve.cache.wait"),
+            std::string::npos)
+      << waiter.error;
+  EXPECT_EQ(run.record(run.builder).state, JobState::kRunning);
+
+  run.service->drain();
+  const JobRecord builder = run.record(run.builder);
+  EXPECT_EQ(builder.state, JobState::kDone) << builder.error;
+  EXPECT_EQ(builder.attempts, 1);
+  EXPECT_EQ(supervisor.stats().cancelled, 1);
+  EXPECT_EQ(supervisor.stats().timeouts, 0);
+  EXPECT_EQ(run.service->stats().cache.misses, 1);
+  run.service->stop();
 }
 
 // ---------------------------------------------------------------------------

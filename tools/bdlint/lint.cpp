@@ -297,7 +297,7 @@ struct LintContext {
 
 void rule_no_nondeterminism(LintContext& ctx) {
   if (path_contains(ctx.path, {"src/util/", "src/obs/", "src/robust/"})) {
-    return;  // whitelisted timing/entropy sites (rng, stopwatch, watchdog)
+    return;  // whitelisted timing/entropy sites (rng, stopwatch, budgets)
   }
   const std::string& code = ctx.stripped.code;
   static const char* kBannedAnywhere[] = {
